@@ -61,10 +61,6 @@ class AlgebraElement:
         return cls({(0, 0, 0): Scalar.from_rational(1)})
 
     @classmethod
-    def from_scalar(cls, s):
-        return cls({(0, 0, 0): s})
-
-    @classmethod
     def x(cls, n=1):
         return cls({(n, 0, 0): Scalar.from_rational(1)})
 

@@ -1,13 +1,17 @@
-"""Command-line front end: check batteries and artifact writers.
+"""Command-line front end: one subcommand per residual battery.
 
-Every subcommand runs a fixed battery against one slice of the library,
-prints one pass/fail line per check with the worst residual seen, and
-drops machine-readable artifacts (a JSON report plus CSV tables) into
-the output directory.  Exit status is 0 when every residual is inside
-tolerance, 1 when any check fails, 2 on a configuration error.
+Every subcommand runs a battery from `qcalc.batteries` against one slice
+of the library, prints one pass/fail line per check with the worst
+residual seen, and drops machine-readable artifacts (a JSON report plus
+CSV tables) into the output directory.  Exit status is 0 when every
+residual is finite and inside tolerance, 1 when any check fails, 2 on a
+configuration error: a bad flag or config value, or a library exception
+raised because the configuration lies outside what the battery can
+compute.
 
-The --q value picks the arithmetic backend: a fraction such as 3/2 runs
-on exact rationals, a decimal such as 2.0 on doubles.  The algebraic
+Flags, their defaults and help come from the battery registry.  The
+--q value picks the arithmetic backend: a fraction such as 3/2 runs on
+exact rationals, a decimal such as 2.0 on doubles.  The algebraic
 batteries (verify-algebra, leibniz) demand the exact backend; the
 lattice batteries demand doubles.  Defaults may be supplied as a JSON
 object via --config; explicit flags win over file values.  Runs are
@@ -17,90 +21,38 @@ artifacts.
 
 import argparse
 import json
-import math
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import (
-    AlgebraElement,
-    bar,
-    extract_nabla_L,
-    multiply,
-    p_closed_form,
-    reduce_p,
+from .batteries import (
+    LIBRARY_ERRORS,
+    REGISTRY,
+    ConfigError,
+    Param,
+    resolve,
+    run,
 )
-from .context import QContext
-from .fields import (
-    LaurentPoly,
-    NotInImage,
-    comultiplication_residual,
-    leibniz_residual,
-    morphism_residual,
-    nabla,
-    nabla_preimage,
+from .fields import LaurentPoly
+from .gauge import report_to_csv
+from .integration import definite_integral
+
+# Options of the runner itself, accepted by every subcommand.
+RUNNER = (
+    Param("out", "qcalc-artifacts", "artifact directory", kind=str),
+    Param("tol", None, "override every tolerance in the battery",
+          kind=float, low=0.0),
 )
-from .fourier import QFourier, SublatticeSeq
-from .gauge import DEFAULT_SCENARIO, report_to_csv, scenario_report
-from .integration import (
-    check_green,
-    definite_integral,
-    improper_integral,
-    monomial_integral_closed_form,
-)
-from .lattice import GridMismatch, LatticeFn, LatticeGrid, to_csv
-from .oscillator import (
-    build_ladder,
-    gaussian_fourier_pair,
-    ground_state,
-    hermite_match_residuals,
-    level_table_csv,
-    raising_on_ground_residual,
-    series_match_residual,
-    spectrum_table,
-)
-from .scalars import QQi, Scalar
-from .schrodinger import (
-    EvolutionState,
-    GridTooSmall,
-    Hamiltonian,
-    build_representation,
-    check_noether,
-    continuity_residual,
-    energy_form_residual,
-    evolve,
-    experiment_from_json,
-    free_evolve,
-    history_to_csv,
-    stationary_state,
-)
-from .special import QCombinatorics, SpecialFunctions
-
-
-class ConfigError(Exception):
-    """Bad flag or config-file value; maps to exit status 2."""
-
-
-# -- configuration ----------------------------------------------------------
-
-
-def parse_q(value):
-    """Backend selection: fractions run exact, decimals run double."""
-    if isinstance(value, Fraction):
-        q = value
-    else:
-        text = str(value).strip()
-        try:
-            q = Fraction(text) if "/" in text else float(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse q={value!r}") from exc
-    if q <= 1:
-        raise ConfigError("q must be greater than 1")
-    return QContext(q)
+# Options every subcommand accepts; a battery that declares one of them
+# supplies its own default, the others ignore it.
+COMMON = (
+    Param("q", None, "deformation parameter (unused by this battery)",
+          kind=str),
+    Param("window", None, "lattice exponent range (unused by this battery)",
+          kind="window"),
+    Param("seed", None, "RNG seed (unused by this battery)", low=0),
+) + RUNNER
 
 
 def _load_file_cfg(path):
@@ -118,255 +70,7 @@ def _load_file_cfg(path):
     return cfg
 
 
-def _cfg(args, key, default=None):
-    """Effective parameter: explicit flag, then config file, then default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return args.file_cfg.get(key, default)
-
-
-def _window(args, default):
-    win = _cfg(args, "window", default)
-    if (not isinstance(win, (list, tuple)) or len(win) != 2
-            or int(win[0]) >= int(win[1])):
-        raise ConfigError(f"window must be two integers LO < HI, got {win!r}")
-    return int(win[0]), int(win[1])
-
-
-def _double_ctx(args, default="2"):
-    ctx = parse_q(_cfg(args, "q", default))
-    if ctx.exact:
-        raise ConfigError("this battery runs on the double backend; "
-                          "pass q as a decimal, e.g. --q 2")
-    return ctx
-
-
-def _exact_ctx(args, default="3/2"):
-    ctx = parse_q(_cfg(args, "q", default))
-    if not ctx.exact:
-        raise ConfigError("this battery runs on the exact backend; "
-                          "pass q as a fraction, e.g. --q 3/2")
-    return ctx
-
-
-# -- reporting --------------------------------------------------------------
-
-
-def _add(rows, check, residual, tolerance):
-    rows.append({"check": check, "residual": float(residual),
-                 "tolerance": float(tolerance),
-                 "ok": bool(residual < tolerance)})
-
-
-def _add_flag(rows, check, passed):
-    # all-or-nothing checks: an exact failure reports residual 1
-    rows.append({"check": check, "residual": 0.0 if passed else 1.0,
-                 "tolerance": 0.5, "ok": bool(passed)})
-
-
-def _apply_tol(rows, tol):
-    if tol is not None:
-        for r in rows:
-            r["tolerance"] = float(tol)
-            r["ok"] = bool(r["residual"] < tol)
-    return rows
-
-
-def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-def _finish(args, command, rows, config, extra=()):
-    out_dir = _cfg(args, "out", "qcalc-artifacts")
-    _apply_tol(rows, getattr(args, "tol", None))
-    report = {"command": command, "config": config, "checks": rows}
-    _write(out_dir, command + ".json",
-           json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write(out_dir, command + "-checks.csv", report_to_csv(rows))
-    for name, text in extra:
-        _write(out_dir, name, text)
-    width = max(len(r["check"]) for r in rows)
-    for r in rows:
-        mark = "ok  " if r["ok"] else "FAIL"
-        print(f"{mark} {r['check']:<{width}}  residual={r['residual']:.3e}"
-              f"  tol={r['tolerance']:.3e}")
-    bad = sum(1 for r in rows if not r["ok"])
-    verdict = "all checks passed" if not bad else f"{bad} check(s) FAILED"
-    print(f"{command}: {len(rows) - bad}/{len(rows)} ok, {verdict}; "
-          f"artifacts in {out_dir}")
-    return 1 if bad else 0
-
-
-# -- random generators (seeded, shared across batteries) ---------------------
-
-
-def _rand_element(rng, max_terms=3, span=2):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        key = (rng.randrange(-span, span + 1),
-               rng.randrange(0, span + 1),
-               rng.randrange(-span, span + 1))
-        num = {rng.randrange(-2, 3): rng.randrange(-4, 5) or 1
-               for _ in range(rng.randrange(1, 3))}
-        terms[key] = Scalar({e: v for e, v in num.items()})
-    return AlgebraElement(terms)
-
-
-def _rand_poly(rng, ctx, max_terms=5, span=6):
-    coeffs = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        n = rng.randrange(-span, span + 1)
-        coeffs[n] = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
-                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
-    return LaurentPoly(ctx, coeffs)
-
-
-def _rand_lattice_fn(rng, grid, lo=None, hi=None):
-    lo = grid.n_min if lo is None else lo
-    hi = grid.n_max if hi is None else hi
-    sites = {}
-    for s in grid.sectors:
-        for n in range(lo, hi + 1):
-            sites[(s, n)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return LatticeFn.from_sites(grid, sites)
-
-
-def _rand_seq(rng, ctx, k_lo=-40, k_hi=40, family="even", center=2):
-    vals = []
-    for k in range(k_lo, k_hi + 1):
-        prof = ctx.qpow(-((k - center) ** 2))
-        vals.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * prof)
-    return SublatticeSeq(ctx, k_lo, np.array(vals), family=family)
-
-
-# -- verify-algebra ----------------------------------------------------------
-
-
-def _run_verify_algebra(args):
-    # the normal-ordering ring is symbolic in the square root of q;
-    # the flag only pins the backend contract and is echoed back
-    ctx = _exact_ctx(args)
-    trials = int(_cfg(args, "trials", 200))
-    seed = int(_cfg(args, "seed", 0))
-    rng = random.Random(seed)
-    rows = []
-
-    X = AlgebraElement.x
-    P = AlgebraElement.p
-    L = AlgebraElement.L
-    ONE = AlgebraElement.one()
-    I = Scalar.i()
-
-    lhs = multiply(X(), P()).scale(Scalar.s_power(1)) \
-        - multiply(P(), X()).scale(Scalar.s_power(-1))
-    _add_flag(rows, "defining-relation",
-              lhs.same_stored(AlgebraElement({(0, 0, 1): I})))
-
-    conj_lhs = multiply(P(), X()).scale(Scalar.s_power(1)) \
-        - multiply(X(), P()).scale(Scalar.s_power(-1))
-    _add_flag(rows, "conjugate-relation",
-              conj_lhs == AlgebraElement({(0, 0, -1): -I}))
-
-    rel = lhs - AlgebraElement({(0, 0, 1): I})
-    flipped = conj_lhs + AlgebraElement({(0, 0, -1): I})
-    _add_flag(rows, "bar-of-relation", bar(rel) == flipped)
-
-    _add_flag(rows, "inverse-pairs",
-              multiply(X(), X(-1)).same_stored(ONE)
-              and multiply(X(-1), X()).same_stored(ONE)
-              and multiply(L(), L(-1)).same_stored(ONE)
-              and multiply(L(-1), L()).same_stored(ONE))
-
-    invol = antihom = assoc = True
-    for _ in range(trials):
-        a = _rand_element(rng)
-        b = _rand_element(rng)
-        c = _rand_element(rng)
-        invol = invol and bar(bar(a)) == a
-        antihom = antihom and bar(multiply(a, b)) == multiply(bar(b), bar(a))
-        assoc = assoc and multiply(multiply(a, b), c).same_stored(
-            multiply(a, multiply(b, c)))
-    _add_flag(rows, "bar-involution", invol)
-    _add_flag(rows, "bar-antihomomorphism", antihom)
-    _add_flag(rows, "associativity", assoc)
-
-    pc = p_closed_form()
-    _add_flag(rows, "momentum-closed-form",
-              P() == pc and reduce_p(P()).same_stored(pc))
-    _add_flag(rows, "closed-form-hermitian", bar(pc).same_stored(pc))
-    cf_rel = multiply(X(), pc).scale(Scalar.s_power(1)) \
-        - multiply(pc, X()).scale(Scalar.s_power(-1))
-    _add_flag(rows, "closed-form-relation",
-              cf_rel.same_stored(AlgebraElement({(0, 0, 1): I})))
-
-    extract_ok = True
-    for n in range(-10, 11):
-        h, g, j = extract_nabla_L({n: 1})
-        want_h = {} if n == 0 else {n - 1: Scalar.qnum(n)}
-        extract_ok = (extract_ok and h == want_h
-                      and g == {n: Scalar.q_power(n)}
-                      and j == {n: Scalar.q_power(-n)})
-    _add_flag(rows, "derivative-extraction", extract_ok)
-
-    used = {"q": str(ctx.q), "trials": trials, "seed": seed}
-    return _finish(args, "verify-algebra", rows, used)
-
-
-# -- leibniz ----------------------------------------------------------------
-
-
-def _run_leibniz(args):
-    ctx = _exact_ctx(args)
-    trials = int(_cfg(args, "trials", 500))
-    seed = int(_cfg(args, "seed", 0))
-    rng = random.Random(seed)
-    rows = []
-
-    form1 = form2 = comult = morph = True
-    for _ in range(trials):
-        f = _rand_poly(rng, ctx)
-        g = _rand_poly(rng, ctx)
-        form1 = form1 and leibniz_residual(f, g, form=1).is_zero()
-        form2 = form2 and leibniz_residual(f, g, form=2).is_zero()
-        comult = comult and comultiplication_residual(f, g).is_zero()
-        morph = morph and morphism_residual(f).is_zero()
-    _add_flag(rows, "product-rule-form1", form1)
-    _add_flag(rows, "product-rule-form2", form2)
-    _add_flag(rows, "comultiplication", comult)
-    _add_flag(rows, "scale-morphism", morph)
-
-    kernel_ok = all(nabla(LaurentPoly.monomial(ctx, n)).is_zero() == (n == 0)
-                    for n in range(-6, 7))
-    _add_flag(rows, "derivative-kernel", kernel_ok)
-
-    round_trip = True
-    for _ in range(40):
-        h = _rand_poly(rng, ctx)
-        image = LaurentPoly(ctx, {n: c for n, c in h.coeffs.items()
-                                  if n != -1})
-        if image.is_zero():
-            continue
-        round_trip = round_trip and (nabla(nabla_preimage(image))
-                                     == image)
-    _add_flag(rows, "preimage-round-trip", round_trip)
-
-    try:
-        nabla_preimage(LaurentPoly.monomial(ctx, -1))
-        refused = False
-    except NotInImage:
-        refused = True
-    _add_flag(rows, "x-inverse-not-in-image", refused)
-
-    used = {"q": str(ctx.q), "trials": trials, "seed": seed}
-    return _finish(args, "leibniz", rows, used)
-
-
-# -- integrate ---------------------------------------------------------------
+# -- one-shot integral --------------------------------------------------------
 
 
 _TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(-?\d+))?)?")
@@ -395,547 +99,107 @@ def _parse_poly(ctx, text):
                              if not ctx.is_zero(c)})
 
 
-def _run_integrate(args):
-    ctx = parse_q(_cfg(args, "q", "2"))
-
-    poly_text = _cfg(args, "poly")
-    if poly_text is not None:
-        lo = _cfg(args, "from_exp")
-        hi = _cfg(args, "to_exp")
-        if lo is None or hi is None:
-            raise ConfigError("--poly needs --from and --to lattice "
-                              "exponents")
-        h = _parse_poly(ctx, poly_text)
-        sector = int(_cfg(args, "sector", 1))
-        val = definite_integral(h, int(lo), int(hi), sector=sector)
-        if ctx.exact:
-            print(val if val.im != 0 else val.re)
-        else:
-            print(f"{val.real:g}" if abs(val.imag) < 1e-30 else f"{val:g}")
-        return 0
-
-    seed = int(_cfg(args, "seed", 0))
-    trials = int(_cfg(args, "trials", 100))
-    rng = random.Random(seed)
-    rows = []
-
-    # closed form for monomial integrals, both endpoint parities
+def _print_integral(given):
+    ctx, params = resolve("integrate", given)
+    lo, hi = params["from_exp"], params["to_exp"]
+    if lo is None or hi is None:
+        raise ConfigError("--poly needs --from and --to lattice exponents")
+    val = definite_integral(_parse_poly(ctx, params["poly"]), lo, hi,
+                            sector=params["sector"])
     if ctx.exact:
-        agree = True
-        for n in range(-5, 6):
-            if n == -1:
-                continue
-            h = LaurentPoly.monomial(ctx, n)
-            agree = agree and definite_integral(h, -4, 4) == ctx.coerce(
-                monomial_integral_closed_form(ctx, n, -4, 4))
-            agree = agree and definite_integral(h, -3, 5) == ctx.coerce(
-                monomial_integral_closed_form(ctx, n, -3, 5))
-        _add_flag(rows, "trace-vs-closed-form", agree)
-        h = LaurentPoly.monomial(ctx, -1)
-        _add_flag(rows, "x-inverse-rule",
-                  definite_integral(h, -6, 4) == ctx.coerce(ctx.lam * 5))
-        stokes = True
-        for _ in range(trials):
-            coeffs = {rng.randrange(-4, 5): Fraction(rng.randrange(-9, 10), 3)
-                      for _ in range(4)}
-            f = LaurentPoly(ctx, {n: ctx.coerce(c)
-                                  for n, c in coeffs.items()})
-            N = rng.randrange(-6, 3)
-            M = rng.randrange(N + 1, 9)
-            if (M - N) % 2:
-                M += 1
-            got = definite_integral(nabla(f), N, M)
-            want = f.evaluate(ctx.qpow(M)) - f.evaluate(ctx.qpow(N))
-            stokes = stokes and got == ctx.coerce(want)
-        _add_flag(rows, "stokes", stokes)
-        used = {"q": str(ctx.q), "trials": trials, "seed": seed,
-                "backend": "exact"}
-        return _finish(args, "integrate", rows, used)
-
-    worst = 0.0
-    for n in range(-5, 6):
-        if n == -1:
-            continue
-        h = LaurentPoly.monomial(ctx, n)
-        for lo, hi in ((-4, 4), (-3, 5)):
-            want = monomial_integral_closed_form(ctx, n, lo, hi)
-            got = definite_integral(h, lo, hi)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    _add(rows, "trace-vs-closed-form", worst, 1e-12)
-    h = LaurentPoly.monomial(ctx, -1)
-    _add(rows, "x-inverse-rule",
-         abs(definite_integral(h, -6, 4) - ctx.lam * 5), 1e-12)
-
-    grid = LatticeGrid(ctx, -12, 12)
-    stokes = 0.0
-    for _ in range(trials):
-        f = _rand_lattice_fn(rng, grid)
-        got = definite_integral(f.nabla_fn(), -7, 7)
-        want = f.value(1, 7) - f.value(1, -7)
-        stokes = max(stokes, abs(got - want) / max(1.0, abs(want)))
-    _add(rows, "stokes", stokes, 1e-12)
-
-    partial = herm = green = 0.0
-    for _ in range(10):
-        chi = _rand_lattice_fn(rng, grid, lo=-6, hi=6)
-        psi = _rand_lattice_fn(rng, grid, lo=-6, hi=6)
-        a = improper_integral(chi.conj().nabla_fn() * psi.L_shift(1)) \
-            + improper_integral(chi.conj().L_shift(-1) * psi.nabla_fn())
-        b = improper_integral(chi.conj().nabla_fn() * psi.L_shift(-1)) \
-            + improper_integral(chi.conj().L_shift(1) * psi.nabla_fn())
-        partial = max(partial, abs(a), abs(b))
-        lhs = improper_integral(chi.nabla2_fn().conj() * psi)
-        rhs = improper_integral(chi.conj() * psi.nabla2_fn())
-        herm = max(herm, abs(lhs - rhs))
-        green = max(green, abs(check_green(chi, psi, -6, 6)))
-    _add(rows, "partial-integration", partial, 1e-12)
-    _add(rows, "nabla2-hermiticity", herm, 1e-12)
-    _add(rows, "green-identity", green, 1e-12)
-
-    used = {"q": str(ctx.q), "trials": trials, "seed": seed,
-            "backend": "double"}
-    return _finish(args, "integrate", rows, used)
-
-
-# -- special-tables ----------------------------------------------------------
-
-
-def _run_special_tables(args):
-    ctx = _double_ctx(args)
-    sf = SpecialFunctions(ctx)
-    q = ctx.q
-    k_max = int(_cfg(args, "k_max", 12))
-    rows = []
-
-    lines = ["k,point,cos,sin"]
-    for k in range(-k_max, k_max + 1):
-        z = ctx.qpow(k)
-        lines.append(f"{k},{repr(float(z))},{repr(float(sf.cos_q(z)))},"
-                     f"{repr(float(sf.sin_q(z)))}")
-    table = "\n".join(lines) + "\n"
-
-    rec = 0.0
-    for l in range(-6, 7):
-        z = q ** (2 * l)
-        rec = max(rec, abs((sf.cos_q(z) - sf.cos_q(z / q ** 2)) / z
-                           + q ** -2 * sf.sin_q(z / q ** 2)))
-        rec = max(rec, abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                           - sf.cos_q(z)))
-    for l in range(-5, 6):
-        z = q ** (2 * l + 1)
-        rec = max(rec, abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                           - sf.cos_q(z)) / max(1.0, abs(sf.cos_q(z))))
-    _add(rows, "recurrences", rec, 1e-12)
-
-    grid = LatticeGrid(ctx, -8, 8)
-    deriv = 0.0
-    for y_exp in (0, 1, 3):
-        y = ctx.qpow(y_exp)
-        cos_f = LatticeFn.from_callable(grid, lambda x: sf.cos_q(x * y))
-        sin_f = LatticeFn.from_callable(grid, lambda x: sf.sin_q(x * y))
-        rhs_c = sin_f.L_shift(1).scale(-ctx.inv_lam / q * y)
-        rhs_s = cos_f.L_shift(-1).scale(ctx.inv_lam * q * y)
-        scale = max(rhs_c.max_abs_interior(), rhs_s.max_abs_interior(), 1.0)
-        deriv = max(deriv,
-                    (cos_f.nabla_fn() - rhs_c).max_abs_interior() / scale,
-                    (sin_f.nabla_fn() - rhs_s).max_abs_interior() / scale)
-    _add(rows, "derivative-relations", deriv, 1e-10)
-
-    # second derivative reproduces the eigenvalue at y = q
-    y = ctx.qpow(1)
-    eig = 0.0
-    cos_f = LatticeFn.from_callable(grid, lambda x: sf.cos_q(x * y))
-    sin_f = LatticeFn.from_callable(grid, lambda x: sf.sin_q(x * y))
-    for f, fac in ((cos_f, 1.0 / q), (sin_f, q)):
-        lhs = f.nabla2_fn()
-        rhs = f.scale(-y * y * ctx.inv_lam ** 2 * fac)
-        lo, hi = lhs.valid_window()
-        for s in grid.sectors:
-            for n in range(lo, hi + 1):
-                a = lhs.value(s, n)
-                b = rhs.value(s, n, require_valid=False)
-                if abs(a) < 1e-200 and abs(b) < 1e-200:
-                    continue
-                eig = max(eig, abs(a - b) / max(abs(a), abs(b)))
-    _add(rows, "eigenvalue-relation", eig, 1e-9)
-
-    nq = sf.n_q()
-    ortho = 0.0
-    for n in range(-3, 4):
-        acc = 0.0
-        for k in range(-40, 41):
-            c = sf.cos_q(q ** (-2 * (k + n)))
-            acc += q ** (-2 * k) * c * c
-        want = q ** (2 * n) / nq ** 2
-        ortho = max(ortho, abs(acc - want) / want)
-    _add(rows, "orthogonality-diagonal", ortho, 1e-10)
-
-    off = 0.0
-    for n in range(-2, 3):
-        for m in range(-2, 3):
-            if n == m:
-                continue
-            acc_c = acc_s = 0.0
-            for k in range(-40, 41):
-                w = q ** (-2 * k)
-                acc_c += w * sf.cos_q(q ** (-2 * (k + n))) \
-                    * sf.cos_q(q ** (-2 * (k + m)))
-                acc_s += w * sf.sin_q(q ** (-2 * (k + n))) \
-                    * sf.sin_q(q ** (-2 * (k + m)))
-            off = max(off, abs(acc_c), abs(acc_s))
-    _add(rows, "orthogonality-offdiagonal", off, 1e-10)
-
-    consts = sf.gauss_sum_constants(1.0)
-    gauss = max(abs(a - b) for a, b in consts.values())
-    _add(rows, "gauss-constants", gauss, 1e-12)
-
-    used = {"q": str(ctx.q), "k_max": k_max}
-    return _finish(args, "special-tables", rows, used,
-                   extra=[("special_values.csv", table)])
-
-
-# -- fourier ----------------------------------------------------------------
-
-
-def _run_fourier(args):
-    ctx = _double_ctx(args)
-    qf = QFourier(ctx)
-    seed = int(_cfg(args, "seed", 0))
-    rng = random.Random(seed)
-    rows = []
-
-    iso_c = iso_s = 0.0
-    rt_c = rt_s = dbl = 0.0
-    for _ in range(5):
-        f = _rand_seq(rng, ctx)
-        g = qf.qft_cos(f)
-        a = f.weighted_norm_sq()
-        iso_c = max(iso_c, abs(a - g.weighted_norm_sq()) / a)
-        rt_c = max(rt_c, (qf.qft_cos_inverse(g) - f).max_abs())
-        dbl = max(dbl, (qf.qft_cos(g) - f).max_abs())
-        fo = _rand_seq(rng, ctx, family="odd")
-        go = qf.qft_sin(fo)
-        b = fo.weighted_norm_sq()
-        iso_s = max(iso_s, abs(b - go.weighted_norm_sq()) / b)
-        rt_s = max(rt_s, (qf.qft_sin_inverse(go) - fo).max_abs())
-    _add(rows, "isometry-cos", iso_c, 1e-10)
-    _add(rows, "isometry-sin", iso_s, 1e-10)
-    _add(rows, "round-trip-cos", rt_c, 1e-8)
-    _add(rows, "round-trip-sin", rt_s, 1e-8)
-    _add(rows, "double-transform", dbl, 1e-8)
-
-    m_cut = int(_cfg(args, "m_cut", 0))
-    ks = range(-10, 11)
-    step_dev = 0.0
-    for M in (-1, 0, 2):
-        direct = qf.step_transform(M, ks)
-        for k in ks:
-            step_dev = max(step_dev,
-                           abs(direct[k] - qf.step_closed_form(M, k)))
-    _add(rows, "step-closed-form", step_dev, 1e-8)
-
-    inv_dev = 0.0
-    for M in (0, 1):
-        g = qf.step_inverse(M, range(-6, 7))
-        for n in range(-6, 7):
-            want = 1.0 if n <= M else 0.0
-            inv_dev = max(inv_dev, abs(g[n] - want))
-    _add(rows, "step-round-trip", inv_dev, 1e-8)
-
-    direct = qf.step_transform(m_cut, ks)
-    lines = ["k,value"]
-    for k in ks:
-        lines.append(f"{k},{repr(float(np.real(direct[k])))}")
-    table = "\n".join(lines) + "\n"
-
-    used = {"q": str(ctx.q), "seed": seed, "m_cut": m_cut}
-    return _finish(args, "fourier", rows, used,
-                   extra=[("step_transform.csv", table)])
-
-
-# -- spectrum ----------------------------------------------------------------
-
-
-def _run_spectrum(args):
-    ctx = _double_ctx(args)
-    lo, hi = _window(args, (-12, 12))
-    mass = float(_cfg(args, "mass", 1.0))
-    n_max = int(_cfg(args, "n_max", 3))
-    rep = build_representation(LatticeGrid(ctx, lo, hi))
-    H = Hamiltonian(rep, mass=mass)
-    rows = []
-
-    lines = ["family,label,n,energy,residual"]
-    worst = 0.0
-    sl = rep.interior(2)
-    for fam in ("C", "S"):
-        for lab in ("2n+1", "2n"):
-            for n in range(n_max):
-                psi, e = stationary_state(rep, fam, lab, n, 1, mass)
-                c = rep.coeffs(psi)
-                r = H.matrices[1] @ c[1] - e * c[1]
-                denom = np.max(np.abs(e * c[1][sl]))
-                resid = float(np.max(np.abs(r[sl])) / denom)
-                worst = max(worst, resid)
-                lines.append(f"{fam},{lab},{n},{repr(float(e))},"
-                             f"{repr(resid)}")
-    _add(rows, "eigenvalue-table", worst, 1e-6)
-
-    used = {"q": str(ctx.q), "window": [lo, hi], "mass": mass,
-            "n_max": n_max}
-    return _finish(args, "spectrum", rows, used,
-                   extra=[("spectrum.csv", "\n".join(lines) + "\n")])
-
-
-# -- evolve ------------------------------------------------------------------
-
-
-def _run_evolve(args):
-    ctx = _double_ctx(args)
-    lo, hi = _window(args, (-12, 12))
-    seed = int(_cfg(args, "seed", 0))
-    dt = float(_cfg(args, "dt", 1e-3))
-    steps = int(_cfg(args, "steps", 200))
-    mass = float(_cfg(args, "mass", 1.0))
-    initial = _cfg(args, "initial", {"family": "C", "label": "2n+1",
-                                     "n": 0, "sector": 1})
-    exp = {"q": ctx.q, "window": [lo, hi], "dt": dt, "steps": steps,
-           "mass": mass, "potential": _cfg(args, "potential"),
-           "initial": initial}
-    result = experiment_from_json(json.dumps(exp))
-    rows = []
-    _add(rows, "norm-drift", result["norm_drift"], 1e-8)
-
-    H = result["hamiltonian"]
-    rep = result["rep"]
-    c0 = rep.coeffs(result["initial"])
-    cT = rep.coeffs(result["final"].psi)
-    _add(rows, "energy-drift", abs(H.energy(cT) - H.energy(c0)), 1e-8)
-
-    # drift of |psi| under the analytic propagator; the deep window
-    # keeps the expansion error at the cut
-    deep = build_representation(LatticeGrid(ctx, -36, 12))
-    psi, _ = stationary_state(deep, initial.get("family", "C"),
-                              initial.get("label", "2n+1"),
-                              int(initial.get("n", 0)), 1, mass)
-    psit = free_evolve(deep, psi, 1.0, family=initial.get("family", "C"),
-                       mass=mass)
-    drift = max(abs(abs(psit.value(sg, m)) - abs(psi.value(sg, m)))
-                for m in range(-12, 13) for sg in (1, -1))
-    _add(rows, "stationarity-drift", drift, 1e-6)
-
-    rng = random.Random(seed)
-    pkt = _eigen_packet(rep, H, rng)
-    state = evolve(EvolutionState(pkt), H, dt, steps=37)
-    _add(rows, "continuity", continuity_residual(state.psi, H, dt=dt), 1e-6)
-
-    probe = _rand_lattice_fn(rng, rep.grid)
-    _add(rows, "noether-current", check_noether(probe, mass=mass), 1e-10)
-    # quadratic-form comparison integrates shifted derivatives, whose
-    # support must stay 6 sites clear of the window edge
-    if hi - lo < 14:
-        raise ConfigError("evolve battery needs a window spanning >= 14")
-    compact = _rand_lattice_fn(rng, rep.grid, lo=lo + 6, hi=hi - 6)
-    _add(rows, "adjoint-identity", energy_form_residual(compact, mass),
-         1e-12)
-
-    used = {"q": str(ctx.q), "window": [lo, hi], "dt": dt, "steps": steps,
-            "mass": mass, "seed": seed, "initial": initial}
-    return _finish(args, "evolve", rows, used,
-                   extra=[("history.csv", history_to_csv(result["final"]))])
-
-
-def _eigen_packet(rep, H, rng, e_cut=0.5, per_sector=4):
-    c = {}
-    for s in rep.grid.sectors:
-        evals, evecs = H.eig(s)
-        idx = [i for i in range(len(evals)) if evals[i] < e_cut][:per_sector]
-        if not idx:
-            raise ConfigError("energy cut leaves no modes in the window")
-        v = np.zeros(rep.grid.size, dtype=complex)
-        for i in idx:
-            v += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * evecs[:, i]
-        c[s] = v
-    total = math.sqrt(sum(np.vdot(v, v).real for v in c.values()))
-    return rep.lattice_fn({s: v / total for s, v in c.items()})
-
-
-# -- gauge -------------------------------------------------------------------
-
-
-def _run_gauge(args):
-    merged = dict(DEFAULT_SCENARIO)
-    for key in ("q", "window", "seed", "dt", "einbein_amplitude",
-                "alpha_amplitude", "transforms"):
-        val = _cfg(args, key)
-        if val is not None:
-            merged[key] = val
-    ctx = parse_q(merged["q"])
-    if ctx.exact:
-        raise ConfigError("gauge scenarios run on the double backend")
-    merged["q"] = float(ctx.q)
-    rows = scenario_report(merged)
-    return _finish(args, "gauge", rows, merged)
-
-
-# -- oscillator --------------------------------------------------------------
-
-
-def _run_oscillator(args):
-    ctx = _double_ctx(args)
-    lo, hi = _window(args, (-12, 12))
-    levels = int(_cfg(args, "levels", 4))
-    m_index = int(_cfg(args, "m_index", 1))
-    if levels < 1:
-        raise ConfigError("--levels must be at least 1")
-    rep = build_representation(LatticeGrid(ctx, lo, hi))
-    pair = build_ladder(rep, m_index=m_index)
-    rows = []
-
-    _add(rows, "commutator-normalized", pair.commutator_residual(), 1e-10)
-
-    extra = []
-    if m_index == 1:
-        psi0 = ground_state(pair)
-        _add(rows, "ground-state-defect", pair.lowering_defect(psi0), 1e-8)
-        _add(rows, "ground-series-match",
-             series_match_residual(pair, psi0), 1e-8)
-        _add(rows, "raising-identity",
-             raising_on_ground_residual(pair, psi0), 1e-10)
-        _add(rows, "hermite-tower",
-             max(hermite_match_residuals(pair, 6)), 1e-6)
-        table = spectrum_table(pair, n_levels=levels)
-        _add(rows, "ladder-spectrum", max(r for _, _, r in table), 1e-6)
-        gp = gaussian_fourier_pair(ctx)
-        _add(rows, "gaussian-pair", gp["max_rel"], 1e-8)
-        _add(rows, "gaussian-constants",
-             max(c["deviation"] for c in gp["constants"].values()), 1e-12)
-
-        lines = ["n,energy,residual"]
-        for n, e, r in table:
-            lines.append(f"{n},{repr(float(e))},{repr(float(r))}")
-        extra = [("levels.csv", "\n".join(lines) + "\n"),
-                 ("ground_state.csv", to_csv(psi0)),
-                 ("gaussian_pair.json",
-                  json.dumps(gp, indent=2, sort_keys=True) + "\n")]
+        print(val if val.im != 0 else val.re)
     else:
-        extra = [("levels.csv", level_table_csv(pair, n_levels=levels))]
-
-    used = {"q": str(ctx.q), "window": [lo, hi], "levels": levels,
-            "m_index": m_index}
-    return _finish(args, "oscillator", rows, used, extra=extra)
+        print(f"{val.real:g}" if abs(val.imag) < 1e-30 else f"{val:g}")
+    return 0
 
 
-# -- entry point -------------------------------------------------------------
+# -- artifacts ----------------------------------------------------------------
 
 
-_RUNNERS = {
-    "verify-algebra": _run_verify_algebra,
-    "leibniz": _run_leibniz,
-    "integrate": _run_integrate,
-    "special-tables": _run_special_tables,
-    "fourier": _run_fourier,
-    "spectrum": _run_spectrum,
-    "evolve": _run_evolve,
-    "gauge": _run_gauge,
-    "oscillator": _run_oscillator,
-}
+def _write(out_dir, name, text):
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text)
+
+
+def _finish(command, rows, config, extra, out_dir, tol):
+    if tol is not None:
+        for r in rows:
+            r["tolerance"] = tol
+            r["ok"] = bool(r["residual"] < tol)
+    report = {"command": command, "config": config, "checks": rows}
+    _write(out_dir, command + ".json",
+           json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, command + "-checks.csv", report_to_csv(rows))
+    for name, text in extra:
+        _write(out_dir, name, text)
+    width = max(len(r["check"]) for r in rows)
+    for r in rows:
+        mark = "ok  " if r["ok"] else "FAIL"
+        print(f"{mark} {r['check']:<{width}}  residual={r['residual']:.3e}"
+              f"  tol={r['tolerance']:.3e}")
+    bad = sum(1 for r in rows if not r["ok"])
+    verdict = "all checks passed" if not bad else f"{bad} check(s) FAILED"
+    print(f"{command}: {len(rows) - bad}/{len(rows)} ok, {verdict}; "
+          f"artifacts in {out_dir}")
+    return 1 if bad else 0
+
+
+# -- entry point --------------------------------------------------------------
+
+
+def _add_option(parser, p):
+    kw = {"dest": p.key, "help": p.help}
+    if p.default is not None:
+        shown = (" ".join(map(str, p.default))
+                 if isinstance(p.default, tuple) else p.default)
+        kw["help"] += f" (default {shown})"
+    if p.kind == "window":
+        kw.update(nargs=2, type=int, metavar=("LO", "HI"))
+    else:
+        kw.update(type=p.kind, choices=p.choices)
+    parser.add_argument(p.option, **kw)
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", help="deformation parameter; a fraction "
-                        "like 3/2 selects exact arithmetic, a decimal "
-                        "selects doubles")
-    common.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
-                        help="lattice exponent range")
-    common.add_argument("--out", help="artifact directory "
-                        "(default qcalc-artifacts)")
-    common.add_argument("--tol", type=float,
-                        help="override every tolerance in the battery")
-    common.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common.add_argument("--config", help="JSON file supplying defaults; "
-                        "explicit flags win")
-
     top = argparse.ArgumentParser(
         prog="qcalc",
         description="Residual batteries for the q-deformed calculus; "
                     "each subcommand prints per-check results and writes "
                     "JSON/CSV artifacts.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-algebra", parents=[common],
-                       help="normal-ordering ring: relations, bar, "
-                            "associativity, derivative extraction")
-    p.add_argument("--trials", type=int, help="random elements (default 200)")
-
-    p = sub.add_parser("leibniz", parents=[common],
-                       help="field calculus: product rules, "
-                            "comultiplication, kernel and image")
-    p.add_argument("--trials", type=int, help="random pairs (default 500)")
-
-    p = sub.add_parser("integrate", parents=[common],
-                       help="Jackson integrals: closed forms, Stokes, "
-                            "Green, hermiticity; or one definite integral")
-    p.add_argument("--poly", help="integrand, e.g. '2*x^3 - x^-1 + 1'")
-    p.add_argument("--from", dest="from_exp", type=int,
-                   help="lower lattice exponent (point q^N)")
-    p.add_argument("--to", dest="to_exp", type=int,
-                   help="upper lattice exponent (point q^M)")
-    p.add_argument("--sector", type=int, choices=(1, -1),
-                   help="half-line sign (default 1)")
-    p.add_argument("--trials", type=int, help="random fields (default 100)")
-
-    p = sub.add_parser("special-tables", parents=[common],
-                       help="deformed trig tables, recurrences, "
-                            "orthogonality")
-    p.add_argument("--k-max", dest="k_max", type=int,
-                   help="table half-width in lattice exponents (default 12)")
-
-    p = sub.add_parser("fourier", parents=[common],
-                       help="transform isometry, inversion, step functions")
-    p.add_argument("--m-cut", dest="m_cut", type=int,
-                   help="step cut exponent for the CSV table (default 0)")
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="second-derivative eigenvalue table on the "
-                            "lattice window")
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="levels per family (default 3)")
-    p.add_argument("--mass", type=float)
-
-    p = sub.add_parser("evolve", parents=[common],
-                       help="unitary evolution: norm and energy drift, "
-                            "stationarity, continuity, Noether current")
-    p.add_argument("--dt", type=float, help="time step (default 1e-3)")
-    p.add_argument("--steps", type=int, help="step count (default 200)")
-    p.add_argument("--mass", type=float)
-
-    p = sub.add_parser("gauge", parents=[common],
-                       help="covariance battery for the gauged derivative "
-                            "and curvature")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--transforms", type=int,
-                   help="random phase transforms (default 10)")
-
-    p = sub.add_parser("oscillator", parents=[common],
-                       help="ladder pair, ground state, level table, "
-                            "Gaussian transform pair")
-    p.add_argument("--levels", type=int, help="levels to tabulate "
-                                              "(default 4)")
-    p.add_argument("--m-index", dest="m_index", type=int,
-                   help="ladder index m (default 1)")
-
+    for name, battery in REGISTRY.items():
+        # only explicit flags reach the namespace, so config-file values
+        # can fill the rest before the registry defaults do
+        p = sub.add_parser(name, help=battery.help,
+                           argument_default=argparse.SUPPRESS)
+        own = {prm.key: prm for prm in battery.params}
+        for prm in COMMON:
+            _add_option(p, own.pop(prm.key, prm))
+        p.add_argument("--config", help="JSON file supplying defaults; "
+                       "explicit flags win")
+        for prm in own.values():
+            if prm.option:
+                _add_option(p, prm)
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    command = given.pop("command")
     try:
-        args.file_cfg = _load_file_cfg(getattr(args, "config", None))
-        return _RUNNERS[args.command](args)
-    except (ConfigError, GridTooSmall, GridMismatch, ValueError) as exc:
+        given = {**_load_file_cfg(given.pop("config", None)), **given}
+        out, tol = (prm.pick(given) for prm in RUNNER)
+        if command == "integrate" and given.get("poly") is not None:
+            return _print_integral(given)
+        rows, used, extra = run(command, given)
+        return _finish(command, rows, used, extra, out, tol)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except LIBRARY_ERRORS as exc:
+        msg = str(exc).splitlines()[0] if str(exc) else ""
+        print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 2
 
 

@@ -390,6 +390,7 @@ def scenario_report(cfg=None):
     The commutator rows carry the dt^2 story: the -order row holds the
     measured convergence order of the residual under dt halving.
     """
+    from .batteries import row, worst
     from .context import QContext
 
     merged = dict(DEFAULT_SCENARIO)
@@ -412,9 +413,7 @@ def scenario_report(cfg=None):
     rows = []
 
     def add(check, residual, tolerance):
-        rows.append({"check": check, "residual": float(residual),
-                     "tolerance": float(tolerance),
-                     "ok": bool(residual < tolerance)})
+        rows.append(row(check, residual, tolerance))
 
     shift_form = covariant_derivative(e, psi, route="shift")
     expanded = covariant_derivative(e, psi, route="expanded")
@@ -426,15 +425,13 @@ def scenario_report(cfg=None):
         product_leibniz_residual(e, e2, psi, chi), 1e-12)
     add("scalar-factor", scalar_factor_residual(e, f_scalar, psi), 1e-12)
 
-    worst_dcov = 0.0
-    worst_phi = 0.0
-    for _ in range(int(merged["transforms"])):
-        alpha = random_phase(rng, grid, aamp)
-        worst_dcov = max(worst_dcov,
-                         derivative_covariance_residual(e, psi, alpha))
-        worst_phi = max(worst_phi, connection_consistency_residual(e, alpha))
-    add("derivative-covariance", worst_dcov, 1e-10)
-    add("connection-law", worst_phi, 1e-12)
+    alphas = [random_phase(rng, grid, aamp)
+              for _ in range(int(merged["transforms"]))]
+    add("derivative-covariance",
+        worst(derivative_covariance_residual(e, psi, a) for a in alphas),
+        1e-10)
+    add("connection-law",
+        worst(connection_consistency_residual(e, a) for a in alphas), 1e-12)
 
     t0 = 0.4
     omega = random_field(rng, grid, 0.5)

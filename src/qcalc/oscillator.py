@@ -142,9 +142,6 @@ class LadderPair:
             worst = max(worst, float(np.max(np.abs(r[rows, rows]))))
         return worst
 
-    def hamiltonian(self):
-        return {s: self.a_dag[s] @ self.a[s] for s in self.rep.grid.sectors}
-
     def hamiltonian_residual(self):
         """Interior max of a+ a against its expanded normal form.
 

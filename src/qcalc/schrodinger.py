@@ -162,9 +162,6 @@ class Hamiltonian:
             self._eig[s] = (evals, evecs)
         return self._eig[s]
 
-    def apply(self, coeffs):
-        return {s: self.matrices[s] @ coeffs[s] for s in self.rep.grid.sectors}
-
     def energy(self, coeffs):
         acc = 0.0
         for s in self.rep.grid.sectors:

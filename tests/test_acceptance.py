@@ -1,116 +1,65 @@
 """Acceptance gate: eight fixed criteria, one summary line each.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL line
-printed per criterion.  Every tolerance is pinned here; the random
-batteries are seeded, so the gate is deterministic.  The algebraic
-criteria demand exact equality on the rational backend; the lattice
-criteria are double-precision with explicit residual bounds.
+printed per criterion.  Each criterion runs the CLI's residual batteries
+(`qcalc.batteries`) at pinned seeds and parameters and asserts on their
+rows: every row must pass, and every check the criterion pins must be
+present with its pinned tolerance or a tighter one.  The few checks no
+battery makes stay here as code.  The algebraic criteria demand exact
+equality on the rational backend (all-or-nothing rows, tolerance
+EXACT); the lattice criteria are double-precision with explicit
+residual bounds.
 """
 
-import itertools
-import math
-import random
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from qcalc.algebra import AlgebraElement, bar, extract_nabla_L, multiply
+from qcalc.batteries import row, run, worst
 from qcalc.context import QContext
-from qcalc.fields import (
-    LaurentPoly,
-    NotInImage,
-    comultiplication_residual,
-    leibniz_residual,
-    morphism_residual,
-    nabla,
-    nabla_preimage,
-)
-from qcalc.fourier import QFourier, SublatticeSeq
 from qcalc.gauge import (
-    commutator_residual,
     curvature_covariance_residual,
-    derivative_covariance_residual,
     einbein_derivative,
     einbein_path,
-    field_path,
     product_leibniz_residual,
     random_einbein,
     random_field,
     random_phase,
     shift_inverse_residual,
 )
-from qcalc.integration import (
-    check_green,
-    definite_integral,
-    improper_integral,
-    monomial_integral_closed_form,
-)
-from qcalc.lattice import LatticeFn, LatticeGrid
-from qcalc.oscillator import (
-    build_ladder,
-    gaussian_fourier_pair,
-    ground_state,
-    hermite_match_residuals,
-    series_match_residual,
-    spectrum_table,
-)
-from qcalc.scalars import QQi, Scalar
-from qcalc.schrodinger import (
-    EvolutionState,
-    Hamiltonian,
-    build_representation,
-    check_noether,
-    continuity_residual,
-    energy_form_residual,
-    evolve,
-    free_evolve,
-    stationary_state,
-)
-from qcalc.special import QCombinatorics, SpecialFunctions
+from qcalc.lattice import LatticeGrid
+from qcalc.special import QCombinatorics
 
 SEED = 20260816
-EXACT = QContext(Fraction(3, 2))
-D2 = QContext(2.0)
+EXACT = 0.5  # all-or-nothing rows: residual 0 passes, 1 fails
 
 
-def _verdict(name, failures):
+def _rows(name, **given):
+    return run(name, given)[0]
+
+
+def _verdict(name, rows, pinned):
+    by_check = {r["check"]: r for r in rows}
+    failures = [f"{r['check']} residual {r['residual']:.2e} "
+                f"(tol {r['tolerance']:.0e})" for r in rows if not r["ok"]]
+    for check, tol in pinned.items():
+        r = by_check.get(check)
+        if r is None:
+            failures.append(f"{check} not checked")
+        elif not r["tolerance"] <= tol:
+            failures.append(f"{check} tolerance {r['tolerance']:.0e} "
+                            f"looser than {tol:.0e}")
     line = f"{'PASS' if not failures else 'FAIL'} {name}"
     if failures:
         line += f" -- {len(failures)} violation(s)"
     print(line)
-    assert not failures, f"{name}: " + "; ".join(str(f) for f in failures[:8])
+    assert not failures, f"{name}: " + "; ".join(failures[:8])
 
 
-def _rand_element(rng, max_terms=3, span=2):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        key = (rng.randrange(-span, span + 1),
-               rng.randrange(0, span + 1),
-               rng.randrange(-span, span + 1))
-        num = {rng.randrange(-2, 3): rng.randrange(-4, 5) or 1
-               for _ in range(rng.randrange(1, 3))}
-        terms[key] = Scalar({e: v for e, v in num.items()})
-    return AlgebraElement(terms)
-
-
-def _rand_poly(rng, ctx=EXACT, max_terms=5, span=6):
-    coeffs = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        n = rng.randrange(-span, span + 1)
-        coeffs[n] = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
-                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
-    return LaurentPoly(ctx, coeffs)
-
-
-def _rand_fn(rng, grid, lo=None, hi=None):
-    lo = grid.n_min if lo is None else lo
-    hi = grid.n_max if hi is None else hi
-    sites = {}
-    for s in grid.sectors:
-        for n in range(lo, hi + 1):
-            sites[(s, n)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return LatticeFn.from_sites(grid, sites)
+def _budget(t0, seconds=10.0):
+    return row(f"runtime budget {seconds:.0f} s", time.monotonic() - t0,
+               seconds)
 
 
 # -- 1: exact normal-ordering algebra ----------------------------------------
@@ -118,57 +67,13 @@ def _rand_fn(rng, grid, lo=None, hi=None):
 
 def test_criterion_1_exact_algebra():
     t0 = time.monotonic()
-    bad = []
-    rng = random.Random(SEED)
-    X, P, L = AlgebraElement.x, AlgebraElement.p, AlgebraElement.L
-    I = Scalar.i()
-    RQ = Scalar.s_power(1)
-    RQI = Scalar.s_power(-1)
-
-    rel = multiply(X(), P()).scale(RQ) - multiply(P(), X()).scale(RQI)
-    if not rel.same_stored(AlgebraElement({(0, 0, 1): I})):
-        bad.append("defining relation")
-    if not multiply(L(), P()).same_stored(
-            multiply(P(), L()).scale(Scalar.q_power(1))):
-        bad.append("scale exchange with p")
-    if not multiply(L(), X()).same_stored(
-            multiply(X(), L()).scale(Scalar.q_power(-1))):
-        bad.append("scale exchange with x")
-    if not (bar(X()) == X() and bar(P()) == P()
-            and bar(L()).same_stored(L(-1))):
-        bad.append("generator conjugation")
-
-    conj = multiply(P(), X()).scale(RQ) - multiply(X(), P()).scale(RQI)
-    if conj != AlgebraElement({(0, 0, -1): -I}):
-        bad.append("conjugate relation")
-    lhs = rel - AlgebraElement({(0, 0, 1): I})
-    rhs = conj + AlgebraElement({(0, 0, -1): I})
-    if not (bar(lhs) == rhs and bar(rhs) == lhs):
-        bad.append("bar does not swap the relation pair")
-
-    for k in range(200):
-        a = _rand_element(rng)
-        b = _rand_element(rng)
-        c = _rand_element(rng)
-        if not multiply(multiply(a, b), c).same_stored(
-                multiply(a, multiply(b, c))):
-            bad.append(f"associativity, trial {k}")
-        if bar(bar(a)) != a:
-            bad.append(f"involution, trial {k}")
-        if bar(multiply(a, b)) != multiply(bar(b), bar(a)):
-            bad.append(f"antihomomorphism, trial {k}")
-
-    for n in range(-10, 11):
-        h, g, j = extract_nabla_L({n: 1})
-        want_h = {} if n == 0 else {n - 1: Scalar.qnum(n)}
-        if not (h == want_h and g == {n: Scalar.q_power(n)}
-                and j == {n: Scalar.q_power(-n)}):
-            bad.append(f"derivative extraction at degree {n}")
-
-    elapsed = time.monotonic() - t0
-    if elapsed >= 10.0:
-        bad.append(f"runtime {elapsed:.1f}s exceeds 10 s")
-    _verdict("criterion 1 (exact algebra)", bad)
+    rows = _rows("verify-algebra", q="3/2", seed=SEED, trials=200)
+    rows.append(_budget(t0))
+    _verdict("criterion 1 (exact algebra)", rows, dict.fromkeys((
+        "defining-relation", "scale-exchange-p", "scale-exchange-x",
+        "generator-conjugation", "conjugate-relation", "bar-of-relation",
+        "associativity", "bar-involution", "bar-antihomomorphism",
+        "derivative-extraction"), EXACT))
 
 
 # -- 2: Leibniz rules and scale morphism --------------------------------------
@@ -176,134 +81,37 @@ def test_criterion_1_exact_algebra():
 
 def test_criterion_2_leibniz_morphism():
     t0 = time.monotonic()
-    bad = []
-    rng = random.Random(SEED + 1)
-
-    for k in range(500):
-        f = _rand_poly(rng)
-        g = _rand_poly(rng)
-        if not leibniz_residual(f, g, form=1).is_zero():
-            bad.append(f"product rule form 1, trial {k}")
-        if not leibniz_residual(f, g, form=2).is_zero():
-            bad.append(f"product rule form 2, trial {k}")
-        if not comultiplication_residual(f, g).is_zero():
-            bad.append(f"comultiplication, trial {k}")
-        if not morphism_residual(f).is_zero():
-            bad.append(f"scale morphism, trial {k}")
-
-    for n in range(-8, 9):
-        if nabla(LaurentPoly.monomial(EXACT, n)).is_zero() != (n == 0):
-            bad.append(f"kernel at degree {n}")
-    try:
-        nabla_preimage(LaurentPoly.monomial(EXACT, -1))
-        bad.append("x^-1 accepted into the image")
-    except NotInImage:
-        pass
-    for k in range(50):
-        h = _rand_poly(rng)
-        image = LaurentPoly(EXACT, {n: c for n, c in h.coeffs.items()
-                                    if n != -1})
-        if image.is_zero():
-            continue
-        if nabla(nabla_preimage(image)) != image:
-            bad.append(f"preimage round trip, trial {k}")
-
-    elapsed = time.monotonic() - t0
-    if elapsed >= 10.0:
-        bad.append(f"runtime {elapsed:.1f}s exceeds 10 s")
-    _verdict("criterion 2 (Leibniz/morphism)", bad)
+    rows = _rows("leibniz", q="3/2", seed=SEED + 1, trials=500)
+    rows.append(_budget(t0))
+    _verdict("criterion 2 (Leibniz/morphism)", rows, dict.fromkeys((
+        "product-rule-form1", "product-rule-form2", "comultiplication",
+        "scale-morphism", "derivative-kernel", "x-inverse-not-in-image",
+        "preimage-round-trip"), EXACT))
 
 
 # -- 3: Jackson integration ---------------------------------------------------
 
 
 def test_criterion_3_integration():
-    bad = []
-    rng = random.Random(SEED + 2)
-
-    # exact backend: trace sum against the closed form, both parities
-    for n in range(-5, 6):
-        if n == -1:
-            continue
-        h = LaurentPoly.monomial(EXACT, n)
-        for lo, hi in ((-4, 4), (-3, 5)):
-            want = EXACT.coerce(monomial_integral_closed_form(EXACT, n,
-                                                              lo, hi))
-            if definite_integral(h, lo, hi) != want:
-                bad.append(f"exact closed form, degree {n} on [{lo},{hi}]")
-    if definite_integral(LaurentPoly.monomial(EXACT, -1), -6, 4) \
-            != EXACT.coerce(EXACT.lam * 5):
-        bad.append("exact x^-1 rule")
-    for k in range(100):
-        coeffs = {rng.randrange(-4, 5): Fraction(rng.randrange(-9, 10), 3)
-                  for _ in range(4)}
-        f = LaurentPoly(EXACT, {n: EXACT.coerce(c)
-                                for n, c in coeffs.items()})
-        N = rng.randrange(-6, 3)
-        M = rng.randrange(N + 1, 9)
-        if (M - N) % 2:
-            M += 1
-        got = definite_integral(nabla(f), N, M)
-        want = f.evaluate(EXACT.qpow(M)) - f.evaluate(EXACT.qpow(N))
-        if got != EXACT.coerce(want):
-            bad.append(f"exact Stokes, trial {k}")
-
-    # double backend: same statements as residuals
-    worst = 0.0
-    for n in range(-5, 6):
-        if n == -1:
-            continue
-        h = LaurentPoly.monomial(D2, n)
-        for lo, hi in ((-4, 4), (-3, 5)):
-            want = monomial_integral_closed_form(D2, n, lo, hi)
-            got = definite_integral(h, lo, hi)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    if worst >= 1e-12:
-        bad.append(f"double closed form residual {worst:.2e}")
-    xrule = abs(definite_integral(LaurentPoly.monomial(D2, -1), -6, 4)
-                - D2.lam * 5)
-    if xrule >= 1e-12:
-        bad.append(f"double x^-1 residual {xrule:.2e}")
-
-    grid = LatticeGrid(D2, -12, 12)
-    stokes = 0.0
-    for _ in range(100):
-        f = _rand_fn(rng, grid)
-        got = definite_integral(f.nabla_fn(), -7, 7)
-        want = f.value(1, 7) - f.value(1, -7)
-        stokes = max(stokes, abs(got - want) / max(1.0, abs(want)))
-    if stokes >= 1e-12:
-        bad.append(f"double Stokes residual {stokes:.2e}")
-
-    partial = herm = green = 0.0
-    for _ in range(20):
-        chi = _rand_fn(rng, grid, lo=-6, hi=6)
-        psi = _rand_fn(rng, grid, lo=-6, hi=6)
-        a = improper_integral(chi.conj().nabla_fn() * psi.L_shift(1)) \
-            + improper_integral(chi.conj().L_shift(-1) * psi.nabla_fn())
-        b = improper_integral(chi.conj().nabla_fn() * psi.L_shift(-1)) \
-            + improper_integral(chi.conj().L_shift(1) * psi.nabla_fn())
-        partial = max(partial, abs(a), abs(b))
-        lhs = improper_integral(chi.nabla2_fn().conj() * psi)
-        rhs = improper_integral(chi.conj() * psi.nabla2_fn())
-        herm = max(herm, abs(lhs - rhs))
-        green = max(green, abs(check_green(chi, psi, -6, 6)))
-    if partial >= 1e-12:
-        bad.append(f"partial integration residual {partial:.2e}")
-    if green >= 1e-12:
-        bad.append(f"Green identity residual {green:.2e}")
-    if herm >= 1e-12:
-        bad.append(f"hermiticity residual {herm:.2e}")
-
-    _verdict("criterion 3 (integration)", bad)
+    exact = _rows("integrate", q="3/2", seed=SEED + 2, trials=100)
+    double = _rows("integrate", q="2", seed=SEED + 2, trials=100)
+    rows = [dict(r, check="exact " + r["check"]) for r in exact] + double
+    pinned = dict.fromkeys(("exact trace-vs-closed-form",
+                            "exact x-inverse-rule", "exact stokes"), EXACT)
+    pinned.update(dict.fromkeys((
+        "trace-vs-closed-form", "x-inverse-rule", "stokes",
+        "partial-integration", "green-identity", "nabla2-hermiticity"),
+        1e-12))
+    _verdict("criterion 3 (integration)", rows, pinned)
 
 
 # -- 4: special functions -----------------------------------------------------
 
 
 def test_criterion_4_special_functions():
-    bad = []
-    # Pochhammer product against the factorial form, exact at q = 2
+    rows = _rows("special-tables", q="2")
+    # Pochhammer product against the factorial form, exact at q = 2; the
+    # special-tables battery runs on doubles
     exact2 = QContext(2)
     comb = QCombinatorics(exact2)
     a = exact2.qpow(-2)
@@ -311,253 +119,78 @@ def test_criterion_4_special_functions():
         lhs = comb.qpoch(a, a, n)
         rhs = exact2.qpow(Fraction(-n * (n + 1), 2)) * exact2.lam ** n \
             * comb.qfact(n)
-        if lhs != rhs:
-            bad.append(f"Pochhammer identity at n={n}")
-
-    sf = SpecialFunctions(D2)
-    q = D2.q
-    rec = 0.0
-    for l in range(-6, 7):
-        z = q ** (2 * l)
-        rec = max(rec, abs((sf.cos_q(z) - sf.cos_q(z / q ** 2)) / z
-                           + q ** -2 * sf.sin_q(z / q ** 2)))
-        rec = max(rec, abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                           - sf.cos_q(z)))
-    for l in range(-5, 6):
-        z = q ** (2 * l + 1)
-        rec = max(rec, abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                           - sf.cos_q(z)) / max(1.0, abs(sf.cos_q(z))))
-    if rec >= 1e-10:
-        bad.append(f"recurrence residual {rec:.2e}")
-
-    grid = LatticeGrid(D2, -8, 8)
-    deriv = 0.0
-    for y_exp in (0, 1, 3):
-        y = D2.qpow(y_exp)
-        cos_f = LatticeFn.from_callable(grid, lambda x: sf.cos_q(x * y))
-        sin_f = LatticeFn.from_callable(grid, lambda x: sf.sin_q(x * y))
-        rhs_c = sin_f.L_shift(1).scale(-D2.inv_lam / q * y)
-        rhs_s = cos_f.L_shift(-1).scale(D2.inv_lam * q * y)
-        scale = max(rhs_c.max_abs_interior(), rhs_s.max_abs_interior(), 1.0)
-        deriv = max(deriv,
-                    (cos_f.nabla_fn() - rhs_c).max_abs_interior() / scale,
-                    (sin_f.nabla_fn() - rhs_s).max_abs_interior() / scale)
-    if deriv >= 1e-10:
-        bad.append(f"derivative relation residual {deriv:.2e}")
-
-    # Gram matrix over |k| <= 60 for both kernels
-    nq = sf.n_q()
-    for n, m in itertools.product(range(-6, 7), repeat=2):
-        acc_c = acc_s = 0.0
-        for k in range(-60, 61):
-            w = q ** (-2 * k)
-            acc_c += w * sf.cos_q(q ** (-2 * (k + n))) \
-                * sf.cos_q(q ** (-2 * (k + m)))
-            acc_s += w * sf.sin_q(q ** (-2 * (k + n))) \
-                * sf.sin_q(q ** (-2 * (k + m)))
-        if n == m:
-            want = q ** (2 * m) / nq ** 2
-            dev = max(abs(acc_c - want), abs(acc_s - want))
-            if dev >= 1e-10 * want:
-                bad.append(f"Gram diagonal at m={m}: {dev:.2e}")
-        else:
-            dev = max(abs(acc_c), abs(acc_s))
-            if dev >= 1e-10:
-                bad.append(f"Gram off-diagonal at ({n},{m}): {dev:.2e}")
-
-    _verdict("criterion 4 (special functions)", bad)
+        rows.append(row(f"Pochhammer identity at n={n}", lhs != rhs))
+    _verdict("criterion 4 (special functions)", rows, {
+        "recurrences": 1e-10, "derivative-relations": 1e-10,
+        "orthogonality-diagonal": 1e-10, "orthogonality-offdiagonal": 1e-10})
 
 
 # -- 5: Fourier transform -----------------------------------------------------
 
 
 def test_criterion_5_fourier():
-    bad = []
-    rng = random.Random(SEED + 3)
-    qf = QFourier(D2)
-
-    def rand_seq(family):
-        vals = []
-        for k in range(-40, 41):
-            prof = D2.qpow(-((k - 2) ** 2))
-            vals.append(complex(rng.uniform(-1, 1),
-                                rng.uniform(-1, 1)) * prof)
-        return SublatticeSeq(D2, -40, np.array(vals), family=family)
-
-    iso = dbl = 0.0
-    for _ in range(5):
-        f = rand_seq("even")
-        g = qf.qft_cos(f)
-        a = f.weighted_norm_sq()
-        iso = max(iso, abs(a - g.weighted_norm_sq()) / a)
-        dbl = max(dbl, (qf.qft_cos(g) - f).max_abs())
-        fo = rand_seq("odd")
-        go = qf.qft_sin(fo)
-        b = fo.weighted_norm_sq()
-        iso = max(iso, abs(b - go.weighted_norm_sq()) / b)
-    if iso >= 1e-10:
-        bad.append(f"isometry residual {iso:.2e}")
-    if dbl >= 1e-8:
-        bad.append(f"double transform residual {dbl:.2e}")
-
-    step = 0.0
-    for M in (-1, 0, 2):
-        direct = qf.step_transform(M, range(-10, 11))
-        for k in range(-10, 11):
-            step = max(step, abs(direct[k] - qf.step_closed_form(M, k)))
-    if step >= 1e-8:
-        bad.append(f"step closed form residual {step:.2e}")
-
-    inv = 0.0
-    for M in (0, 1):
-        g = qf.step_inverse(M, range(-6, 7))
-        for n in range(-6, 7):
-            want = 1.0 if n <= M else 0.0
-            inv = max(inv, abs(g[n] - want))
-    if inv >= 1e-8:
-        bad.append(f"step round trip residual {inv:.2e}")
-
-    _verdict("criterion 5 (Fourier)", bad)
+    rows = _rows("fourier", q="2", seed=SEED + 3)
+    _verdict("criterion 5 (Fourier)", rows, {
+        "isometry-cos": 1e-10, "isometry-sin": 1e-10,
+        "double-transform": 1e-8, "step-closed-form": 1e-8,
+        "step-round-trip": 1e-8})
 
 
 # -- 6: Schroedinger picture --------------------------------------------------
 
 
 def test_criterion_6_schrodinger():
-    bad = []
-    rng = random.Random(SEED + 4)
-    rep = build_representation(LatticeGrid(D2, -12, 12))
-    H = Hamiltonian(rep)
-
-    worst = 0.0
-    sl = rep.interior(2)
-    for fam, lab in itertools.product(("C", "S"), ("2n+1", "2n")):
-        for n in range(3):
-            # the state lives in sector +1; the matrices are identical
-            # in both sectors up to the sign of x
-            psi, e = stationary_state(rep, fam, lab, n, sector=1)
-            c = rep.coeffs(psi)
-            r = H.matrices[1] @ c[1] - e * c[1]
-            denom = np.max(np.abs(e * c[1][sl]))
-            worst = max(worst, float(np.max(np.abs(r[sl])) / denom))
-    if worst >= 1e-6:
-        bad.append(f"eigenvalue table residual {worst:.2e}")
-
-    deep = build_representation(LatticeGrid(D2, -36, 12))
-    for fam, lab, n in (("C", "2n+1", 0), ("C", "2n", 1)):
-        psi, _ = stationary_state(deep, fam, lab, n)
-        psit = free_evolve(deep, psi, 1.0)
-        drift = max(abs(abs(psit.value(sg, m)) - abs(psi.value(sg, m)))
-                    for m in range(-12, 13) for sg in (1, -1))
-        if drift >= 1e-6:
-            bad.append(f"stationarity drift {drift:.2e} ({fam},{lab},{n})")
-
-    pc, _ = stationary_state(rep, "C", "2n+1", 0)
-    ps, _ = stationary_state(rep, "S", "2n+1", 0)
-    mix = rep.lattice_fn(H.band_limit(rep.coeffs(pc + ps.scale(0.7j)), 5.0))
-    state = evolve(EvolutionState(mix), H, 0.37)
-    cont = continuity_residual(state.psi, H, dt=1e-3)
-    if cont >= 1e-6:
-        bad.append(f"continuity residual {cont:.2e}")
-
-    probe = _rand_fn(rng, rep.grid)
-    noether = check_noether(probe)
-    if noether >= 1e-10:
-        bad.append(f"Noether current residual {noether:.2e}")
-    compact = _rand_fn(rng, rep.grid, lo=-6, hi=6)
-    adjoint = energy_form_residual(compact)
-    if adjoint >= 1e-12:
-        bad.append(f"adjoint identity residual {adjoint:.2e}")
-
-    _verdict("criterion 6 (Schrodinger)", bad)
+    rows = _rows("spectrum", q="2", window=(-12, 12), n_max=3)
+    rows += _rows("evolve", q="2", window=(-12, 12), seed=SEED + 4, dt=1e-3)
+    _verdict("criterion 6 (Schrodinger)", rows, {
+        "eigenvalue-table": 1e-6, "stationarity-drift": 1e-6,
+        "continuity": 1e-6, "noether-current": 1e-10,
+        "adjoint-identity": 1e-12})
 
 
 # -- 7: gauge covariance ------------------------------------------------------
 
 
 def test_criterion_7_gauge():
-    bad = []
-    grid = LatticeGrid(D2, -8, 8)
+    rows = _rows("gauge", q="2", window=(-8, 8), seed=SEED + 5, dt=1e-3,
+                 transforms=100)
+
+    # the scenario battery samples these once; the gate samples more
+    grid = LatticeGrid(QContext(2.0), -8, 8)
     rng = np.random.default_rng(SEED + 5)
     dt = 1e-3
-
-    e = random_einbein(rng, grid, 0.3)
-    psi = random_field(rng, grid)
     omega = random_field(rng, grid, 0.5)
     e_at = einbein_path(rng, grid)
-    p_at = field_path(rng, grid)
-    t0 = 0.4
-    e_slices = [e_at(t) for t in (t0 - dt, t0, t0 + dt)]
-    p_slices = [p_at(t) for t in (t0 - dt, t0, t0 + dt)]
+    e_slices = [e_at(t) for t in (0.4 - dt, 0.4, 0.4 + dt)]
+    rows.append(row("curvature-covariance, 100 phases", worst(
+        curvature_covariance_residual(e_slices, omega,
+                                      random_phase(rng, grid, 1.0), dt)
+        for _ in range(100)), 1e-10))
 
-    dcov = ccov = 0.0
-    for _ in range(100):
-        alpha = random_phase(rng, grid, 1.0)
-        dcov = max(dcov, derivative_covariance_residual(e, psi, alpha))
-        ccov = max(ccov, curvature_covariance_residual(e_slices, omega,
-                                                       alpha, dt))
-    if dcov >= 1e-10:
-        bad.append(f"derivative covariance residual {dcov:.2e}")
-    if ccov >= 1e-10:
-        bad.append(f"curvature covariance residual {ccov:.2e}")
-
-    transport = leib = inv = 0.0
+    transport, leib, inv = [], [], []
     for _ in range(10):
         e1 = random_einbein(rng, grid, 0.3)
         e2 = random_einbein(rng, grid, 0.3)
         f1 = random_field(rng, grid)
         f2 = random_field(rng, grid)
-        transport = max(transport,
-                        einbein_derivative(e1, e1).max_abs_interior())
-        leib = max(leib, product_leibniz_residual(e1, e2, f1, f2))
-        inv = max(inv, shift_inverse_residual(e1, f1))
-    if transport >= 1e-12:
-        bad.append(f"frame transport residual {transport:.2e}")
-    if leib >= 1e-12:
-        bad.append(f"product Leibniz residual {leib:.2e}")
-    if inv >= 1e-12:
-        bad.append(f"shift inverse residual {inv:.2e}")
+        transport.append(einbein_derivative(e1, e1).max_abs_interior())
+        leib.append(product_leibniz_residual(e1, e2, f1, f2))
+        inv.append(shift_inverse_residual(e1, f1))
+    rows += [row("frame transport, 10 einbeins", worst(transport), 1e-12),
+             row("product Leibniz, 10 pairs", worst(leib), 1e-12),
+             row("shift inverse, 10 einbeins", worst(inv), 1e-12)]
 
-    comm = commutator_residual(e_slices, p_slices, omega, dt)
-    if comm >= 1e-6:
-        bad.append(f"commutator residual {comm:.2e}")
-
-    _verdict("criterion 7 (gauge)", bad)
+    _verdict("criterion 7 (gauge)", rows, {
+        "derivative-covariance": 1e-10, "commutator": 1e-6})
 
 
 # -- 8: oscillator ------------------------------------------------------------
 
 
 def test_criterion_8_oscillator():
-    bad = []
-    rep = build_representation(LatticeGrid(D2, -12, 12))
-    pair = build_ladder(rep)
-
-    commutator = pair.commutator_residual()
-    if commutator >= 1e-10:
-        bad.append(f"normalized commutator residual {commutator:.2e}")
-
-    psi0 = ground_state(pair)
-    defect = pair.lowering_defect(psi0)
-    if defect >= 1e-8:
-        bad.append(f"ground state defect {defect:.2e}")
-    series = series_match_residual(pair, psi0)
-    if series >= 1e-8:
-        bad.append(f"ground state series residual {series:.2e}")
-
-    hermite = max(hermite_match_residuals(pair, 6))
-    if hermite >= 1e-6:
-        bad.append(f"Hermite tower residual {hermite:.2e}")
-
-    ladder = max(r for _, _, r in spectrum_table(pair, n_levels=5))
-    if ladder >= 1e-6:
-        bad.append(f"ladder spectrum residual {ladder:.2e}")
-
-    gp = gaussian_fourier_pair(D2)
-    if gp["max_rel"] >= 1e-8:
-        bad.append(f"Gaussian pair residual {gp['max_rel']:.2e}")
-    consts = max(c["deviation"] for c in gp["constants"].values())
-    if consts >= 1e-12:
-        bad.append(f"Gauss constants deviation {consts:.2e}")
-
-    _verdict("criterion 8 (oscillator)", bad)
+    rows = _rows("oscillator", q="2", window=(-12, 12), levels=5, m_index=1)
+    _verdict("criterion 8 (oscillator)", rows, {
+        "commutator-normalized": 1e-10, "ground-state-defect": 1e-8,
+        "ground-series-match": 1e-8, "hermite-tower": 1e-6,
+        "ladder-spectrum": 1e-6, "gaussian-pair": 1e-8,
+        "gaussian-constants": 1e-12})

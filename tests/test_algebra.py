@@ -15,6 +15,7 @@ from qcalc.algebra import (
     parse_element,
     reduce_p,
 )
+from qcalc.batteries import rand_element
 from qcalc.scalars import QQI_I, Scalar
 
 X = AlgebraElement.x
@@ -23,18 +24,6 @@ L = AlgebraElement.L
 ONE = AlgebraElement.one()
 I = Scalar.i()
 ROOT_Q = Scalar.s_power(1)
-
-
-def rand_element(rng, max_terms=5, span=3):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        key = (rng.randrange(-span, span + 1),
-               rng.randrange(0, span + 1),
-               rng.randrange(-span, span + 1))
-        num = {rng.randrange(-2, 3): rng.randrange(-4, 5) or 1
-               for _ in range(rng.randrange(1, 3))}
-        terms[key] = Scalar({e: v for e, v in num.items()})
-    return AlgebraElement(terms)
 
 
 # -- frozen rewrite rules ---------------------------------------------------
@@ -105,8 +94,8 @@ def test_bar_of_relation_gives_conjugate_relation():
 def test_bar_involution_and_antihomomorphism_random():
     rng = random.Random(11)
     for _ in range(60):
-        a = rand_element(rng, max_terms=3, span=2)
-        b = rand_element(rng, max_terms=3, span=2)
+        a = rand_element(rng)
+        b = rand_element(rng)
         assert bar(bar(a)) == a
         assert bar(multiply(a, b)) == multiply(bar(b), bar(a))
 
@@ -114,9 +103,9 @@ def test_bar_involution_and_antihomomorphism_random():
 def test_associativity_random():
     rng = random.Random(7)
     for _ in range(40):
-        a = rand_element(rng, max_terms=3, span=2)
-        b = rand_element(rng, max_terms=3, span=2)
-        c = rand_element(rng, max_terms=3, span=2)
+        a = rand_element(rng)
+        b = rand_element(rng)
+        c = rand_element(rng)
         assert multiply(multiply(a, b), c).same_stored(
             multiply(a, multiply(b, c)))
 
@@ -156,8 +145,8 @@ def test_closed_form_satisfies_defining_relation_without_p():
 def test_reduce_is_multiplicative_random():
     rng = random.Random(23)
     for _ in range(30):
-        a = rand_element(rng, max_terms=3, span=2)
-        b = rand_element(rng, max_terms=3, span=2)
+        a = rand_element(rng)
+        b = rand_element(rng)
         lhs = reduce_p(multiply(a, b))
         rhs = multiply(reduce_p(a), reduce_p(b))
         assert lhs.same_stored(rhs)
@@ -203,7 +192,7 @@ def test_extract_rejects_non_fields():
 def test_format_parse_round_trip_random():
     rng = random.Random(99)
     for _ in range(50):
-        e = rand_element(rng)
+        e = rand_element(rng, max_terms=5, span=3)
         assert parse_element(format_element(e)).same_stored(e)
 
 

@@ -1,10 +1,18 @@
 """Exit codes, artifact determinism, config merging for the qcalc CLI."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qcalc.cli import ConfigError, main, parse_q
+from qcalc.batteries import REGISTRY, ConfigError, parse_q, resolve
+from qcalc.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -171,3 +179,148 @@ def test_evolve_battery(tmp_path):
     history = (tmp_path / "history.csv").read_text().splitlines()
     assert history[0] == "t,sigma,n,rho,j"
     assert len(history) > 10
+
+
+# -- honest verdicts and validated inputs -------------------------------------
+
+
+def test_nan_gram_sums_fail_the_orthogonality_row(tmp_path):
+    assert run(tmp_path, "special-tables", "--q", "50") == 1
+    report = json.loads((tmp_path / "special-tables.json").read_text())
+    off = next(r for r in report["checks"]
+               if r["check"] == "orthogonality-offdiagonal")
+    assert not off["ok"]
+
+
+def test_nan_spectrum_residuals_exit_one(tmp_path):
+    assert run(tmp_path, "spectrum", "--q", "10",
+               "--window", "-40", "40") == 1
+
+
+def _last_stderr_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--steps", "-1"],
+    ["evolve", "--dt", "nan"],
+    ["spectrum", "--q", "1.0000001"],
+    ["spectrum", "--q", "inf"],
+    ["fourier", "--tol", "0"],
+    ["gauge", "--transforms", "0"],
+])
+def test_bad_values_exit_two(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert _last_stderr_line(capsys).startswith("config error: ")
+
+
+def test_bad_config_file_value_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": "many"}))
+    assert main(["oscillator", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert _last_stderr_line(capsys).startswith("config error: levels")
+
+
+@pytest.mark.parametrize("argv, exc", [
+    (["oscillator", "--levels", "40"], "InsufficientPadding"),
+    (["gauge", "--window", "-16", "16"], "RouteMismatch"),
+])
+def test_library_exception_exits_two_naming_it(tmp_path, capsys, argv, exc):
+    assert run(tmp_path, *argv) == 2
+    assert _last_stderr_line(capsys).startswith(f"error: {exc}: ")
+
+
+# -- registry -----------------------------------------------------------------
+
+
+def test_registry_entries_are_subcommands_with_registry_defaults(capsys):
+    parser = build_parser()
+    for name, battery in REGISTRY.items():
+        given = vars(parser.parse_args([name]))
+        assert given.pop("command") == name
+        assert given == {}
+        ctx, params = resolve(name, given)
+        defaults = {p.key: p.check(p.default) for p in battery.params}
+        assert ctx.q == parse_q(defaults.pop("q")).q
+        assert params == defaults
+
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for p in battery.params:
+            if p.option and p.default is not None:
+                shown = (" ".join(map(str, p.default))
+                         if isinstance(p.default, tuple) else p.default)
+                assert f"{p.option} " in text
+                assert f"(default {shown})" in text
+
+
+# -- property: every invocation ends in a documented way ----------------------
+
+GOOD_Q = {"exact": ["3/2", "5/2"], "double": ["2", "2.5", "3", "10"]}
+GOOD_Q["either"] = GOOD_Q["exact"] + GOOD_Q["double"]
+ANY_Q = st.sampled_from(["1", "0.5", "1.0000001", "nan", "inf", "zebra",
+                         "2/4", "3/2", "2"])
+WINDOWS = st.one_of(st.tuples(st.integers(-16, -6), st.integers(6, 16)),
+                    st.tuples(st.integers(-16, 16), st.integers(-16, 16)))
+FLAG_VALUES = {
+    "seed": st.integers(0, 3),
+    "trials": st.integers(1, 3),
+    "k_max": st.integers(0, 4),
+    "m_cut": st.integers(-3, 3),
+    "n_max": st.integers(1, 3),
+    "mass": st.sampled_from(["1", "0.5", "2"]),
+    "dt": st.sampled_from(["1e-3", "0.01", "0.1"]),
+    "steps": st.integers(1, 5),
+    "transforms": st.integers(1, 4),
+    "levels": st.integers(1, 5),
+    "m_index": st.integers(1, 3),
+    "poly": st.sampled_from(["x", "x^2 - 1/2", "2*x^3 - x^-1 + 1"]),
+    "from_exp": st.integers(-3, 3),
+    "to_exp": st.integers(-3, 3),
+    "sector": st.sampled_from([1, -1]),
+}
+BAD_VALUES = st.sampled_from(["-1", "0", "nan", "inf", "-1e-3", "x + ^"])
+
+
+@st.composite
+def invocations(draw):
+    name = draw(st.sampled_from(sorted(REGISTRY)))
+    good_q = st.sampled_from(GOOD_Q[REGISTRY[name].backend])
+    argv = [name, "--q", draw(st.one_of(good_q, ANY_Q))]
+    if draw(st.booleans()):
+        argv += ["--window", *map(str, draw(WINDOWS))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["1e-30", "1e-6", "1", "0",
+                                                 "nan"]))]
+    for p in REGISTRY[name].params:
+        # random batteries always get a small trial count
+        if p.key in FLAG_VALUES and (p.key == "trials"
+                                     or draw(st.booleans())):
+            bad = draw(st.integers(0, 7)) == 0
+            value = draw(BAD_VALUES if bad else FLAG_VALUES[p.key])
+            argv += [p.option, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_every_invocation_ends_with_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        report = Path(out) / f"{argv[0]}.json"
+        if report.exists():
+            for r in json.loads(report.read_text())["checks"]:
+                assert not r["ok"] or math.isfinite(r["residual"]), r

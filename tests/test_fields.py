@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcalc.batteries import rand_poly
 from qcalc.context import QContext
 from qcalc.fields import (
     LaurentPoly,
@@ -23,15 +24,6 @@ from qcalc.fields import (
 from qcalc.scalars import QQi
 
 CTX = QContext(Fraction(3, 2))
-
-
-def rand_poly(rng, ctx=CTX, max_terms=5, span=6):
-    coeffs = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        n = rng.randrange(-span, span + 1)
-        coeffs[n] = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
-                        Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
-    return LaurentPoly(ctx, coeffs)
 
 
 def test_context_backends():
@@ -60,7 +52,7 @@ def test_nabla_monomials():
 def test_nabla_routes_agree():
     rng = random.Random(3)
     for _ in range(50):
-        f = rand_poly(rng)
+        f = rand_poly(rng, CTX)
         assert nabla(f, "qnumber") == nabla(f, "shift")
 
 
@@ -76,7 +68,7 @@ def test_L_is_argument_rescaling():
     rng = random.Random(5)
     x0 = Fraction(7, 3)
     for _ in range(20):
-        f = rand_poly(rng)
+        f = rand_poly(rng, CTX)
         assert L_op(f, 1).evaluate(x0) == f.evaluate(x0 / CTX.q)
         assert L_op(f, -1).evaluate(x0) == f.evaluate(x0 * CTX.q)
 
@@ -84,7 +76,7 @@ def test_L_is_argument_rescaling():
 def test_leibniz_both_forms_and_comultiplication():
     rng = random.Random(17)
     for _ in range(60):
-        f, g = rand_poly(rng), rand_poly(rng)
+        f, g = rand_poly(rng, CTX), rand_poly(rng, CTX)
         assert leibniz_residual(f, g, form=1).is_zero()
         assert leibniz_residual(f, g, form=2).is_zero()
         assert comultiplication_residual(f, g).is_zero()
@@ -93,7 +85,7 @@ def test_leibniz_both_forms_and_comultiplication():
 def test_morphism_relation():
     rng = random.Random(29)
     for _ in range(40):
-        assert morphism_residual(rand_poly(rng)).is_zero()
+        assert morphism_residual(rand_poly(rng, CTX)).is_zero()
 
 
 def test_nabla_kernel_is_constants():
@@ -108,7 +100,7 @@ def test_nabla_image_excludes_x_inverse():
         nabla_preimage(LaurentPoly.monomial(CTX, -1))
     rng = random.Random(31)
     for _ in range(20):
-        f = rand_poly(rng)
+        f = rand_poly(rng, CTX)
         f = f - LaurentPoly(CTX, {-1: f.coeffs.get(-1, 0)})
         assert nabla(nabla_preimage(f)) == f
 
@@ -131,7 +123,8 @@ def test_d_leibniz_all_conventions():
     for b in (-2, -1, 0, 1, 2):
         for variant in ("A", "B"):
             for _ in range(10):
-                f, g = rand_poly(rng, max_terms=3), rand_poly(rng, max_terms=3)
+                f = rand_poly(rng, CTX, max_terms=3)
+                g = rand_poly(rng, CTX, max_terms=3)
                 assert d_leibniz_residual(f, g, b, variant).is_zero()
 
 
@@ -147,15 +140,15 @@ def test_d_leibniz_worked_example():
 def test_d_squared_vanishes():
     rng = random.Random(43)
     for _ in range(10):
-        assert d_squared(rand_poly(rng)).is_zero()
-        assert d_squared(rand_poly(rng), b=-1, variant="B").is_zero()
+        assert d_squared(rand_poly(rng, CTX)).is_zero()
+        assert d_squared(rand_poly(rng, CTX), b=-1, variant="B").is_zero()
 
 
 def test_double_backend_matches_exact():
     dctx = QContext(1.5)
     rng = random.Random(47)
     for _ in range(20):
-        f = rand_poly(rng)
+        f = rand_poly(rng, CTX)
         fd = LaurentPoly(dctx, {n: complex(c) for n, c in f.coeffs.items()})
         ge = nabla(f)
         gd = nabla(fd)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from qcalc.batteries import rand_seq
 from qcalc.context import QContext
 from qcalc.fourier import QFourier, SublatticeSeq, WindowTooSmall
 from qcalc.integration import NotConverged
@@ -13,15 +14,6 @@ D2 = QContext(2.0)
 QF = QFourier(D2)
 
 SEED = 20260816
-
-
-def rand_seq(rng, k_lo=-40, k_hi=40, family="even", center=2):
-    # weighted summands q^-2k |f| decay superexponentially both ways
-    vals = []
-    for k in range(k_lo, k_hi + 1):
-        prof = D2.qpow(-((k - center) ** 2))
-        vals.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * prof)
-    return SublatticeSeq(D2, k_lo, np.array(vals), family=family)
 
 
 def test_zero_maps_to_zero():
@@ -35,7 +27,7 @@ def test_zero_maps_to_zero():
 def test_isometry_cos_even_family():
     rng = random.Random(SEED)
     for _ in range(5):
-        f = rand_seq(rng)
+        f = rand_seq(rng, D2)
         g = QF.qft_cos(f)
         a, b = f.weighted_norm_sq(), g.weighted_norm_sq()
         assert abs(a - b) < 1e-10 * a
@@ -43,7 +35,7 @@ def test_isometry_cos_even_family():
 
 def test_isometry_sin_and_odd_family():
     rng = random.Random(SEED + 1)
-    f = rand_seq(rng, family="odd")
+    f = rand_seq(rng, D2, family="odd")
     g = QF.qft_sin(f)
     assert g.family == "odd"
     a, b = f.weighted_norm_sq(), g.weighted_norm_sq()
@@ -53,14 +45,14 @@ def test_isometry_sin_and_odd_family():
 def test_round_trip_cos():
     rng = random.Random(SEED + 2)
     for _ in range(3):
-        f = rand_seq(rng)
+        f = rand_seq(rng, D2)
         back = QF.qft_cos_inverse(QF.qft_cos(f))
         assert (back - f).max_abs() < 1e-8
 
 
 def test_round_trip_sin():
     rng = random.Random(SEED + 3)
-    f = rand_seq(rng)
+    f = rand_seq(rng, D2)
     back = QF.qft_sin_inverse(QF.qft_sin(f))
     assert (back - f).max_abs() < 1e-8
 
@@ -68,14 +60,14 @@ def test_round_trip_sin():
 def test_double_transform_is_identity():
     # the kernel matrix is symmetric, so forward twice also returns f
     rng = random.Random(SEED + 4)
-    f = rand_seq(rng)
+    f = rand_seq(rng, D2)
     twice = QF.qft_cos(QF.qft_cos(f))
     assert (twice - f).max_abs() < 1e-8
 
 
 def test_linearity():
     rng = random.Random(SEED + 5)
-    f, g = rand_seq(rng), rand_seq(rng)
+    f, g = rand_seq(rng, D2), rand_seq(rng, D2)
     a, b = 1.25 - 0.5j, -2.0 + 1.0j
     lhs = QF.qft_cos(f.scale(a) + g.scale(b))
     rhs = QF.qft_cos(f).scale(a) + QF.qft_cos(g).scale(b)
@@ -90,13 +82,13 @@ def test_fat_tail_is_refused():
 
 def test_tau_metadata_carried():
     rng = random.Random(SEED + 6)
-    f = rand_seq(rng)
+    f = rand_seq(rng, D2)
     f.tau = 1
     g = QF.qft_cos(f)
     assert g.tau == 1
     h = f + g
     assert h.tau == 1
-    other = rand_seq(rng)
+    other = rand_seq(rng, D2)
     other.tau = -1
     assert (f + other).tau is None
 
@@ -149,7 +141,7 @@ def test_step_window_guards():
 
 def test_csv_round_trip():
     rng = random.Random(SEED + 7)
-    f = rand_seq(rng, k_lo=-12, k_hi=12, family="odd")
+    f = rand_seq(rng, D2, k_lo=-12, k_hi=12, family="odd")
     text = f.to_csv()
     back = SublatticeSeq.from_csv(D2, text)
     assert back.family == "odd"

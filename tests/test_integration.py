@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcalc.batteries import rand_lattice_fn
 from qcalc.context import QContext
 from qcalc.fields import LaurentPoly, nabla
 from qcalc.integration import (
@@ -35,17 +36,6 @@ from qcalc.lattice import (
 
 EXACT = QContext(Fraction(3, 2))
 DOUBLE = QContext(2.0)
-
-
-def rand_lattice_fn(rng, grid, lo=None, hi=None):
-    """Random complex values supported on [lo, hi], zero outside."""
-    lo = grid.n_min if lo is None else lo
-    hi = grid.n_max if hi is None else hi
-    sites = {}
-    for s in grid.sectors:
-        for n in range(lo, hi + 1):
-            sites[(s, n)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return LatticeFn.from_sites(grid, sites)
 
 
 # -- indefinite -----------------------------------------------------------

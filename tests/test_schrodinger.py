@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcalc.batteries import eigen_packet, rand_lattice_fn as rand_fn
 from qcalc.context import QContext
 from qcalc.integration import definite_integral, norm as fn_norm
 from qcalc.lattice import InsufficientPadding, LatticeFn, LatticeGrid
@@ -36,31 +37,6 @@ SEED = 20260816
 
 def make_rep(n_min=-12, n_max=12):
     return build_representation(LatticeGrid(D2, n_min, n_max))
-
-
-def rand_fn(rng, grid, lo=None, hi=None):
-    lo = grid.n_min if lo is None else lo
-    hi = grid.n_max if hi is None else hi
-    sites = {}
-    for s in grid.sectors:
-        for n in range(lo, hi + 1):
-            sites[(s, n)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return LatticeFn.from_sites(grid, sites)
-
-
-def eigen_packet(rep, H, rng, e_cut=0.5, per_sector=4):
-    """Normalized mix of low-lying truncation eigenmodes."""
-    c = {}
-    for s in rep.grid.sectors:
-        evals, evecs = H.eig(s)
-        idx = [i for i in range(len(evals)) if evals[i] < e_cut][:per_sector]
-        assert idx, "energy cut leaves no modes"
-        v = np.zeros(rep.grid.size, dtype=complex)
-        for i in idx:
-            v += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * evecs[:, i]
-        c[s] = v
-    total = np.sqrt(sum(np.vdot(v, v).real for v in c.values()))
-    return rep.lattice_fn({s: v / total for s, v in c.items()})
 
 
 # -- representation matrices -------------------------------------------------
