@@ -59,6 +59,7 @@ from .lattice import (
     LatticeFn,
     LatticeGrid,
     to_csv,
+    worst,
 )
 from .oscillator import (
     NoDecay,
@@ -121,18 +122,6 @@ def row(check, residual, tolerance=0.5):
     residual = float(residual)
     return {"check": check, "residual": residual,
             "tolerance": float(tolerance), "ok": bool(residual < tolerance)}
-
-
-def worst(residuals):
-    """Largest residual (0.0 for none); NaN as soon as one is NaN."""
-    out = 0.0
-    for r in residuals:
-        r = float(r)
-        if r != r:
-            return r
-        if r > out:
-            out = r
-    return out
 
 
 # -- random generators (seeded) -----------------------------------------------

@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .lattice import GridMismatch, LatticeFn, LatticeGrid
+from .lattice import GridMismatch, LatticeFn, LatticeGrid, worst
 
 SINGULAR_FLOOR = 1e-12
 
@@ -390,7 +390,7 @@ def scenario_report(cfg=None):
     The commutator rows carry the dt^2 story: the -order row holds the
     measured convergence order of the residual under dt halving.
     """
-    from .batteries import row, worst
+    from .batteries import row
     from .context import QContext
 
     merged = dict(DEFAULT_SCENARIO)

@@ -21,6 +21,18 @@ import json
 import numpy as np
 
 
+def worst(residuals):
+    """Largest residual (0.0 for none); NaN as soon as one is NaN."""
+    out = 0.0
+    for r in residuals:
+        r = float(r)
+        if r != r:
+            return r
+        if r > out:
+            out = r
+    return out
+
+
 class GridMismatch(Exception):
     """Operands live on different grids."""
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .fourier import WindowTooSmall
 from .integration import norm as fn_norm
-from .lattice import LatticeFn
+from .lattice import LatticeFn, worst
 from .scalars import QQi, Scalar
 from .schrodinger import GridTooSmall
 from .special import SpecialFunctions
@@ -154,7 +154,7 @@ class LadderPair:
         ctx = self.ctx
         rows = self._rows(4)
         eye = np.eye(self.rep.grid.size)
-        worst = 0.0
+        resid = []
         for s in self.rep.grid.sectors:
             nb, lf, li = self.rep.nabla[s], self.rep.L[s], self.rep.L_inv[s]
             direct = self.a_dag[s] @ self.a[s]
@@ -162,8 +162,8 @@ class LadderPair:
                         - 1j * np.conj(self.alpha) * self.beta * (nb @ lf)
                         - 1j * self.alpha * np.conj(self.beta) * (nb @ li)
                         - ctx.q * abs(self.beta) ** 2 * (nb @ nb))
-            worst = max(worst, float(np.max(np.abs((direct - expanded)[rows, rows]))))
-        return worst
+            resid.append(np.max(np.abs((direct - expanded)[rows, rows])))
+        return worst(resid)
 
     # -- state maps ------------------------------------------------------
 
@@ -210,13 +210,13 @@ class LadderPair:
         rows = self._rows(2)
         eye = np.eye(self.rep.grid.size)
         const = ctx.qpow(-1) / (ctx.sqrt_q * math.sqrt(2.0))
-        worst = 0.0
+        resid = []
         for s in self.rep.grid.sectors:
             xi = np.diag(self.xi_values(s)).astype(complex)
             r = (self.a_dag[s] @ xi - ctx.qpow(-2) * xi @ self.a_dag[s]
                  + const * eye)
-            worst = max(worst, float(np.max(np.abs(r[rows, rows]))))
-        return worst
+            resid.append(np.max(np.abs(r[rows, rows])))
+        return worst(resid)
 
 
 def build_ladder(rep, alpha=None, beta=None, m_index=1):
@@ -276,15 +276,15 @@ def series_match_residual(pair, psi, c0=None):
     if c0 is None:
         c0 = psi.value(1, rep.grid.n_min) / sf.q_exp(
             -1j * ctx.lam * r * ctx.qpow(rep.grid.n_min) * ctx.qpow(-2))
-    worst = 0.0
+    resid = []
     for s in rep.grid.sectors:
         for n in rep.grid.exponents():
             z = -1j * ctx.lam * r * (s * ctx.qpow(n)) * ctx.qpow(-2)
             if abs(z) >= 1.0:
                 continue
             want = c0 * sf.q_exp(z)
-            worst = max(worst, abs(psi.value(s, n) - want) / abs(want))
-    return worst
+            resid.append(abs(psi.value(s, n) - want) / abs(want))
+    return worst(resid)
 
 
 def raising_on_ground_residual(pair, psi):

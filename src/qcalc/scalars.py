@@ -163,8 +163,8 @@ class Scalar:
     __slots__ = ("num", "lam")
 
     def __init__(self, num=None, lam=0):
-        num = {} if num is None else {e: _as_qqi(c) for e, c in num.items()
-                                      if not _as_qqi(c).is_zero()}
+        num = {} if num is None else {e: v for e, c in num.items()
+                                      if not (v := _as_qqi(c)).is_zero()}
         if lam < 0:
             raise ValueError("lam power must be nonnegative")
         while lam > 0 and num:

@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from .integration import improper_integral, norm as fn_norm
-from .lattice import LatticeFn, LatticeGrid
+from .lattice import LatticeFn, LatticeGrid, worst
 from .special import SpecialFunctions
 
 
@@ -102,24 +102,24 @@ class Representation:
     def relation_residual(self):
         """Interior-row norm of q^(1/2)xp - q^(-1/2)px - i*shift."""
         rq = self.ctx.sqrt_q
-        worst = 0.0
+        resid = []
         rows = self.interior()
         for s in self.grid.sectors:
             r = rq * self.x[s] @ self.p[s] - self.p[s] @ self.x[s] / rq \
                 - 1j * self.lam_op[s]
-            worst = max(worst, float(np.max(np.abs(r[rows, :]))))
-        return worst
+            resid.append(np.max(np.abs(r[rows, :])))
+        return worst(resid)
 
     def adjoint_residual(self):
         """Interior norm of (nabla L^-1)^+ + nabla L."""
-        worst = 0.0
+        resid = []
         rows = self.interior(2)
         for s in self.grid.sectors:
             a = self.nabla[s] @ self.L_inv[s]
             b = self.nabla[s] @ self.L[s]
             r = (a.conj().T + b)[rows, rows]
-            worst = max(worst, float(np.max(np.abs(r))))
-        return worst
+            resid.append(np.max(np.abs(r)))
+        return worst(resid)
 
 
 def build_representation(grid):

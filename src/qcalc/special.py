@@ -1,13 +1,29 @@
 """q-special functions: cos_q, sin_q, the q-exponential, lattice Gaussian.
 
-Series with superexponentially decaying terms (factor q^(-2n(n+1))), so a
-truncated sum is accurate to its first dropped term.  For large arguments
-z = q^m the intermediate terms peak near q^((m-1)^2/2) before the decay
-sets in, far beyond double range, while the sum itself is tiny; those
-evaluations run in mpmath with a working precision sized from the peak
-estimate, and only the final value is rounded to double (underflow to
-zero is harmless, since every later use weights these values down).
-Small arguments use a plain double loop.  Values are cached per instance.
+cos_q(z) = sum_n c_n z^(2n) and sin_q(z) = sum_n s_n z^(2n+1), with
+c_n = (-1)^n q^(-2n(n+1)) / (q^-2; q^-2)_(2n) and s_n the same over
+(q^-2; q^-2)_(2n+1).  The coefficients decay superexponentially, so a
+truncated sum is accurate to its first dropped term, which is returned as
+the bound.  Arguments up to q^2 use a plain double loop.
+
+For large arguments z = q^m the terms peak near q^((m-1)^2/2) before the
+decay sets in, far beyond double range, while the sum itself is tiny.
+Such a sum needs about peak + 370 significant digits.  The coefficients
+depend on q alone: each instance computes them in mpmath, at the largest
+precision any of its calls has needed so far (with headroom, so that
+rising arguments do not rebuild the table on every call), and keeps them
+as integer (mantissa, exponent) pairs.  With z = M 2^E each term is
+C_n M^(2n) (times M for sin) shifted onto one fixed-point scale 2^U that
+sits the working precision below the peak estimate, and the terms are
+summed in Python ints; on a power of two z (every lattice point at
+q = 2) that is shifts and adds alone.  Every term is thus within 2^U,
+about 10^-370, of its exact value, far below the smallest double: the
+result is the exact series at the given double z rounded to nearest
+(within the bound), and a sum beyond double range becomes +-inf.  The sum
+stops at the first term below 10^(5 - digits) of the running maximum,
+or at the first that rounds to zero on the scale.  On the even
+sublattice far out, where the value underflows any double, the series is
+skipped and exact zero returned.  Values are cached per instance.
 """
 
 from __future__ import annotations
@@ -16,9 +32,11 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 _FLOAT_STOP = 1e-16
 _MP_GUARD_DIGITS = 40
+_LOG2_10 = math.log2(10.0)
 
 
 class DivergentProduct(Exception):
@@ -101,30 +119,99 @@ def _series_float(q, z, kind):
         next_den_k += 2
 
 
-def _series_mp(q, z, kind, digits):
-    with mpmath.workdps(digits):
-        qm = mpmath.mpf(q)
-        zm = mpmath.mpf(z)
-        if kind == "cos":
-            term = mpmath.mpf(1)
-            next_den_k = 1
-        else:
-            term = zm / (1 - qm ** -2)
-            next_den_k = 2
-        total = term
-        running_max = abs(term)
-        stop = mpmath.mpf(10) ** (-digits + 5)
-        n = 0
-        while True:
-            d1 = 1 - qm ** (-2 * next_den_k)
-            d2 = 1 - qm ** (-2 * (next_den_k + 1))
-            term = -term * qm ** (-4 * (n + 1)) * zm * zm / (d1 * d2)
-            if abs(term) < stop * running_max:
-                return float(total), float(abs(term))
-            total += term
-            running_max = max(running_max, abs(total), abs(term))
-            n += 1
-            next_den_k += 2
+class _SeriesCoefficients:
+    """c_n (cos) or s_n (sin) as exact (mantissa, exponent) pairs at prec bits.
+
+    Entries are computed in mpmath on first use, by the term-ratio
+    recurrence c_(n+1) = -c_n q^(-4(n+1)) / ((1 - q^-2j)(1 - q^-2(j+1))).
+    """
+
+    def __init__(self, q, kind, prec):
+        self.prec = prec
+        self.odd = kind == "sin"
+        self.pairs = []
+        with mpmath.workprec(prec):
+            self._p = mpmath.mpf(q) ** -2
+            self._p2 = self._p * self._p
+            # state for the next entry: c_n, q^-2j, q^-4(n+1)
+            self._c = 1 / (1 - self._p) if self.odd else mpmath.mpf(1)
+            self._pj = self._p2 if self.odd else self._p
+            self._pn = self._p2
+
+    def pair(self, n):
+        """(C, e) with c_n = C 2^e."""
+        if n == len(self.pairs):
+            with mpmath.workprec(self.prec):
+                sign, man, exp, _ = self._c._mpf_
+                self.pairs.append((-man if sign else man, exp))
+                d = (1 - self._pj) * (1 - self._pj * self._p)
+                self._c = -self._c * self._pn / d
+                self._pj *= self._p2
+                self._pn *= self._p2
+        return self.pairs[n]
+
+
+def _odd_man_exp(x):
+    """(M, E) with x = M 2^E and M odd (x a positive double)."""
+    frac, exp = math.frexp(x)
+    man = int(frac * 2.0 ** 53)
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp - 53 + zeros
+
+
+def _shift(x, s):
+    """x 2^s rounded to an int."""
+    if s >= 0:
+        return x << s
+    return (x + (1 << (-s - 1))) >> -s
+
+
+def _scaled_product(a, b, s):
+    """a b 2^s rounded to an int, within one, from the leading bits of a and b."""
+    drop_a = max(0, -s - 3 - b.bit_length())
+    drop_b = max(0, -s - 3 - a.bit_length())
+    return _shift((a >> drop_a) * (b >> drop_b), s + drop_a + drop_b)
+
+
+def _to_float(man, exp):
+    """man 2^exp rounded to 53 bits, to nearest, then to a double (+-inf past
+    the top), as mpmath converts."""
+    return libmp.to_float(libmp.from_man_exp(man, exp, 53, libmp.round_nearest))
+
+
+def _series_fixed(coeffs, z, digits, peak):
+    """Large-argument series summed on the fixed-point scale 2^unit.
+
+    The scale sits the precision of `digits` digits below the peak
+    estimate (log10 of the largest term), so every term keeps that
+    absolute accuracy; coeffs must hold at least that precision.  Returns
+    (value, first dropped term) as doubles.
+    """
+    man, exp = _odd_man_exp(z)
+    unit = math.ceil(peak * _LOG2_10) - libmp.dps_to_prec(digits)
+    stop = 10 ** (digits - 5)
+    stop_bits = stop.bit_length() - 2
+    man2 = man * man
+    zpow, zexp = (man, exp) if coeffs.odd else (1, 0)
+    c, c_exp = coeffs.pair(0)
+    total = _scaled_product(c, zpow, c_exp + zexp - unit)
+    running_max = abs(total)
+    n = 1
+    while True:
+        zpow *= man2
+        zexp += 2 * exp
+        c, c_exp = coeffs.pair(n)
+        term = _scaled_product(c, zpow, c_exp + zexp - unit)
+        mag = abs(term)
+        # stop at |term| < 10^(5 - digits) running_max (the bit lengths rule
+        # out most nonzero terms without the product), or at a term that
+        # rounds to zero: the scale can be coarser than the relative rule
+        if not mag or (mag.bit_length() + stop_bits < running_max.bit_length()
+                       and mag * stop < running_max):
+            return _to_float(total, unit), _to_float(mag, unit)
+        total += term
+        running_max = max(running_max, abs(total), mag)
+        n += 1
 
 
 class SpecialFunctions:
@@ -136,6 +223,7 @@ class SpecialFunctions:
         self.ctx = ctx
         self.comb = QCombinatorics(ctx)
         self._cache = {}
+        self._coeffs = {}
         self._nq = None
 
     # -- trigonometric family ---------------------------------------------
@@ -166,10 +254,28 @@ class SpecialFunctions:
             else:
                 peak = ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
                 digits = max(50, int(peak) + 330 + _MP_GUARD_DIGITS)
-                val, bound = _series_mp(q, z, kind, digits)
+                val, bound = _series_fixed(self._coefficients(kind, digits),
+                                           z, digits, peak)
         out = (sign * val, bound)
         self._cache[key] = out
         return out
+
+    def _coefficients(self, kind, digits):
+        """Coefficient table of the kind, rebuilt when a call needs more
+        precision than any before it on this instance.
+
+        A rebuild takes at least a quarter more precision than the table it
+        replaces: arguments often arrive in increasing order (a lattice
+        sampled outwards), and each would otherwise pay its own rebuild.
+        """
+        prec = libmp.dps_to_prec(digits)
+        table = self._coeffs.get(kind)
+        if table is None or table.prec < prec:
+            if table is not None:
+                prec = max(prec, table.prec * 5 // 4)
+            table = self._coeffs[kind] = _SeriesCoefficients(self.ctx.q, kind,
+                                                             prec)
+        return table
 
     def cos_q(self, z, with_bound=False):
         val, bound = self._eval(z, "cos")

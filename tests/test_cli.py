@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,36 @@ from qcalc.cli import build_parser, main
 
 def run(tmp_path, *argv):
     return main(list(argv) + ["--out", str(tmp_path)])
+
+
+# -- README examples -----------------------------------------------------------
+
+
+def _readme_examples():
+    """(argv, exit status, printed value) per line of the README Examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples (", 1)[1].split("```\n", 2)[1]
+    out = []
+    for line in block.splitlines():
+        command, _, note = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "qcalc", line
+        status = re.search(r"exit (\d)", note)
+        printed = re.search(r"prints (\S+)", note)
+        out.append((argv[1:], int(status.group(1)) if status else 0,
+                    printed.group(1) if printed else None))
+    return out
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, status, printed", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES])
+def test_readme_example(argv, status, printed, tmp_path, capsys):
+    assert run(tmp_path, *argv) == status
+    if printed is not None:
+        assert capsys.readouterr().out.split()[-1] == printed
 
 
 # -- backend selection -------------------------------------------------------

@@ -81,6 +81,23 @@ def test_xi_exchange_relation(pair):
     assert pair.raising_xi_residual() < 1e-12
 
 
+@pytest.mark.parametrize("matrix, residual", [
+    ("a", "hamiltonian_residual"),
+    ("a_dag", "raising_xi_residual"),
+])
+def test_ladder_residuals_propagate_nan(rep, matrix, residual):
+    # a NaN in the first sector must not lose to the second sector's value
+    fresh = build_ladder(rep)
+    getattr(fresh, matrix)[1][6, 6] = np.nan
+    assert np.isnan(getattr(fresh, residual)())
+
+
+def test_series_match_propagates_nan(pair, psi0):
+    psi = psi0.copy()
+    psi.values[1][1] = np.nan
+    assert np.isnan(series_match_residual(pair, psi))
+
+
 def test_ground_state_annihilated(pair, psi0):
     assert pair.lowering_defect(psi0) < 1e-10
 

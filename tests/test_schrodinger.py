@@ -105,6 +105,17 @@ def test_adjoint_identity_nabla_L():
     assert make_rep().adjoint_residual() < 1e-12
 
 
+@pytest.mark.parametrize("matrix, residual", [
+    ("p", "relation_residual"),
+    ("nabla", "adjoint_residual"),
+])
+def test_structural_residuals_propagate_nan(matrix, residual):
+    # a NaN in the first sector must not lose to the second sector's value
+    rep = make_rep()
+    getattr(rep, matrix)[1][5, 5] = np.nan
+    assert np.isnan(getattr(rep, residual)())
+
+
 def test_scale_map_matches_lattice_shift():
     rep = make_rep()
     rng = random.Random(SEED)

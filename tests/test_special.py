@@ -1,10 +1,16 @@
 """q-special functions: combinatorics, series, constants, eigenvalue table."""
 
 import math
+import random
+import signal
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from qcalc import special
 from qcalc.context import QContext
 from qcalc.lattice import LatticeFn, LatticeGrid
 from qcalc.special import (
@@ -99,6 +105,138 @@ def test_large_argument_values_are_tiny_on_even_powers():
     assert abs(SF.cos_q(D2.qpow(20))) < 1e-12
     assert abs(SF.sin_q(D2.qpow(30))) < 1e-20
     assert SF.cos_q(D2.qpow(120)) == SF.cos_q(D2.qpow(120))  # cached, finite
+
+
+# -- large-argument series against an independent reference ---------------
+
+# q = 2 puts every lattice point on a power of two; the others do not,
+# and 50 has the steepest terms.
+KERNEL_QS = (2.0, 1.5, 2.3943, 3.6931, 50.0)
+
+
+def _working_digits(q, z):
+    m = math.log(z) / math.log(q)
+    peak = ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
+    return max(50, int(peak) + 370)
+
+
+def _underflow_shortcut(q, z):
+    m = math.log(z) / math.log(q)
+    mr = round(m)
+    return (abs(m - mr) < 1e-9 and mr % 2 == 0
+            and (mr * mr / 4.0) * math.log10(q) > 340.0)
+
+
+def _reference(q, z, kind, digits):
+    """Direct sum of (-1)^n q^(-2n(n+1)) z^k / (q^-2; q^-2)_k, k = 2n (cos)
+    or 2n + 1 (sin), from running powers and the running product."""
+    with mpmath.workdps(digits):
+        p = mpmath.mpf(q) ** -2
+        zm = mpmath.mpf(z)
+        odd = kind == "sin"
+        poch = 1 - p if odd else mpmath.mpf(1)
+        p_k = p * p if odd else p      # p^(k+1), the next Pochhammer factor
+        gauss = mpmath.mpf(1)          # q^(-2n(n+1)) = p^(n(n+1))
+        zk = zm if odd else mpmath.mpf(1)
+        z2 = zm * zm
+        total = biggest = mpmath.mpf(0)
+        tiny = mpmath.mpf(10) ** -digits
+        n = 0
+        while True:
+            term = gauss * zk / poch
+            total += -term if n % 2 else term
+            biggest = max(biggest, abs(term))
+            if z2 * p ** (2 * n) < 1 and term < tiny * biggest:
+                return total
+            n += 1
+            gauss *= p ** (2 * n)
+            zk *= z2
+            poch *= (1 - p_k) * (1 - p_k * p)
+            p_k *= p * p
+
+
+def _kernel_inputs(q, rng):
+    zs = [q ** m for m in range(3, 41)]
+    zs += [q ** rng.uniform(2.5, 40.0) for _ in range(6)]
+    return zs
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_large_argument_series_matches_reference(q):
+    sf = SpecialFunctions(QContext(q))
+    rng = random.Random(int(q * 1000))
+    for z in _kernel_inputs(q, rng):
+        for kind, fn in (("cos", sf.cos_q), ("sin", sf.sin_q)):
+            val, bound = fn(z, with_bound=True)
+            if _underflow_shortcut(q, z):
+                # far out on the even sublattice the value is declared zero
+                assert (val, bound) == (0.0, 0.0)
+                continue
+            digits = 2 * _working_digits(q, z)
+            ref = _reference(q, z, kind, digits)
+            with mpmath.workdps(digits):
+                if abs(ref) > sys.float_info.max:
+                    assert val == math.copysign(math.inf, ref), (q, z, kind)
+                    continue
+                # the spacing of doubles at the bottom of the range caps
+                # the relative accuracy of tiny values
+                tol = max(abs(ref) * 2.0 ** -52, bound, 2.0 ** -1074)
+                assert abs(mpmath.mpf(val) - ref) <= tol, (q, z, kind)
+
+
+@contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_argument_series_terminates_at_q50():
+    # the terms fall by q^-4n per step; most sums end on a term that
+    # rounds to zero on the fixed-point scale, before the relative rule
+    sf = SpecialFunctions(QContext(50.0))
+    with _deadline(20):
+        for m in range(3, 41):
+            for fn in (sf.cos_q, sf.sin_q):
+                val, bound = fn(50.0 ** m, with_bound=True)
+                assert not math.isnan(val) and math.isfinite(bound)
+
+
+def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
+    builds = []
+
+    class Counted(special._SeriesCoefficients):
+        def __init__(self, q, kind, prec):
+            builds.append((kind, prec))
+            super().__init__(q, kind, prec)
+
+    monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
+    # odd exponents: none takes the even-sublattice underflow shortcut
+    zs = [2.0 ** m for m in range(41, 2, -2)]
+    sf = SpecialFunctions(QContext(2.0))
+    for z in zs:
+        sf.cos_q(z)
+        sf.sin_q(z)
+    assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
+    sf._cache.clear()
+    for z in reversed(zs):
+        sf.cos_q(z)
+        sf.sin_q(z)
+    assert len(builds) == 2
+    # increasing arguments: every build raises the precision
+    builds.clear()
+    sf = SpecialFunctions(QContext(2.0))
+    for z in reversed(zs):
+        sf.cos_q(z)
+    precs = [prec for _, prec in builds]
+    assert precs == sorted(set(precs))
+    assert len(precs) < len(zs)
 
 
 # -- normalization constant and orthogonality --------------------------------
