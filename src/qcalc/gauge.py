@@ -451,6 +451,8 @@ def scenario_report(cfg=None):
             add("curvature-covariance",
                 curvature_covariance_residual(e_sl, omega, alpha, step), 1e-10)
     order = np.log2(resid[2.0 * dt] / resid[dt]) if resid[dt] > 0 else 2.0
+    if np.isnan(worst(resid.values())):
+        order = np.nan
     rows.append({"check": "commutator-order", "residual": float(order),
                  "tolerance": 2.0, "ok": bool(1.5 < order < 2.5)})
 

@@ -1,4 +1,4 @@
-"""Sampled fields on the q-lattice x = sigma q^n.
+"""Sampled fields and stencil operators on the q-lattice x = sigma q^n.
 
 A LatticeFn stores complex values on a finite exponent window for one or
 both sign sectors.  The scale map and the derivative are index shifts:
@@ -30,6 +30,17 @@ def worst(residuals):
             return r
         if r > out:
             out = r
+    return out
+
+
+def _shift_sites(v, k):
+    """w[..., i] = v[..., i - k]; sites shifted in from outside hold zero."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape, dtype=v.dtype)
+    if 0 <= k < n:
+        out[..., k:] = v[..., :n - k]
+    elif -n < k < 0:
+        out[..., :k] = v[..., -k:]
     return out
 
 
@@ -204,16 +215,7 @@ class LatticeFn:
 
     def L_shift(self, k=1):
         """(L^k f)(sigma q^n) = f(sigma q^(n-k))."""
-        out = {}
-        for s in self.grid.sectors:
-            shifted = np.zeros(self.grid.size, dtype=complex)
-            if k >= 0:
-                if k < self.grid.size:
-                    shifted[k:] = self.values[s][:self.grid.size - k]
-            else:
-                if -k < self.grid.size:
-                    shifted[:k] = self.values[s][-k:]
-            out[s] = shifted
+        out = {s: _shift_sites(self.values[s], k) for s in self.grid.sectors}
         pad_lo = self.pad_lo + max(k, 0)
         pad_hi = self.pad_hi + max(-k, 0)
         return self._wrap(out, pad_lo, pad_hi)
@@ -243,12 +245,98 @@ class LatticeFn:
         if lo > hi:
             raise InsufficientPadding("no interior sites remain")
         i0, i1 = self.grid.index(lo), self.grid.index(hi)
-        return max(float(np.max(np.abs(self.values[s][i0:i1 + 1])))
-                   for s in self.grid.sectors)
+        return worst(np.max(np.abs(self.values[s][i0:i1 + 1]))
+                     for s in self.grid.sectors)
 
     def __repr__(self):
         lo, hi = self.valid_window()
         return (f"LatticeFn(grid={self.grid!r}, valid=[{lo}, {hi}])")
+
+
+class Stencil:
+    """Operator sum_c diag(d_c) L^c on one grid's window, sectors stacked.
+
+    diags maps the offset c to d_c of shape (sectors, size), row k for
+    grid.sectors[k]: (A v)[k, i] = sum_c d_c[k, i] v[k, i - c].  An index
+    i - c outside the window reads zero and its entry of d_c is held at
+    zero, so dense(s) is the truncated matrix and a composition drops
+    every intermediate index outside the window, exactly as the product
+    of the truncated matrices does.
+    """
+
+    def __init__(self, grid, diags):
+        self.grid = grid
+        shape = (len(grid.sectors), grid.size)
+        self.diags = {}
+        for c, v in diags.items():
+            d = self.diags[c] = np.empty(shape, dtype=complex)
+            d[...] = v
+            if c > 0:
+                d[:, :c] = 0
+            elif c < 0:
+                d[:, c:] = 0
+
+    def __add__(self, other):
+        if self.grid != other.grid:
+            raise GridMismatch("operators live on different grids")
+        out = dict(self.diags)
+        for c, d in other.diags.items():
+            out[c] = out[c] + d if c in out else d
+        return Stencil(self.grid, out)
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __mul__(self, v):
+        return Stencil(self.grid, {c: v * d for c, d in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Composition with a Stencil, or the action on stacked coefficients
+        of shape (..., sectors, size)."""
+        if not isinstance(other, Stencil):
+            v = np.asarray(other, dtype=complex)
+            out = np.zeros(v.shape, dtype=complex)
+            for c, d in self.diags.items():
+                out = out + d * _shift_sites(v, c)
+            return out
+        if self.grid != other.grid:
+            raise GridMismatch("operators live on different grids")
+        # Products and their sums are formed in extended precision and
+        # rounded once, as accurate as the fused multiply-adds of a BLAS
+        # product: the ladder commutator cancels terms of size x^-2.
+        out = {}
+        for a, da in self.diags.items():
+            for b, db in other.diags.items():
+                term = (da.astype(np.clongdouble)
+                        * _shift_sites(db, a).astype(np.clongdouble))
+                out[a + b] = out[a + b] + term if a + b in out else term
+        return Stencil(self.grid, out)
+
+    def adjoint(self):
+        """Conjugate transpose: d'_-c[i] = conj(d_c[i + c])."""
+        return Stencil(self.grid, {-c: np.conj(_shift_sites(d, -c))
+                                   for c, d in self.diags.items()})
+
+    def dense(self, s):
+        """The size x size matrix of sector s."""
+        k = self.grid.sectors.index(s)
+        n = self.grid.size
+        m = np.zeros((n, n), dtype=complex)
+        for c, d in self.diags.items():
+            if abs(c) < n:
+                m += np.diag(d[k, max(c, 0):n + min(c, 0)], -c)
+        return m
+
+    def max_abs(self, margin=0):
+        """Largest |entry| whose row and column both sit margin sites or
+        more inside the window, over all sectors; NaN if any is NaN."""
+        n = self.grid.size
+        return worst(
+            np.max(np.abs(d[:, margin + max(c, 0):n - margin + min(c, 0)]),
+                   initial=0.0)
+            for c, d in self.diags.items())
 
 
 # -- serialization -------------------------------------------------------------

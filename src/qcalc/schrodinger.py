@@ -1,4 +1,4 @@
-"""Truncated matrix representation and Schrodinger evolution on the lattice.
+"""Truncated stencil representation and Schrodinger evolution on the lattice.
 
 States are coefficient vectors over the orthonormal site basis, one block
 per sector.  A sampled function relates to its coefficient vector through
@@ -8,6 +8,8 @@ the sampled functions.
 
 In these coordinates x is diagonal, the dilation generator is the plain
 shift, and the scale map of the field calculus is the shift times q^(1/2).
+Each operator is a lattice.Stencil (diagonals times shift powers, both
+sectors stacked); only the Hamiltonian is also kept dense, for eigh.
 The momentum acts as -i times the difference quotient; hard truncation
 keeps it hermitian because the difference quotient stays antisymmetric
 when rows are simply dropped.
@@ -24,7 +26,7 @@ import json
 import numpy as np
 
 from .integration import improper_integral, norm as fn_norm
-from .lattice import LatticeFn, LatticeGrid, worst
+from .lattice import LatticeFn, LatticeGrid, Stencil, worst
 from .special import SpecialFunctions
 
 
@@ -36,16 +38,8 @@ class NonHermitianHamiltonian(Exception):
     """Symmetrization could not repair the Hamiltonian."""
 
 
-def _shift_down(size):
-    # maps basis vector n to n+1: ones on the first subdiagonal
-    m = np.zeros((size, size), dtype=complex)
-    for i in range(size - 1):
-        m[i + 1, i] = 1.0
-    return m
-
-
 class Representation:
-    """Matrices for x, the shifts, and the derivative, per sector."""
+    """Stencils for x, the shifts, and the derivative, sectors stacked."""
 
     def __init__(self, grid):
         if grid.ctx.exact:
@@ -55,28 +49,17 @@ class Representation:
         self.grid = grid
         ctx = grid.ctx
         self.sf = SpecialFunctions(ctx)
-        size = grid.size
         expo = np.array(list(grid.exponents()), dtype=float)
         self._sqrt_w = np.sqrt(0.5 * ctx.lam * ctx.q ** expo)
-        shift = _shift_down(size)
-        self.x = {}
-        self.lam_op = {}
-        self.lam_inv_op = {}
-        self.L = {}
-        self.L_inv = {}
-        self.nabla = {}
-        self.p = {}
+        x = np.outer(grid.sectors, ctx.q ** expo)
         rq = ctx.sqrt_q
-        for s in grid.sectors:
-            xs = np.diag(s * ctx.q ** expo).astype(complex)
-            self.x[s] = xs
-            self.lam_op[s] = shift.copy()
-            self.lam_inv_op[s] = shift.T.copy()
-            self.L[s] = rq * shift
-            self.L_inv[s] = shift.T / rq
-            x_inv = np.diag(1.0 / np.diag(xs))
-            self.nabla[s] = ctx.inv_lam * x_inv @ (self.L_inv[s] - self.L[s])
-            self.p[s] = -1j * self.nabla[s]
+        self.x = Stencil(grid, {0: x})
+        self.lam_op = Stencil(grid, {1: 1.0})
+        self.L = Stencil(grid, {1: rq})
+        self.L_inv = Stencil(grid, {-1: 1.0 / rq})
+        self.nabla = (Stencil(grid, {0: ctx.inv_lam * (1.0 / x)})
+                      @ (self.L_inv - self.L))
+        self.p = -1j * self.nabla
 
     @property
     def ctx(self):
@@ -100,26 +83,15 @@ class Representation:
     # -- structural residuals --------------------------------------------------
 
     def relation_residual(self):
-        """Interior-row norm of q^(1/2)xp - q^(-1/2)px - i*shift."""
+        """Interior norm of q^(1/2)xp - q^(-1/2)px - i*shift."""
         rq = self.ctx.sqrt_q
-        resid = []
-        rows = self.interior()
-        for s in self.grid.sectors:
-            r = rq * self.x[s] @ self.p[s] - self.p[s] @ self.x[s] / rq \
-                - 1j * self.lam_op[s]
-            resid.append(np.max(np.abs(r[rows, :])))
-        return worst(resid)
+        r = rq * self.x @ self.p - self.p @ self.x * (1 / rq) - 1j * self.lam_op
+        return r.max_abs(1)
 
     def adjoint_residual(self):
         """Interior norm of (nabla L^-1)^+ + nabla L."""
-        resid = []
-        rows = self.interior(2)
-        for s in self.grid.sectors:
-            a = self.nabla[s] @ self.L_inv[s]
-            b = self.nabla[s] @ self.L[s]
-            r = (a.conj().T + b)[rows, rows]
-            resid.append(np.max(np.abs(r)))
-        return worst(resid)
+        r = (self.nabla @ self.L_inv).adjoint() + self.nabla @ self.L
+        return r.max_abs(2)
 
 
 def build_representation(grid):
@@ -127,34 +99,28 @@ def build_representation(grid):
 
 
 class Hamiltonian:
-    """-(1/2m) nabla^2 + V, symmetrized after truncation."""
+    """-(1/2m) nabla^2 + V as a stencil, symmetrized after truncation;
+    matrices[s] is its dense matrix on sector s."""
 
     def __init__(self, rep, mass=1.0, potential=None):
         self.rep = rep
         self.mass = float(mass)
-        self.boundary = "truncate-symmetrize"
-        self.matrices = {}
         self._eig = {}
-        for s in rep.grid.sectors:
-            h = -(0.5 / self.mass) * rep.nabla[s] @ rep.nabla[s]
-            if potential is not None:
-                v = self._potential_vector(rep, s, potential)
-                if float(np.max(np.abs(v.imag))) > 1e-12:
-                    raise NonHermitianHamiltonian("potential must be real")
-                h = h + np.diag(v.real)
-            sym = 0.5 * (h + h.conj().T)
-            gap = float(np.max(np.abs(h - sym)))
-            if gap > 1e-9 * max(1.0, float(np.max(np.abs(sym)))):
-                raise NonHermitianHamiltonian(
-                    f"asymmetry {gap:.2e} survived symmetrization")
-            self.matrices[s] = sym
-
-    @staticmethod
-    def _potential_vector(rep, s, potential):
-        if callable(potential):
-            pts = [rep.grid.point(s, n) for n in rep.grid.exponents()]
-            return np.array([potential(x) for x in pts], dtype=complex)
-        return np.asarray(potential[s], dtype=complex)
+        h = -(0.5 / self.mass) * rep.nabla @ rep.nabla
+        if potential is not None:
+            if callable(potential):
+                potential = LatticeFn.from_callable(rep.grid, potential).values
+            v = np.array([potential[s] for s in rep.grid.sectors],
+                         dtype=complex)
+            if float(np.max(np.abs(v.imag))) > 1e-12:
+                raise NonHermitianHamiltonian("potential must be real")
+            h = h + Stencil(rep.grid, {0: v.real})
+        sym = 0.5 * (h + h.adjoint())
+        gap = (h - sym).max_abs()
+        if gap > 1e-9 * max(1.0, sym.max_abs()):
+            raise NonHermitianHamiltonian(
+                f"asymmetry {gap:.2e} survived symmetrization")
+        self.matrices = {s: sym.dense(s) for s in rep.grid.sectors}
 
     def eig(self, s):
         if s not in self._eig:
@@ -325,12 +291,9 @@ def check_noether(psi, alpha=1.0, mass=1.0):
     form2_inner = grad_c * psi.L_shift(-1) - grad * psi.conj().L_shift(-1)
     form2 = form2_inner.scale(a / (2.0 * mass * 1j))
 
-    worst = 0.0
-    for cand in (form1, form2):
-        worst = max(worst, (cand - target).max_abs_interior())
     charge = rho.scale(-a) - (psi.conj() * psi).scale(-a)
-    worst = max(worst, charge.max_abs_interior())
-    return worst
+    return worst(f.max_abs_interior()
+                 for f in (form1 - target, form2 - target, charge))
 
 
 # -- evolution -------------------------------------------------------------------

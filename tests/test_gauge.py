@@ -356,3 +356,12 @@ def test_scenario_report_all_green():
 def test_scenario_report_config_override():
     rows = scenario_report({"window": [-6, 6], "transforms": 3, "seed": 5})
     assert all(r["ok"] for r in rows)
+
+
+def test_commutator_order_fails_on_nan(monkeypatch):
+    # a NaN commutator residual has no convergence order to report
+    monkeypatch.setattr("qcalc.gauge.commutator_residual",
+                        lambda *args: float("nan"))
+    rows = {r["check"]: r for r in scenario_report()}
+    assert np.isnan(rows["commutator-order"]["residual"])
+    assert not rows["commutator-order"]["ok"]

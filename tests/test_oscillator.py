@@ -58,7 +58,7 @@ def test_default_parameters(pair):
     assert abs(pair.beta.real) == 0.0
     assert pair.beta.imag > 0
     assert abs(pair.kappa - 1.0) < 1e-12
-    xi = pair.xi_values(1)
+    xi = pair.xi_values()
     assert float(np.max(np.abs(np.imag(xi)))) == 0.0
 
 
@@ -81,14 +81,15 @@ def test_xi_exchange_relation(pair):
     assert pair.raising_xi_residual() < 1e-12
 
 
-@pytest.mark.parametrize("matrix, residual", [
+@pytest.mark.parametrize("operator, residual", [
+    ("a", "commutator_residual"),
     ("a", "hamiltonian_residual"),
     ("a_dag", "raising_xi_residual"),
 ])
-def test_ladder_residuals_propagate_nan(rep, matrix, residual):
+def test_ladder_residuals_propagate_nan(rep, operator, residual):
     # a NaN in the first sector must not lose to the second sector's value
     fresh = build_ladder(rep)
-    getattr(fresh, matrix)[1][6, 6] = np.nan
+    getattr(fresh, operator).diags[0][0, 6] = np.nan
     assert np.isnan(getattr(fresh, residual)())
 
 
@@ -243,6 +244,13 @@ def test_gaussian_pair_report():
     for entry in report["constants"].values():
         assert entry["deviation"] < 1e-12
     assert report["l_halfwidth"] >= 5
+
+
+def test_gaussian_pair_propagates_nan():
+    report = gaussian_fourier_pair(D2, c0=float("nan"), l_halfwidth=6)
+    for key in ("even_max_rel", "odd_max_rel", "conjugation_max_rel",
+                "max_rel"):
+        assert np.isnan(report[key])
 
 
 def test_gaussian_pair_window_guard():

@@ -55,30 +55,36 @@ def test_exact_backend_rejected():
 
 def test_x_diagonal():
     rep = make_rep()
+    assert set(rep.x.diags) == {0}
     i3 = rep.grid.index(3)
-    assert rep.x[1][i3, i3] == 8.0
-    assert rep.x[-1][i3, i3] == -8.0
-    off = rep.x[1] - np.diag(np.diag(rep.x[1]))
-    assert np.max(np.abs(off)) == 0.0
+    for s in (1, -1):
+        x = rep.x.dense(s)
+        assert x[i3, i3] == 8.0 * s
+        assert np.max(np.abs(x - np.diag(np.diag(x)))) == 0.0
 
 
 def test_shift_structure():
     rep = make_rep()
     g = rep.grid
+    assert set(rep.lam_op.diags) == {1}
+    back = rep.lam_op.adjoint()
     for s in g.sectors:
+        shift = rep.lam_op.dense(s)
         for n in range(g.n_min, g.n_max):
-            assert rep.lam_op[s][g.index(n + 1), g.index(n)] == 1.0
-        assert np.array_equal(rep.lam_inv_op[s], rep.lam_op[s].T)
-        prod = rep.lam_inv_op[s] @ rep.lam_op[s]
+            assert shift[g.index(n + 1), g.index(n)] == 1.0
+        assert np.array_equal(back.dense(s), shift.T)
+        prod = (back @ rep.lam_op).dense(s)
         # the top shift-out site is lost; all others return exactly
         assert np.max(np.abs(prod[:-1, :-1] - np.eye(g.size - 1))) == 0.0
+        assert prod[-1, -1] == 0.0
 
 
 def test_momentum_two_nonzeros_per_column():
     rep = make_rep()
     g = rep.grid
+    assert set(rep.p.diags) == {-1, 1}
     for s in (1, -1):
-        p = rep.p[s]
+        p = rep.p.dense(s)
         for n in range(g.n_min + 1, g.n_max - 1):
             col = p[:, g.index(n)]
             nz = np.nonzero(np.abs(col) > 0)[0]
@@ -91,9 +97,10 @@ def test_momentum_two_nonzeros_per_column():
 
 def test_momentum_hermitian():
     rep = make_rep()
+    assert (rep.p - rep.p.adjoint()).max_abs() < 1e-9
     for s in (1, -1):
-        gap = np.max(np.abs(rep.p[s] - rep.p[s].conj().T))
-        assert gap < 1e-9
+        p = rep.p.dense(s)
+        assert np.max(np.abs(p - p.conj().T)) < 1e-9
 
 
 def test_algebra_relation_interior():
@@ -105,14 +112,14 @@ def test_adjoint_identity_nabla_L():
     assert make_rep().adjoint_residual() < 1e-12
 
 
-@pytest.mark.parametrize("matrix, residual", [
+@pytest.mark.parametrize("operator, residual", [
     ("p", "relation_residual"),
     ("nabla", "adjoint_residual"),
 ])
-def test_structural_residuals_propagate_nan(matrix, residual):
+def test_structural_residuals_propagate_nan(operator, residual):
     # a NaN in the first sector must not lose to the second sector's value
     rep = make_rep()
-    getattr(rep, matrix)[1][5, 5] = np.nan
+    getattr(rep, operator).diags[1][0, 5] = np.nan
     assert np.isnan(getattr(rep, residual)())
 
 
@@ -122,9 +129,9 @@ def test_scale_map_matches_lattice_shift():
     f = rand_fn(rng, rep.grid)
     c = rep.coeffs(f)
     shifted = rep.coeffs(f.L_shift(1))
-    for s in rep.grid.sectors:
-        got = rep.L[s] @ c[s]
-        assert np.max(np.abs(got[1:] - shifted[s][1:])) < 1e-12
+    got = rep.L @ np.array([c[s] for s in rep.grid.sectors])
+    for k, s in enumerate(rep.grid.sectors):
+        assert np.max(np.abs(got[k, 1:] - shifted[s][1:])) < 1e-12
 
 
 # -- stationary states ---------------------------------------------------------
@@ -325,6 +332,13 @@ def test_noether_zero_state():
     assert check_noether(LatticeFn.zero(rep.grid)) == 0.0
 
 
+def test_noether_propagates_nan():
+    rep = make_rep()
+    psi = rand_fn(random.Random(SEED + 4), rep.grid)
+    psi.values[-1][12] = np.nan
+    assert np.isnan(check_noether(psi))
+
+
 def test_noether_alpha_scaling():
     rep = make_rep()
     rng = random.Random(SEED + 5)
@@ -383,3 +397,26 @@ def test_experiment_json_and_csv():
     first = lines[1].split(",")
     assert float(first[0]) == 0.05
     assert all(len(row.split(",")) == 5 for row in lines[1:])
+
+
+# -- what the benchmark reads ---------------------------------------------------------
+
+
+def test_benchmark_contract():
+    rep = make_rep()
+    H = Hamiltonian(rep)
+    n = rep.grid.size
+    for s in rep.grid.sectors:
+        evals, evecs = H.eig(s)
+        assert evals.shape == (n,) and evecs.shape == (n, n)
+        assert H.matrices[s].shape == (n, n)
+    psi, e = stationary_state(rep, "C", "2n+1", 0)
+    c = rep.coeffs(psi)[1]
+    r = H.matrices[1] @ c - e * c
+    rows = rep.interior(2)
+    assert np.max(np.abs(r[rows])) / np.max(np.abs(e * c[rows])) < 1e-6
+    assert rep.lattice_fn(rep.coeffs(psi)).grid == rep.grid
+    assert H.mass == 1.0 and rep.sf is not None
+    # the traced run walks the attributes of both objects
+    assert {"grid", "sf"} <= set(vars(rep))
+    assert {"rep", "mass", "matrices"} <= set(vars(H))
