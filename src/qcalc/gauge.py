@@ -73,10 +73,11 @@ def _div(f, g):
 def _check_invertible(e):
     lo, hi = e.valid_window()
     i0, i1 = e.grid.index(lo), e.grid.index(hi)
-    worst = min(float(np.min(np.abs(e.values[s][i0:i1 + 1])))
-                for s in e.grid.sectors)
-    if worst < SINGULAR_FLOOR:
-        raise SingularEinbein(f"einbein modulus {worst} below floor")
+    for s in e.grid.sectors:
+        smallest = float(np.min(np.abs(e.values[s][i0:i1 + 1])))
+        # np.min propagates NaN, and a NaN modulus is no invertible einbein
+        if np.isnan(smallest) or smallest < SINGULAR_FLOOR:
+            raise SingularEinbein(f"einbein modulus {smallest} below floor")
 
 
 def unit_einbein(grid):
@@ -251,7 +252,7 @@ def shift_inverse_residual(e, psi):
     """Worst defect of shift(shift_inv psi) = shift_inv(shift psi) = psi."""
     there = covariant_shift(e, covariant_shift_inv(e, psi)) - psi
     back = covariant_shift_inv(e, covariant_shift(e, psi)) - psi
-    return max(there.max_abs_interior(), back.max_abs_interior())
+    return worst((there.max_abs_interior(), back.max_abs_interior()))
 
 
 def derivative_covariance_residual(e, psi, alpha):
@@ -293,8 +294,8 @@ def curvature_covariance_residual(e_slices, omega, alpha, dt):
     t, _, cal_f = curvature(e_slices, omega, dt)
     e_prime = [transform_einbein(e, alpha) for e in e_slices]
     tp, _, cal_fp = curvature(e_prime, omega, dt)
-    return max((tp - t).max_abs_interior(),
-               (cal_fp - cal_f).max_abs_interior())
+    return worst(((tp - t).max_abs_interior(),
+                  (cal_fp - cal_f).max_abs_interior()))
 
 
 def coupling_linearity_ratio(e_base, psi, g):

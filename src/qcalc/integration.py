@@ -14,7 +14,7 @@ eigenvalue and leaves the positive Jackson measure (1/2) lam q^n per site.
 from __future__ import annotations
 
 from .fields import LaurentPoly, NotInImage, L_op, nabla_preimage
-from .lattice import GridMismatch, InsufficientPadding, LatticeFn
+from .lattice import GridMismatch, InsufficientPadding, LatticeFn, worst
 
 
 class NotIntegrable(Exception):
@@ -110,14 +110,15 @@ def improper_integral(h, tail_tol=1e-10, tail_sites=2):
     ctx = h.grid.ctx
     lo, hi = h.valid_window()
     acc = 0j
-    worst_tail = 0.0
+    tails = []
     for s in h.grid.sectors:
         for n in range(lo, hi + 1):
             term = ctx.qpow(n) * h.value(s, n)
             acc += term
             if n < lo + tail_sites or n > hi - tail_sites:
-                worst_tail = max(worst_tail, abs(ctx.lam * term))
-    if worst_tail > tail_tol:
+                tails.append(abs(ctx.lam * term))
+    worst_tail = worst(tails)
+    if not worst_tail <= tail_tol:  # a NaN tail fails too
         raise NotConverged(
             f"window tail term {worst_tail:.3e} exceeds {tail_tol:.3e}")
     return 0.5 * ctx.lam * acc

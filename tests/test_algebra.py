@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qcalc import algebra
 from qcalc.algebra import (
     AlgebraElement,
     InternalOrderingError,
@@ -16,6 +17,7 @@ from qcalc.algebra import (
     reduce_p,
 )
 from qcalc.batteries import rand_element
+from qcalc.batteries import run as run_battery
 from qcalc.scalars import QQI_I, Scalar
 
 X = AlgebraElement.x
@@ -202,3 +204,17 @@ def test_format_examples():
     assert format_element(e) == "(-1*i*s^1) L^1 + (s^2) x^1 p^1"
     assert format_element(AlgebraElement.zero()) == "(0)"
     assert parse_element("(0)").is_zero()
+
+
+# -- caches -----------------------------------------------------------------
+
+
+def test_caches_are_bounded_and_hold_one_default_battery():
+    caches = (algebra._MONO_CACHE, algebra._REDUCE_CACHE, algebra._BAR_CACHE)
+    for cache in caches:
+        cache.cache_clear()
+    run_battery("verify-algebra", {})
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize == info.misses  # nothing was evicted

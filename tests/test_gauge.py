@@ -72,6 +72,15 @@ def test_singular_einbein_rejected():
         dual_einbein(LatticeFn(grid, vals))
 
 
+@pytest.mark.parametrize("sector", [1, -1])
+def test_nan_einbein_rejected(sector):
+    grid = make_grid()
+    vals = {s: np.ones(grid.size) for s in grid.sectors}
+    vals[sector][3] = np.nan
+    with pytest.raises(SingularEinbein):
+        dual_einbein(LatticeFn(grid, vals))
+
+
 def test_unit_einbein_reduces_to_nabla():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 1)
@@ -222,6 +231,17 @@ def test_shift_inverse_identity():
     assert shift_inverse_residual(e, psi) < 1e-12
 
 
+def test_shift_inverse_residual_keeps_nan_of_second_route():
+    # E = 1e-10 leaves E (L^-1 psi) finite on the first route, while the
+    # second route's Et (L psi) overflows and turns into NaN
+    grid = make_grid()
+    e = LatticeFn(grid, {s: np.full(grid.size, 1e-10) for s in grid.sectors})
+    psi = LatticeFn(grid, {s: np.full(grid.size, 1e300 * np.exp(0.5j))
+                           for s in grid.sectors})
+    with np.errstate(all="ignore"):
+        assert np.isnan(shift_inverse_residual(e, psi))
+
+
 def test_scalar_factor_rule():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 14)
@@ -322,6 +342,20 @@ def test_curvature_covariance():
     for _ in range(3):
         alpha = random_phase(rng, grid)
         assert curvature_covariance_residual(e_sl, omega, alpha, dt) < 1e-10
+
+
+def test_curvature_covariance_residual_keeps_nan_of_calf():
+    # |E| = 1e200 overflows calF = E F (L E) to NaN while T stays finite
+    grid = make_grid()
+    rng = np.random.default_rng(SEED + 23)
+    omega = random_field(rng, grid, 0.5)
+    e_sl = [LatticeFn(grid, {s: np.full(grid.size, 1e200 * (1 + 1j) * k)
+                             for s in grid.sectors})
+            for k in (0.999, 1.0, 1.001)]
+    alpha = random_phase(rng, grid)
+    with np.errstate(all="ignore"):
+        assert np.isnan(curvature_covariance_residual(e_sl, omega, alpha,
+                                                      1e-3))
 
 
 # -- covariant shift sanity on plain structure ---------------------------------------

@@ -215,6 +215,13 @@ def test_improper_tail_guard():
         improper_integral(h)
 
 
+def test_improper_tail_guard_rejects_nan():
+    grid = LatticeGrid(DOUBLE, -8, 8)
+    h = LatticeFn.from_sites(grid, {(1, 0): 1.0, (-1, 8): float("nan")})
+    with pytest.raises(NotConverged):
+        improper_integral(h)
+
+
 def test_parity_families_sum_to_improper():
     grid = LatticeGrid(DOUBLE, -14, 14)
     rng = random.Random(29)
