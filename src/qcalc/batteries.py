@@ -36,6 +36,8 @@ from .fields import (
     LaurentPoly,
     NotInImage,
     comultiplication_residual,
+    d_leibniz_residual,
+    d_squared,
     leibniz_residual,
     morphism_residual,
     nabla,
@@ -255,11 +257,16 @@ def verify_algebra(ctx, params):
 # -- leibniz ------------------------------------------------------------------
 
 
+# (variant, b) of the one-form conventions the leibniz battery checks
+D_CONVENTIONS = (("A", 1), ("A", -1), ("B", 1), ("B", -1))
+
+
 def leibniz(ctx, params):
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
 
-    form1 = form2 = comult = morph = True
+    form1 = form2 = comult = morph = d_squared_ok = True
+    d_leibniz = dict.fromkeys(D_CONVENTIONS, True)
     for _ in range(trials):
         f = rand_poly(rng, ctx)
         g = rand_poly(rng, ctx)
@@ -267,6 +274,11 @@ def leibniz(ctx, params):
         form2 = form2 and leibniz_residual(f, g, form=2).is_zero()
         comult = comult and comultiplication_residual(f, g).is_zero()
         morph = morph and morphism_residual(f).is_zero()
+        for variant, b in D_CONVENTIONS:
+            d_leibniz[variant, b] = d_leibniz[variant, b] and \
+                d_leibniz_residual(f, g, b, variant).is_zero()
+            d_squared_ok = d_squared_ok and \
+                d_squared(f, b, variant).is_zero()
     rows = [row("product-rule-form1", not form1),
             row("product-rule-form2", not form2),
             row("comultiplication", not comult),
@@ -294,6 +306,10 @@ def leibniz(ctx, params):
         refused = True
     rows.append(row("x-inverse-not-in-image", not refused))
 
+    # the paper's exterior calculus: d = dx nabla under each convention
+    rows += [row(f"d-leibniz-{variant}-b{b:+d}", not ok)
+             for (variant, b), ok in d_leibniz.items()]
+    rows.append(row("d-squared", not d_squared_ok))
     return rows, {"q": str(ctx.q), "trials": trials, "seed": seed}, ()
 
 
@@ -762,7 +778,8 @@ REGISTRY = {
         (_q("3/2"), _seed(), Param("trials", 200, "random elements", low=1))),
     "leibniz": Battery(
         leibniz, "exact",
-        "field calculus: product rules, comultiplication, kernel and image",
+        "field calculus: product rules, comultiplication, kernel and "
+        "image, one-form product rules and d^2 = 0",
         (_q("3/2"), _seed(), Param("trials", 500, "random pairs", low=1))),
     "integrate": Battery(
         integrate, "either",

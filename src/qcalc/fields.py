@@ -10,28 +10,98 @@ by an integer b and a variant flag:
     variant B:  d(fg) = df (L g)   + (L^b f) dg,    dx x = q^(-1-b) x dx
 
 Default is variant A with b = 1, where dx and x commute.
+
+Storage.  On the exact backend a LaurentPoly is Gaussian integers over
+one denominator: `_c` maps n to a pair (re, im) of ints and `den` is a
+positive int, so the coefficient of x^n is (re + i im) / den.  The form
+is canonical:
+
+  * no entry has re == im == 0;
+  * gcd(den, every re and im) == 1;
+  * zero is the empty dict with den == 1;
+
+so `==` compares the dict and den, and `is_zero` tests the dict.  A sum
+takes one lcm of the two denominators and int adds; a product takes
+Gaussian int products, one denominator product and one gcd.  L, nabla
+and its preimage multiply degree n by the integer pair of q^(-pn), [n]
+or 1/[n] from the context (q = a/b, so q^k = a^k / b^k), over one common
+lcm of the pair denominators.  `evaluate` and `sum_at` sum in ints and
+return a QQi.  `coeffs` is a fresh {n: QQi} dict to read; writing to it
+does not change the polynomial.
+
+On the double backend `_c` maps n to a nonzero complex, `den` is None
+and `coeffs` is a fresh copy of `_c`.
 """
 
 from __future__ import annotations
 
-from .context import QContext
+import math
+from fractions import Fraction
+from itertools import chain
+
+from .scalars import QQi
 
 
 class NotInImage(Exception):
     """The field has no preimage under nabla."""
 
 
+def _poly(ctx, c, den):
+    f = object.__new__(LaurentPoly)
+    f.ctx = ctx
+    f._c = c
+    f.den = den
+    return f
+
+
+def _exact_poly(ctx, c, den):
+    """Canonical exact poly from nonzero Gaussian-int entries over den."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(c.values()))
+        if g != 1:
+            den //= g
+            c = {n: (re // g, im // g) for n, (re, im) in c.items()}
+    return _poly(ctx, c, den)
+
+
+def _rescale(f, factor, shift=0):
+    """Exact f with c x^n -> c factor(n) x^(n + shift); factor(n) is a
+    rational (num, den > 0) pair of ints, all over one common lcm of the
+    pair denominators.  A zero factor drops its term."""
+    pairs = [factor(n) for n in f._c]
+    lcm = math.lcm(*[d for _, d in pairs])
+    out = {}
+    for (n, (re, im)), (num, d) in zip(f._c.items(), pairs):
+        if num:
+            m = num * (lcm // d)
+            out[n + shift] = (re * m, im * m)
+    return _exact_poly(f.ctx, out, f.den * lcm)
+
+
 class LaurentPoly:
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "_c", "den")
 
     def __init__(self, ctx, coeffs=None):
         self.ctx = ctx
-        out = {}
+        if not ctx.exact:
+            out = {}
+            for n, c in (coeffs or {}).items():
+                c = ctx.coerce(c)
+                if not ctx.is_zero(c):
+                    out[n] = c
+            self._c, self.den = out, None
+            return
+        ratios = {}
         for n, c in (coeffs or {}).items():
             c = ctx.coerce(c)
-            if not ctx.is_zero(c):
-                out[n] = c
-        self.coeffs = out
+            if c.re or c.im:
+                ratios[n] = (c.re.as_integer_ratio(), c.im.as_integer_ratio())
+        # the lcm of the parts' reduced denominators is prime to the
+        # scaled parts together, so this is already canonical
+        den = math.lcm(*(d for pair in ratios.values() for _, d in pair))
+        self._c = {n: (a * (den // b), x * (den // y))
+                   for n, ((a, b), (x, y)) in ratios.items()}
+        self.den = den
 
     @classmethod
     def monomial(cls, ctx, n, coeff=1):
@@ -45,15 +115,46 @@ class LaurentPoly:
     def one(cls, ctx):
         return cls(ctx, {0: 1})
 
+    @property
+    def coeffs(self):
+        """A fresh {n: coefficient} dict: QQi (exact) or complex (double)."""
+        d = self.den
+        if d is None:
+            return dict(self._c)
+        if d == 1:
+            return {n: QQi(re, im) for n, (re, im) in self._c.items()}
+        return {n: QQi(Fraction(re, d), Fraction(im, d))
+                for n, (re, im) in self._c.items()}
+
     def _wrap(self, coeffs):
-        f = LaurentPoly.__new__(LaurentPoly)
-        f.ctx = self.ctx
-        f.coeffs = coeffs
-        return f
+        return _poly(self.ctx, coeffs, None)
+
+    def _add(self, other, sign):
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, m1, m2 = d1, 1, sign
+        else:
+            den = math.lcm(d1, d2)
+            m1, m2 = den // d1, sign * (den // d2)
+        out = dict(self._c) if m1 == 1 else {
+            n: (re * m1, im * m1) for n, (re, im) in self._c.items()}
+        for n, (re, im) in other._c.items():
+            p = out.get(n)
+            if p is None:
+                out[n] = (re * m2, im * m2)
+            else:
+                re, im = p[0] + re * m2, p[1] + im * m2
+                if re or im:
+                    out[n] = (re, im)
+                else:
+                    del out[n]
+        return _exact_poly(self.ctx, out, den)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
+        if self.den is not None:
+            return self._add(other, 1)
+        out = dict(self._c)
+        for n, c in other._c.items():
             r = out.get(n, self.ctx.zero) + c
             if self.ctx.is_zero(r):
                 out.pop(n, None)
@@ -62,15 +163,38 @@ class LaurentPoly:
         return self._wrap(out)
 
     def __sub__(self, other):
+        if self.den is not None:
+            return self._add(other, -1)
         return self + (-other)
 
     def __neg__(self):
-        return self._wrap({n: -c for n, c in self.coeffs.items()})
+        if self.den is not None:
+            return _poly(self.ctx, {n: (-re, -im)
+                                    for n, (re, im) in self._c.items()},
+                         self.den)
+        return self._wrap({n: -c for n, c in self._c.items()})
 
     def __mul__(self, other):
         out = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
+        if self.den is not None:
+            # a single product of nonzero Gaussian ints is nonzero, so
+            # only a degree hit twice can cancel
+            merged = False
+            right = other._c.items()
+            for n1, (a, b) in self._c.items():
+                for n2, (c, d) in right:
+                    n = n1 + n2
+                    p = out.get(n)
+                    if p is None:
+                        out[n] = (a * c - b * d, a * d + b * c)
+                    else:
+                        out[n] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
+                        merged = True
+            if merged:
+                out = {n: p for n, p in out.items() if p[0] or p[1]}
+            return _exact_poly(self.ctx, out, self.den * other.den)
+        for n1, c1 in self._c.items():
+            for n2, c2 in other._c.items():
                 n = n1 + n2
                 r = out.get(n, self.ctx.zero) + c1 * c2
                 if self.ctx.is_zero(r):
@@ -82,40 +206,84 @@ class LaurentPoly:
     def scale(self, v):
         v = self.ctx.coerce(v)
         if self.ctx.is_zero(v):
-            return self._wrap({})
-        return self._wrap({n: c * v for n, c in self.coeffs.items()})
+            return _poly(self.ctx, {}, None if self.den is None else 1)
+        if self.den is None:
+            return self._wrap({n: c * v for n, c in self._c.items()})
+        vd = math.lcm(v.re.denominator, v.im.denominator)
+        x = v.re.numerator * (vd // v.re.denominator)
+        y = v.im.numerator * (vd // v.im.denominator)
+        return _exact_poly(self.ctx, {n: (a * x - b * y, a * y + b * x)
+                                      for n, (a, b) in self._c.items()},
+                           self.den * vd)
 
     def conj(self):
-        if self.ctx.exact:
-            return self._wrap({n: c.conj() for n, c in self.coeffs.items()})
-        return self._wrap({n: c.conjugate() for n, c in self.coeffs.items()})
+        if self.den is not None:
+            return _poly(self.ctx, {n: (re, -im)
+                                    for n, (re, im) in self._c.items()},
+                         self.den)
+        return self._wrap({n: c.conjugate() for n, c in self._c.items()})
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._c == other._c and self.den == other.den
 
     __hash__ = None
 
     def evaluate(self, x0):
+        if self.den is not None:
+            return self.sum_at((x0,))
         acc = self.ctx.zero
-        for n, c in self.coeffs.items():
+        for n, c in self._c.items():
             acc = acc + c * x0 ** n
         return acc
 
+    def sum_at(self, points, power=0):
+        """Exact sum of x^power f(x) over rational points x, as a QQi.
+
+        With m = n + power running from lo to hi, x = u/v contributes
+        sum_n c_n u^(m-lo) v^(hi-m) times u^lo / v^hi: an int sum per
+        point, then one common denominator for all of them.
+        """
+        if not self._c:
+            return QQi(0, 0)
+        lo, hi = min(self._c) + power, max(self._c) + power
+        sums = []
+        for x in points:
+            u, v = Fraction(x).as_integer_ratio()
+            sr = si = 0
+            for n, (re, im) in self._c.items():
+                w = u ** (n + power - lo) * v ** (hi - n - power)
+                sr += re * w
+                si += im * w
+            # u^lo / v^hi as num / den; den is negative for some u < 0,
+            # and zero (a ZeroDivisionError below) at x = 0 with lo < 0
+            num, den = (u ** lo, v ** hi) if lo >= 0 else \
+                (v ** -lo, u ** -lo * v ** (hi - lo))
+            sums.append((sr * num, si * num, den))
+        lcm = math.lcm(*(d for *_, d in sums))
+        tr = ti = 0
+        for sr, si, d in sums:
+            m = lcm // d
+            tr += sr * m
+            ti += si * m
+        lcm *= self.den
+        return QQi(Fraction(tr, lcm), Fraction(ti, lcm))
+
     def max_abs(self):
         """Largest coefficient magnitude (double backend)."""
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return max((abs(c) for c in self._c.values()), default=0.0)
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for n in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[n]
+        for n in sorted(coeffs, reverse=True):
+            c = coeffs[n]
             body = str(c) if self.ctx.exact else repr(c)
             parts.append(f"({body}) x^{n}" if n else f"({body})")
         return " + ".join(parts)
@@ -128,8 +296,10 @@ def nabla(f, route="qnumber"):
     """q-derivative: x^n -> [n] x^(n-1), or the equivalent shift route."""
     ctx = f.ctx
     if route == "qnumber":
+        if f.den is not None:
+            return _rescale(f, ctx.qnum_pair, -1)
         out = {}
-        for n, c in f.coeffs.items():
+        for n, c in f._c.items():
             if n == 0:
                 continue
             r = out.get(n - 1, ctx.zero) + c * ctx.qnum(n)
@@ -140,7 +310,10 @@ def nabla(f, route="qnumber"):
         return f._wrap(out)
     if route == "shift":
         g = L_op(f, -1) - L_op(f, 1)
-        out = {n - 1: c * ctx.inv_lam for n, c in g.coeffs.items()}
+        if f.den is not None:
+            inv_lam = (ctx.inv_lam.numerator, ctx.inv_lam.denominator)
+            return _rescale(g, lambda n: inv_lam, -1)
+        out = {n - 1: c * ctx.inv_lam for n, c in g._c.items()}
         return f._wrap({n: c for n, c in out.items() if not ctx.is_zero(c)})
     raise ValueError(f"unknown route {route!r}")
 
@@ -148,19 +321,25 @@ def nabla(f, route="qnumber"):
 def L_op(f, power=1):
     """Scale map L^power: x^n -> q^(-power*n) x^n."""
     ctx = f.ctx
-    return f._wrap({n: c * ctx.qpow(-power * n) for n, c in f.coeffs.items()})
+    if f.den is not None:
+        return _rescale(f, lambda n: ctx.qpow_pair(-power * n))
+    return f._wrap({n: c * ctx.qpow(-power * n) for n, c in f._c.items()})
+
+
+def _inverse_qnum_pair(ctx, n):
+    num, den = ctx.qnum_pair(n)
+    return (den, num) if num > 0 else (-den, -num)
 
 
 def nabla_preimage(f):
     """Solve nabla(g) = f; raises NotInImage when x^-1 terms are present."""
     ctx = f.ctx
-    out = {}
-    for n, c in f.coeffs.items():
-        if n == -1:
-            raise NotInImage("x^-1 has no preimage under nabla")
-        out[n + 1] = c * (ctx.one / ctx.coerce(ctx.qnum(n + 1))
-                          if ctx.exact else 1.0 / ctx.qnum(n + 1))
-    return f._wrap(out)
+    if -1 in f._c:
+        raise NotInImage("x^-1 has no preimage under nabla")
+    if f.den is not None:
+        return _rescale(f, lambda n: _inverse_qnum_pair(ctx, n + 1), 1)
+    return f._wrap({n + 1: c * (1.0 / ctx.qnum(n + 1))
+                    for n, c in f._c.items()})
 
 
 # -- identity residuals (all must vanish identically) -----------------------

@@ -86,6 +86,10 @@ def definite_integral(h, lower_exp, upper_exp, sector=1):
             acc += (sector * ctx.qpow(n)) * h.value(sector, n)
         return ctx.lam * acc
     ctx = h.ctx
+    if ctx.exact:
+        sites = [sector * ctx.qpow(n)
+                 for n in _site_exponents(lower_exp, upper_exp)]
+        return ctx.coerce(ctx.lam) * h.sum_at(sites, power=1)
     acc = ctx.zero
     for n in _site_exponents(lower_exp, upper_exp):
         pt = sector * ctx.qpow(n)

@@ -86,7 +86,8 @@ def test_criterion_2_leibniz_morphism():
     _verdict("criterion 2 (Leibniz/morphism)", rows, dict.fromkeys((
         "product-rule-form1", "product-rule-form2", "comultiplication",
         "scale-morphism", "derivative-kernel", "x-inverse-not-in-image",
-        "preimage-round-trip"), EXACT))
+        "preimage-round-trip", "d-leibniz-A-b+1", "d-leibniz-A-b-1",
+        "d-leibniz-B-b+1", "d-leibniz-B-b-1", "d-squared"), EXACT))
 
 
 # -- 3: Jackson integration ---------------------------------------------------

@@ -1,12 +1,13 @@
 """Field calculus: nabla routes, scale map, Leibniz rules, one-forms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qcalc.batteries import rand_poly
-from qcalc.context import QContext
+from qcalc.context import QTABLE_SPAN, QContext
 from qcalc.fields import (
     LaurentPoly,
     NotInImage,
@@ -21,6 +22,7 @@ from qcalc.fields import (
     nabla_preimage,
     L_op,
 )
+from qcalc.integration import definite_integral
 from qcalc.scalars import QQi
 
 CTX = QContext(Fraction(3, 2))
@@ -155,3 +157,226 @@ def test_double_backend_matches_exact():
         assert set(ge.coeffs) == set(gd.coeffs)
         for n, c in ge.coeffs.items():
             assert abs(complex(c) - gd.coeffs[n]) < 1e-12 * max(1.0, abs(complex(c)))
+
+
+# -- reference: Fraction/QQi dicts ---------------------------------------------
+#
+# The exact backend stores Gaussian integers over one denominator.  The
+# reference below is the plain {n: QQi} form with Fraction arithmetic,
+# q-numbers from Fraction powers, and nothing shared with the storage.
+
+REF_QS = [Fraction(3, 2), Fraction(5, 3), Fraction(2)]
+
+
+def _ref(coeffs):
+    return {n: c for n, c in coeffs.items() if not c.is_zero()}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for n, c in b.items():
+        out[n] = out.get(n, QQi(0)) + c * sign
+    return _ref(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for n1, c1 in a.items():
+        for n2, c2 in b.items():
+            out[n1 + n2] = out.get(n1 + n2, QQi(0)) + c1 * c2
+    return _ref(out)
+
+
+def ref_qnum(q, n):
+    return (q ** n - q ** -n) / (q - 1 / q)
+
+
+def ref_nabla(q, a):
+    return _ref({n - 1: c * ref_qnum(q, n) for n, c in a.items()})
+
+
+def ref_L(q, a, power):
+    return _ref({n: c * q ** (-power * n) for n, c in a.items()})
+
+
+def ref_preimage(q, a):
+    return {n + 1: c * (1 / ref_qnum(q, n + 1)) for n, c in a.items()}
+
+
+def ref_evaluate(a, x0):
+    acc = QQi(0)
+    for n, c in a.items():
+        acc = acc + c * Fraction(x0) ** n
+    return acc
+
+
+def ref_definite_integral(q, a, lo, hi, sector):
+    acc = QQi(0)
+    for n in range(lo + 1, hi, 2):
+        pt = sector * q ** n
+        acc = acc + ref_evaluate(a, pt) * pt
+    return acc * (q - 1 / q)
+
+
+def rand_gauss(rng, max_terms=6, span=12):
+    """{n: QQi} with Gaussian-rational coefficients, denominators 1..7."""
+    return {rng.randrange(-span, span + 1):
+            QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)),
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)))
+            for _ in range(rng.randrange(1, max_terms + 1))}
+
+
+def _canonical(f):
+    parts = [p for pair in f._c.values() for p in pair]
+    return (all(re or im for re, im in f._c.values()) and f.den > 0
+            and math.gcd(f.den, *parts) == 1 and (f._c or f.den == 1))
+
+
+def _agrees(f, want):
+    """f holds the reference dict `want`, in canonical form."""
+    return (_canonical(f) and f.coeffs == _ref(want)
+            and f == LaurentPoly(f.ctx, want))
+
+
+def _ref_pairs(seed, count=40):
+    rng = random.Random(seed)
+    return [(rand_gauss(rng), rand_gauss(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_exact_q_pairs_match_fraction_powers(q):
+    ctx = QContext(q)
+    fact = Fraction(1)
+    for k in range(-40, 41):
+        for got, want in ((ctx.qpow_pair(k), q ** k),
+                          (ctx.qnum_pair(k), ref_qnum(q, k))):
+            num, den = got
+            assert den > 0 and math.gcd(num, den) == 1
+            assert Fraction(num, den) == want
+        assert ctx.qpow(k) == q ** k and ctx.qnum(k) == ref_qnum(q, k)
+        if k >= 1:
+            fact *= ref_qnum(q, k)
+            assert ctx.qfact(k) == QQi(fact)
+    assert ctx.qfact(0) == QQi(1)
+
+
+def test_exact_q_pair_table_is_bounded():
+    ctx = QContext(Fraction(5, 3))
+    for k in range(-3 * QTABLE_SPAN, 3 * QTABLE_SPAN):
+        assert Fraction(*ctx.qpow_pair(k)) == ctx.q ** k
+        ctx.qnum_pair(k)
+    assert len(ctx._pow) == 2 * QTABLE_SPAN + 1
+    assert len(ctx._qnum) == 2 * QTABLE_SPAN
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_ring_ops_match_reference(q):
+    ctx = QContext(q)
+    for a, b in _ref_pairs(101):
+        f, g = LaurentPoly(ctx, a), LaurentPoly(ctx, b)
+        assert _agrees(f, a)
+        assert _agrees(f + g, ref_add(a, b))
+        assert _agrees(f - g, ref_add(a, b, -1))
+        assert _agrees(-f, ref_add({}, a, -1))
+        assert _agrees(f * g, ref_mul(a, b))
+        assert _agrees(f.conj(), {n: c.conj() for n, c in a.items()})
+        assert _agrees(f.scale(QQi(Fraction(2, 7), -3)),
+                       {n: c * QQi(Fraction(2, 7), -3) for n, c in a.items()})
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_derivative_and_scale_map_match_reference(q):
+    ctx = QContext(q)
+    for a, _ in _ref_pairs(103):
+        f = LaurentPoly(ctx, a)
+        want = ref_nabla(q, a)
+        assert _agrees(nabla(f, "qnumber"), want)
+        assert _agrees(nabla(f, "shift"), want)
+        for power in (1, -1, 2, -2):
+            assert _agrees(L_op(f, power), ref_L(q, a, power))
+        image = {n: c for n, c in a.items() if n != -1}
+        assert _agrees(nabla_preimage(LaurentPoly(ctx, image)),
+                       ref_preimage(q, image))
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_evaluate_and_integral_match_reference(q):
+    ctx = QContext(q)
+    rng = random.Random(107)
+    for a, _ in _ref_pairs(107, count=25):
+        f = LaurentPoly(ctx, a)
+        for x0 in (Fraction(7, 3), Fraction(-5, 4), q, -1 / q, 1):
+            got = f.evaluate(x0)
+            assert isinstance(got, QQi) and got == ref_evaluate(a, x0)
+        lo = rng.randrange(-6, 3)
+        hi = lo + 2 * rng.randrange(1, 5)
+        sector = rng.choice((1, -1))
+        assert definite_integral(f, lo, hi, sector) \
+            == ref_definite_integral(q, a, lo, hi, sector)
+
+
+def test_evaluate_at_zero():
+    f = LaurentPoly(CTX, {0: QQi(Fraction(1, 3), 2), 3: 5})
+    assert f.evaluate(0) == QQi(Fraction(1, 3), 2)
+    assert LaurentPoly.zero(CTX).evaluate(0) == QQi(0)
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly(CTX, {-2: 1}).evaluate(Fraction(0))
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_results_that_cancel_are_the_canonical_zero(q):
+    ctx = QContext(q)
+    zero = LaurentPoly.zero(ctx)
+    assert zero.den == 1 and not zero._c
+    for a, b in _ref_pairs(109, count=20):
+        f, g = LaurentPoly(ctx, a), LaurentPoly(ctx, b)
+        for z in (f - f, f + (-f), f * g - g * f,
+                  L_op(L_op(f, 2), -2) - f,
+                  nabla(f, "shift") - nabla(f),
+                  f * zero, f.scale(0), zero.conj()):
+            assert z.is_zero() and z == zero and z.den == 1 and not z._c
+    # one denominator cancels against another: 1/6 x - 2/12 x = 0
+    f = LaurentPoly(ctx, {1: Fraction(1, 6), 2: QQi(0, Fraction(1, 4))})
+    g = LaurentPoly(ctx, {1: Fraction(2, 12), 2: QQi(0, Fraction(-3, 4))})
+    assert (f - g) == LaurentPoly(ctx, {2: QQi(0, Fraction(1, 1))})
+    assert (f - g).den == 1
+
+
+@pytest.mark.parametrize("q", REF_QS, ids=str)
+def test_equal_values_by_different_routes_compare_equal(q):
+    ctx = QContext(q)
+    for a, b in _ref_pairs(113, count=20):
+        f, g = LaurentPoly(ctx, a), LaurentPoly(ctx, b)
+        h = LaurentPoly(ctx, a) - g
+        assert (f + g) * h == f * h + g * h
+        assert L_op(f * g, 1) == L_op(f, 1) * L_op(g, 1)
+        assert L_op(f, 2) == L_op(L_op(f, 1), 1)
+        assert L_op(nabla(f), 1) == nabla(L_op(f, 1)).scale(q)
+        assert f.scale(Fraction(1, 6)) + f.scale(Fraction(1, 3)) \
+            == f.scale(Fraction(1, 2))
+    # 1/6 + 1/3 reduces to 1/2 over denominator 2
+    half = LaurentPoly(ctx, {0: Fraction(1, 6)}) \
+        + LaurentPoly(ctx, {0: Fraction(1, 3)})
+    assert half.den == 2 and half == LaurentPoly(ctx, {0: Fraction(1, 2)})
+
+
+def test_values_that_differ_compare_unequal():
+    # same integer parts over different denominators, and vice versa
+    assert LaurentPoly(CTX, {1: Fraction(1, 2)}) != LaurentPoly(CTX, {1: 1})
+    assert LaurentPoly(CTX, {1: QQi(1, 1)}) != LaurentPoly(CTX, {1: 1})
+    assert LaurentPoly(CTX, {1: 1}) != LaurentPoly(CTX, {2: 1})
+    f = LaurentPoly(CTX, {3: QQi(Fraction(2, 3), 1)})
+    assert f.scale(2) != f and L_op(f, 1) != f
+
+
+def test_coeffs_view_has_int_parts_and_is_a_copy():
+    f = LaurentPoly(CTX, {2: QQi(Fraction(4, 2), 3), -1: QQi(Fraction(1, 2))})
+    view = f.coeffs
+    assert type(view[2].re) is int and type(view[2].im) is int
+    assert view[-1] == QQi(Fraction(1, 2)) and type(view[-1].im) is int
+    assert view == {2: QQi(2, 3), -1: QQi(Fraction(1, 2))}
+    before = LaurentPoly(CTX, view)
+    view[5] = QQi(7)
+    del view[2]
+    assert f == before and f.coeffs == {2: QQi(2, 3), -1: QQi(Fraction(1, 2))}
+    assert type((f * f).coeffs[4].re) is int
