@@ -169,18 +169,16 @@ def rand_seq(rng, ctx, k_lo=-40, k_hi=40, family="even", center=2):
 
 
 def eigen_packet(rep, H, rng, e_cut=0.5, per_sector=4):
-    c = {}
-    for s in rep.grid.sectors:
-        evals, evecs = H.eig(s)
+    c = np.zeros((len(rep.grid.sectors), rep.grid.size), dtype=complex)
+    # sector by sector, so the draws keep their order
+    for v, evals, evecs in zip(c, *H.eigh()):
         idx = [i for i in range(len(evals)) if evals[i] < e_cut][:per_sector]
         if not idx:
             raise ConfigError("energy cut leaves no modes in the window")
-        v = np.zeros(rep.grid.size, dtype=complex)
         for i in idx:
             v += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * evecs[:, i]
-        c[s] = v
-    total = math.sqrt(sum(np.vdot(v, v).real for v in c.values()))
-    return rep.lattice_fn({s: v / total for s, v in c.items()})
+    total = math.sqrt(sum(np.vdot(v, v).real for v in c))
+    return rep.lattice_fn(c / total)
 
 
 # -- verify-algebra -----------------------------------------------------------
@@ -444,14 +442,11 @@ def special_tables(ctx, params):
     for f, fac in ((cos_f, 1.0 / q), (sin_f, q)):
         lhs = f.nabla2_fn()
         rhs = f.scale(-y * y * ctx.inv_lam ** 2 * fac)
-        lo, hi = lhs.valid_window()
-        for s in grid.sectors:
-            for n in range(lo, hi + 1):
-                a = lhs.value(s, n)
-                b = rhs.value(s, n, require_valid=False)
-                if abs(a) < 1e-200 and abs(b) < 1e-200:
-                    continue
-                eig.append(abs(a - b) / max(abs(a), abs(b)))
+        cols = lhs.valid_slice()
+        for a, b in zip(lhs.data[:, cols].ravel(), rhs.data[:, cols].ravel()):
+            if abs(a) < 1e-200 and abs(b) < 1e-200:
+                continue
+            eig.append(abs(a - b) / max(abs(a), abs(b)))
     rows.append(row("eigenvalue-relation", worst(eig), 1e-9))
 
     # Gram matrix of both kernels over |k| <= 60
@@ -544,13 +539,14 @@ def spectrum(ctx, params):
     lines = ["family,label,n,energy,residual"]
     resids = []
     sl = rep.interior(2)
+    plus = rep.grid.row(1)
     for fam in ("C", "S"):
         for lab in ("2n+1", "2n"):
             for n in range(n_max):
                 psi, e = stationary_state(rep, fam, lab, n, 1, mass)
-                c = rep.coeffs(psi)
-                r = H.matrices[1] @ c[1] - e * c[1]
-                denom = np.max(np.abs(e * c[1][sl]))
+                c = rep.coords(psi)[plus]
+                r = H.dense[plus] @ c - e * c
+                denom = np.max(np.abs(e * c[sl]))
                 resid = float(np.max(np.abs(r[sl])) / denom)
                 resids.append(resid)
                 lines.append(f"{fam},{lab},{n},{repr(float(e))},"
@@ -575,8 +571,8 @@ def evolve(ctx, params):
     result = experiment_from_json(json.dumps(exp))
     H = result["hamiltonian"]
     rep = result["rep"]
-    c0 = rep.coeffs(result["initial"])
-    cT = rep.coeffs(result["final"].psi)
+    c0 = rep.coords(result["initial"])
+    cT = rep.coords(result["final"].psi)
     rows = [row("norm-drift", result["norm_drift"], 1e-8),
             row("energy-drift", abs(H.energy(cT) - H.energy(c0)), 1e-8)]
 
@@ -602,7 +598,7 @@ def evolve(ctx, params):
                           steps=37)
     pc, _ = stationary_state(rep, "C", "2n+1", 0, 1, mass)
     ps, _ = stationary_state(rep, "S", "2n+1", 0, 1, mass)
-    mix = rep.lattice_fn(H.band_limit(rep.coeffs(pc + ps.scale(0.7j)), 5.0))
+    mix = rep.lattice_fn(H.band_limit(rep.coords(pc + ps.scale(0.7j)), 5.0))
     mixed = evolve_state(EvolutionState(mix), H, 0.37)
     rows.append(row("continuity", worst(
         continuity_residual(state.psi, H, dt=dt) for state in (packet, mixed)),

@@ -107,7 +107,7 @@ def _print_integral(given):
     val = definite_integral(_parse_poly(ctx, params["poly"]), lo, hi,
                             sector=params["sector"])
     if ctx.exact:
-        print(val if val.im != 0 else val.re)
+        print(val)
     else:
         print(f"{val.real:g}" if abs(val.imag) < 1e-30 else f"{val:g}")
     return 0

@@ -58,30 +58,31 @@ def _div(f, g):
     """
     if f.grid != g.grid:
         raise GridMismatch("operands live on different grids")
-    out = {}
-    for s in f.grid.sectors:
-        fv, gv = f.values[s], g.values[s]
-        res = np.zeros(f.grid.size, dtype=complex)
-        mask = gv != 0
-        res[mask] = fv[mask] / gv[mask]
-        res[mask & (fv == gv)] = 1.0
-        out[s] = res
-    return LatticeFn(f.grid, out,
+    fv, gv = f.data, g.data
+    res = np.zeros(fv.shape, dtype=complex)
+    mask = gv != 0
+    res[mask] = fv[mask] / gv[mask]
+    res[mask & (fv == gv)] = 1.0
+    return LatticeFn(f.grid, res,
                      max(f.pad_lo, g.pad_lo), max(f.pad_hi, g.pad_hi))
 
 
+def _over_lam_x(f):
+    """x^-1 f / lam: the difference of two shifts made a derivative."""
+    return f.x_multiply(-1).scale(f.grid.ctx.inv_lam)
+
+
 def _check_invertible(e):
-    lo, hi = e.valid_window()
-    i0, i1 = e.grid.index(lo), e.grid.index(hi)
-    for s in e.grid.sectors:
-        smallest = float(np.min(np.abs(e.values[s][i0:i1 + 1])))
-        # np.min propagates NaN, and a NaN modulus is no invertible einbein
-        if np.isnan(smallest) or smallest < SINGULAR_FLOOR:
-            raise SingularEinbein(f"einbein modulus {smallest} below floor")
+    # per sector; np.min propagates NaN, and NaN is no invertible modulus
+    smallest = np.min(np.abs(e.data[:, e.valid_slice()]), axis=1)
+    bad = np.isnan(smallest) | (smallest < SINGULAR_FLOOR)
+    if bad.any():
+        raise SingularEinbein(
+            f"einbein modulus {float(smallest[bad.argmax()])} below floor")
 
 
 def unit_einbein(grid):
-    return LatticeFn(grid, {s: np.ones(grid.size) for s in grid.sectors})
+    return LatticeFn(grid, np.ones((len(grid.sectors), grid.size)))
 
 
 def dual_einbein(e):
@@ -93,9 +94,8 @@ def dual_einbein(e):
 def phase_field(alpha, sign=1):
     """e^(i sign alpha); only the real part of alpha enters, keeping
     the modulus exactly one at every site."""
-    out = {s: np.exp(1j * sign * alpha.values[s].real)
-           for s in alpha.grid.sectors}
-    return LatticeFn(alpha.grid, out, alpha.pad_lo, alpha.pad_hi)
+    return LatticeFn(alpha.grid, np.exp(1j * sign * alpha.data.real),
+                     alpha.pad_lo, alpha.pad_hi)
 
 
 # -- covariant operators ----------------------------------------------------------
@@ -116,15 +116,11 @@ def covariant_derivative(e, psi, route="both", route_tol=1e-12):
     E nabla + x^-1 (E - Et) L / lam and demands they agree; "shift"
     and "expanded" pick one evaluation unchecked.
     """
-    ctx = e.grid.ctx
     et = dual_einbein(e)
-    shift = ((covariant_shift_inv(e, psi) - et * psi.L_shift(1))
-             .x_multiply(-1).scale(ctx.inv_lam))
+    shift = _over_lam_x(covariant_shift_inv(e, psi) - et * psi.L_shift(1))
     if route == "shift":
         return shift
-    expanded = (e * psi.nabla_fn()
-                + ((e - et) * psi.L_shift(1))
-                .x_multiply(-1).scale(ctx.inv_lam))
+    expanded = e * psi.nabla_fn() + _over_lam_x((e - et) * psi.L_shift(1))
     if route == "expanded":
         return expanded
     gap = (shift - expanded).max_abs_interior()
@@ -135,26 +131,21 @@ def covariant_derivative(e, psi, route="both", route_tol=1e-12):
 
 def connection_field(e):
     """Coefficient of L in the connection: x^-1 (1 - Et/E) / lam."""
-    ratio = _div(dual_einbein(e), e)
-    return ((unit_einbein(e.grid) - ratio)
-            .x_multiply(-1).scale(e.grid.ctx.inv_lam))
+    return _over_lam_x(unit_einbein(e.grid) - _div(dual_einbein(e), e))
 
 
 def einbein_shift(e, h):
     """Transport of a field h that transforms like E: L(h/E) * E."""
-    u = _div(h, e)
-    return u.L_shift(1) * e
+    return _div(h, e).L_shift(1) * e
 
 
 def einbein_shift_inv(e, h):
-    u = _div(h, e)
-    return e * u.L_shift(-1)
+    return e * _div(h, e).L_shift(-1)
 
 
 def einbein_derivative(e, h):
     """D on einbein-like fields; equals E nabla(h/E), so D E = 0 exactly."""
-    diff = einbein_shift_inv(e, h) - einbein_shift(e, h)
-    return diff.x_multiply(-1).scale(e.grid.ctx.inv_lam)
+    return _over_lam_x(einbein_shift_inv(e, h) - einbein_shift(e, h))
 
 
 # -- gauge transformations ----------------------------------------------------------
@@ -176,9 +167,7 @@ def transform_connection(phi, alpha):
 
 def transform_omega(omega, alpha_before, alpha_after, dt):
     """Time connection law at the slice the alpha pair straddles."""
-    mid = LatticeFn(omega.grid, {
-        s: 0.5 * (alpha_before.values[s] + alpha_after.values[s])
-        for s in omega.grid.sectors})
+    mid = LatticeFn(omega.grid, 0.5 * (alpha_before.data + alpha_after.data))
     dconj = (phase_field(alpha_after, -1)
              - phase_field(alpha_before, -1)).scale(1.0 / (2.0 * dt))
     return omega + phase_field(mid) * dconj
@@ -315,10 +304,9 @@ def coupling_linearity_ratio(e_base, psi, g):
 
 
 def random_field(rng, grid, scale=1.0):
-    out = {s: scale * (rng.uniform(-1, 1, grid.size)
-                       + 1j * rng.uniform(-1, 1, grid.size))
-           for s in grid.sectors}
-    return LatticeFn(grid, out)
+    """Uniform parts in [-scale, scale), drawn per sector, real part first."""
+    u = rng.uniform(-1, 1, (len(grid.sectors), 2, grid.size))
+    return LatticeFn(grid, scale * (u[:, 0] + 1j * u[:, 1]))
 
 
 def random_einbein(rng, grid, amplitude=0.3):
@@ -328,9 +316,8 @@ def random_einbein(rng, grid, amplitude=0.3):
 
 
 def random_phase(rng, grid, amplitude=1.0):
-    out = {s: rng.uniform(-amplitude, amplitude, grid.size)
-           for s in grid.sectors}
-    return LatticeFn(grid, out)
+    return LatticeFn(grid, rng.uniform(-amplitude, amplitude,
+                                       (len(grid.sectors), grid.size)))
 
 
 def einbein_path(rng, grid, amplitude=0.2, frequency=0.3):
@@ -345,15 +332,12 @@ def einbein_path(rng, grid, amplitude=0.2, frequency=0.3):
     th2 = random_phase(rng, grid, np.pi)
 
     def at(t):
-        vals = {}
-        for s in grid.sectors:
-            vals[s] = (1.0
-                       + amplitude * np.sin(frequency * t + th1.values[s].real)
-                       * w1.values[s].real
-                       + 1j * amplitude
-                       * np.cos(frequency * t + th2.values[s].real)
-                       * w2.values[s].real)
-        return LatticeFn(grid, vals)
+        return LatticeFn(grid, 1.0
+                         + amplitude * np.sin(frequency * t + th1.data.real)
+                         * w1.data.real
+                         + 1j * amplitude
+                         * np.cos(frequency * t + th2.data.real)
+                         * w2.data.real)
 
     return at
 
@@ -364,11 +348,8 @@ def field_path(rng, grid, frequency=0.5):
     th = random_phase(rng, grid, np.pi)
 
     def at(t):
-        vals = {}
-        for s in grid.sectors:
-            ph = frequency * t + th.values[s].real
-            vals[s] = u.values[s] * np.cos(ph) + v.values[s] * np.sin(ph)
-        return LatticeFn(grid, vals)
+        ph = frequency * t + th.data.real
+        return LatticeFn(grid, u.data * np.cos(ph) + v.data * np.sin(ph))
 
     return at
 

@@ -1,10 +1,18 @@
 """Sampled fields and stencil operators on the q-lattice x = sigma q^n.
 
 A LatticeFn stores complex values on a finite exponent window for one or
-both sign sectors.  The scale map and the derivative are index shifts:
+both sign sectors as one array `data` of shape (sectors, size): row k
+holds grid.sectors[k] and column i the exponent n_min + i, the layout a
+Stencil uses for its diagonals.  sector(s) is the row view of sector s.
+The scale map and the derivative are shifts along the last axis:
 
     (L^k f)(sigma q^n)   = f(sigma q^(n-k))
     (nabla f)(sigma q^n) = [f(sigma q^(n+1)) - f(sigma q^(n-1))] / (lam sigma q^n)
+
+The site factors q^n, x = sigma q^n, lam x and x^power are computed once
+per grid, each site from ctx.qpow(n) and a Python float power, so they
+round as the per-site formulas do (numpy's vectorised power differs in
+the last bit at some sites).
 
 A shift cannot see past the window edge, so functions carry a count of
 invalid layers at each end (pad_lo, pad_hi); shifted-in sites hold zero
@@ -17,6 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping
+from functools import partialmethod
 
 import numpy as np
 
@@ -53,7 +63,12 @@ class InsufficientPadding(Exception):
 
 
 class LatticeGrid:
-    __slots__ = ("ctx", "n_min", "n_max", "sectors")
+    """Exponent window [n_min, n_max] on the given sign sectors, with
+    qpows = ctx.qpow(n), points = sigma q^n and lam_x = lam sigma q^n;
+    as sigma = +-1, each equals its scalar formula exactly."""
+
+    __slots__ = ("ctx", "n_min", "n_max", "sectors", "qpows", "points",
+                 "lam_x", "_x_powers")
 
     def __init__(self, ctx, n_min, n_max, sectors=(1, -1)):
         if n_min >= n_max:
@@ -65,6 +80,10 @@ class LatticeGrid:
         self.n_min = n_min
         self.n_max = n_max
         self.sectors = sectors
+        self.qpows = np.array([ctx.qpow(n) for n in self.exponents()])
+        self.points = np.outer(sectors, self.qpows)
+        self.lam_x = ctx.lam * self.points
+        self._x_powers = {}
 
     @property
     def size(self):
@@ -78,8 +97,33 @@ class LatticeGrid:
             raise IndexError(f"exponent {n} outside [{self.n_min}, {self.n_max}]")
         return n - self.n_min
 
+    def row(self, sigma):
+        """Row of sector sigma in a sector-stacked array."""
+        if sigma not in self.sectors:
+            raise KeyError(f"sector {sigma} not carried by this grid")
+        return self.sectors.index(sigma)
+
+    def stack(self, values):
+        """values as a new (sectors, size) complex array: either array-like
+        in row order or a {sector: row} mapping, absent sectors zero."""
+        if isinstance(values, Mapping):
+            values = [values.get(s, np.zeros(self.size)) for s in self.sectors]
+        out = np.array(values, dtype=complex)
+        if out.shape != (len(self.sectors), self.size):
+            raise ValueError("value array does not match the grid")
+        return out
+
     def point(self, sigma, n):
         return sigma * self.ctx.qpow(n)
+
+    def x_power(self, power):
+        """x^power, built once per power; a float power of a negative base
+        is its modulus' power signed, so this is point(sigma, n) ** power."""
+        if power not in self._x_powers:
+            mod = [v ** power for v in self.qpows.tolist()]
+            self._x_powers[power] = np.outer(
+                np.array(self.sectors) ** (power % 2), mod).astype(complex)
+        return self._x_powers[power]
 
     def __eq__(self, other):
         if not isinstance(other, LatticeGrid):
@@ -94,21 +138,30 @@ class LatticeGrid:
                 f"sectors={self.sectors})")
 
 
+class SectorRows(Mapping):
+    """{sector: row} view of a sector-stacked array."""
+
+    def __init__(self, grid, rows):
+        self.grid = grid
+        self.rows = rows
+
+    def __getitem__(self, sigma):
+        return self.rows[self.grid.row(sigma)]
+
+    def __iter__(self):
+        return iter(self.grid.sectors)
+
+    def __len__(self):
+        return len(self.grid.sectors)
+
+
 class LatticeFn:
-    __slots__ = ("grid", "values", "pad_lo", "pad_hi")
+    __slots__ = ("grid", "data", "pad_lo", "pad_hi")
 
     def __init__(self, grid, values=None, pad_lo=0, pad_hi=0):
+        """values: rows in grid order or {sector: row}; zero if omitted."""
         self.grid = grid
-        self.values = {}
-        for s in grid.sectors:
-            v = None if values is None else values.get(s)
-            if v is None:
-                self.values[s] = np.zeros(grid.size, dtype=complex)
-            else:
-                arr = np.asarray(v, dtype=complex)
-                if arr.shape != (grid.size,):
-                    raise ValueError("value array does not match the grid")
-                self.values[s] = arr.copy()
+        self.data = grid.stack({} if values is None else values)
         self.pad_lo = pad_lo
         self.pad_hi = pad_hi
 
@@ -120,119 +173,90 @@ class LatticeFn:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        vals = {}
-        for s in grid.sectors:
-            vals[s] = np.array([fn(grid.point(s, n)) for n in grid.exponents()],
-                               dtype=complex)
-        return cls(grid, vals)
+        vals = [fn(v) for v in grid.points.ravel().tolist()]
+        return cls(grid, np.reshape(vals, grid.points.shape))
 
     @classmethod
     def from_sites(cls, grid, sites):
         """sites: map (sigma, n) -> value; elsewhere zero."""
         f = cls(grid)
         for (s, n), v in sites.items():
-            f.values[s][grid.index(n)] = v
+            f.sector(s)[grid.index(n)] = v
         return f
 
     def copy(self):
-        return LatticeFn(self.grid, self.values, self.pad_lo, self.pad_hi)
+        return LatticeFn(self.grid, self.data, self.pad_lo, self.pad_hi)
 
     # -- site access ----------------------------------------------------------
+
+    def sector(self, sigma):
+        """Row view of sector sigma."""
+        return self.data[self.grid.row(sigma)]
 
     def valid_window(self):
         return (self.grid.n_min + self.pad_lo, self.grid.n_max - self.pad_hi)
 
-    def is_valid(self, n):
-        lo, hi = self.valid_window()
-        return lo <= n <= hi
+    def valid_slice(self):
+        """Column slice of the valid window."""
+        return slice(self.pad_lo, self.grid.size - self.pad_hi)
 
     def value(self, sigma, n, require_valid=True):
-        if require_valid and not self.is_valid(n):
+        lo, hi = self.valid_window()
+        if require_valid and not lo <= n <= hi:
             raise InsufficientPadding(
                 f"site n={n} is inside the invalid boundary layer")
-        return self.values[sigma][self.grid.index(n)]
+        return self.data[self.grid.row(sigma), self.grid.index(n)]
 
     # -- pointwise algebra ----------------------------------------------------
 
-    def _check(self, other):
-        if self.grid != other.grid:
-            raise GridMismatch("operands live on different grids")
-
-    def _wrap(self, values, pad_lo, pad_hi):
+    def _wrap(self, data, pad_lo=None, pad_hi=None):
+        """A function on this grid holding data; pads default to ours."""
         f = LatticeFn.__new__(LatticeFn)
         f.grid = self.grid
-        f.values = values
-        f.pad_lo = pad_lo
-        f.pad_hi = pad_hi
+        f.data = data
+        f.pad_lo = self.pad_lo if pad_lo is None else pad_lo
+        f.pad_hi = self.pad_hi if pad_hi is None else pad_hi
         return f
 
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap({s: self.values[s] + other.values[s]
-                           for s in self.grid.sectors},
+    def _pointwise(self, op, other):
+        """op(self, other) site by site, on a common grid."""
+        if self.grid != other.grid:
+            raise GridMismatch("operands live on different grids")
+        return self._wrap(op(self.data, other.data),
                           max(self.pad_lo, other.pad_lo),
                           max(self.pad_hi, other.pad_hi))
 
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap({s: self.values[s] - other.values[s]
-                           for s in self.grid.sectors},
-                          max(self.pad_lo, other.pad_lo),
-                          max(self.pad_hi, other.pad_hi))
+    __add__ = partialmethod(_pointwise, np.add)
+    __sub__ = partialmethod(_pointwise, np.subtract)
+    __mul__ = partialmethod(_pointwise, np.multiply)
 
     def __neg__(self):
-        return self._wrap({s: -self.values[s] for s in self.grid.sectors},
-                          self.pad_lo, self.pad_hi)
-
-    def __mul__(self, other):
-        """Pointwise product with another LatticeFn."""
-        self._check(other)
-        return self._wrap({s: self.values[s] * other.values[s]
-                           for s in self.grid.sectors},
-                          max(self.pad_lo, other.pad_lo),
-                          max(self.pad_hi, other.pad_hi))
+        return self._wrap(-self.data)
 
     def scale(self, v):
-        return self._wrap({s: self.values[s] * complex(v)
-                           for s in self.grid.sectors},
-                          self.pad_lo, self.pad_hi)
+        return self._wrap(self.data * complex(v))
 
     def conj(self):
-        return self._wrap({s: np.conj(self.values[s])
-                           for s in self.grid.sectors},
-                          self.pad_lo, self.pad_hi)
+        return self._wrap(np.conj(self.data))
 
     def x_multiply(self, power=1):
         """Multiply by x^power pointwise (x = sigma q^n)."""
-        out = {}
-        for s in self.grid.sectors:
-            pts = np.array([self.grid.point(s, n) ** power
-                            for n in self.grid.exponents()], dtype=complex)
-            out[s] = self.values[s] * pts
-        return self._wrap(out, self.pad_lo, self.pad_hi)
+        return self._wrap(self.data * self.grid.x_power(power))
 
     # -- shifts and derivatives ------------------------------------------------
 
     def L_shift(self, k=1):
         """(L^k f)(sigma q^n) = f(sigma q^(n-k))."""
-        out = {s: _shift_sites(self.values[s], k) for s in self.grid.sectors}
-        pad_lo = self.pad_lo + max(k, 0)
-        pad_hi = self.pad_hi + max(-k, 0)
-        return self._wrap(out, pad_lo, pad_hi)
+        return self._wrap(_shift_sites(self.data, k),
+                          self.pad_lo + max(k, 0), self.pad_hi + max(-k, 0))
 
     def nabla_fn(self):
         """Two-neighbor difference quotient; widens both pads by one."""
-        lam = self.grid.ctx.lam
-        out = {}
-        for s in self.grid.sectors:
-            v = self.values[s]
-            d = np.zeros(self.grid.size, dtype=complex)
-            d[1:-1] = v[2:] - v[:-2]
-            pts = np.array([lam * s * self.grid.ctx.qpow(n)
-                            for n in self.grid.exponents()])
-            d = d / pts
-            out[s] = d
-        return self._wrap(out, self.pad_lo + 1, self.pad_hi + 1)
+        v = self.data
+        d = np.zeros(v.shape, dtype=complex)
+        d[:, 1:-1] = v[:, 2:] - v[:, :-2]
+        return self._wrap(d / self.grid.lam_x,
+                          self.pad_lo + 1, self.pad_hi + 1)
 
     def nabla2_fn(self):
         return self.nabla_fn().nabla_fn()
@@ -240,13 +264,13 @@ class LatticeFn:
     # -- diagnostics ---------------------------------------------------------
 
     def max_abs_interior(self, extra_margin=0):
+        """Largest |value| inside the valid window; NaN if any is NaN."""
         lo, hi = self.valid_window()
         lo, hi = lo + extra_margin, hi - extra_margin
         if lo > hi:
             raise InsufficientPadding("no interior sites remain")
         i0, i1 = self.grid.index(lo), self.grid.index(hi)
-        return worst(np.max(np.abs(self.values[s][i0:i1 + 1]))
-                     for s in self.grid.sectors)
+        return float(np.max(np.abs(self.data[:, i0:i1 + 1])))
 
     def __repr__(self):
         lo, hi = self.valid_window()
@@ -319,15 +343,15 @@ class Stencil:
         return Stencil(self.grid, {-c: np.conj(_shift_sites(d, -c))
                                    for c, d in self.diags.items()})
 
-    def dense(self, s):
-        """The size x size matrix of sector s."""
-        k = self.grid.sectors.index(s)
+    def dense(self, s=None):
+        """Sector s's size x size matrix; all sectors stacked if s is None."""
         n = self.grid.size
-        m = np.zeros((n, n), dtype=complex)
+        m = np.zeros((len(self.grid.sectors), n, n), dtype=complex)
         for c, d in self.diags.items():
             if abs(c) < n:
-                m += np.diag(d[k, max(c, 0):n + min(c, 0)], -c)
-        return m
+                i = np.arange(max(c, 0), n + min(c, 0))
+                m[:, i, i - c] += d[:, i]
+        return m if s is None else m[self.grid.row(s)]
 
     def max_abs(self, margin=0):
         """Largest |entry| whose row and column both sit margin sites or
@@ -350,10 +374,11 @@ def to_csv(fn, stream=None):
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["sigma", "n", "re", "im"])
     lo, hi = fn.valid_window()
-    for s in fn.grid.sectors:
-        for n in range(lo, hi + 1):
-            v = fn.values[s][fn.grid.index(n)]
-            w.writerow([s, n, repr(float(v.real)), repr(float(v.imag))])
+    block = fn.data[:, fn.valid_slice()]
+    for s, re, im in zip(fn.grid.sectors, block.real.tolist(),
+                         block.imag.tolist()):
+        w.writerows([s, n, repr(a), repr(b)]
+                    for n, a, b in zip(range(lo, hi + 1), re, im))
     return stream.getvalue() if own else None
 
 
@@ -376,16 +401,14 @@ def from_csv(ctx, text_or_stream):
 
 def to_json(fn):
     lo, hi = fn.valid_window()
+    block = fn.data[:, fn.valid_slice()]
     doc = {
         "q": float(fn.grid.ctx.q),
         "n_min": lo,
         "n_max": hi,
         "sectors": list(fn.grid.sectors),
-        "values": {
-            str(s): [[float(v.real), float(v.imag)]
-                     for v in fn.values[s][fn.grid.index(lo):fn.grid.index(hi) + 1]]
-            for s in fn.grid.sectors
-        },
+        "values": {str(s): np.stack([row.real, row.imag], -1).tolist()
+                   for s, row in zip(fn.grid.sectors, block)},
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -394,8 +417,5 @@ def from_json(ctx, text):
     doc = json.loads(text)
     grid = LatticeGrid(ctx, doc["n_min"], doc["n_max"],
                        tuple(doc["sectors"]))
-    vals = {}
-    for s in grid.sectors:
-        vals[s] = np.array([complex(re, im) for re, im in doc["values"][str(s)]],
-                           dtype=complex)
-    return LatticeFn(grid, vals)
+    return LatticeFn(grid, {s: [complex(re, im) for re, im in
+                                doc["values"][str(s)]] for s in grid.sectors})

@@ -160,20 +160,13 @@ class LadderPair:
         """a fn as a lattice function, padding damage tracked."""
         return self._apply(self.a, fn, *self.lower_pads)
 
-    def _stacked(self, fn):
-        if fn.grid != self.rep.grid:
-            raise ValueError("function lives on a different grid")
-        c = self.rep.coeffs(fn)
-        return np.array([c[s] for s in self.rep.grid.sectors])
-
     def _apply(self, op, fn, pad_lo, pad_hi):
-        out = op @ self._stacked(fn)
-        return self.rep.lattice_fn(dict(zip(self.rep.grid.sectors, out)),
+        return self.rep.lattice_fn(op @ self.rep.coords(fn),
                                    fn.pad_lo + pad_lo, fn.pad_hi + pad_hi)
 
     def lowering_defect(self, fn):
         """L2 ratio |a fn| / |fn| over the undamaged rows."""
-        c = self._stacked(fn)
+        c = self.rep.coords(fn)
         lo = fn.pad_lo + self.lower_pads[0]
         hi = self.rep.grid.size - fn.pad_hi - self.lower_pads[1]
         num = float(np.sum(np.abs((self.a @ c)[:, lo:hi]) ** 2))
@@ -219,26 +212,23 @@ def ground_state(pair, decay_tol=1e-3):
     rep = pair.rep
     ctx = rep.ctx
     grid = rep.grid
-    sf = SpecialFunctions(ctx)
     r = pair.alpha / pair.beta
     lam = ctx.lam
-    vals = {}
-    for s in grid.sectors:
-        v = np.zeros(grid.size, dtype=complex)
-        for anchor in (0, 1):
-            n = grid.n_min + anchor
-            z = -1j * lam * r * (s * ctx.qpow(n)) * ctx.qpow(-2)
-            v[anchor] = sf.q_exp(z)
-        for i in range(grid.size - 2):
-            n = grid.n_min + i
-            v[i + 2] = v[i] / (1.0 + 1j * s * lam * r * ctx.qpow(n))
-        peak = float(np.max(np.abs(v)))
-        top = float(np.max(np.abs(v[-2:])))
-        if top > decay_tol * peak:
-            raise NoDecay(
-                f"top-edge amplitude {top:.3e} vs peak {peak:.3e} in sector {s}")
-        vals[s] = v
-    psi = LatticeFn(grid, vals)
+    x = grid.points
+    v = np.zeros(x.shape, dtype=complex)
+    v[:, :2] = np.reshape([rep.sf.q_exp(-1j * lam * r * p * ctx.qpow(-2))
+                           for p in x[:, :2].ravel().tolist()], (-1, 2))
+    ratio = 1.0 + 1j * np.array(grid.sectors)[:, None] * lam * r * grid.qpows
+    for i in range(grid.size - 2):
+        v[:, i + 2] = v[:, i] / ratio[:, i]
+    peak = np.max(np.abs(v), axis=1)
+    top = np.max(np.abs(v[:, -2:]), axis=1)
+    stuck = top > decay_tol * peak
+    if stuck.any():
+        k = stuck.argmax()
+        raise NoDecay(f"top-edge amplitude {top[k]:.3e} vs peak {peak[k]:.3e} "
+                      f"in sector {grid.sectors[k]}")
+    psi = LatticeFn(grid, v)
     return psi.scale(1.0 / fn_norm(psi, tail_tol=math.inf))
 
 
@@ -250,19 +240,18 @@ def series_match_residual(pair, psi, c0=None):
     """
     rep = pair.rep
     ctx = rep.ctx
-    sf = SpecialFunctions(ctx)
+    sf = rep.sf
     r = pair.alpha / pair.beta
     if c0 is None:
         c0 = psi.value(1, rep.grid.n_min) / sf.q_exp(
             -1j * ctx.lam * r * ctx.qpow(rep.grid.n_min) * ctx.qpow(-2))
     resid = []
-    for s in rep.grid.sectors:
-        for n in rep.grid.exponents():
-            z = -1j * ctx.lam * r * (s * ctx.qpow(n)) * ctx.qpow(-2)
-            if abs(z) >= 1.0:
-                continue
-            want = c0 * sf.q_exp(z)
-            resid.append(abs(psi.value(s, n) - want) / abs(want))
+    for x, v in zip(rep.grid.points.ravel().tolist(), psi.data.ravel()):
+        z = -1j * ctx.lam * r * x * ctx.qpow(-2)
+        if abs(z) >= 1.0:
+            continue
+        want = c0 * sf.q_exp(z)
+        resid.append(abs(v - want) / abs(want))
     return worst(resid)
 
 
@@ -379,9 +368,7 @@ def hermite_match_residuals(pair, n_max=6):
     out = []
     for n, lhs in enumerate(states):
         hn = q_hermite_value(polys[n], q, xi)
-        rhs = LatticeFn(pair.rep.grid, {
-            s: (2.0 ** (-0.5 * n)) * hn[k] * psi0.values[s]
-            for k, s in enumerate(pair.rep.grid.sectors)})
+        rhs = LatticeFn(pair.rep.grid, (2.0 ** (-0.5 * n)) * hn * psi0.data)
         diff = lhs - rhs
         out.append(diff.max_abs_interior() / rhs.max_abs_interior())
     return out

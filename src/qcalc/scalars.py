@@ -130,6 +130,13 @@ class QQi:
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
+    def __str__(self):
+        """Scalar's term grammar at s^0: 3/2, 1/2 + 3*i, -i, 0."""
+        parts = [str(self.re)] if self.re else []
+        if self.im:
+            parts.append({1: "i", -1: "-i"}.get(self.im, f"{self.im}*i"))
+        return " + ".join(parts) or "0"
+
 
 def _exact(v):
     """A QQi component: v as an exact rational, an int when integral."""

@@ -1,15 +1,16 @@
 """Truncated stencil representation and Schrodinger evolution on the lattice.
 
-States are coefficient vectors over the orthonormal site basis, one block
-per sector.  A sampled function relates to its coefficient vector through
-the square root of the site weight w_n = lam q^n / 2, so the plain inner
-product of coefficients equals the improper-integral scalar product of
-the sampled functions.
+States are coefficient vectors over the orthonormal site basis, sectors
+stacked as in a LatticeFn.  A sampled function relates to its coefficient
+vector through the square root of the site weight w_n = lam q^n / 2, so
+the plain inner product of coefficients equals the improper-integral
+scalar product of the sampled functions.
 
 In these coordinates x is diagonal, the dilation generator is the plain
 shift, and the scale map of the field calculus is the shift times q^(1/2).
 Each operator is a lattice.Stencil (diagonals times shift powers, both
-sectors stacked); only the Hamiltonian is also kept dense, for eigh.
+sectors stacked); only the Hamiltonian is also kept dense, as one
+(sectors, size, size) stack for a batched eigh.
 The momentum acts as -i times the difference quotient; hard truncation
 keeps it hermitian because the difference quotient stays antisymmetric
 when rows are simply dropped.
@@ -26,7 +27,7 @@ import json
 import numpy as np
 
 from .integration import improper_integral, norm as fn_norm
-from .lattice import LatticeFn, LatticeGrid, Stencil, worst
+from .lattice import LatticeFn, LatticeGrid, SectorRows, Stencil, worst
 from .special import SpecialFunctions
 
 
@@ -71,14 +72,20 @@ class Representation:
 
     # -- state coordinates ---------------------------------------------------
 
-    def coeffs(self, f):
+    def coords(self, f):
+        """Coefficients of f, sectors stacked."""
         if f.grid != self.grid:
             raise ValueError("function lives on a different grid")
-        return {s: self._sqrt_w * f.values[s] for s in self.grid.sectors}
+        return self._sqrt_w * f.data
+
+    def coeffs(self, f):
+        """coords(f) as a {sector: row} view."""
+        return SectorRows(self.grid, self.coords(f))
 
     def lattice_fn(self, coeffs, pad_lo=0, pad_hi=0):
-        vals = {s: coeffs[s] / self._sqrt_w for s in self.grid.sectors}
-        return LatticeFn(self.grid, vals, pad_lo, pad_hi)
+        """The function with these coefficients (stacked or by sector)."""
+        return LatticeFn(self.grid, self.grid.stack(coeffs) / self._sqrt_w,
+                         pad_lo, pad_hi)
 
     # -- structural residuals --------------------------------------------------
 
@@ -100,18 +107,17 @@ def build_representation(grid):
 
 class Hamiltonian:
     """-(1/2m) nabla^2 + V as a stencil, symmetrized after truncation;
-    matrices[s] is its dense matrix on sector s."""
+    dense stacks its matrices per sector, matrices[s] views one.  Methods
+    take coefficients stacked or as a {sector: row} mapping."""
 
     def __init__(self, rep, mass=1.0, potential=None):
         self.rep = rep
         self.mass = float(mass)
-        self._eig = {}
+        self._eig = None
         h = -(0.5 / self.mass) * rep.nabla @ rep.nabla
         if potential is not None:
-            if callable(potential):
-                potential = LatticeFn.from_callable(rep.grid, potential).values
-            v = np.array([potential[s] for s in rep.grid.sectors],
-                         dtype=complex)
+            v = (LatticeFn.from_callable(rep.grid, potential).data
+                 if callable(potential) else rep.grid.stack(potential))
             if float(np.max(np.abs(v.imag))) > 1e-12:
                 raise NonHermitianHamiltonian("potential must be real")
             h = h + Stencil(rep.grid, {0: v.real})
@@ -120,39 +126,43 @@ class Hamiltonian:
         if gap > 1e-9 * max(1.0, sym.max_abs()):
             raise NonHermitianHamiltonian(
                 f"asymmetry {gap:.2e} survived symmetrization")
-        self.matrices = {s: sym.dense(s) for s in rep.grid.sectors}
+        self.dense = sym.dense()
+        self.matrices = SectorRows(rep.grid, self.dense)
+
+    def eigh(self):
+        """(eigenvalues, eigenvectors) of every sector, stacked."""
+        if self._eig is None:
+            self._eig = np.linalg.eigh(self.dense)
+        return self._eig
 
     def eig(self, s):
-        if s not in self._eig:
-            evals, evecs = np.linalg.eigh(self.matrices[s])
-            self._eig[s] = (evals, evecs)
-        return self._eig[s]
+        return tuple(a[self.rep.grid.row(s)] for a in self.eigh())
 
     def energy(self, coeffs):
-        acc = 0.0
-        for s in self.rep.grid.sectors:
-            acc += float(np.real(np.vdot(coeffs[s], self.matrices[s] @ coeffs[s])))
-        return acc
+        c = self.rep.grid.stack(coeffs)[..., None]
+        return float(np.sum((_adjoint(c) @ (self.dense @ c)).real))
 
     def evolve_coeffs(self, coeffs, t):
+        c = self.rep.grid.stack(coeffs)
         if t == 0.0:
-            return {s: coeffs[s].copy() for s in self.rep.grid.sectors}
-        out = {}
-        for s in self.rep.grid.sectors:
-            evals, evecs = self.eig(s)
-            phases = np.exp(-1j * evals * t)
-            out[s] = evecs @ (phases * (evecs.conj().T @ coeffs[s]))
-        return out
+            return c
+        evals, evecs = self.eigh()
+        phases = np.exp(-1j * evals * t)
+        a = phases * (_adjoint(evecs) @ c[..., None])[..., 0]
+        return (evecs @ a[..., None])[..., 0]
 
     def band_limit(self, coeffs, cut):
         """Projection onto the eigenmodes below the energy cut."""
-        out = {}
-        for s in self.rep.grid.sectors:
-            evals, evecs = self.eig(s)
-            keep = evals < cut
-            a = evecs.conj().T @ coeffs[s]
-            out[s] = evecs[:, keep] @ a[keep]
-        return out
+        evals, evecs = self.eigh()
+        a = (_adjoint(evecs) @ self.rep.grid.stack(coeffs)[..., None])[..., 0]
+        # each sector over its kept modes: zero padding rounds otherwise
+        return np.array([v[:, keep] @ x[keep]
+                         for v, x, keep in zip(evecs, a, evals < cut)])
+
+
+def _adjoint(m):
+    """Conjugate transpose of each matrix in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 # -- sampled eigenfunctions ---------------------------------------------------
@@ -165,6 +175,30 @@ _EIGEN_EXPONENT = {
 }
 
 
+def _sampled_modes(rep, family, label, n, mass, rows):
+    """Basis member `family`_`label`(n) sampled on the given rows of a
+    (sectors, size) array, zero elsewhere, and its energy."""
+    if (family, label) not in _EIGEN_EXPONENT:
+        raise ValueError(f"unknown basis member {family}_{label}")
+    ctx = rep.ctx
+    grid = rep.grid
+    site_parity = 1 if label == "2n+1" else 0
+    arg_exp = 2 * n + site_parity
+    norm_const = ctx.q ** n * np.sqrt(2.0 * ctx.q * ctx.inv_lam) * rep.sf.n_q()
+    if label == "2n":
+        norm_const /= np.sqrt(ctx.q)
+    kernel = rep.sf.cos_q if family == "C" else rep.sf.sin_q
+    y = ctx.qpow(arg_exp)
+    sites = (rows, slice((site_parity - grid.n_min) % 2, None, 2))
+    x = grid.points[sites]
+    vals = np.zeros((len(grid.sectors), grid.size), dtype=complex)
+    vals[sites] = np.reshape([norm_const * kernel(v * y)
+                              for v in x.ravel().tolist()], x.shape)
+    expo = _EIGEN_EXPONENT[(family, label)](n)
+    energy = (0.5 / mass) * ctx.inv_lam ** 2 * ctx.qpow(expo)
+    return vals, energy
+
+
 def stationary_state(rep, family="C", label="2n+1", n=0, sector=1, mass=1.0):
     """Sampled basis eigenfunction restricted to its parity/sector subspace.
 
@@ -174,27 +208,11 @@ def stationary_state(rep, family="C", label="2n+1", n=0, sector=1, mass=1.0):
     for the even-argument families this needs an extra q^(-1/2) relative
     to the odd-argument constant.
     """
-    if (family, label) not in _EIGEN_EXPONENT:
-        raise ValueError(f"unknown basis member {family}_{label}")
     if sector not in rep.grid.sectors:
         raise ValueError(f"sector {sector} not carried by this grid")
-    ctx = rep.ctx
-    arg_exp = 2 * n + 1 if label == "2n+1" else 2 * n
-    site_parity = 1 if label == "2n+1" else 0
-    norm_const = ctx.q ** n * np.sqrt(2.0 * ctx.q * ctx.inv_lam) * rep.sf.n_q()
-    if label == "2n":
-        norm_const /= np.sqrt(ctx.q)
-    kernel = rep.sf.cos_q if family == "C" else rep.sf.sin_q
-    y = ctx.qpow(arg_exp)
-    sites = {}
-    for nu in rep.grid.exponents():
-        if nu % 2 != site_parity:
-            continue
-        sites[(sector, nu)] = norm_const * kernel(rep.grid.point(sector, nu) * y)
-    psi = LatticeFn.from_sites(rep.grid, sites)
-    expo = _EIGEN_EXPONENT[(family, label)](n)
-    energy = (0.5 / mass) * ctx.inv_lam ** 2 * ctx.qpow(expo)
-    return psi, energy
+    vals, energy = _sampled_modes(rep, family, label, n, mass,
+                                  [rep.grid.row(sector)])
+    return LatticeFn(rep.grid, vals), energy
 
 
 def stationary_states(rep, family="C", label="2n+1", sector=1, n_range=(0,),
@@ -224,40 +242,36 @@ def free_evolve(rep, psi, t, family="C", mass=1.0, n_lo=None, n_hi=None):
         n_lo = -((grid.n_max + 1) // 2) - 3
     if n_hi is None:
         n_hi = (-grid.n_min - 1) // 2 + 3
-    expo = np.array(list(grid.exponents()), dtype=float)
-    weights = 0.5 * ctx.lam * ctx.q ** expo
-    out = {}
-    for s in grid.sectors:
-        acc = np.zeros(grid.size, dtype=complex)
-        for label in ("2n+1", "2n"):
-            for k in range(n_lo, n_hi + 1):
-                mode, energy = stationary_state(rep, family, label, k, s, mass)
-                mv = mode.values[s]
-                a = np.sum(weights * mv * psi.values[s])
-                acc += a * np.exp(-1j * energy * t) * mv
-        out[s] = acc
-    return LatticeFn(grid, out, psi.pad_lo, psi.pad_hi)
+    weights = 0.5 * ctx.lam * ctx.q ** np.arange(grid.n_min, grid.n_max + 1.0)
+    acc = np.zeros(psi.data.shape, dtype=complex)
+    for label in ("2n+1", "2n"):
+        for k in range(n_lo, n_hi + 1):
+            modes, energy = _sampled_modes(rep, family, label, k, mass,
+                                           slice(None))
+            a = np.sum(weights * modes * psi.data, axis=-1)
+            phase = np.exp(-1j * energy * t)
+            # scalar products: an array product fuses and rounds otherwise
+            acc += np.array([c * phase for c in a])[:, None] * modes
+    return LatticeFn(grid, acc, psi.pad_lo, psi.pad_hi)
 
 
 # -- density and current -------------------------------------------------------
 
-def density_current(psi, mass=1.0):
-    """rho = psi* psi and the lattice current of the continuity equation."""
-    rho = psi.conj() * psi
+def _wronskian(psi):
+    """L^-1 [psi* L(nabla psi) - L(nabla psi*) psi]."""
     lgrad = psi.nabla_fn().L_shift(1)
     lgrad_c = psi.conj().nabla_fn().L_shift(1)
-    bracket = psi.conj() * lgrad - lgrad_c * psi
-    j = bracket.L_shift(-1).scale(1.0 / (2.0 * mass * 1j))
-    return rho, j
+    return (psi.conj() * lgrad - lgrad_c * psi).L_shift(-1)
+
+
+def density_current(psi, mass=1.0):
+    """rho = psi* psi and the lattice current of the continuity equation."""
+    return psi.conj() * psi, _wronskian(psi).scale(1.0 / (2.0 * mass * 1j))
 
 
 def boundary_flux(psi, n, sector=1, mass=1.0):
     """The bracket whose difference drives d/dt of the boxed density."""
-    lgrad = psi.nabla_fn().L_shift(1)
-    lgrad_c = psi.conj().nabla_fn().L_shift(1)
-    bracket = psi.conj() * lgrad - lgrad_c * psi
-    val = bracket.L_shift(-1).value(sector, n)
-    return val / (2.0 * mass * 1j)
+    return _wronskian(psi).value(sector, n) / (2.0 * mass * 1j)
 
 
 def noether_current(psi, alpha=1.0, mass=1.0):
@@ -319,16 +333,14 @@ def evolve(state, H, dt, steps=1, record=False):
     rep = H.rep
     if dt == 0.0:
         return EvolutionState(state.psi.copy(), state.time, list(state.history))
-    c = rep.coeffs(state.psi)
+    c = rep.coords(state.psi)
     t = state.time
     hist = list(state.history)
     for _ in range(int(steps)):
         c = H.evolve_coeffs(c, dt)
         t += dt
         if record:
-            f = rep.lattice_fn(c)
-            rho, j = density_current(f, H.mass)
-            hist.append((t, rho, j))
+            hist.append((t, *density_current(rep.lattice_fn(c), H.mass)))
     return EvolutionState(rep.lattice_fn(c), t, hist)
 
 
@@ -336,12 +348,9 @@ def continuity_residual(psi, H, dt=1e-3):
     """Interior max of the central-difference continuity defect."""
     fwd = evolve(EvolutionState(psi), H, dt).psi
     bwd = evolve(EvolutionState(psi), H, -dt).psi
-    rho_f, _ = density_current(fwd, H.mass)
-    rho_b, _ = density_current(bwd, H.mass)
+    drho = (fwd.conj() * fwd - bwd.conj() * bwd).scale(1.0 / (2.0 * dt))
     _, j = density_current(psi, H.mass)
-    drho = (rho_f - rho_b).scale(1.0 / (2.0 * dt))
-    resid = drho + j.nabla_fn()
-    return resid.max_abs_interior()
+    return (drho + j.nabla_fn()).max_abs_interior()
 
 
 def energy_form_residual(psi, mass=1.0):
@@ -369,13 +378,10 @@ def experiment_from_json(text):
     grid = LatticeGrid(ctx, int(cfg["window"][0]), int(cfg["window"][1]))
     rep = build_representation(grid)
     mass = float(cfg.get("mass", 1.0))
-    pot = None
-    if cfg.get("potential") is not None:
-        vecs = {s: np.zeros(grid.size, dtype=complex) for s in grid.sectors}
-        for key, val in cfg["potential"].items():
-            sig, n = json.loads(key)
-            vecs[sig][grid.index(n)] = val
-        pot = vecs
+    pot = cfg.get("potential")
+    if pot is not None:
+        pot = LatticeFn.from_sites(grid, {tuple(json.loads(key)): val
+                                          for key, val in pot.items()}).data
     H = Hamiltonian(rep, mass=mass, potential=pot)
     ini = cfg["initial"]
     psi, energy = stationary_state(rep, ini.get("family", "C"),
@@ -400,10 +406,11 @@ def history_to_csv(state):
     w = csv.writer(buf)
     w.writerow(["t", "sigma", "n", "rho", "j"])
     for t, rho, j in state.history:
+        t = repr(float(t))
         lo, hi = j.valid_window()
-        for s in rho.grid.sectors:
-            for n in range(lo, hi + 1):
-                w.writerow([repr(float(t)), s, n,
-                            repr(float(rho.value(s, n).real)),
-                            repr(float(j.value(s, n).real))])
+        cols = j.valid_slice()
+        for s, rs, js in zip(j.grid.sectors, rho.data.real[:, cols].tolist(),
+                             j.data.real[:, cols].tolist()):
+            w.writerows([t, s, n, repr(a), repr(b)]
+                        for n, a, b in zip(range(lo, hi + 1), rs, js))
     return buf.getvalue()

@@ -60,8 +60,23 @@ def test_dual_einbein_pointwise():
     et = dual_einbein(e)
     assert et.pad_lo == 1 and et.pad_hi == 0
     for s in grid.sectors:
-        prod = et.values[s][1:] * e.values[s][:-1]
+        prod = et.sector(s)[1:] * e.sector(s)[:-1]
         assert np.max(np.abs(prod - 1.0)) < 1e-15
+
+
+def test_random_draws_keep_the_per_sector_order():
+    # one uniform draw per sector in sector order, real parts first
+    grid = make_grid(-4, 4)
+    a, b = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    f = random_field(a, grid, 0.5)
+    p = random_phase(a, grid, 2.0)
+    for s in grid.sectors:
+        want = 0.5 * (b.uniform(-1, 1, grid.size)
+                      + 1j * b.uniform(-1, 1, grid.size))
+        assert np.array_equal(f.sector(s), want)
+    for s in grid.sectors:
+        assert np.array_equal(p.sector(s), b.uniform(-2.0, 2.0, grid.size))
+    assert a.random() == b.random()
 
 
 def test_singular_einbein_rejected():
@@ -69,6 +84,17 @@ def test_singular_einbein_rejected():
     vals = {s: np.ones(grid.size) for s in grid.sectors}
     vals[1][3] = 1e-14
     with pytest.raises(SingularEinbein):
+        dual_einbein(LatticeFn(grid, vals))
+
+
+def test_singular_einbein_names_the_first_failing_sector():
+    grid = make_grid()
+    vals = {1: np.ones(grid.size), -1: np.ones(grid.size)}
+    vals[1][3], vals[-1][2] = 1e-13, 1e-15
+    with pytest.raises(SingularEinbein, match=r"modulus 1e-13 below"):
+        dual_einbein(LatticeFn(grid, vals))
+    vals[1][3] = 1.0
+    with pytest.raises(SingularEinbein, match=r"modulus 1e-15 below"):
         dual_einbein(LatticeFn(grid, vals))
 
 
@@ -131,7 +157,7 @@ def test_connection_field_formula():
     n = 2
     i = grid.index(n)
     want = (D2.inv_lam / grid.point(1, n)
-            * (1.0 - 1.0 / (e.values[1][i] * e.values[1][i - 1])))
+            * (1.0 - 1.0 / (e.sector(1)[i] * e.sector(1)[i - 1])))
     assert abs(phi.value(1, n) - want) < 1e-14
 
 
@@ -176,7 +202,7 @@ def test_phase_field_unit_modulus():
     alpha = random_phase(rng, grid, 3.0)
     ph = phase_field(alpha)
     for s in grid.sectors:
-        assert np.max(np.abs(np.abs(ph.values[s]) - 1.0)) < 1e-15
+        assert np.max(np.abs(np.abs(ph.sector(s)) - 1.0)) < 1e-15
 
 
 # -- transport of einbein-like fields ---------------------------------------------
@@ -190,8 +216,8 @@ def test_einbein_transport_vanishes_exactly():
     sh = einbein_shift(e, e)
     shi = einbein_shift_inv(e, e)
     for s in grid.sectors:
-        assert np.array_equal(sh.values[s][1:], e.values[s][1:])
-        assert np.array_equal(shi.values[s][:-1], e.values[s][:-1])
+        assert np.array_equal(sh.sector(s)[1:], e.sector(s)[1:])
+        assert np.array_equal(shi.sector(s)[:-1], e.sector(s)[:-1])
 
 
 def test_einbein_shift_rational_values():
@@ -204,7 +230,7 @@ def test_einbein_shift_rational_values():
     e = LatticeFn(grid, vals)
     sh = einbein_shift(e, e)
     for s in grid.sectors:
-        assert np.array_equal(sh.values[s][1:], e.values[s][1:])
+        assert np.array_equal(sh.sector(s)[1:], e.sector(s)[1:])
     assert einbein_derivative(e, e).max_abs_interior() == 0.0
 
 
@@ -215,7 +241,7 @@ def test_general_einbein_like_field_transport():
     e = random_einbein(rng, grid, 0.3)
     h = random_einbein(rng, grid, 0.3)
     got = einbein_derivative(e, h)
-    want = e * LatticeFn(grid, {s: h.values[s] / e.values[s]
+    want = e * LatticeFn(grid, {s: h.sector(s) / e.sector(s)
                                 for s in grid.sectors}).nabla_fn()
     assert (got - want).max_abs_interior() < 1e-12
 

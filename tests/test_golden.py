@@ -13,8 +13,17 @@ directory and compares bytes.  The one allowed difference is that the
 passing, after the golden rows, which must stay exactly as they are.
 A change meant to alter one of these artifacts replaces its golden
 file (rerun the command with `--out tests/golden/<dir>`) and says why.
+
+The lattice subcommands are pinned the same way, at default flags
+(`default/`) and at `--q 1.5` (`q1_5/`), every file they write included,
+captured before `LatticeFn` moved to one sector-stacked array.  The
+evolve `history.csv` (about 420 kB) is pinned by its SHA-256 instead of
+a stored copy.  Exit codes are pinned too: at `--q 1.5`,
+`special-tables`, `fourier` and `evolve` fail checks with NaN/inf
+residuals and exit 1.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -61,3 +70,40 @@ def test_artifacts_match_golden(command, subdir, argv, tmp_path, capsys):
     want = [(GOLDEN / subdir / f"{command}{suffix}").read_bytes()
             for suffix in (".json", "-checks.csv")]
     assert list(_split_new_rows(command, *got)) == want
+
+
+# Files each lattice subcommand writes besides its report and checks CSV.
+LATTICE_EXTRAS = {
+    "special-tables": ["special_values.csv"],
+    "fourier": ["step_transform.csv"],
+    "spectrum": ["spectrum.csv"],
+    "evolve": ["history.csv"],
+    "gauge": [],
+    "oscillator": ["gaussian_pair.json", "ground_state.csv", "levels.csv"],
+}
+HISTORY_SHA256 = {
+    "default": "1be2df3ba3b6a90132ff82a01368a93094fa2dd477cd7e73e626181046220448",
+    "q1_5": "b52e1d04dc6d00699b59d9b9d743b15f21a6a993babbaf3656550ae84ae73e7b",
+}
+FAILING_AT_Q1_5 = {"special-tables", "fourier", "evolve"}
+LATTICE_RUNS = [(command, subdir, argv)
+                for subdir, argv in (("default", []), ("q1_5", ["--q", "1.5"]))
+                for command in LATTICE_EXTRAS]
+
+
+@pytest.mark.parametrize("command, subdir, argv", LATTICE_RUNS,
+                         ids=[f"{c}-{d}" for c, d, _ in LATTICE_RUNS])
+def test_lattice_artifacts_match_golden(command, subdir, argv, tmp_path,
+                                        capsys):
+    want_exit = 1 if subdir == "q1_5" and command in FAILING_AT_Q1_5 else 0
+    assert main([command, *argv, "--out", str(tmp_path)]) == want_exit
+    capsys.readouterr()
+    names = [f"{command}.json", f"{command}-checks.csv",
+             *LATTICE_EXTRAS[command]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        got = (tmp_path / name).read_bytes()
+        if name == "history.csv":
+            assert hashlib.sha256(got).hexdigest() == HISTORY_SHA256[subdir]
+        else:
+            assert got == (GOLDEN / subdir / name).read_bytes(), name

@@ -320,7 +320,7 @@ def test_csv_round_trip():
     back = from_csv(DOUBLE, text)
     assert back.grid == f.grid
     for s in grid.sectors:
-        assert (back.values[s] == f.values[s]).all()
+        assert (back.sector(s) == f.sector(s)).all()
 
 
 def test_json_round_trip():
@@ -329,7 +329,7 @@ def test_json_round_trip():
     f = rand_lattice_fn(rng, grid)
     back = from_json(DOUBLE, to_json(f))
     assert back.grid == f.grid
-    assert (back.values[1] == f.values[1]).all()
+    assert (back.sector(1) == f.sector(1)).all()
 
 
 def test_lattice_shift_and_pad_bookkeeping():

@@ -1,10 +1,23 @@
-"""Sector-stacked stencil operators against dense matrices; field maxima."""
+"""Sector-stacked stencil operators against dense matrices; the row order
+of sector-stacked lattice functions; site factors; field maxima."""
+
+import math
 
 import numpy as np
 import pytest
 
 from qcalc.context import QContext
-from qcalc.lattice import GridMismatch, LatticeFn, LatticeGrid, Stencil
+from qcalc.integration import improper_integral
+from qcalc.lattice import (
+    GridMismatch,
+    LatticeFn,
+    LatticeGrid,
+    Stencil,
+    from_csv,
+    from_json,
+    to_csv,
+    to_json,
+)
 
 D2 = QContext(2.0)
 SEED = 20260816
@@ -92,3 +105,139 @@ def test_max_abs_interior_propagates_nan_from_any_sector():
     grid = LatticeGrid(D2, -4, 4)
     f = LatticeFn.from_sites(grid, {(1, 0): 2.0, (-1, 1): np.nan})
     assert np.isnan(f.max_abs_interior())
+
+
+# -- row order of sector-stacked functions --------------------------------------
+#
+# Row k of LatticeFn.data holds grid.sectors[k].  A one-sector grid on the
+# negative half-line is what from_csv builds from a sector -1 file, and
+# (-1, 1) reverses the default order, so each expectation below is built
+# from the sign of the sector that should sit in that row.
+
+ORDERS = [(-1,), (-1, 1), (1, -1)]
+
+
+def site_value(s, n):
+    """A value that tells sector and exponent apart."""
+    return complex(s * (n + 10), 0.5 * n - s)
+
+
+@pytest.fixture(params=ORDERS, ids=str)
+def ordered(request):
+    grid = LatticeGrid(D2, -5, 5, request.param)
+    sites = {(s, n): site_value(s, n)
+             for s in grid.sectors for n in grid.exponents()}
+    return grid, LatticeFn.from_sites(grid, sites)
+
+
+def rows_by_sign(grid, fn):
+    """Expected data: row k from fn(sign of sector k, n) over the window."""
+    return np.array([[fn(s, n) for n in grid.exponents()]
+                     for s in grid.sectors])
+
+
+def test_constructor_and_sites_fill_rows_in_sector_order(ordered):
+    grid, f = ordered
+    want = rows_by_sign(grid, site_value)
+    assert np.array_equal(f.data, want)
+    by_sector = {s: want[k] for k, s in enumerate(grid.sectors)}
+    assert np.array_equal(LatticeFn(grid, by_sector).data, want)
+    assert np.array_equal(LatticeFn(grid, want).data, want)
+    # a mapping that leaves out a sector zeroes its row
+    first = grid.sectors[0]
+    part = LatticeFn(grid, {first: by_sector[first]})
+    assert np.array_equal(part.sector(first), by_sector[first])
+    assert not part.data[1:].any()
+    for k, s in enumerate(grid.sectors):
+        assert np.array_equal(f.sector(s), want[k])
+        assert f.value(s, 3) == site_value(s, 3)
+    with pytest.raises(ValueError):
+        LatticeFn(grid, np.zeros((len(grid.sectors) + 1, grid.size)))
+
+
+def test_sector_access_never_reads_a_row_by_position(ordered):
+    grid, f = ordered
+    with pytest.raises(AttributeError):
+        f.values
+    if 1 not in grid.sectors:
+        with pytest.raises(KeyError):
+            f.sector(1)
+        with pytest.raises(KeyError):
+            LatticeFn.from_sites(grid, {(1, 0): 1.0})
+
+
+def test_shift_and_derivative_follow_each_sector(ordered):
+    grid, f = ordered
+    lam = D2.lam
+    shifted = f.L_shift(2)
+    want = rows_by_sign(grid, lambda s, n: site_value(s, n - 2)
+                        if n - 2 >= grid.n_min else 0)
+    assert np.array_equal(shifted.data, want)
+    d = f.nabla_fn()
+    lo, hi = d.valid_window()
+    for s in grid.sectors:
+        for n in range(lo, hi + 1):
+            want = ((site_value(s, n + 1) - site_value(s, n - 1))
+                    / (lam * s * D2.qpow(n)))
+            assert d.value(s, n) == want
+
+
+@pytest.mark.parametrize("power", [1, -1, 2, -3])
+def test_x_multiply_uses_each_sector_sign(ordered, power):
+    grid, f = ordered
+    got = f.x_multiply(power)
+    want = rows_by_sign(grid, lambda s, n: site_value(s, n)
+                        * complex(grid.point(s, n) ** power))
+    assert np.array_equal(got.data, want)
+
+
+def test_improper_integral_sums_sector_major(ordered):
+    grid, f = ordered
+    acc = 0j
+    for s in grid.sectors:
+        for n in grid.exponents():
+            acc += D2.qpow(n) * f.value(s, n)
+    assert improper_integral(f, tail_tol=math.inf) == 0.5 * D2.lam * acc
+
+
+def test_max_abs_interior_sees_nan_in_the_last_row(ordered):
+    grid, f = ordered
+    last = grid.sectors[-1]
+    g = f.copy()
+    g.sector(last)[5] = np.nan
+    assert np.isnan(g.max_abs_interior())
+    assert f.max_abs_interior() == np.max(np.abs(rows_by_sign(grid,
+                                                              site_value)))
+    assert f.L_shift(1).max_abs_interior(1) == max(
+        np.max(np.abs(f.sector(s)[1:-2])) for s in grid.sectors)
+
+
+def test_serialization_round_trips_keep_sectors(ordered):
+    grid, f = ordered
+    text = to_csv(f)
+    lines = text.splitlines()
+    assert lines[1].startswith(f"{grid.sectors[0]},{grid.n_min},")
+    back = from_csv(D2, text)
+    # from_csv orders the sectors it reads from +1 down
+    assert back.grid.sectors == tuple(sorted(grid.sectors, reverse=True))
+    for s in grid.sectors:
+        assert np.array_equal(back.sector(s), f.sector(s))
+    again = from_json(D2, to_json(f))
+    assert again.grid == grid
+    assert np.array_equal(again.data, f.data)
+
+
+# -- site factors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, w", [(1.2, 12), (2.5, 12), (1.5, 60), (3.0, 60)])
+def test_site_factors_match_the_scalar_formulas_bit_for_bit(q, w):
+    ctx = QContext(q)
+    grid = LatticeGrid(ctx, -w, w)
+    for k, s in enumerate(grid.sectors):
+        for i, n in enumerate(grid.exponents()):
+            assert grid.qpows[i] == ctx.qpow(n)
+            assert grid.points[k, i] == grid.point(s, n)
+            assert grid.lam_x[k, i] == ctx.lam * s * ctx.qpow(n)
+            for power in (1, -1, 2, -2, 3):
+                assert grid.x_power(power)[k, i] == grid.point(s, n) ** power

@@ -95,7 +95,7 @@ def test_ladder_residuals_propagate_nan(rep, operator, residual):
 
 def test_series_match_propagates_nan(pair, psi0):
     psi = psi0.copy()
-    psi.values[1][1] = np.nan
+    psi.sector(1)[1] = np.nan
     assert np.isnan(series_match_residual(pair, psi))
 
 
@@ -212,6 +212,14 @@ def test_contamination_warning(pair):
 def test_no_decay_raises(rep, pair):
     flat = build_ladder(rep, alpha=1e-6 * pair.beta, beta=pair.beta)
     with pytest.raises(NoDecay):
+        ground_state(flat)
+
+
+@pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
+def test_no_decay_names_the_first_failing_sector(pair, order):
+    rep = build_representation(LatticeGrid(D2, -12, 12, order))
+    flat = build_ladder(rep, alpha=1e-6 * pair.beta, beta=pair.beta)
+    with pytest.raises(NoDecay, match=f"in sector {order[0]}$"):
         ground_state(flat)
 
 

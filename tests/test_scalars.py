@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from qcalc.context import QContext
+from qcalc.fields import LaurentPoly
 from qcalc.scalars import QQi, Scalar, parse_scalar
 
 
@@ -153,3 +155,18 @@ def test_str_examples():
     assert str(Scalar.qnum(2)) == "s^2 + s^-2"
     assert str(Scalar.i() * Scalar.s_power(1) * Scalar.inv_lam()) == "(i*s^1)/lam"
     assert str(Scalar({0: QQi(0, -1)}, lam=2)) == "(-1*i)/lam^2"
+
+
+def test_qqi_str_in_scalar_grammar():
+    assert [str(QQi(*c)) for c in [(0, 0), (Fraction(3, 2), 0), (0, -1),
+                                   (0, 1), (Fraction(1, 2), 3), (-2, 5)]] \
+        == ["0", "3/2", "-i", "i", "1/2 + 3*i", "-2 + 5*i"]
+    rng = random.Random(20261018)
+    for _ in range(100):
+        z = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+        assert parse_scalar(str(z)) == Scalar({0: z})
+    # exact Laurent polynomials print their coefficients through it
+    poly = LaurentPoly(QContext(Fraction(3, 2)),
+                       {2: QQi(Fraction(1, 2), 3), 0: 1})
+    assert str(poly) == "(1/2 + 3*i) x^2 + (1)"

@@ -187,7 +187,7 @@ def test_evolve_dt_zero_identity():
     psi, _ = stationary_state(rep, "C", "2n+1", 0)
     out = evolve(EvolutionState(psi), H, 0.0, steps=3)
     for s in rep.grid.sectors:
-        assert np.array_equal(out.psi.values[s], psi.values[s])
+        assert np.array_equal(out.psi.sector(s), psi.sector(s))
     assert out.time == 0.0
 
 
@@ -251,9 +251,9 @@ def test_density_current_real():
     psi = rand_fn(rng, rep.grid)
     rho, j = density_current(psi)
     for s in rep.grid.sectors:
-        assert np.max(np.abs(rho.values[s].imag)) < 1e-12
-        assert np.max(np.abs(j.values[s].imag)) < 1e-12
-    assert np.min(rho.values[1].real) >= 0.0
+        assert np.max(np.abs(rho.sector(s).imag)) < 1e-12
+        assert np.max(np.abs(j.sector(s).imag)) < 1e-12
+    assert np.min(rho.sector(1).real) >= 0.0
 
 
 def test_real_state_has_zero_current():
@@ -335,7 +335,7 @@ def test_noether_zero_state():
 def test_noether_propagates_nan():
     rep = make_rep()
     psi = rand_fn(random.Random(SEED + 4), rep.grid)
-    psi.values[-1][12] = np.nan
+    psi.sector(-1)[12] = np.nan
     assert np.isnan(check_noether(psi))
 
 
@@ -416,6 +416,10 @@ def test_benchmark_contract():
     rows = rep.interior(2)
     assert np.max(np.abs(r[rows])) / np.max(np.abs(e * c[rows])) < 1e-6
     assert rep.lattice_fn(rep.coeffs(psi)).grid == rep.grid
+    # the views are keyed by sector, not by row: the state lives on +1 only
+    assert np.any(c) and not np.any(rep.coeffs(psi)[-1])
+    assert np.array_equal(c, rep.coords(psi)[rep.grid.row(1)])
+    assert np.array_equal(H.matrices[1], H.dense[rep.grid.row(1)])
     assert H.mass == 1.0 and rep.sf is not None
     # the traced run walks the attributes of both objects
     assert {"grid", "sf"} <= set(vars(rep))
