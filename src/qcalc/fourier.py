@@ -161,8 +161,10 @@ class SublatticeSeq:
 class QFourier:
     """Kernel sums over a fixed deformation parameter.
 
-    Kernel values are cached per integer argument exponent, so repeated
-    transforms on the same window cost one dense matrix product each.
+    Kernel values come from the kernel store of qcalc.special, which
+    every transform and representation at this q shares: only the first
+    request of a value sums its series, and a transform on a window
+    already seen costs its lookups and one dense matrix product.
     """
 
     def __init__(self, ctx, special=None):

@@ -65,7 +65,8 @@ class InsufficientPadding(Exception):
 class LatticeGrid:
     """Exponent window [n_min, n_max] on the given sign sectors, with
     qpows = ctx.qpow(n), points = sigma q^n and lam_x = lam sigma q^n;
-    as sigma = +-1, each equals its scalar formula exactly."""
+    as sigma = +-1, each equals its scalar formula exactly.  A window
+    whose q^n leaves the double range either way raises OverflowError."""
 
     __slots__ = ("ctx", "n_min", "n_max", "sectors", "qpows", "points",
                  "lam_x", "_x_powers")
@@ -81,6 +82,9 @@ class LatticeGrid:
         self.n_max = n_max
         self.sectors = sectors
         self.qpows = np.array([ctx.qpow(n) for n in self.exponents()])
+        if not self.qpows.all():
+            # q^n past the top of the double range raises in qpow itself
+            raise OverflowError(f"q^{n_min} underflows to 0.0")
         self.points = np.outer(sectors, self.qpows)
         self.lam_x = ctx.lam * self.points
         self._x_powers = {}

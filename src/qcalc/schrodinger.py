@@ -50,9 +50,8 @@ class Representation:
         self.grid = grid
         ctx = grid.ctx
         self.sf = SpecialFunctions(ctx)
-        expo = np.array(list(grid.exponents()), dtype=float)
-        self._sqrt_w = np.sqrt(0.5 * ctx.lam * ctx.q ** expo)
-        x = np.outer(grid.sectors, ctx.q ** expo)
+        self._sqrt_w = np.sqrt(0.5 * ctx.lam * grid.qpows)
+        x = grid.points
         rq = ctx.sqrt_q
         self.x = Stencil(grid, {0: x})
         self.lam_op = Stencil(grid, {1: 1.0})
@@ -242,7 +241,7 @@ def free_evolve(rep, psi, t, family="C", mass=1.0, n_lo=None, n_hi=None):
         n_lo = -((grid.n_max + 1) // 2) - 3
     if n_hi is None:
         n_hi = (-grid.n_min - 1) // 2 + 3
-    weights = 0.5 * ctx.lam * ctx.q ** np.arange(grid.n_min, grid.n_max + 1.0)
+    weights = 0.5 * ctx.lam * grid.qpows
     acc = np.zeros(psi.data.shape, dtype=complex)
     for label in ("2n+1", "2n"):
         for k in range(n_lo, n_hi + 1):

@@ -9,27 +9,37 @@ the bound.  Arguments up to q^2 use a plain double loop.
 For large arguments z = q^m the terms peak near q^((m-1)^2/2) before the
 decay sets in, far beyond double range, while the sum itself is tiny.
 Such a sum needs about peak + 370 significant digits.  The coefficients
-depend on q alone: each instance computes them in mpmath, at the largest
-precision any of its calls has needed so far (with headroom, so that
-rising arguments do not rebuild the table on every call), and keeps them
-as integer (mantissa, exponent) pairs.  With z = M 2^E each term is
-C_n M^(2n) (times M for sin) shifted onto one fixed-point scale 2^U that
-sits the working precision below the peak estimate, and the terms are
-summed in Python ints; on a power of two z (every lattice point at
-q = 2) that is shifts and adds alone.  Every term is thus within 2^U,
-about 10^-370, of its exact value, far below the smallest double: the
-result is the exact series at the given double z rounded to nearest
-(within the bound), and a sum beyond double range becomes +-inf.  The sum
-stops at the first term below 10^(5 - digits) of the running maximum,
-or at the first that rounds to zero on the scale.  On the even
-sublattice far out, where the value underflows any double, the series is
-skipped and exact zero returned.  Values are cached per instance.
+are computed in mpmath, at the largest precision any call at this q has
+needed so far (with headroom, so that rising arguments do not rebuild the
+table on every call), and kept as integer (mantissa, exponent) pairs.
+With z = M 2^E each term is C_n M^(2n) (times M for sin) shifted onto
+one fixed-point scale 2^U that sits the working precision below the peak
+estimate, and the terms are summed in Python ints; on a power of two z
+(every lattice point at q = 2) that is shifts and adds alone.  Every term
+is thus within 2^U, about 10^-370, of its exact value, far below the
+smallest double: the result is the exact series at the given double z
+rounded to nearest (within the bound), and a sum beyond double range
+becomes +-inf.  The sum stops at the first term below 10^(5 - digits) of
+the running maximum, or at the first that rounds to zero on the scale.
+On the even sublattice far out, where the value underflows any double,
+the series is skipped and exact zero returned.
+
+The kernels, their coefficient tables and N_q depend on q alone, so every
+SpecialFunctions at one q reads and writes one module-level kernel store.
+The store is bounded: it keeps at most STORE_MAX_QS values of q, dropping
+the least recently opened, and at most STORE_MAX_VALUES kernel values
+per q, dropping the oldest quarter when full.  An instance opens the
+store of its q when it is made, and again on its next lookup once the
+store has dropped that q.  `kernel_store_info` reports the sizes and
+hit counts; `clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 from mpmath import libmp
@@ -37,6 +47,10 @@ from mpmath import libmp
 _FLOAT_STOP = 1e-16
 _MP_GUARD_DIGITS = 40
 _LOG2_10 = math.log2(10.0)
+
+# Bounds of the kernel store: values of q kept, and kernel values per q.
+STORE_MAX_QS = 8
+STORE_MAX_VALUES = 1 << 14
 
 
 class DivergentProduct(Exception):
@@ -214,26 +228,92 @@ def _series_fixed(coeffs, z, digits, peak):
         n += 1
 
 
+class _KernelStore:
+    """What the kernels at one q share: the (kind, z) -> (value, bound)
+    cache in insertion order, the coefficient table of each kind, N_q,
+    and the lookup and miss counts of the cache."""
+
+    __slots__ = ("values", "tables", "nq", "lookups", "misses", "dropped")
+
+    def __init__(self):
+        self.values = {}
+        self.tables = {}
+        self.nq = None
+        self.lookups = 0
+        self.misses = 0
+        self.dropped = False  # set once the store lets go of it
+
+
+_STORES = OrderedDict()  # q -> _KernelStore, least recently opened first
+
+
+def _open_store(q):
+    """The store of q, made if absent and marked most recently opened."""
+    store = _STORES.get(q)
+    if store is None:
+        store = _STORES[q] = _KernelStore()
+        if len(_STORES) > STORE_MAX_QS:
+            _STORES.popitem(last=False)[1].dropped = True
+    else:
+        _STORES.move_to_end(q)
+    return store
+
+
+def clear_kernel_store():
+    """Empty the kernel store: every value, table and count at every q."""
+    for store in _STORES.values():
+        store.dropped = True
+    _STORES.clear()
+
+
+def kernel_store_info():
+    """{q: {entries, lookups, misses, table_prec}} over the stored q, least
+    recently opened first; table_prec maps each kind to the precision in
+    bits of its coefficient table, None before the first build."""
+    return {q: {"entries": len(store.values),
+                "lookups": store.lookups,
+                "misses": store.misses,
+                "table_prec": {kind: (store.tables[kind].prec
+                                      if kind in store.tables else None)
+                               for kind in ("cos", "sin")}}
+            for q, store in _STORES.items()}
+
+
 class SpecialFunctions:
-    """Evaluators over one double-backend context, values cached."""
+    """Evaluators over one double-backend context; kernel values, tables
+    and N_q live in the kernel store of its q."""
 
     def __init__(self, ctx):
         if ctx.exact:
             raise ValueError("special-function evaluation uses the double backend")
         self.ctx = ctx
         self.comb = QCombinatorics(ctx)
-        self._cache = {}
-        self._coeffs = {}
-        self._nq = None
+        self._store = _open_store(ctx.q)
+
+    def _kernel_store(self):
+        """The store of this q, reopened if the store has dropped it."""
+        if self._store.dropped:
+            self._store = _open_store(self.ctx.q)
+        return self._store
+
+    @property
+    def _cache(self):
+        """The (kind, z) -> (value, bound) cache shared at this q."""
+        return self._kernel_store().values
 
     # -- trigonometric family ---------------------------------------------
 
     def _eval(self, z, kind):
         z = float(z)
         key = (kind, z)
-        hit = self._cache.get(key)
+        store = self._store
+        if store.dropped:  # _kernel_store() inline: every lookup runs this
+            store = self._kernel_store()
+        store.lookups += 1
+        hit = store.values.get(key)
         if hit is not None:
             return hit
+        store.misses += 1
         sign = 1.0
         if z < 0:
             z = -z
@@ -254,46 +334,53 @@ class SpecialFunctions:
             else:
                 peak = ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
                 digits = max(50, int(peak) + 330 + _MP_GUARD_DIGITS)
-                val, bound = _series_fixed(self._coefficients(kind, digits),
-                                           z, digits, peak)
+                table = self._coefficients(store, kind, digits)
+                val, bound = _series_fixed(table, z, digits, peak)
         out = (sign * val, bound)
-        self._cache[key] = out
+        values = store.values
+        if len(values) >= STORE_MAX_VALUES:
+            # the oldest quarter in one sweep: a dict finds its first key
+            # only past the holes that earlier deletions left in front
+            for old in list(islice(values, STORE_MAX_VALUES // 4)):
+                del values[old]
+        values[key] = out
         return out
 
-    def _coefficients(self, kind, digits):
+    def _coefficients(self, store, kind, digits):
         """Coefficient table of the kind, rebuilt when a call needs more
-        precision than any before it on this instance.
+        precision than any before it at this q.
 
         A rebuild takes at least a quarter more precision than the table it
         replaces: arguments often arrive in increasing order (a lattice
         sampled outwards), and each would otherwise pay its own rebuild.
         """
         prec = libmp.dps_to_prec(digits)
-        table = self._coeffs.get(kind)
+        tables = store.tables
+        table = tables.get(kind)
         if table is None or table.prec < prec:
             if table is not None:
                 prec = max(prec, table.prec * 5 // 4)
-            table = self._coeffs[kind] = _SeriesCoefficients(self.ctx.q, kind,
-                                                             prec)
+            table = tables[kind] = _SeriesCoefficients(self.ctx.q, kind, prec)
         return table
 
     def cos_q(self, z, with_bound=False):
-        val, bound = self._eval(z, "cos")
-        return (val, bound) if with_bound else val
+        out = self._eval(z, "cos")
+        return out if with_bound else out[0]
 
     def sin_q(self, z, with_bound=False):
-        val, bound = self._eval(z, "sin")
-        return (val, bound) if with_bound else val
+        out = self._eval(z, "sin")
+        return out if with_bound else out[0]
 
     # -- normalization constant ---------------------------------------------
 
     def n_q(self):
         """N_q = (q^-2; q^-4)_inf / (q^-4; q^-4)_inf."""
-        if self._nq is None:
+        store = self._kernel_store()
+        if store.nq is None:
             q = self.ctx.q
-            self._nq = (self.comb.qpoch_inf(q ** -2, q ** -4)
+            store.nq = (self.comb.qpoch_inf(q ** -2, q ** -4)
                         / self.comb.qpoch_inf(q ** -4, q ** -4))
-        return self._nq
+        return store.nq
 
     # -- q-exponential --------------------------------------------------------
 

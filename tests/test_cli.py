@@ -259,6 +259,8 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, exc", [
     (["oscillator", "--levels", "40"], "InsufficientPadding"),
     (["gauge", "--window", "-16", "16"], "RouteMismatch"),
+    # q^-16 underflows to 0.0: refused when the grid is built
+    (["gauge", "--q", "1e25", "--window", "-16", "4"], "OverflowError"),
 ])
 def test_library_exception_exits_two_naming_it(tmp_path, capsys, argv, exc):
     assert run(tmp_path, *argv) == 2

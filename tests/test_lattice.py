@@ -35,6 +35,14 @@ def grid(request):
     return LatticeGrid(D2, -4, 4, request.param)
 
 
+@pytest.mark.parametrize("q, n_min, n_max", [(1e25, -16, 4),
+                                              (1e100, -4, 4)])
+def test_grid_outside_double_range_is_refused(q, n_min, n_max):
+    # 1e25^-16 underflows to 0.0, 1e100^4 overflows
+    with pytest.raises(OverflowError):
+        LatticeGrid(QContext(q), n_min, n_max)
+
+
 def test_dense_form_holds_each_diagonal(grid):
     rng = np.random.default_rng(SEED)
     a = rand_stencil(rng, grid, (-3, 0, 2, 9))

@@ -63,6 +63,16 @@ def test_x_diagonal():
         assert np.max(np.abs(x - np.diag(np.diag(x)))) == 0.0
 
 
+@pytest.mark.parametrize("q, w", [(1.2, 12), (1.5, 60)])
+def test_x_reads_the_grid_points(q, w):
+    # windows where numpy's q ** n and the grid's q^n differ in a last bit
+    grid = LatticeGrid(QContext(q), -w, w)
+    rep = build_representation(grid)
+    assert np.array_equal(rep.x.diags[0], grid.points)
+    f = rand_fn(random.Random(SEED), grid)
+    assert np.array_equal(rep.x @ f.data, f.x_multiply(1).data)
+
+
 def test_shift_structure():
     rep = make_rep()
     g = rep.grid

@@ -13,6 +13,7 @@ import pytest
 from qcalc import special
 from qcalc.context import QContext
 from qcalc.lattice import LatticeFn, LatticeGrid
+from qcalc.schrodinger import build_representation
 from qcalc.special import (
     DivergentProduct,
     OutOfRadius,
@@ -217,6 +218,7 @@ def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
             super().__init__(q, kind, prec)
 
     monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
+    special.clear_kernel_store()
     # odd exponents: none takes the even-sublattice underflow shortcut
     zs = [2.0 ** m for m in range(41, 2, -2)]
     sf = SpecialFunctions(QContext(2.0))
@@ -231,12 +233,155 @@ def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
     assert len(builds) == 2
     # increasing arguments: every build raises the precision
     builds.clear()
+    special.clear_kernel_store()
     sf = SpecialFunctions(QContext(2.0))
     for z in reversed(zs):
         sf.cos_q(z)
     precs = [prec for _, prec in builds]
     assert precs == sorted(set(precs))
     assert len(precs) < len(zs)
+
+
+# -- the kernel store shared per q -------------------------------------------
+
+# the lattice-window benchmark's windows +-w, in the order it solves them
+LADDER = (12, 16, 20, 24, 32, 40, 48)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+
+    class Counted(special._SeriesCoefficients):
+        def __init__(self, q, kind, prec):
+            builds.append((kind, prec))
+            super().__init__(q, kind, prec)
+
+    monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
+    return builds
+
+
+def _bits(pairs):
+    return [(val.hex(), bound.hex()) for val, bound in pairs]
+
+
+def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    special.clear_kernel_store()
+    zs = [2.0 ** m for m in range(41, 2, -2)]
+    first = SpecialFunctions(QContext(2.0))
+    second = SpecialFunctions(QContext(2.0))
+    # the largest argument needs the most precision; the rest reuse it
+    first.cos_q(zs[0])
+    first.sin_q(zs[0])
+    for z in zs[1:]:
+        second.cos_q(z)
+        second.sin_q(z)
+    assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
+    assert second._cache is first._cache
+    assert first.n_q() == second.n_q()
+    info = special.kernel_store_info()
+    assert list(info) == [2.0]
+    assert info[2.0] == {"entries": 2 * len(zs), "lookups": 2 * len(zs),
+                         "misses": 2 * len(zs),
+                         "table_prec": dict(builds)}
+    for z in zs:
+        first.cos_q(z)
+    info = special.kernel_store_info()[2.0]
+    assert (info["lookups"], info["misses"]) == (3 * len(zs), 2 * len(zs))
+    assert len(builds) == 2
+
+
+def test_instances_at_different_q_never_share_values():
+    special.clear_kernel_store()
+    zs = [0.5, 1.5, 2.0 ** 5, 3.0 ** 5, -(2.0 ** 7)]
+    sf2 = SpecialFunctions(QContext(2.0))
+    sf3 = SpecialFunctions(QContext(3.0))
+    got = {}
+    for q, sf in ((2.0, sf2), (3.0, sf3)):
+        got[q] = [fn(z, with_bound=True)
+                  for z in zs for fn in (sf.cos_q, sf.sin_q)]
+    assert sf2._cache is not sf3._cache
+    assert sf2.n_q() != sf3.n_q()
+    assert all(a[0] != b[0] for a, b in zip(got[2.0], got[3.0]))
+    info = special.kernel_store_info()
+    assert info[2.0]["entries"] == info[3.0]["entries"] == 2 * len(zs)
+    # each q reads as it does in a store that never held the other
+    for q in (2.0, 3.0):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        assert _bits(fn(z, with_bound=True) for z in zs
+                     for fn in (sf.cos_q, sf.sin_q)) == _bits(got[q])
+
+
+def test_kernel_store_stays_within_its_bounds():
+    special.clear_kernel_store()
+    sf = SpecialFunctions(QContext(2.0))
+    # distinct arguments below q^2, each a miss on the double loop
+    n = special.STORE_MAX_VALUES + 100
+    zs = [k / n for k in range(n)]
+    for z in zs:
+        sf.cos_q(z)
+    info = special.kernel_store_info()[2.0]
+    assert info["misses"] == n
+    assert 0 < info["entries"] <= special.STORE_MAX_VALUES
+    # the oldest values went first
+    assert ("cos", zs[-1]) in sf._cache and ("cos", zs[0]) not in sf._cache
+
+    special.clear_kernel_store()
+    qs = [1.5 + k / 8 for k in range(special.STORE_MAX_QS + 3)]
+    first = SpecialFunctions(QContext(qs[0]))
+    # an odd power past q^2: the integer series, with a coefficient table
+    z = qs[0] ** 7
+    want = _bits([first.cos_q(z, with_bound=True),
+                  first.sin_q(z, with_bound=True)])
+    for q in qs[1:]:
+        SpecialFunctions(QContext(q)).cos_q(q ** 7)
+        assert len(special.kernel_store_info()) <= special.STORE_MAX_QS
+    assert list(special.kernel_store_info()) == qs[-special.STORE_MAX_QS:]
+    rebuilt = SpecialFunctions(QContext(qs[0]))
+    info = special.kernel_store_info()
+    assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
+    assert info[qs[0]] == {"entries": 0, "lookups": 0, "misses": 0,
+                           "table_prec": {"cos": None, "sin": None}}
+    assert _bits([rebuilt.cos_q(z, with_bound=True),
+                  rebuilt.sin_q(z, with_bound=True)]) == want
+    # an instance whose q was dropped reads the reopened store
+    assert first._cache is rebuilt._cache
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_kernel_values_do_not_depend_on_store_history(q):
+    ctx = QContext(q)
+    zs = _kernel_inputs(q, random.Random(int(q * 1000)))
+    special.clear_kernel_store()
+    warm = SpecialFunctions(ctx)
+    # warm the store as the lattice-window ladder does: stationary states
+    # sample the kernels at x y, y = q^0 ... q^5, window by window
+    for w in LADDER:
+        points = LatticeGrid(ctx, -w, w).points.ravel().tolist()
+        for e in range(6):
+            y = ctx.qpow(e)
+            for x in points:
+                warm.cos_q(x * y)
+                warm.sin_q(x * y)
+    got = [fn(z, with_bound=True) for z in zs for fn in (warm.cos_q, warm.sin_q)]
+    special.clear_kernel_store()
+    cold = SpecialFunctions(ctx)
+    want = [fn(z, with_bound=True)
+            for z in reversed(zs) for fn in (cold.sin_q, cold.cos_q)][::-1]
+    assert _bits(got) == _bits(want)
+
+
+def test_representations_share_the_store_not_the_instance():
+    ctx = QContext(2.0)
+    a = build_representation(LatticeGrid(ctx, -12, 12))
+    b = build_representation(LatticeGrid(ctx, -16, 16))
+    assert a.sf is not b.sf
+    assert a.sf._cache is b.sf._cache
+    # a wrapper bound on one instance, as a tracing probe binds one,
+    # leaves the other alone
+    a.sf.cos_q = lambda z, with_bound=False: 0.0
+    assert b.sf.cos_q(1.0) == SpecialFunctions(ctx).cos_q(1.0) != 0.0
 
 
 # -- normalization constant and orthogonality --------------------------------
