@@ -8,9 +8,14 @@ ordered with the rewrite rules
     L^c x^a -> q^(-c a) x^a L^c
     L^c p^b -> q^(c b)  p^b L^c
 
-which are exact in the coefficient ring of scalars.py.  The momentum
-generator also has a p-free closed form p = i q^(1/2) lam^-1 x^-1 (L - q^-1 L^-1),
-and substituting it is a ring homomorphism onto the span of the x^a L^c.
+which are exact in the coefficient ring of scalars.py.  Every ordering
+this module does reads one table: p^b x^a = sum_k C_k x^(a-k) p^(b-k) L^k,
+built once per (b, a) one p at a time, with C_0 = q^(ab).  Products, bar
+and moving L^k past a p power add only pure q-power phases, which are
+shifts of a coefficient's lowest s power.  The momentum generator also has
+a p-free closed form p = i q^(1/2) lam^-1 x^-1 (L - q^-1 L^-1), and
+substituting it is a ring homomorphism onto the span of the x^a L^c; the
+image of x^a p^b L^c is that form's b-th power shifted by (a, c).
 Structural equality of stored forms is `same_stored`; `==` compares the
 p-eliminated images, which is the equality under which bar is an involution.
 """
@@ -22,8 +27,6 @@ from functools import lru_cache
 from .scalars import QQI_I, Scalar, _as_scalar, parse_scalar
 
 _MINUS_I_ROOT_Q = Scalar({1: -QQI_I})  # -i q^(1/2)
-
-Mono = tuple  # (a, b, c) exponents of x^a p^b L^c
 
 
 class InternalOrderingError(Exception):
@@ -122,69 +125,74 @@ class AlgebraElement:
         return f"AlgebraElement<{format_element(self)}>"
 
 
-def _push_p_once(terms):
-    """Left-multiply an ordered term dict by p."""
+# The ordering table and the powers of the momentum closed form are bounded
+# LRUs, larger than what one default verify-algebra run fills (72 and 5
+# entries), so that run never evicts.  Callers only read the cached
+# results.  The _*_CACHE names give each table's cache_info() and
+# cache_clear(); products and bar share the ordering table.
+
+
+@lru_cache(maxsize=1 << 12)
+def _ordering(b, a):
+    """p^b x^a past its leading term: ((k, C_k), ...) over k >= 1 with
+
+        p^b x^a = q^(ab) x^a p^b + sum_k C_k x^(a-k) p^(b-k) L^k,
+
+    built one p at a time from p^(b-1) x^a by the rewrite rules.
+    """
+    if not b:
+        return ()
+    prev = {0: Scalar.q_power(a * (b - 1)), **dict(_ordering(b - 1, a))}
     out = {}
-    for (a, b, c), s in terms.items():
-        _merge(out, (a, b + 1, c), Scalar.q_power(a) * s)
-        coeff = _MINUS_I_ROOT_Q * Scalar.qnum(a) * Scalar.q_power(b) * s
-        _merge(out, (a - 1, b, c + 1), coeff)
-    return out
+    for k, c in prev.items():
+        # p x^(a-k) p^(b-1-k) L^k, where L p^(b-1-k) = q^(b-1-k) p^(b-1-k) L
+        if k:
+            _merge(out, k, c.shift(2 * (a - k)))
+        if a != k:
+            _merge(out, k + 1, _MINUS_I_ROOT_Q * Scalar.qnum(a - k)
+                   * c.shift(2 * (b - 1 - k)))
+    return tuple(sorted(out.items()))
 
 
-# The three per-monomial caches are bounded LRUs, each larger than what one
-# default verify-algebra run fills (about 8.3k, 550 and 380 entries), so that
-# run never evicts.  Callers only read the cached results.  The _*_CACHE
-# names give each cache's cache_info() and cache_clear().
-
-
-@lru_cache(maxsize=1 << 14)
-def _mono_product(m1, m2):
-    """Ordered product of two monomials, as a term dict."""
-    a1, b1, c1 = m1
-    a2, b2, c2 = m2
-    phase = Scalar.q_power(-c1 * a2 + c1 * b2)
-    terms = {(a2, b2, 0): phase}
-    for _ in range(b1):
-        terms = _push_p_once(terms)
-    out = {}
-    for (a, b, c), s in terms.items():
-        _merge(out, (a1 + a, b, c + c1 + c2), s)
-    return out
-
-
-_MONO_CACHE = _mono_product
+_MONO_CACHE = _BAR_CACHE = _ordering
 
 
 def multiply(lhs, rhs):
-    """Normally-ordered product, bilinear and exact."""
+    """Normally-ordered product, bilinear and exact.
+
+    (x^a1 p^b1 L^c1)(x^a2 p^b2 L^c2) = q^(c1(b2-a2)) x^a1 [p^b1 x^a2] p^b2
+    L^(c1+c2), and L^k moves past p^b2 at the cost of q^(k b2).
+    """
     out = {}
-    for m1, c1 in lhs.terms.items():
-        for m2, c2 in rhs.terms.items():
-            c = c1 * c2
-            for key, s in _mono_product(m1, m2).items():
-                _merge(out, key, s * c)
+    for (a1, b1, c1), s1 in lhs.terms.items():
+        for (a2, b2, c2), s2 in rhs.terms.items():
+            s = (s1 * s2).shift(2 * c1 * (b2 - a2))
+            a, b, c = a1 + a2, b1 + b2, c1 + c2
+            _merge(out, (a, b, c), s.shift(2 * a2 * b1))
+            if b1:
+                for k, ck in _ordering(b1, a2):
+                    _merge(out, (a - k, b - k, c + k),
+                           (ck * s).shift(2 * k * b2))
     e = AlgebraElement.__new__(AlgebraElement)
     e.terms = out
     return e
 
 
-@lru_cache(maxsize=1 << 12)
-def _bar_mono(a, b, c):
-    """bar(x^a p^b L^c) = L^-c p^b x^a, normally ordered."""
-    return multiply(AlgebraElement.L(-c),
-                    multiply(AlgebraElement.p(b), AlgebraElement.x(a)))
-
-
-_BAR_CACHE = _bar_mono
-
-
 def bar(e):
-    """Antilinear product-reversing conjugation: x, p fixed, L -> L^-1."""
-    out = AlgebraElement.zero()
-    for key, s in e.terms.items():
-        out = out + _bar_mono(*key).scale(s.conj())
-    return out
+    """Antilinear product-reversing conjugation: x, p fixed, L -> L^-1.
+
+    bar(x^a p^b L^c) = L^-c p^b x^a, and L^-c moves past every term of
+    p^b x^a at the cost of q^(c(a-b)).
+    """
+    out = {}
+    for (a, b, c), s in e.terms.items():
+        s = s.conj().shift(2 * c * (a - b))
+        _merge(out, (a, b, -c), s.shift(2 * a * b))
+        for k, ck in _ordering(b, a):
+            _merge(out, (a - k, b - k, k - c), ck * s)
+    r = AlgebraElement.__new__(AlgebraElement)
+    r.terms = out
+    return r
 
 
 def p_closed_form():
@@ -195,41 +203,29 @@ def p_closed_form():
     })
 
 
-_P_SUBST = None
+@lru_cache(maxsize=1 << 8)
+def _p_power(b):
+    """p_closed_form() ** b, a combination of the x^a L^c."""
+    if not b:
+        return AlgebraElement.one()
+    return multiply(_p_power(b - 1), p_closed_form())
 
 
-@lru_cache(maxsize=1 << 12)
-def _reduce_mono(key):
-    """Reduced form of a single ordered monomial."""
-    global _P_SUBST
-    if _P_SUBST is None:
-        _P_SUBST = p_closed_form()
-    a, b, c = key
-    if b == 0:
-        out = {key: Scalar.from_rational(1)}
-    else:
-        head = AlgebraElement({(a, b - 1, 0): Scalar.from_rational(1)})
-        tail = multiply(_P_SUBST, AlgebraElement.L(c))
-        out = {}
-        for key2, s2 in multiply(head, tail).terms.items():
-            for key3, s3 in _reduce_mono(key2).items():
-                _merge(out, key3, s2 * s3)
-    return out
-
-
-_REDUCE_CACHE = _reduce_mono
+_REDUCE_CACHE = _p_power
 
 
 def reduce_p(e):
     """Image of e under the substitution p -> p_closed_form().
 
-    The result has no p factors; two elements are equal in the involutive
-    algebra exactly when their reduced forms coincide as stored maps.
+    The image of x^a p^b L^c is x^a P^b L^c for P = p_closed_form(): P^b
+    with every exponent pair shifted by (a, c) and no phase.  The result
+    has no p factors; two elements are equal in the involutive algebra
+    exactly when their reduced forms coincide as stored maps.
     """
     out = {}
-    for key, s in e.terms.items():
-        for key2, s2 in _reduce_mono(key).items():
-            _merge(out, key2, s * s2)
+    for (a, b, c), s in e.terms.items():
+        for (a2, _, c2), s2 in _p_power(b).terms.items():
+            _merge(out, (a + a2, 0, c + c2), s * s2)
     r = AlgebraElement.__new__(AlgebraElement)
     r.terms = out
     return r

@@ -451,6 +451,14 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def shift(self, k):
+        """self * s^k: only the lowest power moves, and the form stays
+        canonical."""
+        if not k or not (self._re or self._im):
+            return self
+        return _raw(self._lo + k, self._re, self._im, self._den, self.lam,
+                    self._w, self._norm)
+
     def conj(self):
         """Complex conjugation; s and lam are real and stay fixed."""
         return _raw(self._lo, self._re, -self._im, self._den, self.lam,

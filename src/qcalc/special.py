@@ -125,7 +125,9 @@ def _series_float(q, z, kind):
         d1 = 1.0 - q ** (-2.0 * next_den_k)
         d2 = 1.0 - q ** (-2.0 * (next_den_k + 1))
         term = -term * q ** (-4.0 * (n + 1)) * z * z / (d1 * d2)
-        if abs(term) < _FLOAT_STOP * running_max:
+        # a zero term stops too: when _FLOAT_STOP * running_max underflows
+        # to 0.0 (z = 0, subnormal z) no term is ever below it
+        if not term or abs(term) < _FLOAT_STOP * running_max:
             return total, abs(term)
         total += term
         running_max = max(running_max, abs(total), abs(term))

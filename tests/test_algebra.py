@@ -1,6 +1,7 @@
 """Normal-ordering kernel: rewrite rules, involution, momentum closed form."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from qcalc.algebra import (
 )
 from qcalc.batteries import rand_element
 from qcalc.batteries import run as run_battery
-from qcalc.scalars import QQI_I, Scalar
+from qcalc.scalars import QQI_I, QQi, Scalar
 
 X = AlgebraElement.x
 P = AlgebraElement.p
@@ -218,3 +219,106 @@ def test_caches_are_bounded_and_hold_one_default_battery():
         info = cache.cache_info()
         assert info.maxsize is not None
         assert info.currsize == info.misses  # nothing was evicted
+
+
+def test_cache_clear_leaves_every_algebra_memo_cold():
+    # every CLI run, and every exact-ring bench session, starts cold
+    memos = [v for k, v in vars(algebra).items() if not k.startswith("__")
+             and (hasattr(v, "cache_info") or isinstance(v, dict))]
+    tables = [m for m in memos if hasattr(m, "cache_info")]
+    e = AlgebraElement({(1, 2, -1): Scalar.from_rational(3)})
+    for op in (lambda: multiply(e, e), lambda: bar(e), lambda: reduce_p(e)):
+        for cache in (algebra._MONO_CACHE, algebra._REDUCE_CACHE,
+                      algebra._BAR_CACHE):
+            cache.cache_clear()
+        for memo in memos:
+            assert (memo.cache_info().currsize if memo in tables
+                    else len(memo)) == 0
+        op()
+        assert sum(m.cache_info().misses for m in tables) > 0
+
+
+# -- reference ordering -------------------------------------------------------
+
+
+MINUS_I_ROOT_Q = -I * ROOT_Q
+
+
+def _ref_push_p_once(terms):
+    """Left-multiply an ordered term dict by p, one rewrite at a time."""
+    out = {}
+    for (a, b, c), s in terms.items():
+        _ref_merge(out, (a, b + 1, c), Scalar.q_power(a) * s)
+        _ref_merge(out, (a - 1, b, c + 1),
+                   MINUS_I_ROOT_Q * Scalar.qnum(a) * Scalar.q_power(b) * s)
+    return out
+
+
+def _ref_merge(terms, key, s):
+    s = terms.pop(key, Scalar()) + s
+    if not s.is_zero():
+        terms[key] = s
+
+
+def _ref_multiply(lhs, rhs):
+    out = {}
+    for (a1, b1, c1), s1 in lhs.terms.items():
+        for (a2, b2, c2), s2 in rhs.terms.items():
+            terms = {(a2, b2, 0): Scalar.q_power(c1 * (b2 - a2)) * s1 * s2}
+            for _ in range(b1):
+                terms = _ref_push_p_once(terms)
+            for (a, b, c), s in terms.items():
+                _ref_merge(out, (a1 + a, b, c + c1 + c2), s)
+    return AlgebraElement(out)
+
+
+def _ref_bar(e):
+    out = AlgebraElement.zero()
+    for (a, b, c), s in e.terms.items():
+        mono = _ref_multiply(L(-c), _ref_multiply(P(b), X(a)))
+        out = out + mono.scale(s.conj())
+    return out
+
+
+def _ref_reduce(e, p_powers):
+    """x^a p^b L^c -> x^a P^b L^c, P = p_closed_form(), by products."""
+    out = AlgebraElement.zero()
+    for (a, b, c), s in e.terms.items():
+        image = _ref_multiply(_ref_multiply(X(a), p_powers[b]), L(c))
+        out = out + image.scale(s)
+    return out
+
+
+def test_products_bar_and_reduction_match_one_p_at_a_time_ordering():
+    p_powers = [ONE]
+    for _ in range(8):
+        p_powers.append(_ref_multiply(p_powers[-1], p_closed_form()))
+    rng = random.Random(31)
+    top_p = low_x = 0
+    for _ in range(30):
+        a = rand_element(rng, max_terms=5, span=4)
+        b = rand_element(rng, max_terms=5, span=4)
+        ab = multiply(a, b)
+        assert ab.same_stored(_ref_multiply(a, b))
+        for e in (a, ab):
+            assert bar(e).same_stored(_ref_bar(e))
+            assert reduce_p(e).same_stored(_ref_reduce(e, p_powers))
+        top_p = max(top_p, *(k[1] for k in ab.terms))
+        low_x = min(low_x, *(k[0] for k in ab.terms))
+    assert top_p == 8 and low_x < 0
+
+
+@pytest.mark.parametrize("v", [
+    Scalar.from_rational(1),
+    Scalar({-3: 2, 1: QQI_I, 4: -7}),
+    Scalar({0: Fraction(1, 3), 2: QQi(Fraction(5, 6), -1)}),
+    Scalar({1: QQI_I}, lam=1),
+    Scalar({-1: 3, 5: QQi(0, Fraction(2, 9))}, lam=3),
+    Scalar({0: 1 << 70, 3: -(1 << 90)}),  # a digit wider than 64 bits
+    Scalar(),
+])
+def test_shift_is_multiplication_by_a_power_of_s(v):
+    for k in range(-9, 10):
+        want = v * Scalar.s_power(k)
+        got = v.shift(k)
+        assert got == want and hash(got) == hash(want)

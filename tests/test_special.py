@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from qcalc import special
+from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.lattice import LatticeFn, LatticeGrid
 from qcalc.schrodinger import build_representation
@@ -207,6 +208,27 @@ def test_large_argument_series_terminates_at_q50():
             for fn in (sf.cos_q, sf.sin_q):
                 val, bound = fn(50.0 ** m, with_bound=True)
                 assert not math.isnan(val) and math.isfinite(bound)
+
+
+def test_small_series_terminates_when_its_stop_rule_underflows():
+    # at z = 0 and subnormal z, 1e-16 times the largest term is 0.0, so
+    # only the zero term that follows can end the sum
+    sf = SpecialFunctions(QContext(2.0))
+    with _deadline(5):
+        assert sf.sin_q(0.0, with_bound=True) == (0.0, 0.0)
+        assert sf.cos_q(0.0) == 1.0
+        val, bound = sf.sin_q(1e-310, with_bound=True)
+    assert val == 1e-310 / (1.0 - 2.0 ** -2.0) and bound == 0.0
+
+
+def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
+    # q^-12 at q = 1e25 underflows to 0.0, and sin_q(0.0) used to hang
+    with _deadline(60):
+        assert main(["special-tables", "--q", "1e25",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("error: OverflowError")
 
 
 def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
