@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import QQI_I, Scalar, _as_scalar, parse_scalar
+from .scalars import QQI_I, Scalar, _as_scalar
 
 _MINUS_I_ROOT_Q = Scalar({1: -QQI_I})  # -i q^(1/2)
 
@@ -117,7 +117,8 @@ class AlgebraElement:
             return NotImplemented
         if self.terms == other.terms:
             return True
-        return reduce_p(self).terms == reduce_p(other).terms
+        # reduce_p is linear, so this is reduce_p(self) == reduce_p(other)
+        return reduce_p(self - other).is_zero()
 
     __hash__ = None
 
@@ -287,59 +288,3 @@ def format_element(e):
             factors.append(f"L^{c}")
         parts.append(" ".join(factors))
     return " + ".join(parts)
-
-
-def parse_element(text):
-    """Inverse of format_element."""
-    text = text.strip()
-    terms = {}
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos] != "(":
-            raise ValueError(f"expected '(' at {pos} in {text!r}")
-        depth = 0
-        j = pos
-        while j < n:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if depth != 0:
-            raise ValueError(f"unbalanced parens in {text!r}")
-        coeff_body = text[pos + 1:j]
-        j += 1
-        # lam denominator may follow the closing paren of the scalar
-        if text[j:j + 4] == "/lam":
-            j += 4
-            if j < n and text[j] == "^":
-                j += 1
-                k = j
-                while k < n and (text[k].isdigit()):
-                    k += 1
-                coeff = parse_scalar(f"({coeff_body})/lam^{text[j:k]}")
-                j = k
-            else:
-                coeff = parse_scalar(f"({coeff_body})/lam")
-        else:
-            coeff = parse_scalar(coeff_body)
-        nxt = text.find(" + ", j)
-        chunk = text[j:nxt if nxt != -1 else n]
-        a = b = c = 0
-        for tok in chunk.split():
-            gen, _, expo = tok.partition("^")
-            expo = int(expo)
-            if gen == "x":
-                a = expo
-            elif gen == "p":
-                b = expo
-            elif gen == "L":
-                c = expo
-            else:
-                raise ValueError(f"bad factor {tok!r}")
-        _merge(terms, (a, b, c), coeff)
-        pos = nxt + 3 if nxt != -1 else n
-    return AlgebraElement(terms)

@@ -48,12 +48,12 @@ from .gauge import DEFAULT_SCENARIO, RouteMismatch, scenario_report
 from .integration import (
     DivergentBranch,
     NotConverged,
-    NotIntegrable,
     ParityMismatch,
     check_green,
     definite_integral,
     improper_integral,
     monomial_integral_closed_form,
+    nabla_inverse_series,
 )
 from .lattice import (
     GridMismatch,
@@ -103,8 +103,7 @@ class ConfigError(Exception):
 LIBRARY_ERRORS = (
     DivergentBranch, DivergentProduct, GridMismatch, GridTooSmall,
     InsufficientPadding, InternalOrderingError, NoDecay,
-    NonHermitianHamiltonian, NotConverged, NotInImage, NotIntegrable,
-    OverflowError, ParityMismatch, RouteMismatch, ValueError, WindowTooSmall,
+    NonHermitianHamiltonian, NotConverged, NotInImage, OverflowError, ParityMismatch, RouteMismatch, ValueError, WindowTooSmall,
 )
 
 # Below this q the normalising products (q^-4; q^-4)_inf of the double
@@ -314,6 +313,26 @@ def leibniz(ctx, params):
 # -- integrate ----------------------------------------------------------------
 
 
+def _inverse_series_gaps(ctx):
+    """T terms of the inverse-derivative series on x^m against the inverse
+    nabla_preimage(x^m) times its truncation factor 1 - q^(-2T(m+1)) (plus
+    branch, m >= 0) or 1 - q^(2T(m+1)) (minus branch, m <= -2): a bool per
+    case on the exact backend, true on a mismatch, else the relative gap."""
+    for m in range(-5, 6):
+        if m == -1:
+            continue
+        branch, sign = ("plus", -1) if m >= 0 else ("minus", 1)
+        f = LaurentPoly.monomial(ctx, m)
+        for terms in (1, 2, 5):
+            got = nabla_inverse_series(f, branch, terms)
+            want = nabla_preimage(f).scale(
+                1 - ctx.qpow(2 * sign * terms * (m + 1)))
+            if ctx.exact:
+                yield got != want
+            else:
+                yield (got - want).max_abs() / want.max_abs()
+
+
 def integrate(ctx, params):
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
@@ -349,6 +368,7 @@ def integrate(ctx, params):
             want = f.evaluate(ctx.qpow(M)) - f.evaluate(ctx.qpow(N))
             stokes = stokes and got == ctx.coerce(want)
         rows.append(row("stokes", not stokes))
+        rows.append(row("inverse-series", any(_inverse_series_gaps(ctx))))
         return rows, used, ()
 
     closed = []
@@ -390,6 +410,8 @@ def integrate(ctx, params):
     rows.append(row("partial-integration", worst(partial), 1e-12))
     rows.append(row("nabla2-hermiticity", worst(herm), 1e-12))
     rows.append(row("green-identity", worst(green), 1e-12))
+    rows.append(row("inverse-series", worst(_inverse_series_gaps(ctx)),
+                    1e-12))
     return rows, used, ()
 
 
@@ -551,7 +573,9 @@ def spectrum(ctx, params):
                 resids.append(resid)
                 lines.append(f"{fam},{lab},{n},{repr(float(e))},"
                              f"{repr(resid)}")
-    rows = [row("eigenvalue-table", worst(resids), 1e-6)]
+    rows = [row("eigenvalue-table", worst(resids), 1e-6),
+            row("heisenberg-relation", rep.relation_residual(), 1e-12),
+            row("nabla-adjoint", rep.adjoint_residual(), 1e-10)]
 
     used = {"q": str(ctx.q), "window": [lo, hi], "mass": mass,
             "n_max": n_max}
@@ -654,6 +678,8 @@ def oscillator(ctx, params):
             row("gaussian-constants",
                 worst(c["deviation"] for c in gp["constants"].values()),
                 1e-12),
+            row("number-operator-form", pair.hamiltonian_residual(), 1e-10),
+            row("raising-xi-exchange", pair.raising_xi_residual(), 1e-10),
         ]
         lines = ["n,energy,residual"]
         for n, e, r in table:
@@ -779,8 +805,8 @@ REGISTRY = {
         (_q("3/2"), _seed(), Param("trials", 500, "random pairs", low=1))),
     "integrate": Battery(
         integrate, "either",
-        "Jackson integrals: closed forms, Stokes, Green, hermiticity; or "
-        "one definite integral",
+        "Jackson integrals: closed forms, Stokes, Green, hermiticity, "
+        "inverse-derivative series; or one definite integral",
         (_q("2"), _seed(), Param("trials", 100, "random fields", low=1),
          Param("poly", None, "integrand, e.g. '2*x^3 - x^-1 + 1'", kind=str),
          Param("from_exp", None, "lower lattice exponent (point q^N)",
@@ -800,7 +826,8 @@ REGISTRY = {
          Param("m_cut", 0, "step cut exponent for the CSV table"))),
     "spectrum": Battery(
         spectrum, "double",
-        "second-derivative eigenvalue table on the lattice window",
+        "second-derivative eigenvalue table, Heisenberg relation and "
+        "nabla adjoint on the lattice window",
         (_q("2"), _window_param((-12, 12)),
          Param("n_max", 3, "levels per family", low=1), _MASS)),
     "evolve": Battery(
@@ -830,7 +857,8 @@ REGISTRY = {
                kind=float, flag=False))),
     "oscillator": Battery(
         oscillator, "double",
-        "ladder pair, ground state, level table, Gaussian transform pair",
+        "ladder pair, ground state, level table, Gaussian transform pair, "
+        "number-operator form and xi exchange",
         (_q("2"), _window_param((-12, 12)),
          Param("levels", 4, "levels to tabulate", low=1),
          Param("m_index", 1, "ladder index m", low=1))),
@@ -866,6 +894,12 @@ def resolve(name, given):
 
 
 def run(name, given):
-    """Resolve a battery's parameters and run it: (rows, used, extra)."""
+    """Resolve a battery's parameters and run it: (rows, used, extra).
+
+    Floating-point overflow and invalid operations stay silent: `row`
+    fails every NaN or inf residual, and a configuration the library
+    cannot compute raises one of LIBRARY_ERRORS.
+    """
     ctx, params = resolve(name, given)
-    return REGISTRY[name].run(ctx, params)
+    with np.errstate(all="ignore"):
+        return REGISTRY[name].run(ctx, params)

@@ -14,8 +14,6 @@ have decayed at the window edges and refuses to silently drop a fat
 tail.
 """
 
-import csv
-import io
 import math
 
 import numpy as np
@@ -52,14 +50,6 @@ class SublatticeSeq:
     def zero(cls, ctx, k_min, k_max, family="even"):
         return cls(ctx, k_min, np.zeros(k_max - k_min + 1, dtype=complex),
                    family=family)
-
-    @classmethod
-    def from_dict(cls, ctx, data, family="even", tau=None):
-        k_min, k_max = min(data), max(data)
-        vals = np.zeros(k_max - k_min + 1, dtype=complex)
-        for k, v in data.items():
-            vals[k - k_min] = v
-        return cls(ctx, k_min, vals, family=family, tau=tau)
 
     @property
     def k_max(self):
@@ -127,35 +117,6 @@ class SublatticeSeq:
         for k in self.indices():
             acc += self.weight(k) * abs(self.values[k - self.k_min]) ** 2
         return acc
-
-    # -- serialization -----------------------------------------------------
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["k", "re", "im", "family"])
-        for k in self.indices():
-            v = self.values[k - self.k_min]
-            w.writerow([k, repr(float(v.real)), repr(float(v.imag)),
-                        self.family])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, ctx, text):
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["k", "re", "im", "family"]:
-            raise ValueError("bad header")
-        data = {}
-        families = set()
-        for row in rows[1:]:
-            if not row:
-                continue
-            k = int(row[0])
-            data[k] = complex(float(row[1]), float(row[2]))
-            families.add(row[3])
-        if len(families) != 1:
-            raise ValueError("rows must carry exactly one family")
-        return cls.from_dict(ctx, data, family=families.pop())
 
 
 class QFourier:

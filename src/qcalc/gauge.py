@@ -165,14 +165,6 @@ def transform_connection(phi, alpha):
             - pos.nabla_fn() * neg.L_shift(1))
 
 
-def transform_omega(omega, alpha_before, alpha_after, dt):
-    """Time connection law at the slice the alpha pair straddles."""
-    mid = LatticeFn(omega.grid, 0.5 * (alpha_before.data + alpha_after.data))
-    dconj = (phase_field(alpha_after, -1)
-             - phase_field(alpha_before, -1)).scale(1.0 / (2.0 * dt))
-    return omega + phase_field(mid) * dconj
-
-
 # -- curvature ------------------------------------------------------------------
 
 

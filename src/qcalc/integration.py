@@ -1,4 +1,5 @@
-"""Jackson integration: indefinite, definite, improper; scalar product; Green.
+"""Jackson integration: inverse-derivative series, definite, improper;
+scalar product; Green.
 
 The definite integral between same-parity exponents is the weighted trace
 
@@ -15,12 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import LaurentPoly, NotInImage, L_op, nabla_preimage
-from .lattice import GridMismatch, InsufficientPadding, LatticeFn, worst
-
-
-class NotIntegrable(Exception):
-    """x^-1 term present: no preimage under the derivative."""
+from .fields import LaurentPoly, L_op
+from .lattice import GridMismatch, LatticeFn, worst
 
 
 class DivergentBranch(Exception):
@@ -33,14 +30,6 @@ class ParityMismatch(Exception):
 
 class NotConverged(Exception):
     """Window tails of an improper integral exceed tolerance."""
-
-
-def indefinite_integral(f):
-    """Inverse of nabla with zero constant term: x^n -> x^(n+1)/[n+1]."""
-    try:
-        return nabla_preimage(f)
-    except NotInImage as e:
-        raise NotIntegrable(str(e)) from e
 
 
 def nabla_inverse_series(f, branch, terms):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections.abc import Mapping
 from functools import partialmethod
 
@@ -384,42 +383,3 @@ def to_csv(fn, stream=None):
         w.writerows([s, n, repr(a), repr(b)]
                     for n, a, b in zip(range(lo, hi + 1), re, im))
     return stream.getvalue() if own else None
-
-
-def from_csv(ctx, text_or_stream):
-    stream = (io.StringIO(text_or_stream)
-              if isinstance(text_or_stream, str) else text_or_stream)
-    rows = list(csv.reader(stream))
-    if not rows or rows[0] != ["sigma", "n", "re", "im"]:
-        raise ValueError("missing sigma,n,re,im header")
-    sites = {}
-    for sigma, n, re, im in rows[1:]:
-        sites[(int(sigma), int(n))] = complex(float(re), float(im))
-    if not sites:
-        raise ValueError("no data rows")
-    ns = [n for (_, n) in sites]
-    sectors = tuple(sorted({s for (s, _) in sites}, reverse=True))
-    grid = LatticeGrid(ctx, min(ns), max(ns), sectors)
-    return LatticeFn.from_sites(grid, sites)
-
-
-def to_json(fn):
-    lo, hi = fn.valid_window()
-    block = fn.data[:, fn.valid_slice()]
-    doc = {
-        "q": float(fn.grid.ctx.q),
-        "n_min": lo,
-        "n_max": hi,
-        "sectors": list(fn.grid.sectors),
-        "values": {str(s): np.stack([row.real, row.imag], -1).tolist()
-                   for s, row in zip(fn.grid.sectors, block)},
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(ctx, text):
-    doc = json.loads(text)
-    grid = LatticeGrid(ctx, doc["n_min"], doc["n_max"],
-                       tuple(doc["sectors"]))
-    return LatticeFn(grid, {s: [complex(re, im) for re, im in
-                                doc["values"][str(s)]] for s in grid.sectors})

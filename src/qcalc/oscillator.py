@@ -374,20 +374,6 @@ def hermite_match_residuals(pair, n_max=6):
     return out
 
 
-def positivity_floor(pair, rng, trials=20, margin=None):
-    """Min of Re<c, a+ a c> over random interior-supported states."""
-    size = pair.rep.grid.size
-    if margin is None:
-        margin = 4 * pair.m_index
-    lo, hi = margin, size - margin
-    z = rng.standard_normal((trials, len(pair.rep.grid.sectors), 2, hi - lo))
-    c = np.zeros(z.shape[:2] + (size,), dtype=complex)
-    c[..., lo:hi] = z[:, :, 0] + 1j * z[:, :, 1]
-    c /= np.linalg.norm(c, axis=-1, keepdims=True)
-    vals = np.sum(np.conj(c) * (pair.a_dag @ (pair.a @ c)), axis=-1).real
-    return float(np.min(vals))
-
-
 # -- Gaussian / q-exponential transform pair --------------------------------
 
 

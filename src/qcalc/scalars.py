@@ -330,10 +330,6 @@ class Scalar:
         return cls({0: v})
 
     @classmethod
-    def from_qqi(cls, v):
-        return cls({0: v})
-
-    @classmethod
     def i(cls):
         return _make(0, 0, 1, 1, 0, _W, 1)
 
@@ -344,11 +340,6 @@ class Scalar:
     @classmethod
     def q_power(cls, n):
         return _make(2 * n, 1, 0, 1, 0, _W, 1)
-
-    @classmethod
-    def lam_poly(cls):
-        # s^2 - s^-2: digits -1, 0, 0, 0, 1 from s^-2 up
-        return _make(-2, _S4_MINUS_1, 0, 1, 0, _W, 2)
 
     @classmethod
     def inv_lam(cls):
@@ -551,49 +542,3 @@ def _as_scalar(v):
 
 SCALAR_ZERO = _raw(0, 0, 0, 1, 0, _W, 0)
 SCALAR_ONE = Scalar.from_rational(1)
-
-
-def parse_scalar(text):
-    """Inverse of str(Scalar) for the golden-file grammar."""
-    text = text.strip()
-    if text == "0":
-        return Scalar()
-    lam = 0
-    if text.startswith("(") and "/lam" in text:
-        body, _, tail = text.rpartition("/lam")
-        body = body.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"bad scalar text: {text!r}")
-        body = body[1:-1]
-        tail = tail.strip()
-        if tail.startswith("^"):
-            lam = int(tail[1:])
-        elif tail == "":
-            lam = 1
-        else:
-            raise ValueError(f"bad lam suffix: {text!r}")
-        text = body
-    num = {}
-    for term in text.replace("- ", "+ -").split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        rat = Fraction(1)
-        imag = False
-        expo = 0
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if factor == "i":
-                imag = True
-            elif factor.startswith("s^"):
-                expo = int(factor[2:])
-            elif factor:
-                rat = rat * Fraction(factor)
-        if neg:
-            rat = -rat
-        c = num.get(expo, QQI_ZERO) + (QQi(0, rat) if imag else QQi(rat, 0))
-        num[expo] = c
-    return Scalar(num, lam)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .integration import improper_integral, norm as fn_norm
 from .lattice import LatticeFn, LatticeGrid, SectorRows, Stencil, worst
-from .special import SpecialFunctions
+from .special import EIGEN_EXPONENT, SpecialFunctions
 
 
 class GridTooSmall(Exception):
@@ -95,9 +95,11 @@ class Representation:
         return r.max_abs(1)
 
     def adjoint_residual(self):
-        """Interior norm of (nabla L^-1)^+ + nabla L."""
-        r = (self.nabla @ self.L_inv).adjoint() + self.nabla @ self.L
-        return r.max_abs(2)
+        """Interior norm of (nabla L^-1)^+ + nabla L, relative to that of
+        nabla L: its entries grow like q^(-n) towards small |x|."""
+        nabla_L = self.nabla @ self.L
+        r = (self.nabla @ self.L_inv).adjoint() + nabla_L
+        return r.max_abs(2) / nabla_L.max_abs(2)
 
 
 def build_representation(grid):
@@ -166,18 +168,10 @@ def _adjoint(m):
 
 # -- sampled eigenfunctions ---------------------------------------------------
 
-_EIGEN_EXPONENT = {
-    ("C", "2n+1"): lambda n: 4 * n + 1,
-    ("C", "2n"): lambda n: 4 * n - 1,
-    ("S", "2n+1"): lambda n: 4 * n + 3,
-    ("S", "2n"): lambda n: 4 * n + 1,
-}
-
-
 def _sampled_modes(rep, family, label, n, mass, rows):
     """Basis member `family`_`label`(n) sampled on the given rows of a
     (sectors, size) array, zero elsewhere, and its energy."""
-    if (family, label) not in _EIGEN_EXPONENT:
+    if (family, label) not in EIGEN_EXPONENT:
         raise ValueError(f"unknown basis member {family}_{label}")
     ctx = rep.ctx
     grid = rep.grid
@@ -193,7 +187,7 @@ def _sampled_modes(rep, family, label, n, mass, rows):
     vals = np.zeros((len(grid.sectors), grid.size), dtype=complex)
     vals[sites] = np.reshape([norm_const * kernel(v * y)
                               for v in x.ravel().tolist()], x.shape)
-    expo = _EIGEN_EXPONENT[(family, label)](n)
+    expo = 4 * n + EIGEN_EXPONENT[family, label]
     energy = (0.5 / mass) * ctx.inv_lam ** 2 * ctx.qpow(expo)
     return vals, energy
 
@@ -212,12 +206,6 @@ def stationary_state(rep, family="C", label="2n+1", n=0, sector=1, mass=1.0):
     vals, energy = _sampled_modes(rep, family, label, n, mass,
                                   [rep.grid.row(sector)])
     return LatticeFn(rep.grid, vals), energy
-
-
-def stationary_states(rep, family="C", label="2n+1", sector=1, n_range=(0,),
-                      mass=1.0):
-    return [stationary_state(rep, family, label, n, sector, mass)
-            for n in n_range]
 
 
 def free_evolve(rep, psi, t, family="C", mass=1.0, n_lo=None, n_hi=None):
@@ -268,11 +256,6 @@ def density_current(psi, mass=1.0):
     return psi.conj() * psi, _wronskian(psi).scale(1.0 / (2.0 * mass * 1j))
 
 
-def boundary_flux(psi, n, sector=1, mass=1.0):
-    """The bracket whose difference drives d/dt of the boxed density."""
-    return _wronskian(psi).value(sector, n) / (2.0 * mass * 1j)
-
-
 def noether_current(psi, alpha=1.0, mass=1.0):
     """The conserved current in its L-shifted bracket form.
 
@@ -291,11 +274,10 @@ def check_noether(psi, alpha=1.0, mass=1.0):
     """Worst interior deviation of the Noether expressions from -alpha*j.
 
     Compares the bracket-chain current (two evaluation orders) against
-    -alpha times the probability current, and the charge density against
-    -alpha psi* psi.
+    -alpha times the probability current.
     """
     a = float(alpha)
-    rho, j = density_current(psi, mass)
+    _, j = density_current(psi, mass)
     target = j.scale(-a)
 
     form1 = noether_current(psi, alpha, mass)
@@ -303,10 +285,8 @@ def check_noether(psi, alpha=1.0, mass=1.0):
     grad_c = psi.conj().nabla_fn()
     form2_inner = grad_c * psi.L_shift(-1) - grad * psi.conj().L_shift(-1)
     form2 = form2_inner.scale(a / (2.0 * mass * 1j))
-
-    charge = rho.scale(-a) - (psi.conj() * psi).scale(-a)
     return worst(f.max_abs_interior()
-                 for f in (form1 - target, form2 - target, charge))
+                 for f in (form1 - target, form2 - target))
 
 
 # -- evolution -------------------------------------------------------------------

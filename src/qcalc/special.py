@@ -53,6 +53,13 @@ STORE_MAX_QS = 8
 STORE_MAX_VALUES = 1 << 14
 
 
+# The basis member family_label(n), the cos_q or sin_q kernel at y x on
+# one parity family of sites, is a nabla^2 eigenfunction with eigenvalue
+# -lam^-2 q^e, e = 4n + EIGEN_EXPONENT[family, label].
+EIGEN_EXPONENT = {("C", "2n+1"): 1, ("C", "2n"): -1,
+                  ("S", "2n+1"): 3, ("S", "2n"): 1}
+
+
 class DivergentProduct(Exception):
     """Infinite q-Pochhammer product with |p| >= 1."""
 
@@ -445,18 +452,3 @@ class SpecialFunctions:
             "c0_tilde": (c0 * s_tilde, c0 * tilde_prod),
             "c0_prime": (c0 * s_prime, c0 * prime_prod),
         }
-
-    # -- eigenvalue table ------------------------------------------------------
-
-    def nabla2_eigenvalue(self, basis, index_parity, n):
-        """Tabulated nabla^2 eigenvalue of the C/S basis functions."""
-        key = (basis, index_parity)
-        expo = {
-            ("C", "2n+1"): 4 * n + 1,
-            ("C", "2n"): 4 * n - 1,
-            ("S", "2n+1"): 4 * n + 3,
-            ("S", "2n"): 4 * n + 1,
-        }.get(key)
-        if expo is None:
-            raise ValueError(f"unknown basis entry {key!r}")
-        return -self.ctx.inv_lam ** 2 * self.ctx.qpow(expo)

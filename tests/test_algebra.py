@@ -14,7 +14,6 @@ from qcalc.algebra import (
     format_element,
     multiply,
     p_closed_form,
-    parse_element,
     reduce_p,
 )
 from qcalc.batteries import rand_element
@@ -145,6 +144,27 @@ def test_closed_form_satisfies_defining_relation_without_p():
     assert lhs.same_stored(AlgebraElement({(0, 0, 1): I}))
 
 
+def test_equality_matches_the_two_sided_reduction_random():
+    # == reduces the difference once; reducing each side must agree
+    rng = random.Random(20261018)
+    gap = P() - p_closed_form()
+    equal_after_reduction = unequal = 0
+    for k in range(40):
+        a = rand_element(rng, max_terms=4, span=3)
+        if k % 2:
+            # a multiple of p - p_closed_form() reduces to zero
+            b = a + multiply(multiply(rand_element(rng), gap),
+                             rand_element(rng))
+        else:
+            b = rand_element(rng, max_terms=4, span=3)
+        two_sided = reduce_p(a).same_stored(reduce_p(b))
+        assert (a == b) is two_sided and (b == a) is two_sided
+        if two_sided and not a.same_stored(b):
+            equal_after_reduction += 1
+        unequal += not two_sided
+    assert equal_after_reduction >= 15 and unequal >= 15
+
+
 def test_reduce_is_multiplicative_random():
     rng = random.Random(23)
     for _ in range(30):
@@ -189,14 +209,7 @@ def test_extract_rejects_non_fields():
         extract_nabla_L(AlgebraElement({(0, 1, 0): Scalar.from_rational(1)}))
 
 
-# -- text round trip -------------------------------------------------------
-
-
-def test_format_parse_round_trip_random():
-    rng = random.Random(99)
-    for _ in range(50):
-        e = rand_element(rng, max_terms=5, span=3)
-        assert parse_element(format_element(e)).same_stored(e)
+# -- text form --------------------------------------------------------------
 
 
 def test_format_examples():
@@ -204,7 +217,6 @@ def test_format_examples():
                         (0, 0, 1): -I * ROOT_Q})
     assert format_element(e) == "(-1*i*s^1) L^1 + (s^2) x^1 p^1"
     assert format_element(AlgebraElement.zero()) == "(0)"
-    assert parse_element("(0)").is_zero()
 
 
 # -- caches -----------------------------------------------------------------

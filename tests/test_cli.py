@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -265,6 +268,20 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys):
 def test_library_exception_exits_two_naming_it(tmp_path, capsys, argv, exc):
     assert run(tmp_path, *argv) == 2
     assert _last_stderr_line(capsys).startswith(f"error: {exc}: ")
+
+
+def test_overflow_prints_the_error_line_alone(tmp_path):
+    # q^k overflows on the way to the error: numpy must not warn about it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcalc.cli", "special-tables", "--q", "1e25",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: OverflowError: ")
 
 
 # -- registry -----------------------------------------------------------------

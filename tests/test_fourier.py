@@ -139,18 +139,6 @@ def test_step_window_guards():
         QF.step_inverse(0, range(-3, 4), k_max=5)
 
 
-def test_csv_round_trip():
-    rng = random.Random(SEED + 7)
-    f = rand_seq(rng, D2, k_lo=-12, k_hi=12, family="odd")
-    text = f.to_csv()
-    back = SublatticeSeq.from_csv(D2, text)
-    assert back.family == "odd"
-    assert back.k_min == f.k_min
-    assert np.array_equal(back.values, f.values)
-    with pytest.raises(ValueError):
-        SublatticeSeq.from_csv(D2, "a,b\n1,2\n")
-
-
 def test_weighted_norm_uses_family_weight():
     vals = np.zeros(5, dtype=complex)
     vals[2] = 2.0  # k = 0

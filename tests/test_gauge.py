@@ -37,7 +37,6 @@ from qcalc.gauge import (
     transform_connection,
     transform_einbein,
     transform_field,
-    transform_omega,
     unit_einbein,
 )
 from qcalc.lattice import GridMismatch, LatticeFn, LatticeGrid
@@ -179,21 +178,6 @@ def test_grid_mismatch():
     alpha = random_phase(rng, make_grid(-6, 6))
     with pytest.raises(GridMismatch):
         transform_field(psi, alpha)
-
-
-def test_omega_transform_linear_alpha():
-    # alpha = a0 + beta t adds -i beta up to the sin(beta dt) defect
-    grid = make_grid()
-    rng = np.random.default_rng(SEED + 8)
-    omega = random_field(rng, grid, 0.5)
-    a0 = random_phase(rng, grid)
-    beta = random_phase(rng, grid)
-    dt = 1e-3
-    before = a0 + beta.scale(-dt)
-    after = a0 + beta.scale(dt)
-    got = transform_omega(omega, before, after, dt)
-    want = omega - beta.scale(1j)
-    assert (got - want).max_abs_interior() < 1e-5
 
 
 def test_phase_field_unit_modulus():

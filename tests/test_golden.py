@@ -18,6 +18,10 @@ one p^b x^a table.  The README example `verify-algebra --trials 200`
 spells out a default, so it is held to the same files.
 A change meant to alter one of these artifacts replaces its golden
 file (rerun the command with `--out tests/golden/<dir>`) and says why.
+The `integrate`, `spectrum` and `oscillator` reports were recaptured
+when their batteries appended rows (`inverse-series`;
+`heisenberg-relation` and `nabla-adjoint`; `number-operator-form` and
+`raising-xi-exchange`); every earlier row is unchanged byte for byte.
 
 The lattice subcommands are pinned the same way, at default flags
 (`default/`) and at `--q 1.5` (`q1_5/`), every file they write included,

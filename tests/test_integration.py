@@ -8,16 +8,14 @@ import pytest
 
 from qcalc.batteries import rand_lattice_fn
 from qcalc.context import QContext
-from qcalc.fields import LaurentPoly, nabla
+from qcalc.fields import LaurentPoly, NotInImage, nabla, nabla_preimage
 from qcalc.integration import (
     DivergentBranch,
     NotConverged,
-    NotIntegrable,
     ParityMismatch,
     check_green,
     definite_integral,
     improper_integral,
-    indefinite_integral,
     monomial_integral_closed_form,
     nabla_inverse_series,
     norm,
@@ -28,27 +26,23 @@ from qcalc.lattice import (
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
-    from_csv,
-    from_json,
-    to_csv,
-    to_json,
 )
 
 EXACT = QContext(Fraction(3, 2))
 DOUBLE = QContext(2.0)
 
 
-# -- indefinite -----------------------------------------------------------
+# -- indefinite: the preimage under nabla ---------------------------------
 
 
 def test_indefinite_integral_monomials():
     f = LaurentPoly.monomial(EXACT, 1)
-    F = indefinite_integral(f)
+    F = nabla_preimage(f)
     assert F == LaurentPoly(EXACT, {2: 1 / EXACT.qnum(2)})
-    assert indefinite_integral(LaurentPoly.one(EXACT)) == \
+    assert nabla_preimage(LaurentPoly.one(EXACT)) == \
         LaurentPoly.monomial(EXACT, 1)
-    with pytest.raises(NotIntegrable):
-        indefinite_integral(LaurentPoly.monomial(EXACT, -1))
+    with pytest.raises(NotInImage):
+        nabla_preimage(LaurentPoly.monomial(EXACT, -1))
 
 
 def test_indefinite_inverts_nabla():
@@ -57,7 +51,7 @@ def test_indefinite_inverts_nabla():
         coeffs = {rng.randrange(-6, 7): rng.randrange(1, 9) for _ in range(4)}
         coeffs.pop(-1, None)
         f = LaurentPoly(EXACT, coeffs)
-        assert nabla(indefinite_integral(f)) == f
+        assert nabla(nabla_preimage(f)) == f
 
 
 # -- inverse-derivative series ----------------------------------------------
@@ -66,7 +60,7 @@ def test_indefinite_inverts_nabla():
 def test_series_plus_branch_converges():
     f = LaurentPoly.monomial(EXACT, 2)
     approx = nabla_inverse_series(f, "plus", 60)
-    target = indefinite_integral(f)
+    target = nabla_preimage(f)
     diff = approx - target
     err = abs(complex(diff.evaluate(Fraction(1)))) / abs(
         complex(target.evaluate(Fraction(1))))
@@ -76,7 +70,7 @@ def test_series_plus_branch_converges():
 def test_series_minus_branch_converges():
     f = LaurentPoly.monomial(EXACT, -3)
     approx = nabla_inverse_series(f, "minus", 60)
-    target = indefinite_integral(f)  # x^-2 / [-2]
+    target = nabla_preimage(f)  # x^-2 / [-2]
     assert target == LaurentPoly(EXACT, {-2: 1 / EXACT.qnum(-2)})
     diff = approx - target
     err = abs(complex(diff.evaluate(Fraction(1))))
@@ -307,29 +301,6 @@ def test_green_boundary_example():
     # nabla x = 1, nabla 1 = 0: the flux is 1 at every site
     for n in (-4, 0, 4):
         assert abs(flux.value(1, n) - 1.0) < 1e-13
-
-
-# -- lattice serialization -----------------------------------------------
-
-
-def test_csv_round_trip():
-    grid = LatticeGrid(DOUBLE, -6, 6)
-    rng = random.Random(47)
-    f = rand_lattice_fn(rng, grid)
-    text = to_csv(f)
-    back = from_csv(DOUBLE, text)
-    assert back.grid == f.grid
-    for s in grid.sectors:
-        assert (back.sector(s) == f.sector(s)).all()
-
-
-def test_json_round_trip():
-    grid = LatticeGrid(DOUBLE, -5, 3, sectors=(1,))
-    rng = random.Random(53)
-    f = rand_lattice_fn(rng, grid)
-    back = from_json(DOUBLE, to_json(f))
-    assert back.grid == f.grid
-    assert (back.sector(1) == f.sector(1)).all()
 
 
 def test_lattice_shift_and_pad_bookkeeping():

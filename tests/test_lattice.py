@@ -1,6 +1,8 @@
 """Sector-stacked stencil operators against dense matrices; the row order
 of sector-stacked lattice functions; site factors; field maxima."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -13,10 +15,7 @@ from qcalc.lattice import (
     LatticeFn,
     LatticeGrid,
     Stencil,
-    from_csv,
-    from_json,
     to_csv,
-    to_json,
 )
 
 D2 = QContext(2.0)
@@ -118,8 +117,7 @@ def test_max_abs_interior_propagates_nan_from_any_sector():
 # -- row order of sector-stacked functions --------------------------------------
 #
 # Row k of LatticeFn.data holds grid.sectors[k].  A one-sector grid on the
-# negative half-line is what from_csv builds from a sector -1 file, and
-# (-1, 1) reverses the default order, so each expectation below is built
+# negative half-line carries sector -1 alone, and (-1, 1) reverses the default order, so each expectation below is built
 # from the sign of the sector that should sit in that row.
 
 ORDERS = [(-1,), (-1, 1), (1, -1)]
@@ -221,18 +219,16 @@ def test_max_abs_interior_sees_nan_in_the_last_row(ordered):
 
 
 def test_serialization_round_trips_keep_sectors(ordered):
+    # rows run sector by sector in grid order, exponents ascending, and
+    # the repr-printed floats read back bit for bit
     grid, f = ordered
-    text = to_csv(f)
-    lines = text.splitlines()
-    assert lines[1].startswith(f"{grid.sectors[0]},{grid.n_min},")
-    back = from_csv(D2, text)
-    # from_csv orders the sectors it reads from +1 down
-    assert back.grid.sectors == tuple(sorted(grid.sectors, reverse=True))
-    for s in grid.sectors:
-        assert np.array_equal(back.sector(s), f.sector(s))
-    again = from_json(D2, to_json(f))
-    assert again.grid == grid
-    assert np.array_equal(again.data, f.data)
+    rows = list(csv.reader(io.StringIO(to_csv(f))))
+    assert rows[0] == ["sigma", "n", "re", "im"]
+    assert [(int(s), int(n)) for s, n, _, _ in rows[1:]] == [
+        (s, n) for s in grid.sectors for n in grid.exponents()]
+    back = np.reshape([complex(float(re), float(im))
+                       for _, _, re, im in rows[1:]], f.data.shape)
+    assert np.array_equal(back, f.data)
 
 
 # -- site factors ------------------------------------------------------------------

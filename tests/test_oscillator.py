@@ -20,7 +20,6 @@ from qcalc.oscillator import (
     hermite_match_residuals,
     ladder_energies,
     level_table_csv,
-    positivity_floor,
     q_hermite_polynomials,
     q_hermite_value,
     raising_on_ground_residual,
@@ -187,8 +186,15 @@ def test_ladder_energies_general_m(rep):
 
 
 def test_positivity(pair):
+    # Re<c, a+ a c> >= 0 for random unit states supported 4 sites inside
     rng = np.random.default_rng(SEED)
-    assert positivity_floor(pair, rng, trials=20) >= -1e-10
+    size = pair.rep.grid.size
+    z = rng.standard_normal((20, len(pair.rep.grid.sectors), 2, size - 8))
+    c = np.zeros(z.shape[:2] + (size,), dtype=complex)
+    c[..., 4:-4] = z[:, :, 0] + 1j * z[:, :, 1]
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)
+    vals = np.sum(np.conj(c) * (pair.a_dag @ (pair.a @ c)), axis=-1).real
+    assert float(np.min(vals)) >= -1e-10
 
 
 def test_apply_maps_track_padding(pair, psi0):

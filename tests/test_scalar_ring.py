@@ -13,8 +13,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcalc.scalars import QQi, Scalar, parse_scalar
+from qcalc.scalars import QQi, Scalar
 
+LAM = Scalar.q_power(1) - Scalar.q_power(-1)
 Q_EXACT = Fraction(3, 2)
 Q_FLOAT = 1.7
 
@@ -82,7 +83,7 @@ def test_equal_values_by_different_routes_hash_equal(a, b, c):
         (a * b) * c + a,
         a * (c * b) + a,
         a * (b * c + Scalar.from_rational(1)),
-        (a * Scalar.lam_poly()) * (b * c + Scalar.from_rational(1))
+        (a * LAM) * (b * c + Scalar.from_rational(1))
         * Scalar.inv_lam(),
     ]
     first = routes[0]
@@ -95,7 +96,7 @@ def test_equal_values_by_different_routes_hash_equal(a, b, c):
 @PROPERTY
 @given(scalars(), st.integers(1, 3))
 def test_lam_multiply_then_divide_round_trips(a, k):
-    lam, inv = Scalar.lam_poly(), Scalar.inv_lam()
+    lam, inv = LAM, Scalar.inv_lam()
     up = a
     for _ in range(k):
         up = up * lam
@@ -183,16 +184,8 @@ def test_growth_past_the_narrow_slot_is_exact():
     assert norm > 2 ** 64 and z._w > 64
 
 
-@PROPERTY
-@given(with_fractions, with_fractions)
-def test_fraction_coefficients_round_trip_through_text(a, b):
-    for z in (a, b, a + b, a * b):
-        back = parse_scalar(str(z))
-        assert back == z and hash(back) == hash(z)
-
-
 def test_denominator_cancels_to_canonical_form():
-    half = parse_scalar("1/2*s^2 + 1/2*i")
+    half = Scalar({2: Fraction(1, 2), 0: QQi(0, Fraction(1, 2))})
     assert half.num == {2: QQi(Fraction(1, 2)), 0: QQi(0, Fraction(1, 2))}
     assert half * 2 == Scalar({2: 1, 0: QQi(0, 1)})
     assert hash(half * 2) == hash(Scalar({2: 1, 0: QQi(0, 1)}))

@@ -8,7 +8,9 @@ import pytest
 
 from qcalc.context import QContext
 from qcalc.fields import LaurentPoly
-from qcalc.scalars import QQi, Scalar, parse_scalar
+from qcalc.scalars import QQi, Scalar
+
+LAM = Scalar.q_power(1) - Scalar.q_power(-1)
 
 
 def test_qqi_field_ops():
@@ -44,7 +46,7 @@ def test_integral_arithmetic_keeps_int_parts():
         for c in (a + b, a - b, a * b, -a, a.conj(), 3 * a + 1):
             assert type(c.re) is int and type(c.im) is int
     z = (Scalar.qnum(3) + Scalar.i() * Scalar.s_power(-1)) * Scalar.qnum(-2)
-    z = z * Scalar.inv_lam() + Scalar.lam_poly()
+    z = z * Scalar.inv_lam() + LAM
     for c in z.num.values():
         assert type(c.re) is int and type(c.im) is int
 
@@ -87,7 +89,7 @@ def test_qnum_matches_closed_form_numerically():
 
 
 def test_lam_localization_cancels():
-    lam = Scalar.lam_poly()
+    lam = LAM
     inv = Scalar.inv_lam()
     assert lam * inv == Scalar.from_rational(1)
     assert inv * lam * lam == lam
@@ -100,7 +102,7 @@ def test_lam_localization_cancels():
 def test_lam_power_is_minimal():
     s = Scalar({0: 1}, lam=2)
     assert s.lam == 2
-    t = s * Scalar.lam_poly()
+    t = s * LAM
     assert t.lam == 1
     assert t.num == {0: QQi(1, 0)}
 
@@ -137,18 +139,6 @@ def test_evaluate_matches_exact():
     assert math.isclose(approx.imag, float(exact.im), rel_tol=1e-13)
 
 
-def test_str_parse_round_trip_random():
-    rng = random.Random(20260816)
-    for _ in range(200):
-        num = {}
-        for _ in range(rng.randrange(0, 5)):
-            e = rng.randrange(-6, 7)
-            num[e] = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
-                         Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
-        z = Scalar(num, lam=rng.randrange(0, 3))
-        assert parse_scalar(str(z)) == z
-
-
 def test_str_examples():
     assert str(Scalar()) == "0"
     assert str(Scalar.from_rational(-2)) == "-2"
@@ -161,11 +151,6 @@ def test_qqi_str_in_scalar_grammar():
     assert [str(QQi(*c)) for c in [(0, 0), (Fraction(3, 2), 0), (0, -1),
                                    (0, 1), (Fraction(1, 2), 3), (-2, 5)]] \
         == ["0", "3/2", "-i", "i", "1/2 + 3*i", "-2 + 5*i"]
-    rng = random.Random(20261018)
-    for _ in range(100):
-        z = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)),
-                Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
-        assert parse_scalar(str(z)) == Scalar({0: z})
     # exact Laurent polynomials print their coefficients through it
     poly = LaurentPoly(QContext(Fraction(3, 2)),
                        {2: QQi(Fraction(1, 2), 3), 0: 1})

@@ -14,8 +14,9 @@ from qcalc import special
 from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.lattice import LatticeFn, LatticeGrid
-from qcalc.schrodinger import build_representation
+from qcalc.schrodinger import build_representation, stationary_state
 from qcalc.special import (
+    EIGEN_EXPONENT,
     DivergentProduct,
     OutOfRadius,
     QCombinatorics,
@@ -536,14 +537,24 @@ def test_nabla2_eigenvalue_relation_on_lattice():
 # -- eigenvalue table ---------------------------------------------------------
 
 
+def nabla2_eigenvalue(family, label, n):
+    return -D2.inv_lam ** 2 * D2.qpow(4 * n + EIGEN_EXPONENT[family, label])
+
+
 def test_eigenvalue_table():
     lam2 = D2.inv_lam ** 2
-    assert SF.nabla2_eigenvalue("C", "2n+1", 0) == -lam2 * D2.q
-    assert SF.nabla2_eigenvalue("S", "2n", 0) == -lam2 * D2.q
-    assert SF.nabla2_eigenvalue("C", "2n", 1) == -lam2 * D2.qpow(3)
-    assert SF.nabla2_eigenvalue("S", "2n+1", 1) == -lam2 * D2.qpow(7)
-    with pytest.raises(ValueError):
-        SF.nabla2_eigenvalue("C", "n", 0)
+    assert set(EIGEN_EXPONENT) == {(f, lab) for f in "CS"
+                                   for lab in ("2n+1", "2n")}
+    assert nabla2_eigenvalue("C", "2n+1", 0) == -lam2 * D2.q
+    assert nabla2_eigenvalue("S", "2n", 0) == -lam2 * D2.q
+    assert nabla2_eigenvalue("C", "2n", 1) == -lam2 * D2.qpow(3)
+    assert nabla2_eigenvalue("S", "2n+1", 1) == -lam2 * D2.qpow(7)
+    # the stationary states' energies read the same table
+    rep = build_representation(LatticeGrid(D2, -12, 12))
+    for (family, label) in EIGEN_EXPONENT:
+        for n in (-1, 0, 2):
+            _, energy = stationary_state(rep, family, label, n, mass=0.5)
+            assert energy == -nabla2_eigenvalue(family, label, n)
 
 
 def test_eigenvalue_table_consistent_with_pointwise_relation():
@@ -551,7 +562,7 @@ def test_eigenvalue_table_consistent_with_pointwise_relation():
     for n in (-1, 0, 2):
         y = D2.qpow(2 * n + 1)
         want = -D2.inv_lam ** 2 / D2.q * y * y
-        assert abs(SF.nabla2_eigenvalue("C", "2n+1", n) - want) < 1e-12 * abs(want)
+        assert abs(nabla2_eigenvalue("C", "2n+1", n) - want) < 1e-12 * abs(want)
         y = D2.qpow(2 * n)
         want = -D2.inv_lam ** 2 * D2.q * y * y
-        assert abs(SF.nabla2_eigenvalue("S", "2n", n) - want) < 1e-12 * abs(want)
+        assert abs(nabla2_eigenvalue("S", "2n", n) - want) < 1e-12 * abs(want)
