@@ -103,7 +103,8 @@ class ConfigError(Exception):
 LIBRARY_ERRORS = (
     DivergentBranch, DivergentProduct, GridMismatch, GridTooSmall,
     InsufficientPadding, InternalOrderingError, NoDecay,
-    NonHermitianHamiltonian, NotConverged, NotInImage, OverflowError, ParityMismatch, RouteMismatch, ValueError, WindowTooSmall,
+    NonHermitianHamiltonian, NotConverged, NotInImage, OverflowError,
+    ParityMismatch, RouteMismatch, ValueError, WindowTooSmall,
 )
 
 # Below this q the normalising products (q^-4; q^-4)_inf of the double
@@ -314,10 +315,10 @@ def leibniz(ctx, params):
 
 
 def _inverse_series_gaps(ctx):
-    """T terms of the inverse-derivative series on x^m against the inverse
-    nabla_preimage(x^m) times its truncation factor 1 - q^(-2T(m+1)) (plus
-    branch, m >= 0) or 1 - q^(2T(m+1)) (minus branch, m <= -2): a bool per
-    case on the exact backend, true on a mismatch, else the relative gap."""
+    """T terms of the inverse-derivative series on x^m against
+    nabla_preimage(x^m) times the truncation factor 1 - q^(-2T(m+1)) (plus
+    branch, m >= 0) or 1 - q^(2T(m+1)) (minus branch, m <= -2): per case a
+    bool on the exact backend, true on a mismatch, else the relative gap."""
     for m in range(-5, 6):
         if m == -1:
             continue
