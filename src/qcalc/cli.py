@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .batteries import (
@@ -184,6 +185,11 @@ def build_parser():
     return top
 
 
+def _one_line(kind, category, message):
+    first = (str(message).splitlines() or [""])[0]
+    return f"{kind}: {category.__name__}: {first}"
+
+
 def main(argv=None):
     given = vars(build_parser().parse_args(argv))
     command = given.pop("command")
@@ -192,14 +198,19 @@ def main(argv=None):
         out, tol = (prm.pick(given) for prm in RUNNER)
         if command == "integrate" and given.get("poly") is not None:
             return _print_integral(given)
-        rows, used, extra = run(command, given)
+        # warnings wait for the verdict: a run that ends in a library
+        # error prints that one line alone
+        with warnings.catch_warnings(record=True) as caught:
+            rows, used, extra = run(command, given)
+        for line in dict.fromkeys(_one_line("warning", w.category, w.message)
+                                  for w in caught):
+            print(line, file=sys.stderr)
         return _finish(command, rows, used, extra, out, tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LIBRARY_ERRORS as exc:
-        msg = str(exc).splitlines()[0] if str(exc) else ""
-        print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        print(_one_line("error", type(exc), exc), file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,12 @@
 """Sampled fields and stencil operators on the q-lattice x = sigma q^n.
 
 A LatticeFn stores complex values on a finite exponent window for one or
-both sign sectors as one array `data` of shape (sectors, size): row k
-holds grid.sectors[k] and column i the exponent n_min + i, the layout a
+both sign sectors as one array `data` of shape (..., sectors, size): row
+k holds grid.sectors[k] and column i the exponent n_min + i, the layout a
 Stencil uses for its diagonals.  sector(s) is the row view of sector s.
+Leading batch axes carry several functions at once, such as one per
+gauge transform: pointwise algebra broadcasts a batch against a single
+function, and shifts, derivatives and residuals act on each member.
 The scale map and the derivative are shifts along the last axis:
 
     (L^k f)(sigma q^n)   = f(sigma q^(n-k))
@@ -25,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Mapping
-from functools import partialmethod
 
 import numpy as np
 
@@ -107,12 +109,13 @@ class LatticeGrid:
         return self.sectors.index(sigma)
 
     def stack(self, values):
-        """values as a new (sectors, size) complex array: either array-like
-        in row order or a {sector: row} mapping, absent sectors zero."""
+        """values as a new (..., sectors, size) complex array: either
+        array-like in row order or a {sector: row} mapping, absent sectors
+        zero."""
         if isinstance(values, Mapping):
             values = [values.get(s, np.zeros(self.size)) for s in self.sectors]
         out = np.array(values, dtype=complex)
-        if out.shape != (len(self.sectors), self.size):
+        if out.shape[-2:] != (len(self.sectors), self.size):
             raise ValueError("value array does not match the grid")
         return out
 
@@ -194,7 +197,7 @@ class LatticeFn:
 
     def sector(self, sigma):
         """Row view of sector sigma."""
-        return self.data[self.grid.row(sigma)]
+        return self.data[..., self.grid.row(sigma), :]
 
     def valid_window(self):
         return (self.grid.n_min + self.pad_lo, self.grid.n_max - self.pad_hi)
@@ -208,7 +211,7 @@ class LatticeFn:
         if require_valid and not lo <= n <= hi:
             raise InsufficientPadding(
                 f"site n={n} is inside the invalid boundary layer")
-        return self.data[self.grid.row(sigma), self.grid.index(n)]
+        return self.data[..., self.grid.row(sigma), self.grid.index(n)]
 
     # -- pointwise algebra ----------------------------------------------------
 
@@ -223,15 +226,20 @@ class LatticeFn:
 
     def _pointwise(self, op, other):
         """op(self, other) site by site, on a common grid."""
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise GridMismatch("operands live on different grids")
         return self._wrap(op(self.data, other.data),
                           max(self.pad_lo, other.pad_lo),
                           max(self.pad_hi, other.pad_hi))
 
-    __add__ = partialmethod(_pointwise, np.add)
-    __sub__ = partialmethod(_pointwise, np.subtract)
-    __mul__ = partialmethod(_pointwise, np.multiply)
+    def __add__(self, other):
+        return self._pointwise(np.add, other)
+
+    def __sub__(self, other):
+        return self._pointwise(np.subtract, other)
+
+    def __mul__(self, other):
+        return self._pointwise(np.multiply, other)
 
     def __neg__(self):
         return self._wrap(-self.data)
@@ -257,7 +265,7 @@ class LatticeFn:
         """Two-neighbor difference quotient; widens both pads by one."""
         v = self.data
         d = np.zeros(v.shape, dtype=complex)
-        d[:, 1:-1] = v[:, 2:] - v[:, :-2]
+        d[..., 1:-1] = v[..., 2:] - v[..., :-2]
         return self._wrap(d / self.grid.lam_x,
                           self.pad_lo + 1, self.pad_hi + 1)
 
@@ -266,14 +274,19 @@ class LatticeFn:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def max_abs_interior(self, extra_margin=0):
-        """Largest |value| inside the valid window; NaN if any is NaN."""
+    def interior(self, extra_margin=0):
+        """View of the values inside the valid window, every batch member
+        and sector; extra_margin trims that many more sites at each end."""
         lo, hi = self.valid_window()
         lo, hi = lo + extra_margin, hi - extra_margin
         if lo > hi:
             raise InsufficientPadding("no interior sites remain")
-        i0, i1 = self.grid.index(lo), self.grid.index(hi)
-        return float(np.max(np.abs(self.data[:, i0:i1 + 1])))
+        return self.data[..., self.grid.index(lo):self.grid.index(hi) + 1]
+
+    def max_abs_interior(self, extra_margin=0):
+        """Largest |value| inside the valid window over the whole batch;
+        NaN if any is NaN."""
+        return float(np.max(np.abs(self.interior(extra_margin))))
 
     def __repr__(self):
         lo, hi = self.valid_window()

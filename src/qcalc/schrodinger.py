@@ -9,8 +9,11 @@ scalar product of the sampled functions.
 In these coordinates x is diagonal, the dilation generator is the plain
 shift, and the scale map of the field calculus is the shift times q^(1/2).
 Each operator is a lattice.Stencil (diagonals times shift powers, both
-sectors stacked); only the Hamiltonian is also kept dense, as one
-(sectors, size, size) stack for a batched eigh.
+sectors stacked).  The Hamiltonian couples n only to n +- 2, so each
+sector splits into two real parity chains (the sites of even and of odd
+exponent), and its eigenproblem is solved chain by chain.  It is also
+kept dense, one (sectors, size, size) stack, for its matrices, the energy
+and the spectrum battery.
 The momentum acts as -i times the difference quotient; hard truncation
 keeps it hermitian because the difference quotient stays antisymmetric
 when rows are simply dropped.
@@ -37,6 +40,10 @@ class GridTooSmall(Exception):
 
 class NonHermitianHamiltonian(Exception):
     """Symmetrization could not repair the Hamiltonian."""
+
+
+class ChainStructureError(ValueError):
+    """The Hamiltonian couples the two parity chains or is not real."""
 
 
 class Representation:
@@ -107,9 +114,14 @@ def build_representation(grid):
 
 
 class Hamiltonian:
-    """-(1/2m) nabla^2 + V as a stencil, symmetrized after truncation;
-    dense stacks its matrices per sector, matrices[s] views one.  Methods
-    take coefficients stacked or as a {sector: row} mapping."""
+    """-(1/2m) nabla^2 + V as a stencil, symmetrized after truncation.
+
+    eigh solves each sector's two parity chains, the sites of even and of
+    odd exponent, as real symmetric problems.  dense stacks the full
+    matrices per sector, matrices[s] views one; they serve the energy and
+    the spectrum battery, not the solve.  Methods take coefficients
+    stacked or as a {sector: row} mapping.
+    """
 
     def __init__(self, rep, mass=1.0, potential=None):
         self.rep = rep
@@ -127,13 +139,28 @@ class Hamiltonian:
         if gap > 1e-9 * max(1.0, sym.max_abs()):
             raise NonHermitianHamiltonian(
                 f"asymmetry {gap:.2e} survived symmetrization")
+        odd = sorted(c for c in sym.diags if c % 2)
+        if odd:
+            raise ChainStructureError(
+                f"offsets {odd} couple the two parity chains")
+        if any(np.any(d.imag) for d in sym.diags.values()):
+            raise ChainStructureError("the parity chains are not real")
         self.dense = sym.dense()
         self.matrices = SectorRows(rep.grid, self.dense)
 
     def eigh(self):
-        """(eigenvalues, eigenvectors) of every sector, stacked."""
+        """(eigenvalues, eigenvectors) of every sector, stacked: eigenvalues
+        ascending, each eigenvector supported on one parity chain."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.dense)
+            h = self.dense.real
+            half = (h.shape[-1] + 1) // 2
+            vecs = np.zeros(h.shape, dtype=complex)
+            w0, vecs[:, 0::2, :half] = np.linalg.eigh(h[:, 0::2, 0::2])
+            w1, vecs[:, 1::2, half:] = np.linalg.eigh(h[:, 1::2, 1::2])
+            w = np.concatenate((w0, w1), axis=-1)
+            order = np.argsort(w, axis=-1, kind="stable")
+            self._eig = (np.take_along_axis(w, order, -1),
+                         np.take_along_axis(vecs, order[:, None, :], -1))
         return self._eig
 
     def eig(self, s):

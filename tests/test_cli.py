@@ -10,14 +10,17 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcalc import batteries
 from qcalc.batteries import REGISTRY, ConfigError, parse_q, resolve
 from qcalc.cli import build_parser, main
+from qcalc.oscillator import ContaminationWarning
 
 
 def run(tmp_path, *argv):
@@ -282,6 +285,43 @@ def test_overflow_prints_the_error_line_alone(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: OverflowError: ")
+
+
+@pytest.mark.parametrize("levels", ["12", "40"])
+def test_warnings_before_a_library_error_stay_unprinted(tmp_path, levels):
+    # the excited tower warns once per contaminated state on its way to
+    # InsufficientPadding; only the error line may reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcalc.cli", "oscillator", "--levels", levels,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: InsufficientPadding: ")
+
+
+def test_finished_run_prints_each_distinct_warning_once(tmp_path, capsys,
+                                                        monkeypatch):
+    report = batteries.scenario_report
+
+    def warning_report(cfg):
+        for _ in range(3):
+            warnings.warn("state 7 has 4 boundary-clean sites",
+                          ContaminationWarning)
+        warnings.warn("state 7 has 4 boundary-clean sites",
+                      ContaminationWarning)
+        warnings.warn("first line\nsecond line")
+        return report(cfg)
+
+    monkeypatch.setattr(batteries, "scenario_report", warning_report)
+    assert run(tmp_path, "gauge") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ContaminationWarning: state 7 has 4 boundary-clean sites",
+        "warning: UserWarning: first line"]
 
 
 # -- registry -----------------------------------------------------------------

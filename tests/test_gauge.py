@@ -8,6 +8,7 @@ from qcalc.gauge import (
     InsufficientTimeSlices,
     RouteMismatch,
     SingularEinbein,
+    _div,
     commutator_residual,
     connection_consistency_residual,
     connection_field,
@@ -409,3 +410,130 @@ def test_commutator_order_fails_on_nan(monkeypatch):
     rows = {r["check"]: r for r in scenario_report()}
     assert np.isnan(rows["commutator-order"]["residual"])
     assert not rows["commutator-order"]["ok"]
+
+
+# -- batches of gauge transforms ----------------------------------------------------
+#
+# scenario_report runs its T phases alpha as one (T, sectors, size) batch;
+# every result must equal the loop over the members bit for bit, and a
+# failure must name the member the loop would have stopped at.
+
+T = 6
+
+
+def members(f):
+    return [LatticeFn(f.grid, d, f.pad_lo, f.pad_hi) for d in f.data]
+
+
+def assert_batch_is_the_loop(batched, looped):
+    assert len(batched.data) == len(looped)
+    for d, f in zip(batched.data, looped):
+        assert (batched.pad_lo, batched.pad_hi) == (f.pad_lo, f.pad_hi)
+        assert np.array_equal(d, f.data)
+
+
+@pytest.fixture
+def batch_scenario():
+    grid = make_grid()
+    rng = np.random.default_rng(SEED)
+    e = random_einbein(rng, grid, 0.3)
+    psi = random_field(rng, grid)
+    alphas = random_phase(rng, grid, 1.0, (T,))
+    return e, psi, alphas
+
+
+def test_batched_draw_is_the_sequence_of_single_draws():
+    grid = make_grid()
+    a, b = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    shape = (len(grid.sectors), grid.size)
+    assert np.array_equal(a.uniform(-1.5, 1.5, (T, *shape)),
+                          [b.uniform(-1.5, 1.5, shape) for _ in range(T)])
+    batch = random_phase(a, grid, 0.7, (T,))
+    assert_batch_is_the_loop(batch, [random_phase(b, grid, 0.7)
+                                     for _ in range(T)])
+    assert a.random() == b.random()
+
+
+def test_batched_transforms_match_the_member_loop(batch_scenario):
+    e, psi, alphas = batch_scenario
+    loop = members(alphas)
+    e_batch = transform_einbein(e, alphas)
+    psi_batch = transform_field(psi, alphas)
+    cases = [
+        (phase_field(alphas, -1), [phase_field(a, -1) for a in loop]),
+        (e_batch, [transform_einbein(e, a) for a in loop]),
+        (_div(psi, e_batch), [_div(psi, transform_einbein(e, a))
+                              for a in loop]),
+        (_div(e_batch, e_batch), [_div(b, b) for b in members(e_batch)]),
+        (connection_field(e_batch),
+         [connection_field(b) for b in members(e_batch)]),
+        (covariant_derivative(e_batch, psi_batch),
+         [covariant_derivative(b, p) for b, p in zip(members(e_batch),
+                                                     members(psi_batch))]),
+    ]
+    for batched, looped in cases:
+        assert_batch_is_the_loop(batched, looped)
+
+
+def test_batched_residuals_are_the_worst_member(batch_scenario):
+    e, psi, alphas = batch_scenario
+    loop = members(alphas)
+    assert derivative_covariance_residual(e, psi, alphas) == max(
+        derivative_covariance_residual(e, psi, a) for a in loop)
+    assert connection_consistency_residual(e, alphas) == max(
+        connection_consistency_residual(e, a) for a in loop)
+
+
+def test_nan_in_one_member_makes_the_batched_residual_nan(batch_scenario):
+    e, psi, alphas = batch_scenario
+    psis = LatticeFn(psi.grid, np.broadcast_to(psi.data, alphas.data.shape))
+    assert np.isfinite(derivative_covariance_residual(e, psis, alphas))
+    psis.data[2, -1, 5] = np.nan
+    assert np.isnan(derivative_covariance_residual(e, psis, alphas))
+
+
+def test_singular_member_is_named_as_the_loop_names_it(batch_scenario):
+    e, _, alphas = batch_scenario
+    e_batch = transform_einbein(e, alphas)
+    e_batch.data[4, 0, 3] = 1e-15
+    e_batch.data[2, -1, 6] = 2e-14
+    e_batch.data[2, 0, 9] = np.nan
+    with pytest.raises(SingularEinbein) as batched:
+        dual_einbein(e_batch)
+    with pytest.raises(SingularEinbein) as looped:
+        for b in members(e_batch):
+            dual_einbein(b)
+    assert str(batched.value) == str(looped.value)
+    assert "nan" in str(batched.value)
+
+
+def test_route_mismatch_names_the_first_failing_member():
+    # routes part by more than 1e-12 at +-20; members 0 and 1 are scaled
+    # down far enough to agree, and a NaN member must hide nothing
+    grid = make_grid(-20, 20)
+    rng = np.random.default_rng(SEED)
+    e = random_einbein(rng, grid, 0.3)
+    psi = random_field(rng, grid)
+    scales = np.array([1e-20, 1e-20, np.nan, 0.5, 1.0])
+    psis = LatticeFn(grid, scales[:, None, None] * psi.data)
+    with pytest.raises(RouteMismatch) as batched:
+        covariant_derivative(e, psis)
+    with pytest.raises(RouteMismatch) as looped:
+        for p in members(psis):
+            covariant_derivative(e, p)
+    assert str(batched.value) == str(looped.value)
+
+
+def test_scenario_report_pointwise_budget(monkeypatch):
+    # the T transforms run as one batch: 575 pointwise products when they
+    # ran one at a time
+    calls = []
+    pointwise = LatticeFn._pointwise
+
+    def counting(self, op, other):
+        calls.append(op)
+        return pointwise(self, op, other)
+
+    monkeypatch.setattr(LatticeFn, "_pointwise", counting)
+    scenario_report()
+    assert 0 < len(calls) <= 320

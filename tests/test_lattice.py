@@ -12,6 +12,7 @@ from qcalc.context import QContext
 from qcalc.integration import improper_integral
 from qcalc.lattice import (
     GridMismatch,
+    InsufficientPadding,
     LatticeFn,
     LatticeGrid,
     Stencil,
@@ -245,3 +246,88 @@ def test_site_factors_match_the_scalar_formulas_bit_for_bit(q, w):
             assert grid.lam_x[k, i] == ctx.lam * s * ctx.qpow(n)
             for power in (1, -1, 2, -2, 3):
                 assert grid.x_power(power)[k, i] == grid.point(s, n) ** power
+
+
+# -- leading batch axes ------------------------------------------------------------
+#
+# A batch of T functions is one LatticeFn whose data has shape
+# (T, sectors, size); each result must equal, bit for bit, the loop that
+# treats the members one at a time.
+
+T = 5
+
+
+def rand_batch(rng, grid, pads=(1, 2), shape=(T,)):
+    shape = (*shape, len(grid.sectors), grid.size)
+    return LatticeFn(grid, rng.uniform(-1, 1, shape)
+                     + 1j * rng.uniform(-1, 1, shape), *pads)
+
+
+def members(f):
+    return [LatticeFn(f.grid, d, f.pad_lo, f.pad_hi) for d in f.data]
+
+
+def assert_batch_is_the_loop(batched, looped):
+    assert len(batched.data) == len(looped)
+    for d, f in zip(batched.data, looped):
+        assert (batched.pad_lo, batched.pad_hi) == (f.pad_lo, f.pad_hi)
+        assert np.array_equal(d, f.data)
+
+
+UNARY = {
+    "scale": lambda f: f.scale(0.3 - 2j),
+    "neg": lambda f: -f,
+    "conj": lambda f: f.conj(),
+    "x_multiply": lambda f: f.x_multiply(),
+    "x_multiply(-2)": lambda f: f.x_multiply(-2),
+    "L_shift(1)": lambda f: f.L_shift(1),
+    "L_shift(-1)": lambda f: f.L_shift(-1),
+    "L_shift(3)": lambda f: f.L_shift(3),
+    "L_shift(-3)": lambda f: f.L_shift(-3),
+    "nabla_fn": lambda f: f.nabla_fn(),
+}
+
+
+@pytest.mark.parametrize("name", UNARY)
+def test_batched_unary_ops_match_the_member_loop(grid, name):
+    op = UNARY[name]
+    f = rand_batch(np.random.default_rng(SEED), grid)
+    assert_batch_is_the_loop(op(f), [op(m) for m in members(f)])
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul"])
+def test_batched_pointwise_ops_match_the_member_loop(grid, name):
+    op = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+          "mul": lambda a, b: a * b}[name]
+    rng = np.random.default_rng(SEED)
+    f, g = rand_batch(rng, grid), rand_batch(rng, grid, pads=(3, 0))
+    single = LatticeFn(grid, g.data[0], 0, 1)
+    assert_batch_is_the_loop(op(f, g), [op(a, b) for a, b in
+                                        zip(members(f), members(g))])
+    # one function broadcasts against the batch from either side
+    assert_batch_is_the_loop(op(f, single), [op(a, single)
+                                             for a in members(f)])
+    assert_batch_is_the_loop(op(single, f), [op(single, a)
+                                             for a in members(f)])
+
+
+def test_batched_max_abs_interior_is_the_worst_member(grid):
+    f = rand_batch(np.random.default_rng(SEED), grid)
+    for margin in (0, 1):
+        assert f.max_abs_interior(margin) == max(
+            m.max_abs_interior(margin) for m in members(f))
+    f.data[3, -1, 4] = np.nan
+    assert np.isnan(f.max_abs_interior())
+    with pytest.raises(InsufficientPadding):
+        f.max_abs_interior(grid.size)
+
+
+def test_batch_axes_keep_the_sector_layout(grid):
+    f = rand_batch(np.random.default_rng(SEED), grid, shape=(2, 3))
+    assert grid.stack(f.data).shape == f.data.shape
+    for s in grid.sectors:
+        assert np.array_equal(f.sector(s), f.data[..., grid.row(s), :])
+        assert np.array_equal(f.value(s, 0),
+                              f.data[..., grid.row(s), grid.index(0)])
+    with pytest.raises(ValueError):
+        grid.stack(f.data[..., :-1])

@@ -1,6 +1,7 @@
 """Matrix representation, evolution, continuity, Noether current."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 from qcalc.batteries import eigen_packet, rand_lattice_fn as rand_fn
 from qcalc.context import QContext
 from qcalc.integration import definite_integral, norm as fn_norm
-from qcalc.lattice import InsufficientPadding, LatticeFn, LatticeGrid
+from qcalc.lattice import InsufficientPadding, LatticeFn, LatticeGrid, Stencil
 from qcalc.schrodinger import (
+    ChainStructureError,
     EvolutionState,
     GridTooSmall,
     Hamiltonian,
@@ -140,6 +142,67 @@ def test_scale_map_matches_lattice_shift():
     got = rep.L @ np.array([c[s] for s in rep.grid.sectors])
     for k, s in enumerate(rep.grid.sectors):
         assert np.max(np.abs(got[k, 1:] - shifted[s][1:])) < 1e-12
+
+
+# -- the parity-chain eigensolve ------------------------------------------------
+
+
+@pytest.mark.parametrize("offsets, message", [
+    # hermitian, but nabla^2 then couples n to n +- 1
+    ({0: 1.0, 1: 1.0, -1: 1.0}, r"offsets \[-1, 1\] couple"),
+    # hermitian with imaginary entries at offsets +-2
+    ({0: 1.0, 2: 1j, -2: -1j}, r"not real"),
+])
+def test_hamiltonian_refuses_what_the_chain_solve_cannot_take(offsets,
+                                                              message):
+    rep = make_rep(-8, 8)
+    rep.nabla = Stencil(rep.grid, offsets)
+    with pytest.raises(ChainStructureError, match=message):
+        Hamiltonian(rep)
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+@pytest.mark.parametrize("w", [8, 24, 48])
+@pytest.mark.parametrize("potential", [None, lambda x: 0.3 * x * x],
+                         ids=["free", "harmonic"])
+def test_chain_solve_matches_the_dense_solve(q, w, potential):
+    rep = build_representation(LatticeGrid(QContext(q), -w, w))
+    H = Hamiltonian(rep, potential=potential)
+    evals, evecs = H.eigh()
+    n = rep.grid.size
+    assert evals.shape == (2, n) and evecs.shape == (2, n, n)
+    assert evals.dtype == float and evecs.dtype == complex
+    assert np.all(np.diff(evals, axis=-1) >= 0)
+    ref = np.linalg.eigh(H.dense)[0]
+    assert np.max(np.abs(evals - ref)) <= 1e-14 * np.max(np.abs(ref))
+    r = H.dense @ evecs - evecs * evals[:, None, :]
+    assert np.max(np.abs(r)) <= 1e-13 * np.max(np.abs(H.dense))
+    gram = np.conj(evecs).swapaxes(-1, -2) @ evecs
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-13
+    # every eigenvector lives on one chain, exactly zero on the other
+    on_even = np.any(evecs[:, 0::2, :] != 0, axis=1)
+    on_odd = np.any(evecs[:, 1::2, :] != 0, axis=1)
+    assert np.all(on_even != on_odd)
+    assert np.all(np.sum(on_even, axis=-1) == (n + 1) // 2)
+
+
+def test_chain_solve_only_sees_real_half_size_blocks(monkeypatch):
+    rep = make_rep(-24, 24)
+    H = Hamiltonian(rep, potential=lambda x: 0.3 * x * x)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.asarray(a).dtype, np.shape(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    H.eigh()
+    H.eig(-1)
+    assert len(calls) == 2
+    for dtype, shape in calls:
+        assert not np.issubdtype(dtype, np.complexfloating)
+        assert shape[-1] <= math.ceil(rep.grid.size / 2)
 
 
 # -- stationary states ---------------------------------------------------------
