@@ -309,9 +309,9 @@ def test_finished_run_prints_each_distinct_warning_once(tmp_path, capsys,
     report = batteries.scenario_report
 
     def warning_report(cfg):
-        for _ in range(3):
-            warnings.warn("state 7 has 4 boundary-clean sites",
-                          ContaminationWarning)
+        # one warning from two call sites, then a two-line one
+        warnings.warn("state 7 has 4 boundary-clean sites",
+                      ContaminationWarning)
         warnings.warn("state 7 has 4 boundary-clean sites",
                       ContaminationWarning)
         warnings.warn("first line\nsecond line")
