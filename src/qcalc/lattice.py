@@ -6,7 +6,8 @@ k holds grid.sectors[k] and column i the exponent n_min + i, the layout a
 Stencil uses for its diagonals.  sector(s) is the row view of sector s.
 Leading batch axes carry several functions at once, such as one per
 gauge transform: pointwise algebra broadcasts a batch against a single
-function, and shifts, derivatives and residuals act on each member.
+function, shifts and derivatives act on each member, and
+max_abs_interior is the worst over the whole batch.
 The scale map and the derivative are shifts along the last axis:
 
     (L^k f)(sigma q^n)   = f(sigma q^(n-k))
