@@ -94,23 +94,21 @@ def _parse_poly(ctx, text):
         if sign == "-":
             c = -c
         n = (int(expo) if expo else 1) if xpart else 0
-        coeffs[n] = coeffs.get(n, ctx.zero) + ctx.coerce(c)
+        coeffs[n] = coeffs.get(n, 0) + c
         pos = m.end()
-    return LaurentPoly(ctx, {n: c for n, c in coeffs.items()
-                             if not ctx.is_zero(c)})
+    return LaurentPoly(ctx, coeffs)
 
 
 def _print_integral(given):
+    """The integral exactly; a decimal q integrates at the exact rational
+    its double stores and prints the value rounded to a double."""
     ctx, params = resolve("integrate", given)
     lo, hi = params["from_exp"], params["to_exp"]
     if lo is None or hi is None:
         raise ConfigError("--poly needs --from and --to lattice exponents")
-    val = definite_integral(_parse_poly(ctx, params["poly"]), lo, hi,
-                            sector=params["sector"])
-    if ctx.exact:
-        print(val)
-    else:
-        print(f"{val.real:g}" if abs(val.imag) < 1e-30 else f"{val:g}")
+    val = definite_integral(_parse_poly(ctx.as_exact(), params["poly"]),
+                            lo, hi, sector=params["sector"])
+    print(val if ctx.exact else f"{float(val.re):g}")
     return 0
 
 

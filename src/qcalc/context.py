@@ -1,8 +1,10 @@
 """Deformation-parameter context shared by all numeric layers.
 
 Two backends: exact (q a Fraction, coefficients Gaussian rationals) for
-algebraic identity checks, and double (q a float, coefficients complex)
-for lattice numerics.  lam = q - 1/q throughout.
+fields, their integrals and the algebraic identity checks, and double
+(q a float) for lattice numerics.  lam = q - 1/q throughout.  A double
+q is an exact dyadic rational, and `as_exact` gives the same q on the
+exact backend.
 
 On the exact backend, with q = a/b in lowest terms, every q-power and
 q-number is a coprime integer pair (numerator, denominator > 0):
@@ -13,8 +15,8 @@ q-number is a coprime integer pair (numerator, denominator > 0):
 and [-n] = -[n].  S_n is prime to a and to b, so the pair is in lowest
 terms.  `qpow_pair` and `qnum_pair` are the one source of these pairs:
 each context keeps them for |k| <= QTABLE_SPAN and computes larger ones
-on demand.  `qnum` and `qfact` read them; `qpow` is the Fraction power
-q ** k, which is the same a^k / b^k.
+on demand.  `qnum` reads them; `qpow` is the Fraction power q ** k,
+which is the same a^k / b^k.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class QContext:
     def exact(self):
         return self.backend == "exact"
 
+    def as_exact(self):
+        """This q on the exact backend.  A double q is an exact dyadic
+        rational, so QContext(Fraction(q)) carries it without loss."""
+        return self if self.exact else QContext(Fraction(self.q))
+
     @property
     def sqrt_q(self):
         if self.exact:
@@ -95,37 +102,13 @@ class QContext:
             return Fraction(*self.qnum_pair(n))
         return (self.qpow(n) - self.qpow(-n)) * self.inv_lam
 
-    def qfact(self, n):
-        """[n]! with [0]! = 1."""
-        if n < 0:
-            raise ValueError("q-factorial needs n >= 0")
-        if self.exact:
-            num = den = 1
-            for k in range(2, n + 1):
-                s, d = self.qnum_pair(k)
-                num, den = num * s, den * d
-            return QQi(Fraction(num, den))
-        acc = self.one
-        for k in range(2, n + 1):
-            acc = acc * self.qnum(k)
-        return acc
-
     def coerce(self, v):
-        """Coefficient in this backend's ring."""
-        if self.exact:
-            return _as_qqi(v) if not isinstance(v, QQi) else v
-        return complex(v)
-
-    @property
-    def zero(self):
-        return QQi(0, 0) if self.exact else 0j
+        """Coefficient as a QQi (exact backend)."""
+        return v if isinstance(v, QQi) else _as_qqi(v)
 
     @property
     def one(self):
         return QQi(1, 0) if self.exact else 1 + 0j
-
-    def is_zero(self, v):
-        return v.is_zero() if self.exact else v == 0
 
     def __repr__(self):
         return f"QContext(q={self.q!r}, backend={self.backend})"

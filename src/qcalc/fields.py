@@ -11,10 +11,11 @@ by an integer b and a variant flag:
 
 Default is variant A with b = 1, where dx and x commute.
 
-Storage.  On the exact backend a LaurentPoly is Gaussian integers over
-one denominator: `_c` maps n to a pair (re, im) of ints and `den` is a
-positive int, so the coefficient of x^n is (re + i im) / den.  The form
-is canonical:
+Storage.  Fields are exact at every q: a LaurentPoly needs an exact
+context, and a decimal q is the exact rational its double stores,
+QContext(Fraction(q)).  It is Gaussian integers over one denominator:
+`_c` maps n to a pair (re, im) of ints and `den` is a positive int, so
+the coefficient of x^n is (re + i im) / den.  The form is canonical:
 
   * no entry has re == im == 0;
   * gcd(den, every re and im) == 1;
@@ -28,9 +29,6 @@ or 1/[n] from the context (q = a/b, so q^k = a^k / b^k), over one common
 lcm of the pair denominators.  `evaluate` and `sum_at` sum in ints and
 return a QQi.  `coeffs` is a fresh {n: QQi} dict to read; writing to it
 does not change the polynomial.
-
-On the double backend `_c` maps n to a nonzero complex, `den` is None
-and `coeffs` is a fresh copy of `_c`.
 """
 
 from __future__ import annotations
@@ -82,15 +80,10 @@ class LaurentPoly:
     __slots__ = ("ctx", "_c", "den")
 
     def __init__(self, ctx, coeffs=None):
-        self.ctx = ctx
         if not ctx.exact:
-            out = {}
-            for n, c in (coeffs or {}).items():
-                c = ctx.coerce(c)
-                if not ctx.is_zero(c):
-                    out[n] = c
-            self._c, self.den = out, None
-            return
+            raise ValueError(f"fields need an exact q; use "
+                             f"QContext(Fraction({ctx.q!r}))")
+        self.ctx = ctx
         ratios = {}
         for n, c in (coeffs or {}).items():
             c = ctx.coerce(c)
@@ -117,17 +110,12 @@ class LaurentPoly:
 
     @property
     def coeffs(self):
-        """A fresh {n: coefficient} dict: QQi (exact) or complex (double)."""
+        """A fresh {n: QQi} dict."""
         d = self.den
-        if d is None:
-            return dict(self._c)
         if d == 1:
             return {n: QQi(re, im) for n, (re, im) in self._c.items()}
         return {n: QQi(Fraction(re, d), Fraction(im, d))
                 for n, (re, im) in self._c.items()}
-
-    def _wrap(self, coeffs):
-        return _poly(self.ctx, coeffs, None)
 
     def _add(self, other, sign):
         d1, d2 = self.den, other.den
@@ -151,64 +139,39 @@ class LaurentPoly:
         return _exact_poly(self.ctx, out, den)
 
     def __add__(self, other):
-        if self.den is not None:
-            return self._add(other, 1)
-        out = dict(self._c)
-        for n, c in other._c.items():
-            r = out.get(n, self.ctx.zero) + c
-            if self.ctx.is_zero(r):
-                out.pop(n, None)
-            else:
-                out[n] = r
-        return self._wrap(out)
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        if self.den is not None:
-            return self._add(other, -1)
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self):
-        if self.den is not None:
-            return _poly(self.ctx, {n: (-re, -im)
-                                    for n, (re, im) in self._c.items()},
-                         self.den)
-        return self._wrap({n: -c for n, c in self._c.items()})
+        return _poly(self.ctx,
+                     {n: (-re, -im) for n, (re, im) in self._c.items()},
+                     self.den)
 
     def __mul__(self, other):
+        # a single product of nonzero Gaussian ints is nonzero, so only a
+        # degree hit twice can cancel
         out = {}
-        if self.den is not None:
-            # a single product of nonzero Gaussian ints is nonzero, so
-            # only a degree hit twice can cancel
-            merged = False
-            right = other._c.items()
-            for n1, (a, b) in self._c.items():
-                for n2, (c, d) in right:
-                    n = n1 + n2
-                    p = out.get(n)
-                    if p is None:
-                        out[n] = (a * c - b * d, a * d + b * c)
-                    else:
-                        out[n] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
-                        merged = True
-            if merged:
-                out = {n: p for n, p in out.items() if p[0] or p[1]}
-            return _exact_poly(self.ctx, out, self.den * other.den)
-        for n1, c1 in self._c.items():
-            for n2, c2 in other._c.items():
+        merged = False
+        right = other._c.items()
+        for n1, (a, b) in self._c.items():
+            for n2, (c, d) in right:
                 n = n1 + n2
-                r = out.get(n, self.ctx.zero) + c1 * c2
-                if self.ctx.is_zero(r):
-                    out.pop(n, None)
+                p = out.get(n)
+                if p is None:
+                    out[n] = (a * c - b * d, a * d + b * c)
                 else:
-                    out[n] = r
-        return self._wrap(out)
+                    out[n] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
+                    merged = True
+        if merged:
+            out = {n: p for n, p in out.items() if p[0] or p[1]}
+        return _exact_poly(self.ctx, out, self.den * other.den)
 
     def scale(self, v):
         v = self.ctx.coerce(v)
-        if self.ctx.is_zero(v):
-            return _poly(self.ctx, {}, None if self.den is None else 1)
-        if self.den is None:
-            return self._wrap({n: c * v for n, c in self._c.items()})
+        if v.is_zero():
+            return _poly(self.ctx, {}, 1)
         vd = math.lcm(v.re.denominator, v.im.denominator)
         x = v.re.numerator * (vd // v.re.denominator)
         y = v.im.numerator * (vd // v.im.denominator)
@@ -217,11 +180,9 @@ class LaurentPoly:
                            self.den * vd)
 
     def conj(self):
-        if self.den is not None:
-            return _poly(self.ctx, {n: (re, -im)
-                                    for n, (re, im) in self._c.items()},
-                         self.den)
-        return self._wrap({n: c.conjugate() for n, c in self._c.items()})
+        return _poly(self.ctx,
+                     {n: (re, -im) for n, (re, im) in self._c.items()},
+                     self.den)
 
     def is_zero(self):
         return not self._c
@@ -234,19 +195,17 @@ class LaurentPoly:
     __hash__ = None
 
     def evaluate(self, x0):
-        if self.den is not None:
-            return self.sum_at((x0,))
-        acc = self.ctx.zero
-        for n, c in self._c.items():
-            acc = acc + c * x0 ** n
-        return acc
+        return self.sum_at((x0,))
 
     def sum_at(self, points, power=0):
-        """Exact sum of x^power f(x) over rational points x, as a QQi.
+        """Exact sum of x^power f(x) over one or more rational points x, as
+        a QQi.
 
         With m = n + power running from lo to hi, x = u/v contributes
         sum_n c_n u^(m-lo) v^(hi-m) times u^lo / v^hi: an int sum per
-        point, then one common denominator for all of them.
+        point.  The points are then added pairwise, so each gcd meets two
+        denominators of like size rather than the lcm of all of them,
+        which grows with the window.
         """
         if not self._c:
             return QQi(0, 0)
@@ -264,18 +223,16 @@ class LaurentPoly:
             num, den = (u ** lo, v ** hi) if lo >= 0 else \
                 (v ** -lo, u ** -lo * v ** (hi - lo))
             sums.append((sr * num, si * num, den))
-        lcm = math.lcm(*(d for *_, d in sums))
-        tr = ti = 0
-        for sr, si, d in sums:
-            m = lcm // d
-            tr += sr * m
-            ti += si * m
-        lcm *= self.den
-        return QQi(Fraction(tr, lcm), Fraction(ti, lcm))
-
-    def max_abs(self):
-        """Largest coefficient magnitude (double backend)."""
-        return max((abs(c) for c in self._c.values()), default=0.0)
+        while len(sums) > 1:
+            merged = []
+            for (r1, i1, d1), (r2, i2, d2) in zip(sums[::2], sums[1::2]):
+                g = math.gcd(d1, d2)
+                a, b = d2 // g, d1 // g
+                merged.append((r1 * a + r2 * b, i1 * a + i2 * b, d1 * a))
+            sums = merged + sums[2 * len(merged):]
+        tr, ti, d = sums[0]
+        d *= self.den
+        return QQi(Fraction(tr, d), Fraction(ti, d))
 
     def __str__(self):
         coeffs = self.coeffs
@@ -284,8 +241,7 @@ class LaurentPoly:
         parts = []
         for n in sorted(coeffs, reverse=True):
             c = coeffs[n]
-            body = str(c) if self.ctx.exact else repr(c)
-            parts.append(f"({body}) x^{n}" if n else f"({body})")
+            parts.append(f"({c}) x^{n}" if n else f"({c})")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -296,34 +252,18 @@ def nabla(f, route="qnumber"):
     """q-derivative: x^n -> [n] x^(n-1), or the equivalent shift route."""
     ctx = f.ctx
     if route == "qnumber":
-        if f.den is not None:
-            return _rescale(f, ctx.qnum_pair, -1)
-        out = {}
-        for n, c in f._c.items():
-            if n == 0:
-                continue
-            r = out.get(n - 1, ctx.zero) + c * ctx.qnum(n)
-            if not ctx.is_zero(r):
-                out[n - 1] = r
-            else:
-                out.pop(n - 1, None)
-        return f._wrap(out)
+        return _rescale(f, ctx.qnum_pair, -1)
     if route == "shift":
         g = L_op(f, -1) - L_op(f, 1)
-        if f.den is not None:
-            inv_lam = (ctx.inv_lam.numerator, ctx.inv_lam.denominator)
-            return _rescale(g, lambda n: inv_lam, -1)
-        out = {n - 1: c * ctx.inv_lam for n, c in g._c.items()}
-        return f._wrap({n: c for n, c in out.items() if not ctx.is_zero(c)})
+        inv_lam = (ctx.inv_lam.numerator, ctx.inv_lam.denominator)
+        return _rescale(g, lambda n: inv_lam, -1)
     raise ValueError(f"unknown route {route!r}")
 
 
 def L_op(f, power=1):
     """Scale map L^power: x^n -> q^(-power*n) x^n."""
     ctx = f.ctx
-    if f.den is not None:
-        return _rescale(f, lambda n: ctx.qpow_pair(-power * n))
-    return f._wrap({n: c * ctx.qpow(-power * n) for n, c in f._c.items()})
+    return _rescale(f, lambda n: ctx.qpow_pair(-power * n))
 
 
 def _inverse_qnum_pair(ctx, n):
@@ -336,10 +276,7 @@ def nabla_preimage(f):
     ctx = f.ctx
     if -1 in f._c:
         raise NotInImage("x^-1 has no preimage under nabla")
-    if f.den is not None:
-        return _rescale(f, lambda n: _inverse_qnum_pair(ctx, n + 1), 1)
-    return f._wrap({n + 1: c * (1.0 / ctx.qnum(n + 1))
-                    for n, c in f._c.items()})
+    return _rescale(f, lambda n: _inverse_qnum_pair(ctx, n + 1), 1)
 
 
 # -- identity residuals (all must vanish identically) -----------------------
@@ -440,5 +377,6 @@ def d_squared(f, b=1, variant="A"):
     the result is the zero 2-form, independent of f."""
     wedge_factor = 1 + (f.ctx.qpow(1 - b) if variant == "A"
                         else f.ctx.qpow(-1 - b))
-    assert not f.ctx.is_zero(f.ctx.coerce(wedge_factor))
+    if wedge_factor == 0:
+        raise ValueError("dx^2 = 0 needs 1 + q^(1-b) (B: 1 + q^(-1-b)) != 0")
     return LaurentPoly.zero(f.ctx)

@@ -58,10 +58,6 @@ class SublatticeSeq:
     def indices(self):
         return range(self.k_min, self.k_max + 1)
 
-    def point(self, k):
-        expo = -2 * k if self.family == "even" else -2 * k + 1
-        return self.ctx.qpow(expo)
-
     def weight(self, k):
         expo = -2 * k if self.family == "even" else -2 * k + 1
         return self.ctx.qpow(expo)

@@ -10,6 +10,12 @@ The definite integral between same-parity exponents is the weighted trace
 parity.  The improper integral halves the sum of both parity families
 and weights each sector with its sign, which cancels the sign of the x
 eigenvalue and leaves the positive Jackson measure (1/2) lam q^n per site.
+
+Two halves share the trace formula.  On fields (LaurentPoly, exact at
+every q) the inverse-derivative series and the definite integral are
+exact, and the integral is a QQi.  On lattice data (LatticeFn, doubles)
+the definite and improper integrals, the scalar product and the Green
+identity sum complex floats.
 """
 
 from __future__ import annotations
@@ -67,8 +73,8 @@ def _site_exponents(lower_exp, upper_exp):
 def definite_integral(h, lower_exp, upper_exp, sector=1):
     """Trace-formula integral from sigma q^lower to sigma q^upper.
 
-    h may be a LaurentPoly (evaluated exactly on the exact backend) or a
-    LatticeFn (sampled at the opposite-parity sites in between).
+    h may be a LaurentPoly (summed exactly, a QQi) or a LatticeFn
+    (sampled at the opposite-parity sites in between, a complex).
     """
     if isinstance(h, LatticeFn):
         ctx = h.grid.ctx
@@ -77,15 +83,9 @@ def definite_integral(h, lower_exp, upper_exp, sector=1):
             acc += (sector * ctx.qpow(n)) * h.value(sector, n)
         return ctx.lam * acc
     ctx = h.ctx
-    if ctx.exact:
-        sites = [sector * ctx.qpow(n)
-                 for n in _site_exponents(lower_exp, upper_exp)]
-        return ctx.coerce(ctx.lam) * h.sum_at(sites, power=1)
-    acc = ctx.zero
-    for n in _site_exponents(lower_exp, upper_exp):
-        pt = sector * ctx.qpow(n)
-        acc = acc + ctx.coerce(pt) * h.evaluate(pt)
-    return ctx.coerce(ctx.lam) * acc
+    sites = [sector * ctx.qpow(n)
+             for n in _site_exponents(lower_exp, upper_exp)]
+    return ctx.coerce(ctx.lam) * h.sum_at(sites, power=1)
 
 
 def monomial_integral_closed_form(ctx, n, lower_exp, upper_exp):

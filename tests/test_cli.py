@@ -107,6 +107,17 @@ def test_integrate_one_shot_exact_fraction(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "45/16"
 
 
+@pytest.mark.parametrize("q, printed", [("1.5", "1139.5"),
+                                        ("2.5", "9.78534e+06"),
+                                        ("1.1", "2.79881")])
+def test_integrate_one_shot_decimal_q(q, printed, capsys, tmp_path):
+    # integrated at the exact rational the double stores, printed rounded
+    code = run(tmp_path, "integrate", "--q", q, "--poly",
+               "2*x^3 - x^-1 + 1/2", "--from", "-3", "--to", "5")
+    assert code == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 def test_integrate_poly_parser_errors(tmp_path):
     assert run(tmp_path, "integrate", "--q", "2", "--poly", "x") == 2
     assert run(tmp_path, "integrate", "--q", "2", "--poly", "x + ^",
@@ -134,6 +145,15 @@ def test_integrate_batteries_both_backends(tmp_path):
     assert report["config"]["backend"] == "double"
     assert {r["check"] for r in report["checks"]} >= {
         "trace-vs-closed-form", "stokes", "green-identity"}
+
+
+@pytest.mark.parametrize("q", ["1.5", "2.5"])
+def test_integrate_field_rows_are_exact_at_a_decimal_q(q, tmp_path):
+    assert run(tmp_path, "integrate", "--q", q) == 0
+    report = json.loads((tmp_path / "integrate.json").read_text())
+    residual = {r["check"]: r["residual"] for r in report["checks"]}
+    for name in ("trace-vs-closed-form", "x-inverse-rule", "inverse-series"):
+        assert residual[name] == 0.0
 
 
 def test_tolerance_override_forces_failure(tmp_path):

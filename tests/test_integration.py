@@ -27,6 +27,7 @@ from qcalc.lattice import (
     LatticeFn,
     LatticeGrid,
 )
+from qcalc.scalars import QQi
 
 EXACT = QContext(Fraction(3, 2))
 DOUBLE = QContext(2.0)
@@ -104,18 +105,17 @@ def test_series_divergent_branches_raise():
 
 def test_definite_integral_worked_example():
     # h = x from q^0 to q^2 at q = 2: single odd site mu gives 6
-    ctx = DOUBLE
+    ctx = QContext(Fraction(2))
     h = LaurentPoly.monomial(ctx, 1)
     got = definite_integral(h, 0, 2)
-    assert abs(got - 6.0) < 1e-14
-    closed = monomial_integral_closed_form(ctx, 1, 0, 2)
-    assert abs(got - closed) < 1e-14
+    assert got == QQi(6)
+    assert got == ctx.coerce(monomial_integral_closed_form(ctx, 1, 0, 2))
 
 
 def test_definite_integral_constant():
-    ctx = DOUBLE
+    ctx = QContext(Fraction(2))
     got = definite_integral(LaurentPoly.one(ctx), -4, 6)
-    assert abs(got - (ctx.qpow(6) - ctx.qpow(-4))) < 1e-12
+    assert got == ctx.coerce(ctx.qpow(6) - ctx.qpow(-4))
 
 
 def test_definite_matches_closed_form_exact_backend():
