@@ -43,7 +43,7 @@ from .fields import (
     nabla,
     nabla_preimage,
 )
-from .fourier import QFourier, SublatticeSeq, WindowTooSmall
+from .fourier import QFourier, SublatticeSeq
 from .gauge import DEFAULT_SCENARIO, RouteMismatch, scenario_report
 from .integration import (
     DivergentBranch,
@@ -85,9 +85,9 @@ from .schrodinger import (
     continuity_residual,
     energy_form_residual,
     evolve as evolve_state,
-    experiment_from_json,
     free_evolve,
     history_to_csv,
+    run_experiment,
     stationary_state,
 )
 from .special import DivergentProduct, SpecialFunctions
@@ -104,7 +104,7 @@ LIBRARY_ERRORS = (
     DivergentBranch, DivergentProduct, GridMismatch, GridTooSmall,
     InsufficientPadding, InternalOrderingError, NoDecay,
     NonHermitianHamiltonian, NotConverged, NotInImage, OverflowError,
-    ParityMismatch, RouteMismatch, ValueError, WindowTooSmall,
+    ParityMismatch, RouteMismatch, ValueError,
 )
 
 # Below this q the normalising products (q^-4; q^-4)_inf of the double
@@ -141,10 +141,10 @@ def rand_element(rng, max_terms=3, span=2):
     return AlgebraElement(terms)
 
 
-def rand_poly(rng, ctx, max_terms=5, span=6):
+def rand_poly(rng, ctx, max_terms=5):
     coeffs = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
-        n = rng.randrange(-span, span + 1)
+        n = rng.randrange(-6, 7)
         coeffs[n] = QQi(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)),
                         Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)))
     return LaurentPoly(ctx, coeffs)
@@ -160,19 +160,19 @@ def rand_lattice_fn(rng, grid, lo=None, hi=None):
     return LatticeFn.from_sites(grid, sites)
 
 
-def rand_seq(rng, ctx, k_lo=-40, k_hi=40, family="even", center=2):
+def rand_seq(rng, ctx, family="even"):
     vals = []
-    for k in range(k_lo, k_hi + 1):
-        prof = ctx.qpow(-((k - center) ** 2))
+    for k in range(-40, 41):
+        prof = ctx.qpow(-((k - 2) ** 2))
         vals.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * prof)
-    return SublatticeSeq(ctx, k_lo, np.array(vals), family=family)
+    return SublatticeSeq(ctx, -40, np.array(vals), family=family)
 
 
-def eigen_packet(rep, H, rng, e_cut=0.5, per_sector=4):
+def eigen_packet(rep, H, rng):
     c = np.zeros((len(rep.grid.sectors), rep.grid.size), dtype=complex)
     # sector by sector, so the draws keep their order
     for v, evals, evecs in zip(c, *H.eigh()):
-        idx = [i for i in range(len(evals)) if evals[i] < e_cut][:per_sector]
+        idx = [i for i in range(len(evals)) if evals[i] < 0.5][:4]
         if not idx:
             raise ConfigError("energy cut leaves no modes in the window")
         for i in idx:
@@ -583,10 +583,7 @@ def evolve(ctx, params):
     lo, hi = params["window"]
     seed, dt, steps, mass, initial = (params[k] for k in (
         "seed", "dt", "steps", "mass", "initial"))
-    exp = {"q": ctx.q, "window": [lo, hi], "dt": dt, "steps": steps,
-           "mass": mass, "potential": params["potential"],
-           "initial": initial}
-    result = experiment_from_json(json.dumps(exp))
+    result = run_experiment({**params, "q": ctx.q})
     H = result["hamiltonian"]
     rep = result["rep"]
     c0 = rep.coords(result["initial"])

@@ -106,9 +106,5 @@ class QContext:
         """Coefficient as a QQi (exact backend)."""
         return v if isinstance(v, QQi) else _as_qqi(v)
 
-    @property
-    def one(self):
-        return QQi(1, 0) if self.exact else 1 + 0j
-
     def __repr__(self):
         return f"QContext(q={self.q!r}, backend={self.backend})"

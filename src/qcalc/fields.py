@@ -97,8 +97,8 @@ class LaurentPoly:
         self.den = den
 
     @classmethod
-    def monomial(cls, ctx, n, coeff=1):
-        return cls(ctx, {n: coeff})
+    def monomial(cls, ctx, n):
+        return cls(ctx, {n: 1})
 
     @classmethod
     def zero(cls, ctx):

@@ -10,8 +10,10 @@ the weight used in norms.
 
 The defining sums run over all integers.  Here they are truncated to the
 sequence window, so every transform checks that the weighted summands
-have decayed at the window edges and refuses to silently drop a fat
-tail.
+have decayed to TAIL_TOL of their peak at the window edges and refuses
+to silently drop a fat tail.  The step-function sums have no window of
+their own: they run over as many sites as it takes for the geometric
+tail they drop to fall below STEP_TOL.
 """
 
 import math
@@ -23,28 +25,24 @@ from .special import SpecialFunctions
 
 _FAMILIES = ("even", "odd")
 
-
-class WindowTooSmall(Exception):
-    """An explicitly requested summation window cuts off visible weight."""
+TAIL_TOL = 1e-10
+STEP_TOL = 1e-14
 
 
 class SublatticeSeq:
     """Finite window of samples on one parity family of the lattice."""
 
-    __slots__ = ("ctx", "k_min", "values", "family", "tau")
+    __slots__ = ("ctx", "k_min", "values", "family")
 
-    def __init__(self, ctx, k_min, values, family="even", tau=None):
+    def __init__(self, ctx, k_min, values, family="even"):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if tau not in (None, 1, -1):
-            raise ValueError("tau must be +1, -1 or None")
         self.ctx = ctx
         self.k_min = int(k_min)
         self.values = np.asarray(values, dtype=complex)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.family = family
-        self.tau = tau
 
     @classmethod
     def zero(cls, ctx, k_min, k_max, family="even"):
@@ -62,11 +60,6 @@ class SublatticeSeq:
         expo = -2 * k if self.family == "even" else -2 * k + 1
         return self.ctx.qpow(expo)
 
-    def value(self, k):
-        if not self.k_min <= k <= self.k_max:
-            raise IndexError(f"k={k} outside window [{self.k_min}, {self.k_max}]")
-        return self.values[k - self.k_min]
-
     # -- algebra ---------------------------------------------------------
 
     def _check_compatible(self, other):
@@ -77,35 +70,25 @@ class SublatticeSeq:
         if self.k_min != other.k_min or self.values.size != other.values.size:
             raise ValueError("window mismatch")
 
-    def _merge_tau(self, other):
-        return self.tau if self.tau == other.tau else None
-
     def __add__(self, other):
         self._check_compatible(other)
         return SublatticeSeq(self.ctx, self.k_min, self.values + other.values,
-                             self.family, self._merge_tau(other))
+                             self.family)
 
     def __sub__(self, other):
         self._check_compatible(other)
         return SublatticeSeq(self.ctx, self.k_min, self.values - other.values,
-                             self.family, self._merge_tau(other))
-
-    def __neg__(self):
-        return self.scale(-1)
+                             self.family)
 
     def scale(self, v):
         return SublatticeSeq(self.ctx, self.k_min, self.values * complex(v),
-                             self.family, self.tau)
-
-    def conj(self):
-        return SublatticeSeq(self.ctx, self.k_min, np.conj(self.values),
-                             self.family, self.tau)
+                             self.family)
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 
-    def is_zero(self, tol=0.0):
-        return self.max_abs() <= tol
+    def is_zero(self):
+        return self.max_abs() == 0.0
 
     def weighted_norm_sq(self):
         """Sum of weight(k) |f(k)|^2 over the window."""
@@ -124,11 +107,11 @@ class QFourier:
     already seen costs its lookups and one dense matrix product.
     """
 
-    def __init__(self, ctx, special=None):
+    def __init__(self, ctx):
         if ctx.exact:
             raise ValueError("transforms need the double backend")
         self.ctx = ctx
-        self.sf = special if special is not None else SpecialFunctions(ctx)
+        self.sf = SpecialFunctions(ctx)
         self._nq = self.sf.n_q()
 
     def kernel(self, j, kind="cos"):
@@ -137,11 +120,11 @@ class QFourier:
 
     # -- sequence transform -------------------------------------------------
 
-    def transform(self, f, kind="cos", tail_tol=1e-10):
+    def transform(self, f, kind="cos"):
         """Expand f in the chosen kernel family; also its own inverse.
 
         Raises NotConverged when the weighted summand has not decayed
-        below tail_tol (relative to its peak) at the window edges.
+        below TAIL_TOL (relative to its peak) at the window edges.
         """
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
@@ -151,9 +134,9 @@ class QFourier:
         scale = float(np.max(np.abs(wf)))
         if scale == 0.0:
             return SublatticeSeq(self.ctx, f.k_min,
-                                 np.zeros_like(f.values), f.family, f.tau)
+                                 np.zeros_like(f.values), f.family)
         edge = max(abs(wf[0]), abs(wf[-1]))
-        if edge > tail_tol * scale:
+        if edge > TAIL_TOL * scale:
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
         j_lo = 2 * f.k_min
@@ -161,41 +144,35 @@ class QFourier:
         kern = np.array([self.kernel(j, kind) for j in range(j_lo, j_hi + 1)])
         K = kern[np.add.outer(k_idx, k_idx) - j_lo]
         g = self._nq * (K @ wf)
-        return SublatticeSeq(self.ctx, f.k_min, g, f.family, f.tau)
+        return SublatticeSeq(self.ctx, f.k_min, g, f.family)
 
-    def qft_cos(self, f, tail_tol=1e-10):
-        return self.transform(f, "cos", tail_tol)
+    def qft_cos(self, f):
+        return self.transform(f, "cos")
 
-    def qft_cos_inverse(self, g, tail_tol=1e-10):
+    def qft_cos_inverse(self, g):
         # the kernel matrix is symmetric in (k, n); both directions are
         # the same sum, which is why the double transform is the identity
-        return self.transform(g, "cos", tail_tol)
+        return self.transform(g, "cos")
 
-    def qft_sin(self, f, tail_tol=1e-10):
-        return self.transform(f, "sin", tail_tol)
+    def qft_sin(self, f):
+        return self.transform(f, "sin")
 
-    def qft_sin_inverse(self, g, tail_tol=1e-10):
-        return self.transform(g, "sin", tail_tol)
+    def qft_sin_inverse(self, g):
+        return self.transform(g, "sin")
 
     # -- step function -------------------------------------------------------
 
-    def _auto_floor(self, tol):
-        # geometric tail of sum_{n < floor} q^(2n): keep it below tol
-        return int(math.floor(math.log(tol * (1 - self.ctx.qpow(-2)))
+    def _auto_floor(self):
+        # geometric tail of sum_{n < floor} q^(2n): keep it below STEP_TOL
+        return int(math.floor(math.log(STEP_TOL * (1 - self.ctx.qpow(-2)))
                               / (2 * math.log(self.ctx.q)))) - 1
 
-    def step_transform(self, M, k_indices, n_min=None, tol=1e-14):
+    def step_transform(self, M, k_indices):
         """Transform of the cut-off sequence (1 for n <= M, else 0).
 
         Points here sit at the positive powers q^(2k).  Returns {k: value}.
         """
-        floor_needed = self._auto_floor(tol)
-        if n_min is None:
-            n_min = floor_needed
-        elif n_min > floor_needed:
-            raise WindowTooSmall(
-                f"summation floor {n_min} drops visible weight; "
-                f"need n_min <= {floor_needed}")
+        n_min = self._auto_floor()
         out = {}
         for k in k_indices:
             acc = 0.0
@@ -208,18 +185,10 @@ class QFourier:
         return self._nq * self.ctx.qpow(-2 * k) \
             * self.sf.sin_q(self.ctx.qpow(2 * (k + M)))
 
-    def step_inverse(self, M, n_indices, k_min=None, k_max=None, tol=1e-14):
+    def step_inverse(self, M, n_indices):
         """Transform the closed form back; recovers the cut-off sequence."""
-        lo_needed = self._auto_floor(tol) - abs(M)
-        hi_needed = -self._auto_floor(tol) + abs(M)
-        if k_min is None:
-            k_min = lo_needed
-        elif k_min > lo_needed:
-            raise WindowTooSmall(f"need k_min <= {lo_needed}")
-        if k_max is None:
-            k_max = hi_needed
-        elif k_max < hi_needed:
-            raise WindowTooSmall(f"need k_max >= {hi_needed}")
+        k_min = self._auto_floor() - abs(M)
+        k_max = -self._auto_floor() + abs(M)
         out = {}
         for n in n_indices:
             acc = 0.0

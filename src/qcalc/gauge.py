@@ -30,13 +30,12 @@ the worst over the batch; an exception names the first failing member.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .lattice import GridMismatch, LatticeFn, LatticeGrid, worst
 
 SINGULAR_FLOOR = 1e-12
+ROUTE_TOL = 1e-12
 
 
 class SingularEinbein(ValueError):
@@ -113,12 +112,12 @@ def covariant_shift_inv(e, psi):
     return e * psi.L_shift(-1)
 
 
-def covariant_derivative(e, psi, route="both", route_tol=1e-12):
+def covariant_derivative(e, psi, route="both"):
     """x^-1 (shift_inv - shift) / lam.
 
     route "both" evaluates the shift form and the expanded form
-    E nabla + x^-1 (E - Et) L / lam and demands they agree; "shift"
-    and "expanded" pick one evaluation unchecked.
+    E nabla + x^-1 (E - Et) L / lam and demands they agree to ROUTE_TOL;
+    "shift" and "expanded" pick one evaluation unchecked.
     """
     et = dual_einbein(e)
     shift = _over_lam_x(covariant_shift_inv(e, psi) - et * psi.L_shift(1))
@@ -129,7 +128,7 @@ def covariant_derivative(e, psi, route="both", route_tol=1e-12):
         return expanded
     # per batch member, so a NaN member cannot hide another's mismatch
     gaps = np.max(np.abs((shift - expanded).interior()), axis=(-2, -1))
-    bad = gaps > route_tol
+    bad = gaps > ROUTE_TOL
     if bad.any():
         raise RouteMismatch(
             f"derivative routes differ by {float(gaps[bad][0])}")
@@ -321,7 +320,7 @@ def random_phase(rng, grid, amplitude=1.0, batch=()):
                                        (*batch, len(grid.sectors), grid.size)))
 
 
-def einbein_path(rng, grid, amplitude=0.2, frequency=0.3):
+def einbein_path(rng, grid):
     """Smooth-in-time invertible einbein; returns t -> LatticeFn.
 
     One draw fixes the path, so the same path can be sampled at
@@ -334,22 +333,21 @@ def einbein_path(rng, grid, amplitude=0.2, frequency=0.3):
 
     def at(t):
         return LatticeFn(grid, 1.0
-                         + amplitude * np.sin(frequency * t + th1.data.real)
+                         + 0.2 * np.sin(0.3 * t + th1.data.real)
                          * w1.data.real
-                         + 1j * amplitude
-                         * np.cos(frequency * t + th2.data.real)
+                         + 1j * 0.2 * np.cos(0.3 * t + th2.data.real)
                          * w2.data.real)
 
     return at
 
 
-def field_path(rng, grid, frequency=0.5):
+def field_path(rng, grid):
     u = random_field(rng, grid, 1.0)
     v = random_field(rng, grid, 1.0)
     th = random_phase(rng, grid, np.pi)
 
     def at(t):
-        ph = frequency * t + th.data.real
+        ph = 0.5 * t + th.data.real
         return LatticeFn(grid, u.data * np.cos(ph) + v.data * np.sin(ph))
 
     return at
@@ -376,9 +374,7 @@ def scenario_report(cfg=None):
     from .batteries import row
     from .context import QContext
 
-    merged = dict(DEFAULT_SCENARIO)
-    if cfg:
-        merged.update(json.loads(cfg) if isinstance(cfg, str) else cfg)
+    merged = {**DEFAULT_SCENARIO, **(cfg or {})}
     ctx = QContext(float(merged["q"]))
     lo, hi = merged["window"]
     grid = LatticeGrid(ctx, int(lo), int(hi))

@@ -99,7 +99,7 @@ def monomial_integral_closed_form(ctx, n, lower_exp, upper_exp):
     return num / ctx.qnum(n + 1)
 
 
-def improper_integral(h, tail_tol=1e-10, tail_sites=2):
+def improper_integral(h, tail_tol=1e-10):
     """(1/2) lam sum over sectors and all valid sites of q^n h(sigma q^n),
     the sector sign being cancelled against the x eigenvalue's sign."""
     ctx = h.grid.ctx
@@ -108,7 +108,7 @@ def improper_integral(h, tail_tol=1e-10, tail_sites=2):
     # summed in order from 0j, sector-major: a pairwise sum rounds otherwise
     acc = np.cumsum(np.concatenate(([0j], terms.ravel())))[-1]
     i = np.arange(terms.shape[-1])
-    edge = (i < tail_sites) | (i >= i.size - tail_sites)
+    edge = (i < 2) | (i >= i.size - 2)
     # scalar moduli: np.abs rounds some of them differently
     worst_tail = worst(map(abs, (ctx.lam * terms[:, edge]).ravel().tolist()))
     if not worst_tail <= tail_tol:  # a NaN tail fails too
@@ -128,14 +128,14 @@ def norm(psi, tail_tol=1e-10):
     return abs(scalar_product(psi, psi, tail_tol=tail_tol)) ** 0.5
 
 
-def check_green(f, g, lower_exp, upper_exp, sector=1):
-    """LHS - RHS of the windowed Green identity on lattice data.
+def check_green(f, g, lower_exp, upper_exp):
+    """LHS - RHS of the windowed Green identity on sector +1 lattice data.
 
     LHS: definite integral of (nabla^2 f) g - f (nabla^2 g);
     RHS: boundary values of (nabla f)(L^-1 g) - (L^-1 f)(nabla g).
     """
     integrand = f.nabla2_fn() * g - f * g.nabla2_fn()
-    lhs = definite_integral(integrand, lower_exp, upper_exp, sector)
+    lhs = definite_integral(integrand, lower_exp, upper_exp)
     flux = f.nabla_fn() * g.L_shift(-1) - f.L_shift(-1) * g.nabla_fn()
-    rhs = flux.value(sector, upper_exp) - flux.value(sector, lower_exp)
+    rhs = flux.value(1, upper_exp) - flux.value(1, lower_exp)
     return lhs - rhs

@@ -383,11 +383,9 @@ class Stencil:
 # -- serialization -------------------------------------------------------------
 
 
-def to_csv(fn, stream=None):
+def to_csv(fn):
     """Valid sites as rows sigma,n,re,im; floats via repr (bit-exact)."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
+    stream = io.StringIO()
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["sigma", "n", "re", "im"])
     lo, hi = fn.valid_window()
@@ -396,4 +394,4 @@ def to_csv(fn, stream=None):
                          block.imag.tolist()):
         w.writerows([s, n, repr(a), repr(b)]
                     for n, a, b in zip(range(lo, hi + 1), re, im))
-    return stream.getvalue() if own else None
+    return stream.getvalue()

@@ -30,7 +30,8 @@ carried exactly in the Laurent ring over s = q^(1/2).
 The module also holds the Gaussian side of the transform pair: the mixed
 cosine/sine sum of the lattice Gaussian q^(-(l^2+l)/2) c0 collapses to a
 base-q^-2 exponential with constants that are Gauss sums, checkable
-against their triple-product forms.
+against their triple-product forms.  The l sum stops where the Gaussian
+falls below 1e-14 of c0; both tau = +-1 are checked over nu = -8 .. 0.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import warnings
 
 import numpy as np
 
-from .fourier import WindowTooSmall
 from .integration import norm as fn_norm
 from .lattice import LatticeFn, Stencil, worst
 from .scalars import QQi, Scalar
@@ -198,14 +198,14 @@ def build_ladder(rep, alpha=None, beta=None, m_index=1):
 # -- ground state -------------------------------------------------------
 
 
-def ground_state(pair, decay_tol=1e-3):
+def ground_state(pair):
     """Normalized kernel state of the lowering operator.
 
     Anchors each parity chain at its two lowest sites with the series
     value of the base-q^-2 exponential, then recurses upward:
     psi(sigma q^(n+2)) = psi(sigma q^n) / (1 + i sigma lam r q^n) with
     r = alpha/beta.  Raises NoDecay unless the top-edge values have
-    fallen below decay_tol of the chain peak.
+    fallen below 1e-3 of the chain peak.
     """
     if pair.m_index != 1:
         raise ValueError("ground-state recursion covers m_index = 1 only")
@@ -223,7 +223,7 @@ def ground_state(pair, decay_tol=1e-3):
         v[:, i + 2] = v[:, i] / ratio[:, i]
     peak = np.max(np.abs(v), axis=1)
     top = np.max(np.abs(v[:, -2:]), axis=1)
-    stuck = top > decay_tol * peak
+    stuck = top > 1e-3 * peak
     if stuck.any():
         k = stuck.argmax()
         raise NoDecay(f"top-edge amplitude {top[k]:.3e} vs peak {peak[k]:.3e} "
@@ -232,19 +232,18 @@ def ground_state(pair, decay_tol=1e-3):
     return psi.scale(1.0 / fn_norm(psi, tail_tol=math.inf))
 
 
-def series_match_residual(pair, psi, c0=None):
+def series_match_residual(pair, psi):
     """Max relative gap to the base-q^-2 exponential, inside its radius.
 
-    c0 defaults to the value that matches psi at its lowest even site,
-    so a normalized state can be compared without rescaling by hand.
+    The exponential is scaled to match psi at its lowest even site, so
+    a normalized state can be compared without rescaling by hand.
     """
     rep = pair.rep
     ctx = rep.ctx
     sf = rep.sf
     r = pair.alpha / pair.beta
-    if c0 is None:
-        c0 = psi.value(1, rep.grid.n_min) / sf.q_exp(
-            -1j * ctx.lam * r * ctx.qpow(rep.grid.n_min) * ctx.qpow(-2))
+    c0 = psi.value(1, rep.grid.n_min) / sf.q_exp(
+        -1j * ctx.lam * r * ctx.qpow(rep.grid.n_min) * ctx.qpow(-2))
     resid = []
     for x, v in zip(rep.grid.points.ravel().tolist(), psi.data.ravel()):
         z = -1j * ctx.lam * r * x * ctx.qpow(-2)
@@ -276,17 +275,17 @@ def raising_on_ground_residual(pair, psi):
 # -- excited tower ------------------------------------------------------
 
 
-def excited_states(pair, n_max, min_clean=6):
+def excited_states(pair, n_max):
     """[psi_0, a+ psi_0, ..., (a+)^n_max psi_0], unnormalized above 0.
 
     Warns with ContaminationWarning once the boundary-clean window of
-    the next state would fall below min_clean sites.
+    the next state would fall below 6 sites.
     """
     states = [ground_state(pair)]
     for k in range(n_max):
         nxt = pair.apply_raising(states[-1])
         clean = pair.rep.grid.size - nxt.pad_lo - nxt.pad_hi
-        if clean < min_clean:
+        if clean < 6:
             warnings.warn(
                 f"state {k + 1} has {clean} boundary-clean sites",
                 ContaminationWarning)
@@ -377,26 +376,17 @@ def hermite_match_residuals(pair, n_max=6):
 # -- Gaussian / q-exponential transform pair --------------------------------
 
 
-def _gaussian_window(sf, c0, l_halfwidth, decay_floor):
+def _gaussian_window(sf, c0):
     """Half-width of the l sum; sized so the Gaussian ends are dead."""
-    if l_halfwidth is not None:
-        edge = max(abs(sf.lattice_gaussian(2 * l_halfwidth, c0)),
-                   abs(sf.lattice_gaussian(-2 * l_halfwidth, c0)),
-                   abs(sf.lattice_gaussian(2 * l_halfwidth + 1, c0)),
-                   abs(sf.lattice_gaussian(-2 * l_halfwidth + 1, c0)))
-        if edge >= decay_floor * abs(c0):
-            raise WindowTooSmall(
-                f"Gaussian edge {edge:.3e} at l = +-{l_halfwidth}")
-        return l_halfwidth
+    floor = 1e-14 * abs(c0)
     l = 2
-    while abs(sf.lattice_gaussian(2 * l, c0)) >= decay_floor * abs(c0) \
-            or abs(sf.lattice_gaussian(-2 * l, c0)) >= decay_floor * abs(c0):
+    while abs(sf.lattice_gaussian(2 * l, c0)) >= floor \
+            or abs(sf.lattice_gaussian(-2 * l, c0)) >= floor:
         l += 1
     return l + 1
 
 
-def gaussian_fourier_pair(ctx, c0=1.0, nu_lo=-8, nu_hi=0, l_halfwidth=None,
-                          taus=(1, -1), decay_floor=1e-14):
+def gaussian_fourier_pair(ctx, c0=1.0):
     """Transform the lattice Gaussian and compare both closed forms.
 
     Even outputs: g(tau q^(2 nu)) from the mixed cosine/sine sum against
@@ -408,7 +398,7 @@ def gaussian_fourier_pair(ctx, c0=1.0, nu_lo=-8, nu_hi=0, l_halfwidth=None,
     """
     sf = SpecialFunctions(ctx)
     q = ctx.q
-    half = _gaussian_window(sf, c0, l_halfwidth, decay_floor)
+    half = _gaussian_window(sf, c0)
     consts = sf.gauss_sum_constants(c0)
     nq = sf.n_q()
     scale = nq / math.sqrt(2.0)
@@ -416,9 +406,9 @@ def gaussian_fourier_pair(ctx, c0=1.0, nu_lo=-8, nu_hi=0, l_halfwidth=None,
         "q": q,
         "c0": c0,
         "l_halfwidth": half,
-        "nu_range": [nu_lo, nu_hi],
+        "nu_range": [-8, 0],
         "constants": {},
-            }
+    }
     for name in ("c0_tilde", "c0_prime"):
         direct, product = consts[name]
         report["constants"][name] = {
@@ -439,16 +429,16 @@ def gaussian_fourier_pair(ctx, c0=1.0, nu_lo=-8, nu_hi=0, l_halfwidth=None,
         return scale * acc
 
     even, odd, conj_gap = [], [], []
-    for tau in taus:
-        for nu in range(nu_lo, min(nu_hi, 0) + 1):
+    for tau in (1, -1):
+        for nu in range(-8, 1):
             got = even_sum(nu, tau)
             want = (scale * consts["c0_tilde"][1] * ctx.qpow(nu)
                     * sf.q_exp(1j * tau * ctx.qpow(2 * nu - 1)))
             even.append(abs(got - want) / abs(want))
-            if tau == 1 and -1 in taus:
+            if tau == 1:
                 conj_gap.append(abs(even_sum(nu, -1) - np.conj(got))
                                 / abs(got))
-        for nu in range(nu_lo, min(nu_hi, -1) + 1):
+        for nu in range(-8, 0):
             acc = 0.0j
             for l in ls:
                 acc += ctx.qpow(nu + l) * (

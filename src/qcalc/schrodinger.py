@@ -26,9 +26,11 @@ rows see a cut stencil and are excluded from residuals.
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 
+from .context import QContext
 from .integration import improper_integral, norm as fn_norm
 from .lattice import LatticeFn, LatticeGrid, SectorRows, Stencil, worst
 from .special import EIGEN_EXPONENT, SpecialFunctions
@@ -235,7 +237,7 @@ def stationary_state(rep, family="C", label="2n+1", n=0, sector=1, mass=1.0):
     return LatticeFn(rep.grid, vals), energy
 
 
-def free_evolve(rep, psi, t, family="C", mass=1.0, n_lo=None, n_hi=None):
+def free_evolve(rep, psi, t, family="C", mass=1.0):
     """Free evolution in the analytic eigenbasis of the chosen family.
 
     Hard truncation realizes a self-adjoint extension whose boundary
@@ -252,10 +254,8 @@ def free_evolve(rep, psi, t, family="C", mass=1.0, n_lo=None, n_hi=None):
     grid = rep.grid
     if psi.grid != grid:
         raise ValueError("state lives on a different grid")
-    if n_lo is None:
-        n_lo = -((grid.n_max + 1) // 2) - 3
-    if n_hi is None:
-        n_hi = (-grid.n_min - 1) // 2 + 3
+    n_lo = -((grid.n_max + 1) // 2) - 3
+    n_hi = (-grid.n_min - 1) // 2 + 3
     weights = 0.5 * ctx.lam * grid.qpows
     acc = np.zeros(psi.data.shape, dtype=complex)
     for label in ("2n+1", "2n"):
@@ -371,23 +371,44 @@ def energy_form_residual(psi, mass=1.0):
 
 # -- experiment interface -----------------------------------------------------------
 
-def experiment_from_json(text):
-    """Run a small evolution experiment described by a JSON document.
+def _potential_sites(grid, pot):
+    """A config's {"[sigma, n]": value} map as {(sigma, n): value}; a key
+    that is no site of the grid or has no finite real value raises."""
+    if not isinstance(pot, dict):
+        raise ValueError(f"potential must be null or a map, got {pot!r}")
+    sites = {}
+    for key, val in pot.items():
+        try:
+            site = tuple(json.loads(key))
+        except (TypeError, ValueError):
+            site = ()
+        if not (len(site) == 2 and {type(v) for v in site} == {int}
+                and site[0] in grid.sectors
+                and grid.n_min <= site[1] <= grid.n_max):
+            raise ValueError(f"potential key {key!r} is not a site [sigma, n]"
+                             f" with n in [{grid.n_min}, {grid.n_max}]")
+        # int and float compare exactly: no NaN, inf or too large an int
+        if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
+            raise ValueError(f"potential value at {key!r} is not a finite "
+                             f"real: {val!r}")
+        sites[site] = val
+    return sites
+
+
+def run_experiment(cfg):
+    """Run a small evolution experiment described by a config mapping.
 
     Keys: q, mass, window [n_min, n_max], dt, steps, potential (null or
-    {"[sigma,n]": value}), initial {family, label, n, sector}.
+    {"[sigma, n]": value}, each site inside the window), initial
+    {family, label, n, sector}.
     """
-    cfg = json.loads(text)
-    from .context import QContext
-
     ctx = QContext(float(cfg["q"]))
     grid = LatticeGrid(ctx, int(cfg["window"][0]), int(cfg["window"][1]))
     rep = build_representation(grid)
     mass = float(cfg.get("mass", 1.0))
     pot = cfg.get("potential")
     if pot is not None:
-        pot = LatticeFn.from_sites(grid, {tuple(json.loads(key)): val
-                                          for key, val in pot.items()}).data
+        pot = LatticeFn.from_sites(grid, _potential_sites(grid, pot)).data
     H = Hamiltonian(rep, mass=mass, potential=pot)
     ini = cfg["initial"]
     psi, energy = stationary_state(rep, ini.get("family", "C"),

@@ -73,7 +73,7 @@ class QCombinatorics:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._fact = {0: ctx.one if not ctx.exact else Fraction(1)}
+        self._fact = {0: Fraction(1) if ctx.exact else 1 + 0j}
 
     def qnum(self, n):
         return self.ctx.qnum(n)
@@ -102,14 +102,14 @@ class QCombinatorics:
             f = f * p
         return acc
 
-    def qpoch_inf(self, a, p, tol=1e-18):
+    def qpoch_inf(self, a, p):
         if self.ctx.exact:
             raise ValueError("infinite products need the double backend")
         if abs(p) >= 1:
             raise DivergentProduct(f"|p| = {abs(p)} >= 1")
         acc = 1.0
         f = a
-        while abs(f) > tol:
+        while abs(f) > 1e-18:
             acc *= 1 - f
             f *= p
         return acc
@@ -393,7 +393,7 @@ class SpecialFunctions:
 
     # -- q-exponential --------------------------------------------------------
 
-    def q_exp(self, z, with_bound=False):
+    def q_exp(self, z):
         """e_{q^-2}(z) = sum z^k / (q^-2; q^-2)_k, |z| < 1."""
         z = complex(z)
         if abs(z) >= 1:
@@ -407,11 +407,9 @@ class SpecialFunctions:
             k += 1
             term = term * z / (1.0 - q ** (-2.0 * k))
             if abs(term) < _FLOAT_STOP * running_max:
-                bound = abs(term) / (1.0 - abs(z))
-                break
+                return total
             total += term
             running_max = max(running_max, abs(total))
-        return (total, bound) if with_bound else total
 
     # -- lattice Gaussian ------------------------------------------------------
 
@@ -419,7 +417,7 @@ class SpecialFunctions:
         """f(q^l) = q^(-(l^2 + l)/2) c0."""
         return self.ctx.qpow(-0.5 * (l * l + l)) * c0
 
-    def gauss_sum_constants(self, c0=1.0, tol=1e-18):
+    def gauss_sum_constants(self, c0=1.0):
         """(c0~, c0') by direct Gauss sums and by Jacobi triple products.
 
         c0~/c0 = sum_l q^(-2 l^2)      = (q^-4; q^-4) (-q^-2; q^-4)^2
@@ -430,7 +428,7 @@ class SpecialFunctions:
         l = 1
         while True:
             t = 2.0 * q ** (-2.0 * l * l)
-            if t < tol:
+            if t < 1e-18:
                 break
             s_tilde += t
             l += 1
@@ -439,7 +437,7 @@ class SpecialFunctions:
         while True:
             # pair l and -(l+1) give the same exponent -2 l (l+1)
             t = 2.0 * q ** (-2.0 * l * (l + 1))
-            if t < tol:
+            if t < 1e-18:
                 break
             s_prime += t
             l += 1

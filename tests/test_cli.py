@@ -282,6 +282,26 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys):
     assert _last_stderr_line(capsys).startswith("config error: levels")
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"[1, 99]": 0.1}', "'[1, 99]'"),  # outside the +-12 window
+    ('{"[2, 0]": 0.1}', "'[2, 0]'"),  # no sector 2
+    ("[1, 2]", "potential"),
+    ('{"1": 0.1}', "'1'"),
+    ('{"[1, 0]": null}', "'[1, 0]'"),
+    ('{"[1, 0]": 1e400}', "'[1, 0]'"),
+], ids=["outside-window", "sector-2", "list", "bare-exponent", "null",
+        "overflow"])
+def test_bad_config_potential_exits_two_naming_it(tmp_path, capsys, text,
+                                                  named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"potential": %s}' % text)
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+    assert named in err[0]
+
+
 @pytest.mark.parametrize("argv, exc", [
     (["oscillator", "--levels", "40"], "InsufficientPadding"),
     (["gauge", "--window", "-16", "16"], "RouteMismatch"),

@@ -7,7 +7,7 @@ import pytest
 
 from qcalc.batteries import rand_seq
 from qcalc.context import QContext
-from qcalc.fourier import QFourier, SublatticeSeq, WindowTooSmall
+from qcalc.fourier import QFourier, SublatticeSeq
 from qcalc.integration import NotConverged
 
 D2 = QContext(2.0)
@@ -80,19 +80,6 @@ def test_fat_tail_is_refused():
         QF.qft_cos(ones)
 
 
-def test_tau_metadata_carried():
-    rng = random.Random(SEED + 6)
-    f = rand_seq(rng, D2)
-    f.tau = 1
-    g = QF.qft_cos(f)
-    assert g.tau == 1
-    h = f + g
-    assert h.tau == 1
-    other = rand_seq(rng, D2)
-    other.tau = -1
-    assert (f + other).tau is None
-
-
 def test_family_and_window_mismatch_rejected():
     a = SublatticeSeq.zero(D2, -5, 5, family="even")
     b = SublatticeSeq.zero(D2, -5, 5, family="odd")
@@ -130,13 +117,6 @@ def test_step_shift_property():
     direct0 = QF.step_transform(0, range(-5, 8))
     for k in range(-6, 7):
         assert abs(direct1[k] - D2.qpow(2) * direct0[k + 1]) < 1e-12
-
-
-def test_step_window_guards():
-    with pytest.raises(WindowTooSmall):
-        QF.step_transform(0, range(-5, 6), n_min=-5)
-    with pytest.raises(WindowTooSmall):
-        QF.step_inverse(0, range(-3, 4), k_max=5)
 
 
 def test_weighted_norm_uses_family_weight():

@@ -33,6 +33,11 @@ residuals and exit 1.  The evolve reports and `history.csv` hashes were
 recaptured when `Hamiltonian.eigh` moved to the parity-chain solve,
 which rounds the evolution differently: norm-drift, energy-drift and
 continuity moved in their last digits, every verdict held.
+
+`evolve` with a config file that sets `potential` and `initial`, the two
+keys without a flag, is pinned by the SHA-256 of its `evolve.json` and
+`history.csv`, captured before the experiment stopped passing its
+config through a JSON string.
 """
 
 import hashlib
@@ -125,3 +130,25 @@ def test_lattice_artifacts_match_golden(command, subdir, argv, tmp_path,
             assert hashlib.sha256(got).hexdigest() == HISTORY_SHA256[subdir]
         else:
             assert got == (GOLDEN / subdir / name).read_bytes(), name
+
+
+EVOLVE_CONFIG = {"potential": {"[1, 0]": 0.01, "[-1, 3]": -0.02},
+                 "initial": {"family": "S", "label": "2n", "n": 1,
+                             "sector": -1}}
+EVOLVE_CONFIG_SHA256 = {
+    "evolve.json":
+        "1f3274dd8620558ec4df76a7ee9d6df98a6203475674031551ae773b4979d207",
+    "history.csv":
+        "c71e5be37c640c7179b4045115661bb1e57a9e0c9ae02e838f030f16bbe685d3",
+}
+
+
+def test_evolve_config_potential_and_initial_match_golden(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(EVOLVE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "evolve: 6/6 ok" in capsys.readouterr().out
+    for name, digest in EVOLVE_CONFIG_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+            == digest, name

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qcalc.context import QContext
-from qcalc.fourier import WindowTooSmall
 from qcalc.integration import norm as fn_norm
 from qcalc.lattice import LatticeGrid
 from qcalc.oscillator import (
@@ -261,15 +260,10 @@ def test_gaussian_pair_report():
 
 
 def test_gaussian_pair_propagates_nan():
-    report = gaussian_fourier_pair(D2, c0=float("nan"), l_halfwidth=6)
+    report = gaussian_fourier_pair(D2, c0=float("nan"))
     for key in ("even_max_rel", "odd_max_rel", "conjugation_max_rel",
                 "max_rel"):
         assert np.isnan(report[key])
-
-
-def test_gaussian_pair_window_guard():
-    with pytest.raises(WindowTooSmall):
-        gaussian_fourier_pair(D2, l_halfwidth=2)
 
 
 def test_level_table_csv(pair):

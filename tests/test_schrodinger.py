@@ -1,6 +1,5 @@
 """Matrix representation, evolution, continuity, Noether current."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -24,10 +23,10 @@ from qcalc.schrodinger import (
     density_current,
     energy_form_residual,
     evolve,
-    experiment_from_json,
     free_evolve,
     history_to_csv,
     noether_current,
+    run_experiment,
     stationary_state,
 )
 
@@ -468,7 +467,7 @@ def test_experiment_json_and_csv():
         "potential": {"[1, 0]": 0.01},
         "initial": {"family": "C", "label": "2n+1", "n": 0, "sector": 1},
     }
-    out = experiment_from_json(json.dumps(cfg))
+    out = run_experiment(cfg)
     assert out["norm_drift"] < 1e-10
     assert abs(out["final"].time - 0.2) < 1e-12
     assert len(out["final"].history) == 4
