@@ -58,10 +58,6 @@ class AlgebraElement:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({(0, 0, 0): Scalar.from_rational(1)})
 

@@ -90,7 +90,7 @@ from .schrodinger import (
     run_experiment,
     stationary_state,
 )
-from .special import DivergentProduct, SpecialFunctions
+from .special import DivergentProduct, OutOfRadius, SpecialFunctions
 
 
 class ConfigError(Exception):
@@ -103,8 +103,8 @@ class ConfigError(Exception):
 LIBRARY_ERRORS = (
     DivergentBranch, DivergentProduct, GridMismatch, GridTooSmall,
     InsufficientPadding, InternalOrderingError, NoDecay,
-    NonHermitianHamiltonian, NotConverged, NotInImage, OverflowError,
-    ParityMismatch, RouteMismatch, ValueError,
+    NonHermitianHamiltonian, NotConverged, NotInImage, OutOfRadius,
+    OverflowError, ParityMismatch, RouteMismatch, ValueError,
 )
 
 # Below this q the normalising products (q^-4; q^-4)_inf of the double

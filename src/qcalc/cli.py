@@ -36,7 +36,6 @@ from .batteries import (
     run,
 )
 from .fields import LaurentPoly
-from .gauge import report_to_csv
 from .integration import definite_integral
 
 # Options of the runner itself, accepted by every subcommand.
@@ -113,6 +112,15 @@ def _print_integral(given):
 
 
 # -- artifacts ----------------------------------------------------------------
+
+
+def report_to_csv(rows):
+    """The text of <command>-checks.csv: a header, then one line per row."""
+    lines = ["check,residual,tolerance,ok"]
+    for r in rows:
+        lines.append(f"{r['check']},{repr(r['residual'])},"
+                     f"{repr(r['tolerance'])},{int(r['ok'])}")
+    return "\n".join(lines) + "\n"
 
 
 def _write(out_dir, name, text):

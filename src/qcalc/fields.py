@@ -104,10 +104,6 @@ class LaurentPoly:
     def zero(cls, ctx):
         return cls(ctx)
 
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, {0: 1})
-
     @property
     def coeffs(self):
         """A fresh {n: QQi} dict."""

@@ -44,11 +44,6 @@ class SublatticeSeq:
             raise ValueError("values must be a nonempty 1-d array")
         self.family = family
 
-    @classmethod
-    def zero(cls, ctx, k_min, k_max, family="even"):
-        return cls(ctx, k_min, np.zeros(k_max - k_min + 1, dtype=complex),
-                   family=family)
-
     @property
     def k_max(self):
         return self.k_min + self.values.size - 1
@@ -86,9 +81,6 @@ class SublatticeSeq:
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
-
-    def is_zero(self):
-        return self.max_abs() == 0.0
 
     def weighted_norm_sq(self):
         """Sum of weight(k) |f(k)|^2 over the window."""

@@ -436,11 +436,3 @@ def scenario_report(cfg=None):
                                      psi, 1e-3)
     add("coupling-linearity", abs(ratio - 0.5), 1e-2)
     return rows
-
-
-def report_to_csv(rows):
-    lines = ["check,residual,tolerance,ok"]
-    for r in rows:
-        lines.append(f"{r['check']},{repr(r['residual'])},"
-                     f"{repr(r['tolerance'])},{int(r['ok'])}")
-    return "\n".join(lines) + "\n"

@@ -175,10 +175,6 @@ class LatticeFn:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, grid):
-        return cls(grid)
-
-    @classmethod
     def from_callable(cls, grid, fn):
         vals = [fn(v) for v in grid.points.ravel().tolist()]
         return cls(grid, np.reshape(vals, grid.points.shape))

@@ -9,9 +9,10 @@ the bound.  Arguments up to q^2 use a plain double loop.
 For large arguments z = q^m the terms peak near q^((m-1)^2/2) before the
 decay sets in, far beyond double range, while the sum itself is tiny.
 Such a sum needs about peak + 370 significant digits.  The coefficients
-are computed in mpmath, at the largest precision any call at this q has
-needed so far (with headroom, so that rising arguments do not rebuild the
-table on every call), and kept as integer (mantissa, exponent) pairs.
+are integer (mantissa, exponent) pairs, built by their term-ratio
+recurrence in Python ints with every operation rounded to nearest, at the
+largest precision any call at this q has needed so far (with headroom, so
+that rising arguments do not rebuild the table on every call).
 With z = M 2^E each term is C_n M^(2n) (times M for sin) shifted onto
 one fixed-point scale 2^U that sits the working precision below the peak
 estimate, and the terms are summed in Python ints; on a power of two z
@@ -40,9 +41,6 @@ import math
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import islice
-
-import mpmath
-from mpmath import libmp
 
 _FLOAT_STOP = 1e-16
 _MP_GUARD_DIGITS = 40
@@ -74,9 +72,6 @@ class QCombinatorics:
     def __init__(self, ctx):
         self.ctx = ctx
         self._fact = {0: Fraction(1) if ctx.exact else 1 + 0j}
-
-    def qnum(self, n):
-        return self.ctx.qnum(n)
 
     def qfact(self, n):
         if n < 0:
@@ -142,35 +137,68 @@ def _series_float(q, z, kind):
         next_den_k += 2
 
 
-class _SeriesCoefficients:
-    """c_n (cos) or s_n (sin) as exact (mantissa, exponent) pairs at prec bits.
+def _round(man, exp, prec):
+    """(M, E) with M odd and M 2^E the nonzero man 2^exp rounded to prec
+    bits, ties to even."""
+    mag = abs(man)
+    drop = mag.bit_length() - prec
+    if drop > 0:
+        half = mag >> (drop - 1)  # the kept bits, then the half bit
+        up = half & 1 and (half & 2 or mag & ((1 << (drop - 1)) - 1))
+        mag = (half >> 1) + (1 if up else 0)
+        man = -mag if man < 0 else mag
+        exp += drop
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
 
-    Entries are computed in mpmath on first use, by the term-ratio
-    recurrence c_(n+1) = -c_n q^(-4(n+1)) / ((1 - q^-2j)(1 - q^-2(j+1))).
+
+class _SeriesCoefficients:
+    """c_n (cos) or s_n (sin) as (mantissa, exponent) pairs at prec bits.
+
+    Entries are computed on first use, by the term-ratio recurrence
+    c_(n+1) = -c_n q^(-4(n+1)) / ((1 - q^-2j)(1 - q^-2(j+1))), on int
+    pairs (M, E) meaning M 2^E with M odd; each difference, product and
+    quotient is rounded to prec bits, to nearest with ties to even.
     """
 
     def __init__(self, q, kind, prec):
         self.prec = prec
         self.odd = kind == "sin"
         self.pairs = []
-        with mpmath.workprec(prec):
-            self._p = mpmath.mpf(q) ** -2
-            self._p2 = self._p * self._p
-            # state for the next entry: c_n, q^-2j, q^-4(n+1)
-            self._c = 1 / (1 - self._p) if self.odd else mpmath.mpf(1)
-            self._pj = self._p2 if self.odd else self._p
-            self._pn = self._p2
+        man, exp = _odd_man_exp(q)
+        self._p = self._div((1, 0), (man * man, 2 * exp))  # q^-2
+        self._p2 = self._mul(self._p, self._p)
+        # state for the next entry: c_n, q^-2j, q^-4(n+1)
+        self._c = self._div((1, 0), self._one_minus(self._p)) \
+            if self.odd else (1, 0)
+        self._pj = self._p2 if self.odd else self._p
+        self._pn = self._p2
+
+    def _mul(self, a, b):
+        return _round(a[0] * b[0], a[1] + b[1], self.prec)
+
+    def _div(self, a, b):
+        # two bits past prec, then one that is set when the quotient
+        # is inexact: enough to round the exact quotient correctly
+        extra = max(0, self.prec - a[0].bit_length() + b[0].bit_length() + 2)
+        quot, rem = divmod(a[0] << extra, b[0])
+        return _round(2 * quot + (rem != 0), a[1] - b[1] - extra - 1,
+                      self.prec)
+
+    def _one_minus(self, a):
+        """1 - a for 0 < a < 1."""
+        return _round((1 << -a[1]) - a[0], a[1], self.prec)
 
     def pair(self, n):
         """(C, e) with c_n = C 2^e."""
         if n == len(self.pairs):
-            with mpmath.workprec(self.prec):
-                sign, man, exp, _ = self._c._mpf_
-                self.pairs.append((-man if sign else man, exp))
-                d = (1 - self._pj) * (1 - self._pj * self._p)
-                self._c = -self._c * self._pn / d
-                self._pj *= self._p2
-                self._pn *= self._p2
+            self.pairs.append(self._c)
+            d = self._mul(self._one_minus(self._pj),
+                          self._one_minus(self._mul(self._pj, self._p)))
+            c, e = self._mul(self._c, self._pn)
+            self._c = self._div((-c, e), d)
+            self._pj = self._mul(self._pj, self._p2)
+            self._pn = self._mul(self._pn, self._p2)
         return self.pairs[n]
 
 
@@ -197,9 +225,20 @@ def _scaled_product(a, b, s):
 
 
 def _to_float(man, exp):
-    """man 2^exp rounded to 53 bits, to nearest, then to a double (+-inf past
-    the top), as mpmath converts."""
-    return libmp.to_float(libmp.from_man_exp(man, exp, 53, libmp.round_nearest))
+    """man 2^exp rounded to 53 bits, ties to even, then to a double: +-inf
+    past the top, and a subnormal rounded again by ldexp."""
+    if not man:
+        return 0.0
+    man, exp = _round(man, exp, 53)
+    try:
+        return math.ldexp(man, exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
+
+
+def _dps_to_prec(digits):
+    """Bits that hold `digits` decimal digits."""
+    return round((digits + 1) * 3.3219280948873626)
 
 
 def _series_fixed(coeffs, z, digits, peak):
@@ -211,7 +250,7 @@ def _series_fixed(coeffs, z, digits, peak):
     (value, first dropped term) as doubles.
     """
     man, exp = _odd_man_exp(z)
-    unit = math.ceil(peak * _LOG2_10) - libmp.dps_to_prec(digits)
+    unit = math.ceil(peak * _LOG2_10) - _dps_to_prec(digits)
     stop = 10 ** (digits - 5)
     stop_bits = stop.bit_length() - 2
     man2 = man * man
@@ -363,7 +402,7 @@ class SpecialFunctions:
         replaces: arguments often arrive in increasing order (a lattice
         sampled outwards), and each would otherwise pay its own rebuild.
         """
-        prec = libmp.dps_to_prec(digits)
+        prec = _dps_to_prec(digits)
         tables = store.tables
         table = tables.get(kind)
         if table is None or table.prec < prec:

@@ -216,7 +216,7 @@ def test_format_examples():
     e = AlgebraElement({(1, 1, 0): Scalar.q_power(1),
                         (0, 0, 1): -I * ROOT_Q})
     assert format_element(e) == "(-1*i*s^1) L^1 + (s^2) x^1 p^1"
-    assert format_element(AlgebraElement.zero()) == "(0)"
+    assert format_element(AlgebraElement()) == "(0)"
 
 
 # -- caches -----------------------------------------------------------------
@@ -285,7 +285,7 @@ def _ref_multiply(lhs, rhs):
 
 
 def _ref_bar(e):
-    out = AlgebraElement.zero()
+    out = AlgebraElement()
     for (a, b, c), s in e.terms.items():
         mono = _ref_multiply(L(-c), _ref_multiply(P(b), X(a)))
         out = out + mono.scale(s.conj())
@@ -294,7 +294,7 @@ def _ref_bar(e):
 
 def _ref_reduce(e, p_powers):
     """x^a p^b L^c -> x^a P^b L^c, P = p_closed_form(), by products."""
-    out = AlgebraElement.zero()
+    out = AlgebraElement()
     for (a, b, c), s in e.terms.items():
         image = _ref_multiply(_ref_multiply(X(a), p_powers[b]), L(c))
         out = out + image.scale(s)

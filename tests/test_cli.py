@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from qcalc import batteries
 from qcalc.batteries import REGISTRY, ConfigError, parse_q, resolve
-from qcalc.cli import build_parser, main
+from qcalc.cli import build_parser, main, report_to_csv
 from qcalc.oscillator import ContaminationWarning
 
 
@@ -190,6 +190,16 @@ def test_artifacts_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_report_to_csv_writes_repr_floats_and_int_verdicts():
+    rows = [{"check": "a", "residual": 1.5e-17, "tolerance": 1e-12,
+             "ok": True},
+            {"check": "b", "residual": math.nan, "tolerance": 0.5,
+             "ok": False}]
+    assert report_to_csv(rows) == ("check,residual,tolerance,ok\n"
+                                   "a,1.5e-17,1e-12,1\n"
+                                   "b,nan,0.5,0\n")
+
+
 def test_oscillator_artifacts(tmp_path):
     assert run(tmp_path, "oscillator", "--q", "2", "--levels", "4") == 0
     levels = (tmp_path / "levels.csv").read_text().strip().splitlines()
@@ -311,6 +321,16 @@ def test_bad_config_potential_exits_two_naming_it(tmp_path, capsys, text,
 def test_library_exception_exits_two_naming_it(tmp_path, capsys, argv, exc):
     assert run(tmp_path, *argv) == 2
     assert _last_stderr_line(capsys).startswith(f"error: {exc}: ")
+
+
+@pytest.mark.parametrize("window", [["0", "20"], ["2", "20"]])
+def test_out_of_radius_exits_two_with_one_error_line(tmp_path, capsys,
+                                                     window):
+    # a window that starts at or near the origin puts the ground state's
+    # q-exponential argument outside its unit radius
+    assert run(tmp_path, "oscillator", "--window", *window) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: OutOfRadius: ")
 
 
 def test_overflow_prints_the_error_line_alone(tmp_path):

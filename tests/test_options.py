@@ -36,8 +36,6 @@ ALLOWED = {
                       "sys.argv",
     "fields.nabla(route)": "the shift route is the reference tests compare "
                            "the q-number route with",
-    "fourier.SublatticeSeq.zero(family)":
-        "tests build odd-family sequences to check the family guard",
     "lattice.LatticeGrid.__init__(sectors)":
         "tests check the row layout on one-sector and reordered grids",
     "lattice.LatticeFn.value(require_valid)":

@@ -398,7 +398,7 @@ def test_noether_random_state():
 
 def test_noether_zero_state():
     rep = make_rep()
-    assert check_noether(LatticeFn.zero(rep.grid)) == 0.0
+    assert check_noether(LatticeFn(rep.grid)) == 0.0
 
 
 def test_noether_propagates_nan():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from qcalc import special
 from qcalc.cli import main
@@ -33,11 +34,11 @@ SF = SpecialFunctions(D2)
 
 def test_qnum_and_factorial():
     comb = QCombinatorics(EXACT)
-    assert comb.qnum(2) == EXACT.q + 1 / EXACT.q
-    assert comb.qnum(0) == 0
-    assert comb.qnum(-3) == -comb.qnum(3)
+    assert EXACT.qnum(2) == EXACT.q + 1 / EXACT.q
+    assert EXACT.qnum(0) == 0
+    assert EXACT.qnum(-3) == -EXACT.qnum(3)
     assert comb.qfact(0) == 1
-    assert comb.qfact(4) == comb.qnum(2) * comb.qnum(3) * comb.qnum(4)
+    assert comb.qfact(4) == EXACT.qnum(2) * EXACT.qnum(3) * EXACT.qnum(4)
 
 
 def test_qpoch_basics():
@@ -263,6 +264,91 @@ def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
     precs = [prec for _, prec in builds]
     assert precs == sorted(set(precs))
     assert len(precs) < len(zs)
+
+
+# -- integer arithmetic of the large-argument series -------------------------
+
+
+def _mp_to_float(man, exp):
+    return libmp.to_float(libmp.from_man_exp(man, exp, 53, libmp.round_nearest))
+
+
+def _to_float_cases():
+    rng = random.Random(7)
+    cases = [(0, 0), (0, -5000), (1, 0), (-1, 0), (3, -1)]
+    # ties: the 54th bit set and nothing below it, to an even and an odd
+    # kept mantissa, and the carry into a new binade
+    for kept in ((1 << 52) | 6, (1 << 52) | 7, (1 << 53) - 1):
+        for exp in (-60, 0, 40):
+            cases += [(2 * kept + 1, exp), (-(2 * kept + 1), exp)]
+    # just off a tie, on both sides
+    kept = (1 << 52) | 6
+    cases += [((2 * kept + 1) << 8 | 1, -8), (((2 * kept + 1) << 8) - 1, -8)]
+    # into the subnormal range (rounded to 53 bits, then again by ldexp)
+    for exp in range(-1140, -1060, 3):
+        for bits in (1, 20, 53, 54, 90):
+            man = rng.getrandbits(bits) | (1 << (bits - 1))
+            cases += [(man, exp), (-man, exp)]
+    tie = (1 << 53) + 1  # a tie at 53 bits, inside the subnormal range
+    cases += [(tie << 1 | 1, -1128), (tie, -1127), (-tie, -1126)]
+    # near and past the top of the double range
+    cases += [((1 << 54) - 1, 970), (-((1 << 54) - 1), 970),
+              ((1 << 53) - 1, 971), (1, 1024), (-1, 1024), (5, 1100),
+              (rng.getrandbits(300), 800), (-rng.getrandbits(300), 900)]
+    # wide random mantissas across the range
+    for _ in range(300):
+        man = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1))
+        cases.append((man, rng.randint(-1500, 1200)))
+    return cases
+
+
+def test_to_float_rounds_as_mpmath():
+    cases = _to_float_cases()
+    for man, exp in cases:
+        want = _mp_to_float(man, exp)
+        assert special._to_float(man, exp).hex() == want.hex(), (man, exp)
+    got = {special._to_float(man, exp) for man, exp in cases}
+    assert {math.inf, -math.inf, 0.0} <= got
+    assert any(0 < abs(x) < sys.float_info.min for x in got)
+
+
+def test_dps_to_prec_matches_mpmath():
+    for digits in range(50, 6000, 7):
+        assert special._dps_to_prec(digits) == libmp.dps_to_prec(digits)
+
+
+def _mp_table(q, kind, prec, count):
+    """The coefficient recurrence in mpmath at prec bits."""
+    with mpmath.workprec(prec):
+        p = mpmath.mpf(q) ** -2
+        p2 = p * p
+        c = 1 / (1 - p) if kind == "sin" else mpmath.mpf(1)
+        pj = p2 if kind == "sin" else p
+        pn = p2
+        out = []
+        for _ in range(count):
+            out.append(c._mpf_)
+            c = -c * pn / ((1 - pj) * (1 - pj * p))
+            pj *= p2
+            pn *= p2
+    return out
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 1.1, 10.0])
+def test_coefficient_table_matches_mpmath_recurrence(q):
+    for kind in ("cos", "sin"):
+        for prec in (special._dps_to_prec(50), special._dps_to_prec(600)):
+            table = special._SeriesCoefficients(q, kind, prec)
+            for n, (sign, man, exp, size) in enumerate(
+                    _mp_table(q, kind, prec, 60)):
+                got, got_exp = table.pair(n)
+                assert got % 2 == 1, (q, kind, n)
+                want = -man if sign else man
+                # within one unit in the last of prec bits of the reference
+                ulp = exp + size - prec
+                low = min(got_exp, exp, ulp)
+                diff = (got << (got_exp - low)) - (want << (exp - low))
+                assert abs(diff) <= 1 << (ulp - low), (q, kind, prec, n)
 
 
 # -- the kernel store shared per q -------------------------------------------
