@@ -180,7 +180,7 @@ class _SeriesCoefficients:
     def _div(self, a, b):
         # two bits past prec, then one that is set when the quotient
         # is inexact: enough to round the exact quotient correctly
-        extra = max(0, self.prec - a[0].bit_length() + b[0].bit_length() + 2)
+        extra = self.prec - a[0].bit_length() + b[0].bit_length() + 2
         quot, rem = divmod(a[0] << extra, b[0])
         return _round(2 * quot + (rem != 0), a[1] - b[1] - extra - 1,
                       self.prec)
