@@ -43,7 +43,7 @@ from .fields import (
     nabla,
     nabla_preimage,
 )
-from .fourier import QFourier, SublatticeSeq
+from .fourier import QFourier, SublatticeSeq, running_sum
 from .gauge import DEFAULT_SCENARIO, RouteMismatch, scenario_report
 from .integration import (
     DivergentBranch,
@@ -465,17 +465,20 @@ def special_tables(ctx, params):
             eig.append(abs(a - b) / max(abs(a), abs(b)))
     rows.append(row("eigenvalue-relation", worst(eig), 1e-9))
 
-    # Gram matrix of both kernels over |k| <= 60
+    # Gram matrix of both kernels over |k| <= 60: gram[kind][n][m] sums
+    # q^-2k kernel(q^-2(k+n)) kernel(q^-2(k+m)) in order of k
     nq = sf.n_q()
+    ns = range(-6, 7)
+    w = sf.point_row(-120, 120)[::-1]  # q^-2k, k = -60 ... 60
+    # the kernel at q^-2(k+n) is entry 66 - (k + n) of a row from q^-132
+    at = 66 - np.add.outer(ns, range(-60, 61))
+    gram = {}
+    for kind in ("cos", "sin"):
+        kern = sf.kernel_row(kind, -132, 132)[at]
+        gram[kind] = running_sum(w * kern[:, None] * kern[None]).tolist()
     diag, off = [], []
-    for n, m in itertools.product(range(-6, 7), repeat=2):
-        acc_c = acc_s = 0.0
-        for k in range(-60, 61):
-            w = q ** (-2 * k)
-            acc_c += w * sf.cos_q(q ** (-2 * (k + n))) \
-                * sf.cos_q(q ** (-2 * (k + m)))
-            acc_s += w * sf.sin_q(q ** (-2 * (k + n))) \
-                * sf.sin_q(q ** (-2 * (k + m)))
+    for (i, n), (j, m) in itertools.product(enumerate(ns), repeat=2):
+        acc_c, acc_s = gram["cos"][i][j], gram["sin"][i][j]
         if n == m:
             want = q ** (2 * n) / nq ** 2
             diag += [abs(acc_c - want) / want, abs(acc_s - want) / want]

@@ -48,13 +48,6 @@ class SublatticeSeq:
     def k_max(self):
         return self.k_min + self.values.size - 1
 
-    def indices(self):
-        return range(self.k_min, self.k_max + 1)
-
-    def weight(self, k):
-        expo = -2 * k if self.family == "even" else -2 * k + 1
-        return self.ctx.qpow(expo)
-
     # -- algebra ---------------------------------------------------------
 
     def _check_compatible(self, other):
@@ -83,20 +76,25 @@ class SublatticeSeq:
         return float(np.max(np.abs(self.values)))
 
     def weighted_norm_sq(self):
-        """Sum of weight(k) |f(k)|^2 over the window."""
-        acc = 0.0
-        for k in self.indices():
-            acc += self.weight(k) * abs(self.values[k - self.k_min]) ** 2
-        return acc
+        """Sum of the weight q^(-2k) (even family) or q^(-2k+1) (odd) times
+        |f(k)|^2 over the window, added in order of k."""
+        odd = self.family == "odd"
+        weight = SpecialFunctions(self.ctx).point_row(
+            odd - 2 * self.k_max, odd - 2 * self.k_min)[::-1]
+        v = self.values
+        # pow(hypot, 2) is the rounding abs(v) ** 2 gives; np.abs differs
+        return running_sum(weight * np.float_power(np.hypot(v.real, v.imag),
+                                                   2.0))
 
 
 class QFourier:
     """Kernel sums over a fixed deformation parameter.
 
-    Kernel values come from the kernel store of qcalc.special, which
-    every transform and representation at this q shares: only the first
-    request of a value sums its series, and a transform on a window
-    already seen costs its lookups and one dense matrix product.
+    Kernels and lattice points come as rows indexed by the exponent from
+    the kernel store of qcalc.special, which every transform and
+    representation at this q shares: only the first request of a value
+    sums its series, and a transform on a window already seen costs a
+    slice of a row, a gather and one dense matrix product.
     """
 
     def __init__(self, ctx):
@@ -105,10 +103,6 @@ class QFourier:
         self.ctx = ctx
         self.sf = SpecialFunctions(ctx)
         self._nq = self.sf.n_q()
-
-    def kernel(self, j, kind="cos"):
-        z = self.ctx.qpow(-2 * j)
-        return self.sf.cos_q(z) if kind == "cos" else self.sf.sin_q(z)
 
     # -- sequence transform -------------------------------------------------
 
@@ -131,10 +125,9 @@ class QFourier:
         if edge > TAIL_TOL * scale:
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
-        j_lo = 2 * f.k_min
-        j_hi = 2 * f.k_max
-        kern = np.array([self.kernel(j, kind) for j in range(j_lo, j_hi + 1)])
-        K = kern[np.add.outer(k_idx, k_idx) - j_lo]
+        # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i
+        kern = self.sf.kernel_row(kind, -4 * f.k_max, -4 * f.k_min)
+        K = kern[2 * f.k_max - np.add.outer(k_idx, k_idx)]
         g = self._nq * (K @ wf)
         return SublatticeSeq(self.ctx, f.k_min, g, f.family)
 
@@ -165,13 +158,17 @@ class QFourier:
         Points here sit at the positive powers q^(2k).  Returns {k: value}.
         """
         n_min = self._auto_floor()
-        out = {}
-        for k in k_indices:
-            acc = 0.0
-            for n in range(n_min, M + 1):
-                acc += self.ctx.qpow(2 * n) * self.sf.cos_q(self.ctx.qpow(2 * (k + n)))
-            out[k] = self._nq * acc
-        return out
+        ks = list(k_indices)
+        k_lo = min(ks)
+        sf = self.sf
+        kern = sf.kernel_row("cos", 2 * (k_lo + n_min), 2 * (max(ks) + M))
+        # like the Python floats these sums replace, pass inf and NaN silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            # terms[k, n] = q^(2n) cos_q(q^(2(k+n))), n = n_min ... M
+            terms = sf.point_row(2 * n_min, 2 * M) * kern[np.add.outer(
+                np.subtract(ks, k_lo), np.arange(M - n_min + 1))]
+            sums = self._nq * running_sum(terms)
+        return dict(zip(ks, sums.tolist()))
 
     def step_closed_form(self, M, k):
         return self._nq * self.ctx.qpow(-2 * k) \
@@ -181,12 +178,24 @@ class QFourier:
         """Transform the closed form back; recovers the cut-off sequence."""
         k_min = self._auto_floor() - abs(M)
         k_max = -self._auto_floor() + abs(M)
-        out = {}
-        for n in n_indices:
-            acc = 0.0
-            for k in range(k_min, k_max + 1):
-                acc += self.ctx.qpow(2 * k) \
-                    * self.sf.cos_q(self.ctx.qpow(2 * (k + n))) \
-                    * self.step_closed_form(M, k)
-            out[n] = acc * self._nq
-        return out
+        ns = list(n_indices)
+        n_lo = min(ns)
+        sf = self.sf
+        kern = sf.kernel_row("cos", 2 * (k_min + n_lo), 2 * (k_max + max(ns)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # step_closed_form(M, k), k = k_min ... k_max
+            closed = self._nq * sf.point_row(-2 * k_max, -2 * k_min)[::-1] \
+                * sf.kernel_row("sin", 2 * (k_min + M), 2 * (k_max + M))
+            # terms[n, k] = q^(2k) cos_q(q^(2(k+n))) step_closed_form(M, k)
+            terms = sf.point_row(2 * k_min, 2 * k_max) * kern[np.add.outer(
+                np.subtract(ns, n_lo), np.arange(k_max - k_min + 1))] * closed
+            sums = running_sum(terms) * self._nq
+        return dict(zip(ns, sums.tolist()))
+
+
+def running_sum(terms):
+    """Sums over the last axis, added left to right from 0.0 as a Python
+    loop adds them (np.sum adds pairwise, which rounds differently)."""
+    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    padded[..., 1:] = terms
+    return np.take(np.cumsum(padded, axis=-1), -1, axis=-1)

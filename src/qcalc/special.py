@@ -27,12 +27,22 @@ the series is skipped and exact zero returned.
 
 The kernels, their coefficient tables and N_q depend on q alone, so every
 SpecialFunctions at one q reads and writes one module-level kernel store.
-The store is bounded: it keeps at most STORE_MAX_QS values of q, dropping
-the least recently opened, and at most STORE_MAX_VALUES kernel values
-per q, dropping the oldest quarter when full.  An instance opens the
-store of its q when it is made, and again on its next lookup once the
-store has dropped that q.  `kernel_store_info` reports the sizes and
-hit counts; `clear_kernel_store` empties the store.
+Besides the (kind, z) cache of single values, the store keeps rows: the
+lattice points q^m, or cos_q or sin_q at them, for every m of one parity
+across a range, as a float array indexed by the exponent.  `kernel_row`
+and `point_row` slice them, and grow a row to a wider range by
+evaluating only the exponents it lacks, largest argument first, through
+the same cached single-value lookup (so a row entry is bit for bit the
+value at the double ctx.qpow(m)).  The store is bounded: it keeps at most
+STORE_MAX_QS values of q, dropping the least recently opened, and at most
+STORE_MAX_VALUES single values per q, dropping the oldest quarter when
+full, and at most STORE_MAX_VALUES row entries per q: a row that would
+pass that drops every row of its q first, and a request longer than it
+is returned without being kept.  A dropped q lets go of its values, rows
+and tables.  An instance opens the store of its q when it is made, and
+again on its next lookup once the store has dropped that q.
+`kernel_store_info` reports the sizes and hit counts;
+`clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
@@ -42,11 +52,14 @@ from collections import OrderedDict
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
+
 _FLOAT_STOP = 1e-16
 _MP_GUARD_DIGITS = 40
 _LOG2_10 = math.log2(10.0)
 
-# Bounds of the kernel store: values of q kept, and kernel values per q.
+# Bounds of the kernel store: values of q kept, and kernel values (and
+# row entries) per q.
 STORE_MAX_QS = 8
 STORE_MAX_VALUES = 1 << 14
 
@@ -278,18 +291,34 @@ def _series_fixed(coeffs, z, digits, peak):
 
 class _KernelStore:
     """What the kernels at one q share: the (kind, z) -> (value, bound)
-    cache in insertion order, the coefficient table of each kind, N_q,
-    and the lookup and miss counts of the cache."""
+    cache in insertion order, the rows, the coefficient table of each
+    kind, N_q, and the lookup and miss counts of the cache.
 
-    __slots__ = ("values", "tables", "nq", "lookups", "misses", "dropped")
+    rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
+    "sin", and entry i of the read-only array belongs to m_lo + 2 i.
+    """
+
+    __slots__ = ("values", "rows", "tables", "nq", "lookups", "misses",
+                 "dropped")
 
     def __init__(self):
         self.values = {}
+        self.rows = {}
         self.tables = {}
         self.nq = None
         self.lookups = 0
         self.misses = 0
         self.dropped = False  # set once the store lets go of it
+
+    def drop(self):
+        """Let go of every value, row and table; holders reopen their q."""
+        self.values.clear()
+        self.rows.clear()
+        self.tables.clear()
+        self.dropped = True
+
+    def row_entries(self):
+        return sum(vals.size for _, vals in self.rows.values())
 
 
 _STORES = OrderedDict()  # q -> _KernelStore, least recently opened first
@@ -301,24 +330,26 @@ def _open_store(q):
     if store is None:
         store = _STORES[q] = _KernelStore()
         if len(_STORES) > STORE_MAX_QS:
-            _STORES.popitem(last=False)[1].dropped = True
+            _STORES.popitem(last=False)[1].drop()
     else:
         _STORES.move_to_end(q)
     return store
 
 
 def clear_kernel_store():
-    """Empty the kernel store: every value, table and count at every q."""
+    """Empty the kernel store: every value, row, table and count at every q."""
     for store in _STORES.values():
-        store.dropped = True
+        store.drop()
     _STORES.clear()
 
 
 def kernel_store_info():
-    """{q: {entries, lookups, misses, table_prec}} over the stored q, least
-    recently opened first; table_prec maps each kind to the precision in
-    bits of its coefficient table, None before the first build."""
+    """{q: {entries, row_entries, lookups, misses, table_prec}} over the
+    stored q, least recently opened first; row_entries counts the entries
+    of every row, and table_prec maps each kind to the precision in bits
+    of its coefficient table, None before the first build."""
     return {q: {"entries": len(store.values),
+                "row_entries": store.row_entries(),
                 "lookups": store.lookups,
                 "misses": store.misses,
                 "table_prec": {kind: (store.tables[kind].prec
@@ -410,6 +441,57 @@ class SpecialFunctions:
                 prec = max(prec, table.prec * 5 // 4)
             table = tables[kind] = _SeriesCoefficients(self.ctx.q, kind, prec)
         return table
+
+    def kernel_row(self, kind, m_lo, m_hi):
+        """cos_q (kind "cos") or sin_q ("sin") at the lattice points
+        ctx.qpow(m), m = m_lo, m_lo + 2, ..., m_hi, as a read-only float
+        array; empty when m_hi < m_lo."""
+        if kind not in ("cos", "sin"):
+            raise ValueError(f"unknown kernel {kind!r}")
+        return self._row(kind, m_lo, m_hi)
+
+    def point_row(self, m_lo, m_hi):
+        """The lattice points ctx.qpow(m), m = m_lo, m_lo + 2, ..., m_hi, as
+        a read-only float array; empty when m_hi < m_lo."""
+        return self._row("point", m_lo, m_hi)
+
+    def _row(self, kind, m_lo, m_hi):
+        if (m_hi - m_lo) % 2:
+            raise ValueError(f"row ends {m_lo} and {m_hi} differ in parity")
+        if m_hi < m_lo:
+            return np.empty(0)
+        store = self._kernel_store()
+        key = (kind, m_lo % 2)
+        lo, vals = store.rows.get(key, (m_lo, np.empty(0)))
+        hi = lo + 2 * (vals.size - 1)
+        if lo > m_lo or m_hi > hi:
+            if (m_hi - m_lo) // 2 + 1 > STORE_MAX_VALUES:
+                return self._row_values(kind, m_lo, m_hi)  # too long to keep
+            new_lo, new_hi = min(lo, m_lo), max(hi, m_hi)
+            if (store.row_entries() - vals.size + (new_hi - new_lo) // 2 + 1
+                    > STORE_MAX_VALUES):
+                store.rows.clear()
+                lo, hi, vals = m_lo, m_lo - 2, np.empty(0)
+                new_lo, new_hi = m_lo, m_hi
+            # the missing top first: the largest argument fixes the
+            # precision of the coefficient table, and smaller ones reuse it
+            top = self._row_values(kind, hi + 2, new_hi)
+            vals = np.concatenate(
+                [self._row_values(kind, new_lo, lo - 2), vals, top])
+            vals.flags.writeable = False
+            store.rows[key] = (new_lo, vals)
+            lo = new_lo
+        return vals[(m_lo - lo) // 2:(m_hi - lo) // 2 + 1]
+
+    def _row_values(self, kind, lo, hi):
+        """Row entries for m = lo, lo + 2, ..., hi, evaluated from hi down."""
+        q = self.ctx.q
+        exps = range(hi, lo - 1, -2)
+        if kind == "point":
+            vals = [q ** m for m in exps]
+        else:
+            vals = [self._eval(q ** m, kind)[0] for m in exps]
+        return np.array(vals[::-1], dtype=float)
 
     def cos_q(self, z, with_bound=False):
         out = self._eval(z, "cos")

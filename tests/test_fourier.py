@@ -1,6 +1,8 @@
 """Sublattice transform: isometry, inversion, step function, serialization."""
 
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qcalc.batteries import rand_seq
 from qcalc.context import QContext
 from qcalc.fourier import QFourier, SublatticeSeq
 from qcalc.integration import NotConverged
+from qcalc.special import SpecialFunctions
 
 D2 = QContext(2.0)
 QF = QFourier(D2)
@@ -126,3 +129,108 @@ def test_weighted_norm_uses_family_weight():
     odd = SublatticeSeq(D2, -2, vals, family="odd")
     assert abs(even.weighted_norm_sq() - 4.0) < 1e-15
     assert abs(odd.weighted_norm_sq() - 4.0 * D2.q) < 1e-15
+
+
+# -- the kernel sums against the per-term loops they replaced ----------------
+
+# q = 2, q = 1.5, and a q drawn as the q-kernels benchmark draws the
+# q of its eighth group: from [1.5, 4), its first draw at seed 1
+LOOP_QS = (2.0, 1.5, 1.5 + (4.0 - 1.5) * random.Random(1).random() / 2)
+
+
+def _bits(values):
+    """Every bit of each double: signed zeros and NaN payloads included."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _loop_transform(qf, f, kind):
+    """QFourier.transform with one kernel lookup per j."""
+    sf = qf.sf
+    k_idx = np.arange(f.k_min, f.k_max + 1)
+    wf = qf.ctx.q ** (-2.0 * k_idx) * f.values
+    j_lo, j_hi = 2 * f.k_min, 2 * f.k_max
+    kern = np.array([(sf.cos_q if kind == "cos" else sf.sin_q)(
+        qf.ctx.qpow(-2 * j)) for j in range(j_lo, j_hi + 1)])
+    return qf._nq * (kern[np.add.outer(k_idx, k_idx) - j_lo] @ wf)
+
+
+def _loop_weighted_norm_sq(f):
+    acc = 0.0
+    for k in range(f.k_min, f.k_max + 1):
+        expo = -2 * k if f.family == "even" else -2 * k + 1
+        acc += f.ctx.qpow(expo) * abs(f.values[k - f.k_min]) ** 2
+    return acc
+
+
+def _loop_step_transform(qf, M, k_indices):
+    ctx, sf = qf.ctx, qf.sf
+    n_min = qf._auto_floor()
+    out = {}
+    for k in k_indices:
+        acc = 0.0
+        for n in range(n_min, M + 1):
+            acc += ctx.qpow(2 * n) * sf.cos_q(ctx.qpow(2 * (k + n)))
+        out[k] = qf._nq * acc
+    return out
+
+
+def _loop_step_inverse(qf, M, n_indices):
+    ctx, sf = qf.ctx, qf.sf
+    k_min = qf._auto_floor() - abs(M)
+    k_max = -qf._auto_floor() + abs(M)
+    out = {}
+    for n in n_indices:
+        acc = 0.0
+        for k in range(k_min, k_max + 1):
+            acc += ctx.qpow(2 * k) * sf.cos_q(ctx.qpow(2 * (k + n))) \
+                * qf.step_closed_form(M, k)
+        out[n] = acc * qf._nq
+    return out
+
+
+@pytest.mark.parametrize("q", LOOP_QS)
+def test_transforms_and_norms_equal_the_loops_bit_for_bit(q):
+    ctx = QContext(q)
+    qf = QFourier(ctx)
+    rng = random.Random(SEED + 6)
+    for kind, family in (("cos", "even"), ("sin", "odd")):
+        for _ in range(2):
+            f = rand_seq(rng, ctx, family=family)
+            got = qf.transform(f, kind)
+            want = _loop_transform(qf, f, kind)
+            assert _bits(got.values.view(float)) == _bits(want.view(float))
+            for seq in (f, got):
+                assert _bits([seq.weighted_norm_sq()]) \
+                    == _bits([_loop_weighted_norm_sq(seq)])
+    # one site at a time: its weight reaches the norm unrounded
+    for family in ("even", "odd"):
+        for i in range(81):
+            vals = np.zeros(81, dtype=complex)
+            vals[i] = 1.0
+            f = SublatticeSeq(ctx, -40, vals, family=family)
+            assert _bits([f.weighted_norm_sq()]) \
+                == _bits([_loop_weighted_norm_sq(f)])
+
+
+@pytest.mark.parametrize("q", LOOP_QS)
+def test_step_sums_equal_the_loops_bit_for_bit(q):
+    qf = QFourier(QContext(q))
+    ks = range(-10, 11)
+    values = []
+    # M = -60 lies below the sum's first site at every q here: empty sums
+    for M in (-1, 0, 2, -60):
+        got = qf.step_transform(M, ks)
+        want = _loop_step_transform(qf, M, ks)
+        assert list(got) == list(want)
+        assert _bits(got.values()) == _bits(want.values())
+        values += got.values()
+    assert qf.step_transform(-60, ks) == dict.fromkeys(ks, 0.0)
+    for M in (0, 1):
+        got = qf.step_inverse(M, range(-6, 7))
+        want = _loop_step_inverse(qf, M, range(-6, 7))
+        assert list(got) == list(want)
+        assert _bits(got.values()) == _bits(want.values())
+        values += got.values()
+    if q == 1.5:
+        # off the dyadic q the kernels reach +-inf, and the sums NaN
+        assert any(math.isnan(v) for v in values)

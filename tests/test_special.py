@@ -1,9 +1,12 @@
 """q-special functions: combinatorics, series, constants, eigenvalue table."""
 
+import gc
 import math
 import random
 import signal
+import struct
 import sys
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -12,8 +15,10 @@ import pytest
 from mpmath import libmp
 
 from qcalc import special
+from qcalc.batteries import rand_seq
 from qcalc.cli import main
 from qcalc.context import QContext
+from qcalc.fourier import QFourier
 from qcalc.lattice import LatticeFn, LatticeGrid
 from qcalc.schrodinger import build_representation, stationary_state
 from qcalc.special import (
@@ -390,8 +395,8 @@ def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
     assert first.n_q() == second.n_q()
     info = special.kernel_store_info()
     assert list(info) == [2.0]
-    assert info[2.0] == {"entries": 2 * len(zs), "lookups": 2 * len(zs),
-                         "misses": 2 * len(zs),
+    assert info[2.0] == {"entries": 2 * len(zs), "row_entries": 0,
+                         "lookups": 2 * len(zs), "misses": 2 * len(zs),
                          "table_prec": dict(builds)}
     for z in zs:
         first.cos_q(z)
@@ -450,7 +455,8 @@ def test_kernel_store_stays_within_its_bounds():
     rebuilt = SpecialFunctions(QContext(qs[0]))
     info = special.kernel_store_info()
     assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
-    assert info[qs[0]] == {"entries": 0, "lookups": 0, "misses": 0,
+    assert info[qs[0]] == {"entries": 0, "row_entries": 0, "lookups": 0,
+                           "misses": 0,
                            "table_prec": {"cos": None, "sin": None}}
     assert _bits([rebuilt.cos_q(z, with_bound=True),
                   rebuilt.sin_q(z, with_bound=True)]) == want
@@ -491,6 +497,144 @@ def test_representations_share_the_store_not_the_instance():
     # leaves the other alone
     a.sf.cos_q = lambda z, with_bound=False: 0.0
     assert b.sf.cos_q(1.0) == SpecialFunctions(ctx).cos_q(1.0) != 0.0
+
+
+# -- rows indexed by the lattice exponent -------------------------------------
+
+# q = 2, q = 1.5, and a q drawn as the q-kernels benchmark draws the
+# q of its eighth group: from [1.5, 4), its first draw at seed 1
+ROW_QS = (2.0, 1.5, 1.5 + (4.0 - 1.5) * random.Random(1).random() / 2)
+
+
+def _float_bits(values):
+    """Every bit of each double: signed zeros and NaN payloads included."""
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("q", ROW_QS)
+def test_rows_equal_point_lookups_bit_for_bit(q):
+    ctx = QContext(q)
+    special.clear_kernel_store()
+    sf = SpecialFunctions(ctx)
+    rows = {(kind, par): sf.kernel_row(kind, par - 170, 170 - par)
+            for kind in ("cos", "sin") for par in (0, 1)}
+    points = {par: sf.point_row(par - 170, 170 - par) for par in (0, 1)}
+    # the point lookups in a store that never held a row, largest first
+    special.clear_kernel_store()
+    sf = SpecialFunctions(ctx)
+    for (kind, par), row in rows.items():
+        fn = sf.cos_q if kind == "cos" else sf.sin_q
+        exps = range(170 - par, par - 171, -2)
+        want = [fn(ctx.qpow(m)) for m in exps][::-1]
+        assert _float_bits(row) == _float_bits(want), (kind, par)
+        assert _float_bits(points[par]) == _float_bits(
+            [ctx.qpow(m) for m in exps][::-1])
+    values = [v for row in rows.values() for v in row.tolist()]
+    # the rows cross the double range both ways; the kernels never
+    # return NaN (transforms over rows do: see tests/test_fourier.py)
+    assert {math.inf, -math.inf, 0.0} <= set(values)
+    assert not any(math.isnan(v) for v in values)
+    if q == 2.0:
+        # below the smallest double: negative zeros and a subnormal
+        assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in values)
+        assert any(0.0 < abs(v) < sys.float_info.min for v in values)
+
+
+def test_row_reads_slice_the_stored_row():
+    special.clear_kernel_store()
+    sf = SpecialFunctions(QContext(2.0))
+    row = sf.kernel_row("cos", -20, 20)
+    part = sf.kernel_row("cos", -10, 4)
+    assert _float_bits(part) == _float_bits(row[5:13])
+    assert sf.kernel_row("sin", 3, 1).size == 0
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        sf.kernel_row("cos", -3, 4)
+    with pytest.raises(ValueError):
+        sf.kernel_row("tan", 0, 4)
+
+
+def test_kernel_store_info_counts_row_entries():
+    special.clear_kernel_store()
+    sf = SpecialFunctions(QContext(2.0))
+    sf.kernel_row("cos", -160, 160)
+    assert special.kernel_store_info()[2.0]["row_entries"] == 161
+    sf.point_row(-81, 79)
+    assert special.kernel_store_info()[2.0]["row_entries"] == 161 + 81
+    # a wider range grows the row by the exponents it lacked
+    sf.kernel_row("cos", -170, 164)
+    assert special.kernel_store_info()[2.0]["row_entries"] == 168 + 81
+    # other parity and kind: rows of their own
+    sf.kernel_row("sin", -3, 5)
+    assert special.kernel_store_info()[2.0]["row_entries"] == 168 + 81 + 5
+
+
+def test_rows_stay_within_the_store_bound():
+    # q near 1: 2^15 steps of q stay inside the double range
+    ctx = QContext(1.0001)
+    special.clear_kernel_store()
+    sf = SpecialFunctions(ctx)
+    cap = special.STORE_MAX_VALUES
+    even = sf.point_row(0, 2 * (cap // 2))
+    assert special.kernel_store_info()[ctx.q]["row_entries"] == even.size
+    # a second row would take the rows of this q past the bound: the
+    # first goes, and the second is kept alone
+    odd = sf.point_row(1, 1 + 2 * (cap // 2))
+    assert special.kernel_store_info()[ctx.q]["row_entries"] == odd.size
+    # a request longer than the bound is computed but not kept
+    long_row = sf.point_row(-2 * cap, 0)
+    assert long_row.size == cap + 1
+    assert long_row[0] == ctx.qpow(-2 * cap) and long_row[-1] == 1.0
+    assert special.kernel_store_info()[ctx.q]["row_entries"] == odd.size
+    # growing a row past the bound keeps its request alone
+    grown = sf.point_row(1, 1 + 2 * cap - 2)
+    assert special.kernel_store_info()[ctx.q]["row_entries"] == grown.size
+    grown = sf.point_row(-1, -1)
+    assert special.kernel_store_info()[ctx.q]["row_entries"] == 1
+    assert grown[0] == ctx.qpow(-1)
+
+
+def test_rows_go_with_their_q():
+    special.clear_kernel_store()
+    qs = [1.5 + k / 8 for k in range(special.STORE_MAX_QS + 1)]
+    first = SpecialFunctions(QContext(qs[0]))
+    row = first.kernel_row("cos", -40, 40)
+    want = _float_bits(row)
+    held = weakref.ref(row.base)
+    del row
+    for q in qs[1:]:
+        SpecialFunctions(QContext(q)).kernel_row("cos", -4, 4)
+    assert qs[0] not in special.kernel_store_info()
+    # the evicted store let go of its rows while `first` still lives
+    gc.collect()
+    assert held() is None
+    assert _float_bits(first.kernel_row("cos", -40, 40)) == want
+    assert special.kernel_store_info()[qs[0]]["row_entries"] == 41
+    held = weakref.ref(first.kernel_row("cos", -40, 40).base)
+    special.clear_kernel_store()
+    gc.collect()
+    assert held() is None and special.kernel_store_info() == {}
+
+
+def test_transform_builds_the_coefficient_table_once():
+    ctx = QContext(2.0)
+    # q^66 is the largest even power of 2 that sums the series: past it
+    # the even-sublattice shortcut returns zero without a table
+    special.clear_kernel_store()
+    SpecialFunctions(ctx).cos_q(ctx.qpow(68))
+    assert special.kernel_store_info()[2.0]["table_prec"]["cos"] is None
+    special.clear_kernel_store()
+    SpecialFunctions(ctx).cos_q(ctx.qpow(66))
+    want = special.kernel_store_info()[2.0]["table_prec"]
+    assert want["cos"] is not None
+    special.clear_kernel_store()
+    f = rand_seq(random.Random(5), ctx)
+    assert (f.k_min, f.k_max) == (-40, 40)
+    QFourier(ctx).qft_cos(f)
+    info = special.kernel_store_info()[2.0]
+    assert info["table_prec"] == want
+    # only the even cos row: arguments q^-2j, j = -80 ... 80
+    assert info["row_entries"] == 161
 
 
 # -- normalization constant and orthogonality --------------------------------
