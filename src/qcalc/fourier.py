@@ -114,9 +114,8 @@ class QFourier:
         """
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
-        k_idx = np.arange(f.k_min, f.k_max + 1)
-        w = self.ctx.q ** (-2.0 * k_idx)
-        wf = w * f.values
+        # the weights q^(-2k), k = k_min ... k_max
+        wf = self.sf.point_row(-2 * f.k_max, -2 * f.k_min)[::-1] * f.values
         scale = float(np.max(np.abs(wf)))
         if scale == 0.0:
             return SublatticeSeq(self.ctx, f.k_min,
@@ -127,6 +126,7 @@ class QFourier:
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
         # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i
         kern = self.sf.kernel_row(kind, -4 * f.k_max, -4 * f.k_min)
+        k_idx = np.arange(f.k_min, f.k_max + 1)
         K = kern[2 * f.k_max - np.add.outer(k_idx, k_idx)]
         g = self._nq * (K @ wf)
         return SublatticeSeq(self.ctx, f.k_min, g, f.family)

@@ -23,8 +23,6 @@ operator.  Everything checked here is an interior statement: boundary
 rows see a cut stencil and are excluded from residuals.
 """
 
-import csv
-import io
 import json
 import sys
 
@@ -428,16 +426,20 @@ def run_experiment(cfg):
 
 
 def history_to_csv(state):
-    """CSV time series: t, sigma, n, rho, j at every valid site."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["t", "sigma", "n", "rho", "j"])
+    """CSV time series: t, sigma, n, rho, j at every valid site, one line
+    per site ended by CRLF, each float written as its repr."""
+    lines = ["t,sigma,n,rho,j"]
     for t, rho, j in state.history:
         t = repr(float(t))
         lo, hi = j.valid_window()
         cols = j.valid_slice()
-        for s, rs, js in zip(j.grid.sectors, rho.data.real[:, cols].tolist(),
-                             j.data.real[:, cols].tolist()):
-            w.writerows([t, s, n, repr(a), repr(b)]
-                        for n, a, b in zip(range(lo, hi + 1), rs, js))
-    return buf.getvalue()
+        # one repr per entry: "[[a, b], [c, d]]" splits into the float
+        # reprs, sector by sector (no repr holds a comma or a bracket)
+        rho_rows, j_rows = (
+            repr(f.data.real[:, cols].tolist())[2:-2].split("], [")
+            for f in (rho, j))
+        for s, rs, js in zip(j.grid.sectors, rho_rows, j_rows):
+            lines += [f"{t},{s},{n},{a},{b}" for n, a, b in zip(
+                range(lo, hi + 1), rs.split(", "), js.split(", "))]
+    lines.append("")
+    return "\r\n".join(lines)

@@ -13,15 +13,25 @@ are integer (mantissa, exponent) pairs, built by their term-ratio
 recurrence in Python ints with every operation rounded to nearest, at the
 largest precision any call at this q has needed so far (with headroom, so
 that rising arguments do not rebuild the table on every call).
-With z = M 2^E each term is C_n M^(2n) (times M for sin) shifted onto
-one fixed-point scale 2^U that sits the working precision below the peak
-estimate, and the terms are summed in Python ints; on a power of two z
-(every lattice point at q = 2) that is shifts and adds alone.  Every term
-is thus within 2^U, about 10^-370, of its exact value, far below the
-smallest double: the result is the exact series at the given double z
-rounded to nearest (within the bound), and a sum beyond double range
-becomes +-inf.  The sum stops at the first term below 10^(5 - digits) of
-the running maximum, or at the first that rounds to zero on the scale.
+The series is summed by Horner's rule in Python ints.  With z = M 2^E, M
+odd, and b the bit length of M^2 (at most 106), level k holds the tail
+S_k = sum_(n >= k) c_n z^(2(n - k)) on its own fixed-point scale
+2^(U - k(2E + b)), so that S_(k-1) = round(S_k M^2 / 2^b) + c_(k-1)
+rounded onto that scale: each term costs one product of the running sum
+by the small M^2 and two shifts (shifts alone on a power of two z, as at
+every lattice point at q = 2).  Each level adds at most one unit of its
+scale and M^2 / 2^b < 1 shrinks what it carries, so S_0 is within N + 1
+units of 2^U; U sits that far (and for sin, which returns z S_0, a
+further factor z) below the scale 2^unit that lies the working precision
+under the peak estimate.  The value is thus within 2^unit, about
+10^-370, of the exact series at the given double z, far below the
+smallest double: it is that series rounded to nearest (within the
+bound), and a sum beyond double range becomes +-inf.  N, the last term
+kept, is fixed before any product from the bit lengths of the table:
+term n lies within a factor 2 below 2^t, t = bits(C_n) + e_n +
+(2n or 2n + 1) log2 z.  The sum keeps every term up to the first that is
+below 2^unit or below 10^(5 - digits) of the largest term before it, and
+returns 2^ceil(t) of that first dropped term as the bound.
 On the even sublattice far out, where the value underflows any double,
 the series is skipped and exact zero returned.
 
@@ -224,17 +234,10 @@ def _odd_man_exp(x):
 
 
 def _shift(x, s):
-    """x 2^s rounded to an int."""
+    """x 2^s rounded to an int, halves up."""
     if s >= 0:
         return x << s
-    return (x + (1 << (-s - 1))) >> -s
-
-
-def _scaled_product(a, b, s):
-    """a b 2^s rounded to an int, within one, from the leading bits of a and b."""
-    drop_a = max(0, -s - 3 - b.bit_length())
-    drop_b = max(0, -s - 3 - a.bit_length())
-    return _shift((a >> drop_a) * (b >> drop_b), s + drop_a + drop_b)
+    return ((x >> (-s - 1)) + 1) >> 1
 
 
 def _to_float(man, exp):
@@ -255,38 +258,44 @@ def _dps_to_prec(digits):
 
 
 def _series_fixed(coeffs, z, digits, peak):
-    """Large-argument series summed on the fixed-point scale 2^unit.
+    """Large-argument series by Horner's rule on per-level fixed-point
+    scales, as the module docstring describes.
 
-    The scale sits the precision of `digits` digits below the peak
-    estimate (log10 of the largest term), so every term keeps that
-    absolute accuracy; coeffs must hold at least that precision.  Returns
-    (value, first dropped term) as doubles.
+    2^unit sits the precision of `digits` digits below the peak estimate
+    (log10 of the largest term), and coeffs must hold at least that
+    precision.  Returns (value, bound) as doubles.
     """
     man, exp = _odd_man_exp(z)
     unit = math.ceil(peak * _LOG2_10) - _dps_to_prec(digits)
-    stop = 10 ** (digits - 5)
-    stop_bits = stop.bit_length() - 2
-    man2 = man * man
-    zpow, zexp = (man, exp) if coeffs.odd else (1, 0)
-    c, c_exp = coeffs.pair(0)
-    total = _scaled_product(c, zpow, c_exp + zexp - unit)
-    running_max = abs(total)
-    n = 1
+    stop_bits = (digits - 5) * _LOG2_10
+    odd = coeffs.odd
+    log2_z = math.log2(z)
+    # term n lies in [2^(t - 1), 2^t); n ends as N + 1, the first dropped
+    pairs = coeffs.pairs
+    top = -math.inf
+    n = 0
     while True:
-        zpow *= man2
-        zexp += 2 * exp
-        c, c_exp = coeffs.pair(n)
-        term = _scaled_product(c, zpow, c_exp + zexp - unit)
-        mag = abs(term)
-        # stop at |term| < 10^(5 - digits) running_max (the bit lengths rule
-        # out most nonzero terms without the product), or at a term that
-        # rounds to zero: the scale can be coarser than the relative rule
-        if not mag or (mag.bit_length() + stop_bits < running_max.bit_length()
-                       and mag * stop < running_max):
-            return _to_float(total, unit), _to_float(mag, unit)
-        total += term
-        running_max = max(running_max, abs(total), mag)
+        c, e = pairs[n] if n < len(pairs) else coeffs.pair(n)
+        t = c.bit_length() + e + (2 * n + odd) * log2_z
+        if n and (t < unit or t + stop_bits < top):
+            break
+        top = max(top, t)
         n += 1
+    bound = _to_float(1, math.ceil(t))
+    man2 = man * man
+    b = man2.bit_length()
+    half = 1 << (b - 1)
+    step = 2 * exp + b
+    scale = unit - n.bit_length()  # U: n = N + 1 roundings of one unit
+    if odd:
+        scale -= exp + man.bit_length()  # z < 2^(E + bits(M))
+    acc = 0  # S_k on the scale 2^(scale - k step)
+    for k in range(n - 1, -1, -1):
+        c, e = pairs[k]
+        acc = ((acc * man2 + half) >> b) + _shift(c, e + k * step - scale)
+    if odd:
+        return _to_float(man * acc, exp + scale), bound
+    return _to_float(acc, scale), bound
 
 
 class _KernelStore:

@@ -147,7 +147,8 @@ def _loop_transform(qf, f, kind):
     """QFourier.transform with one kernel lookup per j."""
     sf = qf.sf
     k_idx = np.arange(f.k_min, f.k_max + 1)
-    wf = qf.ctx.q ** (-2.0 * k_idx) * f.values
+    wf = np.array([qf.ctx.qpow(-2 * k) for k in range(f.k_min, f.k_max + 1)]) \
+        * f.values
     j_lo, j_hi = 2 * f.k_min, 2 * f.k_max
     kern = np.array([(sf.cos_q if kind == "cos" else sf.sin_q)(
         qf.ctx.qpow(-2 * j)) for j in range(j_lo, j_hi + 1)])
@@ -210,6 +211,24 @@ def test_transforms_and_norms_equal_the_loops_bit_for_bit(q):
             f = SublatticeSeq(ctx, -40, vals, family=family)
             assert _bits([f.weighted_norm_sq()]) \
                 == _bits([_loop_weighted_norm_sq(f)])
+
+
+def test_transform_weights_are_the_lattice_points():
+    # at q = 1.5, k = 24 numpy's vectorised q ** (-2.0 * k) has read one
+    # bit off the q ** -48 of ctx.qpow; on this window, whose kernel
+    # arguments q^-104 ... q^-88 are small, every kernel is finite
+    ctx = QContext(1.5)
+    qf = QFourier(ctx)
+    rng = random.Random(SEED + 7)
+    ks = range(20, 29)
+    for kind, family in (("cos", "even"), ("sin", "odd")):
+        f = SublatticeSeq(ctx, ks[0], [
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            * ctx.qpow(-6 * (k - 24) ** 2) for k in ks], family=family)
+        got = qf.transform(f, kind).values
+        want = _loop_transform(qf, f, kind)
+        assert all(map(math.isfinite, got.view(float)))
+        assert _bits(got.view(float)) == _bits(want.view(float))
 
 
 @pytest.mark.parametrize("q", LOOP_QS)

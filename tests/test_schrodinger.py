@@ -1,5 +1,7 @@
 """Matrix representation, evolution, continuity, Noether current."""
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -477,6 +479,41 @@ def test_experiment_json_and_csv():
     first = lines[1].split(",")
     assert float(first[0]) == 0.05
     assert all(len(row.split(",")) == 5 for row in lines[1:])
+
+
+def _csv_writer_history(state):
+    """history_to_csv through csv.writer, one row per valid site."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "sigma", "n", "rho", "j"])
+    for t, rho, j in state.history:
+        lo, hi = j.valid_window()
+        for k, s in enumerate(j.grid.sectors):
+            for n in range(lo, hi + 1):
+                i = n - j.grid.n_min
+                w.writerow([repr(float(t)), s, n, repr(rho.data.real[k, i].item()),
+                            repr(j.data.real[k, i].item())])
+    return buf.getvalue()
+
+
+def test_history_csv_matches_csv_writer():
+    grid = LatticeGrid(D2, -8, 8)
+    specials = [-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324,
+                -5e-324, 0.1, -2.5]
+    rng = random.Random(SEED)
+    history = []
+    for t in (0.0, 0.05, 1e-5, 7.0):
+        rows = [np.array([[rng.choice(specials) for _ in range(grid.size)]
+                          for _ in grid.sectors], dtype=complex)
+                for _ in range(2)]
+        # j's boundary layer: only its valid sites are written
+        history.append((t, LatticeFn(grid, rows[0]),
+                        LatticeFn(grid, rows[1], pad_lo=1, pad_hi=1)))
+    state = EvolutionState(rand_fn(rng, grid), 0.35, history)
+    text = history_to_csv(state)
+    assert text == _csv_writer_history(state)
+    assert text.count("\r\n") == 1 + 4 * 2 * (grid.size - 2)
+    assert history_to_csv(EvolutionState(state.psi)) == "t,sigma,n,rho,j\r\n"
 
 
 # -- what the benchmark reads ---------------------------------------------------------

@@ -123,10 +123,14 @@ def test_large_argument_values_are_tiny_on_even_powers():
 KERNEL_QS = (2.0, 1.5, 2.3943, 3.6931, 50.0)
 
 
-def _working_digits(q, z):
+def _peak(q, z):
+    """The series' peak estimate, log10 of its largest term, as _eval has it."""
     m = math.log(z) / math.log(q)
-    peak = ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
-    return max(50, int(peak) + 370)
+    return ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
+
+
+def _working_digits(q, z):
+    return max(50, int(_peak(q, z)) + 370)
 
 
 def _underflow_shortcut(q, z):
@@ -217,6 +221,18 @@ def test_large_argument_series_terminates_at_q50():
                 assert not math.isnan(val) and math.isfinite(bound)
 
 
+def test_cold_rows_fill_in_time_at_q15():
+    # off the dyadic q nothing takes the even-sublattice shortcut below
+    # m = 90, and the widest rows sum series of about 2500 digits
+    special.clear_kernel_store()
+    sf = SpecialFunctions(QContext(1.5))
+    with _deadline(20):
+        for kind in ("cos", "sin"):
+            for par in (0, 1):
+                row = sf.kernel_row(kind, par - 160, 160 - par)
+                assert not any(math.isnan(v) for v in row.tolist())
+
+
 def test_small_series_terminates_when_its_stop_rule_underflows():
     # at z = 0 and subnormal z, 1e-16 times the largest term is 0.0, so
     # only the zero term that follows can end the sum
@@ -236,6 +252,100 @@ def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("error: OverflowError")
+
+
+def _forward_sum(coeffs, z, digits, peak):
+    """The series summed term by term on the one scale 2^unit: each term a
+    product of C_n and the exact power M^(2n) (times M for sin), rounded
+    onto the scale from the leading bits of both, until the first term
+    that rounds to zero or falls below 10^(5 - digits) of the running
+    maximum.  Returns (value, first dropped term) as doubles."""
+    man, exp = special._odd_man_exp(z)
+    unit = math.ceil(peak * special._LOG2_10) - special._dps_to_prec(digits)
+    stop = 10 ** (digits - 5)
+
+    def on_scale(c, power, s):
+        drop_c = max(0, -s - 3 - power.bit_length())
+        drop_p = max(0, -s - 3 - c.bit_length())
+        return special._shift((c >> drop_c) * (power >> drop_p),
+                              s + drop_c + drop_p)
+
+    power, power_exp = (man, exp) if coeffs.odd else (1, 0)
+    c, c_exp = coeffs.pair(0)
+    total = on_scale(c, power, c_exp + power_exp - unit)
+    running_max = abs(total)
+    n = 1
+    while True:
+        power *= man * man
+        power_exp += 2 * exp
+        c, c_exp = coeffs.pair(n)
+        term = on_scale(c, power, c_exp + power_exp - unit)
+        if not term or abs(term) * stop < running_max:
+            return (special._to_float(total, unit),
+                    special._to_float(abs(term), unit))
+        total += term
+        running_max = max(running_max, abs(total), abs(term))
+        n += 1
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_horner_sum_matches_the_forward_sum(q):
+    # both sums on one table per kind, built for the largest argument
+    zs = [q ** m for m in range(60, 2, -1)]
+    tables = {kind: special._SeriesCoefficients(
+        q, kind, special._dps_to_prec(_working_digits(q, zs[0])))
+        for kind in ("cos", "sin")}
+    for z in zs:
+        peak, digits = _peak(q, z), _working_digits(q, z)
+        unit = math.ceil(peak * special._LOG2_10) \
+            - special._dps_to_prec(digits)
+        for kind, table in tables.items():
+            got, bound = special._series_fixed(table, z, digits, peak)
+            want, dropped = _forward_sum(table, z, digits, peak)
+            assert bound >= dropped, (q, z, kind)
+            if got or want:
+                assert got.hex() == want.hex(), (q, z, kind)
+            elif math.copysign(1.0, got) != math.copysign(1.0, want):
+                # the sign of a zero is the sign of rounding noise, and
+                # only a value below the scale's unit rounds to zero
+                ref = _reference(q, z, kind, 2 * digits)
+                with mpmath.workdps(2 * digits):
+                    assert abs(ref) < mpmath.ldexp(1, unit), (q, z, kind)
+
+
+@pytest.mark.parametrize("q", (2.0, 1.5, 3.6931))
+def test_horner_sum_within_one_unit_of_its_table(q):
+    # a peak estimate 30 digits high with 12 digits below it puts the
+    # unit 2^unit near 1e-12, far above the ulp of most values: the sum's
+    # rounding shows in the double, and every dropped term is below 2^unit
+    for m in (5, 12, 21, 33):
+        z = q ** m
+        peak = _peak(q, z) + 30
+        digits = int(peak) + 12
+        unit = math.ceil(peak * special._LOG2_10) \
+            - special._dps_to_prec(digits)
+        for kind in ("cos", "sin"):
+            table = special._SeriesCoefficients(
+                q, kind, special._dps_to_prec(digits))
+            val, bound = special._series_fixed(table, z, digits, peak)
+            assert bound <= 2.0 ** unit, (q, m, kind)
+            # the exact sum of the same table entries
+            exact = Fraction(0)
+            n = 0
+            while True:
+                c, e = table.pair(n)
+                term = Fraction(c) * Fraction(2) ** e \
+                    * Fraction(z) ** (2 * n + table.odd)
+                exact += term
+                if n > m and abs(term) < Fraction(2) ** (unit - 64):
+                    break
+                n += 1
+            if math.isinf(val):
+                assert abs(exact) > sys.float_info.max, (q, m, kind)
+                continue
+            err = abs(Fraction(val) - exact)
+            assert err <= Fraction(2) ** (unit + 1) + Fraction(
+                math.ulp(val)) / 2, (q, m, kind, float(err / 2 ** unit))
 
 
 def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
@@ -633,8 +743,9 @@ def test_transform_builds_the_coefficient_table_once():
     QFourier(ctx).qft_cos(f)
     info = special.kernel_store_info()[2.0]
     assert info["table_prec"] == want
-    # only the even cos row: arguments q^-2j, j = -80 ... 80
-    assert info["row_entries"] == 161
+    # the even cos row, arguments q^-2j, j = -80 ... 80, and the weights
+    # q^-2k, k = -40 ... 40, from the even point row
+    assert info["row_entries"] == 161 + 81
 
 
 # -- normalization constant and orthogonality --------------------------------
