@@ -233,13 +233,6 @@ def _odd_man_exp(x):
     return man >> zeros, exp - 53 + zeros
 
 
-def _shift(x, s):
-    """x 2^s rounded to an int, halves up."""
-    if s >= 0:
-        return x << s
-    return ((x >> (-s - 1)) + 1) >> 1
-
-
 def _to_float(man, exp):
     """man 2^exp rounded to 53 bits, ties to even, then to a double: +-inf
     past the top, and a subnormal rounded again by ldexp."""
@@ -279,7 +272,8 @@ def _series_fixed(coeffs, z, digits, peak):
         t = c.bit_length() + e + (2 * n + odd) * log2_z
         if n and (t < unit or t + stop_bits < top):
             break
-        top = max(top, t)
+        if t > top:
+            top = t
         n += 1
     bound = _to_float(1, math.ceil(t))
     man2 = man * man
@@ -292,7 +286,9 @@ def _series_fixed(coeffs, z, digits, peak):
     acc = 0  # S_k on the scale 2^(scale - k step)
     for k in range(n - 1, -1, -1):
         c, e = pairs[k]
-        acc = ((acc * man2 + half) >> b) + _shift(c, e + k * step - scale)
+        s = e + k * step - scale  # c_k 2^s on the scale, rounded halves up
+        acc = ((acc * man2 + half) >> b) \
+            + (c << s if s >= 0 else ((c >> (-s - 1)) + 1) >> 1)
     if odd:
         return _to_float(man * acc, exp + scale), bound
     return _to_float(acc, scale), bound

@@ -267,8 +267,8 @@ def _forward_sum(coeffs, z, digits, peak):
     def on_scale(c, power, s):
         drop_c = max(0, -s - 3 - power.bit_length())
         drop_p = max(0, -s - 3 - c.bit_length())
-        return special._shift((c >> drop_c) * (power >> drop_p),
-                              s + drop_c + drop_p)
+        x, s = (c >> drop_c) * (power >> drop_p), s + drop_c + drop_p
+        return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
 
     power, power_exp = (man, exp) if coeffs.odd else (1, 0)
     c, c_exp = coeffs.pair(0)
