@@ -18,8 +18,8 @@ odd, and b the bit length of M^2 (at most 106), level k holds the tail
 S_k = sum_(n >= k) c_n z^(2(n - k)) on its own fixed-point scale
 2^(U - k(2E + b)), so that S_(k-1) = round(S_k M^2 / 2^b) + c_(k-1)
 rounded onto that scale: each term costs one product of the running sum
-by the small M^2 and two shifts (shifts alone on a power of two z, as at
-every lattice point at q = 2).  Each level adds at most one unit of its
+by the small M^2 (M = 1 on a power of two z, as at every lattice point
+at q = 2) and two shifts.  Each level adds at most one unit of its
 scale and M^2 / 2^b < 1 shrinks what it carries, so S_0 is within N + 1
 units of 2^U; U sits that far (and for sin, which returns z S_0, a
 further factor z) below the scale 2^unit that lies the working precision
@@ -286,7 +286,7 @@ def _series_fixed(coeffs, z, digits, peak):
     acc = 0  # S_k on the scale 2^(scale - k step)
     for k in range(n - 1, -1, -1):
         c, e = pairs[k]
-        s = e + k * step - scale  # c_k 2^s on the scale, rounded halves up
+        s = e + k * step - scale  # c_k in units of level k, halves up
         acc = ((acc * man2 + half) >> b) \
             + (c << s if s >= 0 else ((c >> (-s - 1)) + 1) >> 1)
     if odd:
