@@ -433,8 +433,8 @@ def history_to_csv(state):
         t = repr(float(t))
         lo, hi = j.valid_window()
         cols = j.valid_slice()
-        # one repr per entry: "[[a, b], [c, d]]" splits into the float
-        # reprs, sector by sector (no repr holds a comma or a bracket)
+        # one repr per value list: "[[a, b], [c, d]]" splits into the
+        # float reprs, sector by sector (no repr holds a comma or bracket)
         rho_rows, j_rows = (
             repr(f.data.real[:, cols].tolist())[2:-2].split("], [")
             for f in (rho, j))

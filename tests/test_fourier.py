@@ -214,9 +214,10 @@ def test_transforms_and_norms_equal_the_loops_bit_for_bit(q):
 
 
 def test_transform_weights_are_the_lattice_points():
-    # at q = 1.5, k = 24 numpy's vectorised q ** (-2.0 * k) has read one
-    # bit off the q ** -48 of ctx.qpow; on this window, whose kernel
-    # arguments q^-104 ... q^-88 are small, every kernel is finite
+    # at q = 1.5, k = 24 numpy's vectorised q ** (-2.0 * k) can differ
+    # in the last bit from the q ** -48 of ctx.qpow (it does under AVX-512
+    # dispatch); the kernel arguments q^-104 ... q^-88 keep every kernel
+    # on this window finite
     ctx = QContext(1.5)
     qf = QFourier(ctx)
     rng = random.Random(SEED + 7)
