@@ -412,37 +412,54 @@ def _lattice_integral_rows(ctx, rng, trials):
 # -- special-tables -----------------------------------------------------------
 
 
+def _kernels(sf, kind, lo, hi):
+    """The kind's kernel at q^m, m = lo ... hi, from its two parity rows."""
+    out = np.empty(hi - lo + 1)
+    out[0::2] = sf.kernel_row(kind, lo, hi - (hi - lo) % 2)
+    out[1::2] = sf.kernel_row(kind, lo + 1, hi - (hi - lo + 1) % 2)
+    return out
+
+
+def _sampled_kernel(sf, grid, kind, y_exp):
+    """The kind's kernel at x y, y = q^y_exp, on every site x = sigma q^n of
+    the grid: the entry at q^(n + y_exp), signed for sin (odd in sigma)."""
+    vals = _kernels(sf, kind, grid.n_min + y_exp, grid.n_max + y_exp)
+    sign = np.array(grid.sectors) ** (kind == "sin")
+    return LatticeFn(grid, np.outer(sign, vals))
+
+
 def special_tables(ctx, params):
     sf = SpecialFunctions(ctx)
     q = ctx.q
     k_max = params["k_max"]
 
     lines = ["k,point,cos,sin"]
-    for k in range(-k_max, k_max + 1):
-        z = ctx.qpow(k)
-        lines.append(f"{k},{repr(float(z))},{repr(float(sf.cos_q(z)))},"
-                     f"{repr(float(sf.sin_q(z)))}")
+    for k, c, s in zip(range(-k_max, k_max + 1),
+                       *(_kernels(sf, kind, -k_max, k_max).tolist()
+                         for kind in ("cos", "sin"))):
+        lines.append(f"{k},{repr(float(ctx.qpow(k)))},{repr(c)},{repr(s)}")
     table = "\n".join(lines) + "\n"
 
+    # the kernels at q^m, m = -14 ... 12; z / q^2 is the point q^(m - 2)
+    cos, sin = (dict(zip(range(-14, 13), _kernels(sf, kind, -14, 12).tolist()))
+                for kind in ("cos", "sin"))
     rec = []
-    for l in range(-6, 7):
-        z = q ** (2 * l)
-        rec.append(abs((sf.cos_q(z) - sf.cos_q(z / q ** 2)) / z
-                       + q ** -2 * sf.sin_q(z / q ** 2)))
-        rec.append(abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                       - sf.cos_q(z)))
-    for l in range(-5, 6):
-        z = q ** (2 * l + 1)
-        rec.append(abs((sf.sin_q(z) - sf.sin_q(z / q ** 2)) / z
-                       - sf.cos_q(z)) / max(1.0, abs(sf.cos_q(z))))
+    for m in range(-12, 13, 2):
+        z = q ** m
+        rec.append(abs((cos[m] - cos[m - 2]) / z + q ** -2 * sin[m - 2]))
+        rec.append(abs((sin[m] - sin[m - 2]) / z - cos[m]))
+    for m in range(-9, 12, 2):
+        z = q ** m
+        rec.append(abs((sin[m] - sin[m - 2]) / z - cos[m])
+                   / max(1.0, abs(cos[m])))
     rows = [row("recurrences", worst(rec), 1e-12)]
 
     grid = LatticeGrid(ctx, -8, 8)
     deriv = []
     for y_exp in (0, 1, 3):
         y = ctx.qpow(y_exp)
-        cos_f = LatticeFn.from_callable(grid, lambda x: sf.cos_q(x * y))
-        sin_f = LatticeFn.from_callable(grid, lambda x: sf.sin_q(x * y))
+        cos_f = _sampled_kernel(sf, grid, "cos", y_exp)
+        sin_f = _sampled_kernel(sf, grid, "sin", y_exp)
         rhs_c = sin_f.L_shift(1).scale(-ctx.inv_lam / q * y)
         rhs_s = cos_f.L_shift(-1).scale(ctx.inv_lam * q * y)
         scale = max(rhs_c.max_abs_interior(), rhs_s.max_abs_interior(), 1.0)
@@ -453,8 +470,8 @@ def special_tables(ctx, params):
     # second derivative reproduces the eigenvalue at y = q
     y = ctx.qpow(1)
     eig = []
-    cos_f = LatticeFn.from_callable(grid, lambda x: sf.cos_q(x * y))
-    sin_f = LatticeFn.from_callable(grid, lambda x: sf.sin_q(x * y))
+    cos_f = _sampled_kernel(sf, grid, "cos", 1)
+    sin_f = _sampled_kernel(sf, grid, "sin", 1)
     for f, fac in ((cos_f, 1.0 / q), (sin_f, q)):
         lhs = f.nabla2_fn()
         rhs = f.scale(-y * y * ctx.inv_lam ** 2 * fac)

@@ -120,12 +120,9 @@ class LatticeGrid:
             raise ValueError("value array does not match the grid")
         return out
 
-    def point(self, sigma, n):
-        return sigma * self.ctx.qpow(n)
-
     def x_power(self, power):
         """x^power, built once per power; a float power of a negative base
-        is its modulus' power signed, so this is point(sigma, n) ** power."""
+        is its modulus' power signed, so this is (sigma q^n) ** power."""
         if power not in self._x_powers:
             mod = [v ** power for v in self.qpows.tolist()]
             self._x_powers[power] = np.outer(
@@ -173,11 +170,6 @@ class LatticeFn:
         self.pad_hi = pad_hi
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, grid, fn):
-        vals = [fn(v) for v in grid.points.ravel().tolist()]
-        return cls(grid, np.reshape(vals, grid.points.shape))
 
     @classmethod
     def from_sites(cls, grid, sites):

@@ -129,8 +129,7 @@ class Hamiltonian:
         self._eig = None
         h = -(0.5 / self.mass) * rep.nabla @ rep.nabla
         if potential is not None:
-            v = (LatticeFn.from_callable(rep.grid, potential).data
-                 if callable(potential) else rep.grid.stack(potential))
+            v = rep.grid.stack(potential)
             if float(np.max(np.abs(v.imag))) > 1e-12:
                 raise NonHermitianHamiltonian("potential must be real")
             h = h + Stencil(rep.grid, {0: v.real})
@@ -207,13 +206,15 @@ def _sampled_modes(rep, family, label, n, mass, rows):
     norm_const = ctx.q ** n * np.sqrt(2.0 * ctx.q * ctx.inv_lam) * rep.sf.n_q()
     if label == "2n":
         norm_const /= np.sqrt(ctx.q)
-    kernel = rep.sf.cos_q if family == "C" else rep.sf.sin_q
-    y = ctx.qpow(arg_exp)
-    sites = (rows, slice((site_parity - grid.n_min) % 2, None, 2))
-    x = grid.points[sites]
+    # the sites sigma q^k, k of the label's parity, take the kernel at
+    # sigma q^(k + arg_exp): one even row, sin odd in sigma
+    first = (site_parity - grid.n_min) % 2
+    last = grid.n_max - (grid.n_max - site_parity) % 2
+    kern = rep.sf.kernel_row("cos" if family == "C" else "sin",
+                             grid.n_min + first + arg_exp, last + arg_exp)
+    sign = np.array(grid.sectors)[rows] ** (family == "S")
     vals = np.zeros((len(grid.sectors), grid.size), dtype=complex)
-    vals[sites] = np.reshape([norm_const * kernel(v * y)
-                              for v in x.ravel().tolist()], x.shape)
+    vals[rows, first::2] = norm_const * np.outer(sign, kern)
     expo = 4 * n + EIGEN_EXPONENT[family, label]
     energy = (0.5 / mass) * ctx.inv_lam ** 2 * ctx.qpow(expo)
     return vals, energy

@@ -33,25 +33,27 @@ term n lies within a factor 2 below 2^t, t = bits(C_n) + e_n +
 below 2^unit or below 10^(5 - digits) of the largest term before it, and
 returns 2^ceil(t) of that first dropped term as the bound.
 On the even sublattice far out, where the value underflows any double,
-the series is skipped and exact zero returned.
+the series is skipped and exact zero returned; that test reads the
+integer exponent of a lattice point, so off the lattice every sum runs.
 
 The kernels, their coefficient tables and N_q depend on q alone, so every
 SpecialFunctions at one q reads and writes one module-level kernel store.
-Besides the (kind, z) cache of single values, the store keeps rows: the
-lattice points q^m, or cos_q or sin_q at them, for every m of one parity
-across a range, as a float array indexed by the exponent.  `kernel_row`
-and `point_row` slice them, and grow a row to a wider range by
-evaluating only the exponents it lacks, largest argument first, through
-the same cached single-value lookup (so a row entry is bit for bit the
-value at the double ctx.qpow(m)).  The store is bounded: it keeps at most
+The store caches values only as rows: the lattice points q^m, or cos_q or
+sin_q at them, for every m of one parity across a range, as a float
+array indexed by the exponent.  `kernel_row` and `point_row` slice them,
+and grow a row to a wider range by evaluating only the exponents it
+lacks, largest argument first, each kernel entry by one sum at the
+double q ** m.  cos_q and sin_q at z read row entry m, and apply the
+sign, when |z| is exactly the double q ** m with m = round(log|z| /
+log q); anywhere else, and whenever the bound is asked for, they sum the
+series at z and cache nothing.  The store is bounded: it keeps at most
 STORE_MAX_QS values of q, dropping the least recently opened, and at most
-STORE_MAX_VALUES single values per q, dropping the oldest quarter when
-full, and at most STORE_MAX_VALUES row entries per q: a row that would
-pass that drops every row of its q first, and a request longer than it
-is returned without being kept.  A dropped q lets go of its values, rows
-and tables.  An instance opens the store of its q when it is made, and
-again on its next lookup once the store has dropped that q.
-`kernel_store_info` reports the sizes and hit counts;
+STORE_MAX_VALUES row entries per q: a row that would pass that drops
+every row of its q first, and a request longer than it is returned
+without being kept.  A dropped q lets go of its rows and tables.  An
+instance opens the store of its q when it is made, and again on its next
+lookup once the store has dropped that q.  `kernel_store_info` reports
+the sizes, the row reads and the row entries evaluated;
 `clear_kernel_store` empties the store.
 """
 
@@ -60,18 +62,19 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 _FLOAT_STOP = 1e-16
-_MP_GUARD_DIGITS = 40
+_GUARD_DIGITS = 40
 _LOG2_10 = math.log2(10.0)
 
-# Bounds of the kernel store: values of q kept, and kernel values (and
-# row entries) per q.
+# Bounds of the kernel store: values of q kept, and row entries per q.
 STORE_MAX_QS = 8
 STORE_MAX_VALUES = 1 << 14
+
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
 
 
 # The basis member family_label(n), the cos_q or sin_q kernel at y x on
@@ -295,19 +298,17 @@ def _series_fixed(coeffs, z, digits, peak):
 
 
 class _KernelStore:
-    """What the kernels at one q share: the (kind, z) -> (value, bound)
-    cache in insertion order, the rows, the coefficient table of each
-    kind, N_q, and the lookup and miss counts of the cache.
+    """What the kernels at one q share: the rows, the coefficient table of
+    each kind, N_q, and the counts of row reads and of row entries
+    evaluated.
 
     rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
     "sin", and entry i of the read-only array belongs to m_lo + 2 i.
     """
 
-    __slots__ = ("values", "rows", "tables", "nq", "lookups", "misses",
-                 "dropped")
+    __slots__ = ("rows", "tables", "nq", "lookups", "misses", "dropped")
 
     def __init__(self):
-        self.values = {}
         self.rows = {}
         self.tables = {}
         self.nq = None
@@ -316,8 +317,7 @@ class _KernelStore:
         self.dropped = False  # set once the store lets go of it
 
     def drop(self):
-        """Let go of every value, row and table; holders reopen their q."""
-        self.values.clear()
+        """Let go of every row and table; holders reopen their q."""
         self.rows.clear()
         self.tables.clear()
         self.dropped = True
@@ -342,19 +342,19 @@ def _open_store(q):
 
 
 def clear_kernel_store():
-    """Empty the kernel store: every value, row, table and count at every q."""
+    """Empty the kernel store: every row, table and count at every q."""
     for store in _STORES.values():
         store.drop()
     _STORES.clear()
 
 
 def kernel_store_info():
-    """{q: {entries, row_entries, lookups, misses, table_prec}} over the
-    stored q, least recently opened first; row_entries counts the entries
-    of every row, and table_prec maps each kind to the precision in bits
-    of its coefficient table, None before the first build."""
-    return {q: {"entries": len(store.values),
-                "row_entries": store.row_entries(),
+    """{q: {row_entries, lookups, misses, table_prec}} over the stored q,
+    least recently opened first; row_entries counts the entries of every
+    row, lookups the row reads, misses the row entries evaluated, and
+    table_prec maps each kind to the precision in bits of its coefficient
+    table, None before the first build."""
+    return {q: {"row_entries": store.row_entries(),
                 "lookups": store.lookups,
                 "misses": store.misses,
                 "table_prec": {kind: (store.tables[kind].prec
@@ -373,6 +373,7 @@ class SpecialFunctions:
         self.ctx = ctx
         self.comb = QCombinatorics(ctx)
         self._store = _open_store(ctx.q)
+        self._log_q = math.log(ctx.q)
 
     def _kernel_store(self):
         """The store of this q, reopened if the store has dropped it."""
@@ -380,55 +381,49 @@ class SpecialFunctions:
             self._store = _open_store(self.ctx.q)
         return self._store
 
-    @property
-    def _cache(self):
-        """The (kind, z) -> (value, bound) cache shared at this q."""
-        return self._kernel_store().values
-
     # -- trigonometric family ---------------------------------------------
 
-    def _eval(self, z, kind):
+    def _kernel(self, kind, z, with_bound):
+        """cos_q or sin_q at z: a row entry at a lattice point, else (or
+        with the bound) one sum at z, as the module docstring says."""
         z = float(z)
-        key = (kind, z)
+        sign = math.copysign(1.0, z) if kind == "sin" else 1.0
+        z = abs(z)
+        m = round(math.log(z) / self._log_q) if z else None
+        try:
+            on = m is not None and self.ctx.q ** m == z
+        except OverflowError:  # z near the top rounds m past the double range
+            on = False
+        if not on or with_bound:
+            val, bound = self._series(kind, z, m if on else None)
+            return (sign * val, bound) if with_bound else sign * val
+        # the row hit inline, as _row would find it: every lattice call
+        # runs this; a dropped store holds no rows, so _row reopens it
         store = self._store
-        if store.dropped:  # _kernel_store() inline: every lookup runs this
-            store = self._kernel_store()
-        store.lookups += 1
-        hit = store.values.get(key)
-        if hit is not None:
-            return hit
-        store.misses += 1
-        sign = 1.0
-        if z < 0:
-            z = -z
-            if kind == "sin":
-                sign = -1.0
+        lo, vals = store.rows.get((kind, m % 2), (0, _EMPTY))
+        i = (m - lo) // 2
+        if 0 <= i < vals.size:
+            store.lookups += 1
+            return sign * vals.item(i)
+        return sign * self._row(kind, m, m).item(0)
+
+    def _series(self, kind, z, m):
+        """(value, bound) of the kernel at z >= 0, summed; m is the exponent
+        when z is the lattice point q ** m, else None."""
         q = self.ctx.q
         if z <= q * q:
-            val, bound = _series_float(q, z, kind)
-        else:
-            m = math.log(z) / math.log(q)
-            # On the even sublattice the value decays like q^(-m^2/2) times
-            # a bounded constant; once even half that decay underflows any
-            # double, skip the high-precision work and return exact zero.
-            mr = round(m)
-            if (abs(m - mr) < 1e-9 and mr % 2 == 0
-                    and (mr * mr / 4.0) * math.log10(q) > 340.0):
-                val, bound = 0.0, 0.0
-            else:
-                peak = ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
-                digits = max(50, int(peak) + 330 + _MP_GUARD_DIGITS)
-                table = self._coefficients(store, kind, digits)
-                val, bound = _series_fixed(table, z, digits, peak)
-        out = (sign * val, bound)
-        values = store.values
-        if len(values) >= STORE_MAX_VALUES:
-            # the oldest quarter in one sweep: a dict finds its first key
-            # only past the holes that earlier deletions left in front
-            for old in list(islice(values, STORE_MAX_VALUES // 4)):
-                del values[old]
-        values[key] = out
-        return out
+            return _series_float(q, z, kind)
+        # On the even sublattice the value decays like q^(-m^2/2) times a
+        # bounded constant; once even half that decay underflows any
+        # double, skip the high-precision work and return exact zero.
+        if (m is not None and m % 2 == 0
+                and (m * m / 4.0) * math.log10(q) > 340.0):
+            return 0.0, 0.0
+        lm = math.log(z) / self._log_q
+        peak = ((lm - 1.0) ** 2 / 2.0 + lm + 4.0) * math.log10(q)
+        digits = max(50, int(peak) + 330 + _GUARD_DIGITS)
+        table = self._coefficients(self._kernel_store(), kind, digits)
+        return _series_fixed(table, z, digits, peak)
 
     def _coefficients(self, store, kind, digits):
         """Coefficient table of the kind, rebuilt when a call needs more
@@ -464,47 +459,48 @@ class SpecialFunctions:
         if (m_hi - m_lo) % 2:
             raise ValueError(f"row ends {m_lo} and {m_hi} differ in parity")
         if m_hi < m_lo:
-            return np.empty(0)
+            return _EMPTY
         store = self._kernel_store()
+        store.lookups += 1
         key = (kind, m_lo % 2)
-        lo, vals = store.rows.get(key, (m_lo, np.empty(0)))
+        lo, vals = store.rows.get(key, (m_lo, _EMPTY))
         hi = lo + 2 * (vals.size - 1)
         if lo > m_lo or m_hi > hi:
             if (m_hi - m_lo) // 2 + 1 > STORE_MAX_VALUES:
-                return self._row_values(kind, m_lo, m_hi)  # too long to keep
+                # too long to keep
+                return self._row_values(store, kind, m_lo, m_hi)
             new_lo, new_hi = min(lo, m_lo), max(hi, m_hi)
             if (store.row_entries() - vals.size + (new_hi - new_lo) // 2 + 1
                     > STORE_MAX_VALUES):
                 store.rows.clear()
-                lo, hi, vals = m_lo, m_lo - 2, np.empty(0)
+                lo, hi, vals = m_lo, m_lo - 2, _EMPTY
                 new_lo, new_hi = m_lo, m_hi
             # the missing top first: the largest argument fixes the
             # precision of the coefficient table, and smaller ones reuse it
-            top = self._row_values(kind, hi + 2, new_hi)
+            top = self._row_values(store, kind, hi + 2, new_hi)
             vals = np.concatenate(
-                [self._row_values(kind, new_lo, lo - 2), vals, top])
+                [self._row_values(store, kind, new_lo, lo - 2), vals, top])
             vals.flags.writeable = False
             store.rows[key] = (new_lo, vals)
             lo = new_lo
         return vals[(m_lo - lo) // 2:(m_hi - lo) // 2 + 1]
 
-    def _row_values(self, kind, lo, hi):
+    def _row_values(self, store, kind, lo, hi):
         """Row entries for m = lo, lo + 2, ..., hi, evaluated from hi down."""
         q = self.ctx.q
         exps = range(hi, lo - 1, -2)
+        store.misses += len(exps)
         if kind == "point":
             vals = [q ** m for m in exps]
         else:
-            vals = [self._eval(q ** m, kind)[0] for m in exps]
+            vals = [self._series(kind, q ** m, m)[0] for m in exps]
         return np.array(vals[::-1], dtype=float)
 
     def cos_q(self, z, with_bound=False):
-        out = self._eval(z, "cos")
-        return out if with_bound else out[0]
+        return self._kernel("cos", z, with_bound)
 
     def sin_q(self, z, with_bound=False):
-        out = self._eval(z, "sin")
-        return out if with_bound else out[0]
+        return self._kernel("sin", z, with_bound)
 
     # -- normalization constant ---------------------------------------------
 

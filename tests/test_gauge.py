@@ -157,7 +157,7 @@ def test_connection_field_formula():
     phi = connection_field(e)
     n = 2
     i = grid.index(n)
-    want = (D2.inv_lam / grid.point(1, n)
+    want = (D2.inv_lam / D2.qpow(n)
             * (1.0 - 1.0 / (e.sector(1)[i] * e.sector(1)[i - 1])))
     assert abs(phi.value(1, n) - want) < 1e-14
 

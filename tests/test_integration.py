@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcalc.batteries import rand_lattice_fn
@@ -294,8 +295,8 @@ def test_green_needs_padding():
 def test_green_boundary_example():
     # f = x, g = 1: both sides reduce to the same boundary number
     grid = LatticeGrid(DOUBLE, -8, 8)
-    f = LatticeFn.from_callable(grid, lambda x: x)
-    g = LatticeFn.from_callable(grid, lambda x: 1.0)
+    f = LatticeFn(grid, grid.points)
+    g = LatticeFn(grid, np.ones(grid.points.shape))
     assert abs(check_green(f, g, -4, 4)) < 1e-13
     flux = f.nabla_fn() * g.L_shift(-1) - f.L_shift(-1) * g.nabla_fn()
     # nabla x = 1, nabla 1 = 0: the flux is 1 at every site
@@ -305,7 +306,7 @@ def test_green_boundary_example():
 
 def test_lattice_shift_and_pad_bookkeeping():
     grid = LatticeGrid(DOUBLE, -3, 3)
-    f = LatticeFn.from_callable(grid, lambda x: x)
+    f = LatticeFn(grid, grid.points)
     Lf = f.L_shift(1)
     assert Lf.pad_lo == 1 and Lf.pad_hi == 0
     # (Lf)(q^n) = f(q^(n-1)) = q^(n-1)

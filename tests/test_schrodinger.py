@@ -28,6 +28,7 @@ from qcalc.schrodinger import (
     free_evolve,
     history_to_csv,
     noether_current,
+    _sampled_modes,
     run_experiment,
     stationary_state,
 )
@@ -164,11 +165,11 @@ def test_hamiltonian_refuses_what_the_chain_solve_cannot_take(offsets,
 
 @pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
 @pytest.mark.parametrize("w", [8, 24, 48])
-@pytest.mark.parametrize("potential", [None, lambda x: 0.3 * x * x],
-                         ids=["free", "harmonic"])
-def test_chain_solve_matches_the_dense_solve(q, w, potential):
+@pytest.mark.parametrize("harmonic", [False, True], ids=["free", "harmonic"])
+def test_chain_solve_matches_the_dense_solve(q, w, harmonic):
     rep = build_representation(LatticeGrid(QContext(q), -w, w))
-    H = Hamiltonian(rep, potential=potential)
+    x = rep.grid.points
+    H = Hamiltonian(rep, potential=0.3 * x * x if harmonic else None)
     evals, evecs = H.eigh()
     n = rep.grid.size
     assert evals.shape == (2, n) and evecs.shape == (2, n, n)
@@ -189,7 +190,8 @@ def test_chain_solve_matches_the_dense_solve(q, w, potential):
 
 def test_chain_solve_only_sees_real_half_size_blocks(monkeypatch):
     rep = make_rep(-24, 24)
-    H = Hamiltonian(rep, potential=lambda x: 0.3 * x * x)
+    x = rep.grid.points
+    H = Hamiltonian(rep, potential=0.3 * x * x)
     calls = []
     eigh = np.linalg.eigh
 
@@ -221,6 +223,41 @@ def test_stationary_energy_and_degeneracy():
     assert [p[1] for p in pairs] == sorted(p[1] for p in pairs)
     with pytest.raises(ValueError):
         stationary_state(rep, "T", "2n", 0)
+
+
+def _modes_per_site(rep, family, label, n, rows):
+    """The sampled basis member by a per-site loop: the normalizer times
+    one fresh kernel sum at each site x times y = q^(2n + site parity)."""
+    ctx, grid = rep.ctx, rep.grid
+    site_parity = 1 if label == "2n+1" else 0
+    norm_const = ctx.q ** n * np.sqrt(2.0 * ctx.q * ctx.inv_lam) * rep.sf.n_q()
+    if label == "2n":
+        norm_const /= np.sqrt(ctx.q)
+    kernel = rep.sf.cos_q if family == "C" else rep.sf.sin_q
+    y = ctx.qpow(2 * n + site_parity)
+    sites = (rows, slice((site_parity - grid.n_min) % 2, None, 2))
+    x = grid.points[sites]
+    vals = np.zeros((len(grid.sectors), grid.size), dtype=complex)
+    vals[sites] = np.reshape([norm_const * kernel(v * y, with_bound=True)[0]
+                              for v in x.ravel().tolist()], x.shape)
+    return vals
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-12, 12), (-11, 14)])
+def test_sampled_modes_equal_per_site_sums_at_q2(n_min, n_max):
+    # at q = 2 each product x y is the lattice point its row entry holds;
+    # stationary_state samples one sector, free_evolve every sector
+    rep = build_representation(LatticeGrid(D2, n_min, n_max))
+    for fam, lab in [("C", "2n+1"), ("C", "2n"), ("S", "2n+1"), ("S", "2n")]:
+        for n in (-2, 0, 1):
+            for sector in rep.grid.sectors:
+                got, _ = stationary_state(rep, fam, lab, n, sector)
+                want = _modes_per_site(rep, fam, lab, n,
+                                       [rep.grid.row(sector)])
+                assert got.data.tobytes() == want.tobytes()
+            got, _ = _sampled_modes(rep, fam, lab, n, 1.0, slice(None))
+            want = _modes_per_site(rep, fam, lab, n, slice(None))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_stationary_norms():
@@ -443,7 +480,8 @@ def test_energy_form_compact_state():
 
 def test_potential_forms_and_guard():
     rep = make_rep()
-    H = Hamiltonian(rep, potential=lambda x: 0.1 * x * x)
+    x = rep.grid.points
+    H = Hamiltonian(rep, potential=0.1 * x * x)
     for s in rep.grid.sectors:
         assert np.max(np.abs(H.matrices[s] - H.matrices[s].conj().T)) == 0.0
     vec = {s: np.full(rep.grid.size, 0.25) for s in rep.grid.sectors}

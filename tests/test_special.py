@@ -15,7 +15,7 @@ import pytest
 from mpmath import libmp
 
 from qcalc import special
-from qcalc.batteries import rand_seq
+from qcalc.batteries import _kernels, _sampled_kernel, rand_seq
 from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.fourier import QFourier
@@ -113,7 +113,7 @@ def test_large_argument_values_are_tiny_on_even_powers():
     # superexponential decay on the even sublattice
     assert abs(SF.cos_q(D2.qpow(20))) < 1e-12
     assert abs(SF.sin_q(D2.qpow(30))) < 1e-20
-    assert SF.cos_q(D2.qpow(120)) == SF.cos_q(D2.qpow(120))  # cached, finite
+    assert SF.cos_q(D2.qpow(120)) == SF.cos_q(D2.qpow(120))  # a row entry
 
 
 # -- large-argument series against an independent reference ---------------
@@ -134,10 +134,8 @@ def _working_digits(q, z):
 
 
 def _underflow_shortcut(q, z):
-    m = math.log(z) / math.log(q)
-    mr = round(m)
-    return (abs(m - mr) < 1e-9 and mr % 2 == 0
-            and (mr * mr / 4.0) * math.log10(q) > 340.0)
+    m = round(math.log(z) / math.log(q))
+    return q ** m == z and m % 2 == 0 and (m * m / 4.0) * math.log10(q) > 340.0
 
 
 def _reference(q, z, kind, digits):
@@ -366,7 +364,7 @@ def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
         sf.cos_q(z)
         sf.sin_q(z)
     assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
-    sf._cache.clear()
+    sf._kernel_store().rows.clear()
     for z in reversed(zs):
         sf.cos_q(z)
         sf.sin_q(z)
@@ -502,11 +500,12 @@ def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
         second.cos_q(z)
         second.sin_q(z)
     assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
-    assert second._cache is first._cache
+    assert second._kernel_store() is first._kernel_store()
     assert first.n_q() == second.n_q()
     info = special.kernel_store_info()
     assert list(info) == [2.0]
-    assert info[2.0] == {"entries": 2 * len(zs), "row_entries": 0,
+    # each lookup grew its odd row by one entry, the next exponent down
+    assert info[2.0] == {"row_entries": 2 * len(zs),
                          "lookups": 2 * len(zs), "misses": 2 * len(zs),
                          "table_prec": dict(builds)}
     for z in zs:
@@ -518,40 +517,27 @@ def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
 
 def test_instances_at_different_q_never_share_values():
     special.clear_kernel_store()
+    # lattice points of q = 2 (0.5, 2^5, -2^7) and of q = 3 (3^5)
     zs = [0.5, 1.5, 2.0 ** 5, 3.0 ** 5, -(2.0 ** 7)]
     sf2 = SpecialFunctions(QContext(2.0))
     sf3 = SpecialFunctions(QContext(3.0))
     got = {}
     for q, sf in ((2.0, sf2), (3.0, sf3)):
-        got[q] = [fn(z, with_bound=True)
-                  for z in zs for fn in (sf.cos_q, sf.sin_q)]
-    assert sf2._cache is not sf3._cache
+        got[q] = [fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)]
+    assert sf2._kernel_store() is not sf3._kernel_store()
     assert sf2.n_q() != sf3.n_q()
-    assert all(a[0] != b[0] for a, b in zip(got[2.0], got[3.0]))
+    assert all(a != b for a, b in zip(got[2.0], got[3.0]))
     info = special.kernel_store_info()
-    assert info[2.0]["entries"] == info[3.0]["entries"] == 2 * len(zs)
+    assert info[2.0]["lookups"] == 2 * 3 and info[3.0]["lookups"] == 2
     # each q reads as it does in a store that never held the other
     for q in (2.0, 3.0):
         special.clear_kernel_store()
         sf = SpecialFunctions(QContext(q))
-        assert _bits(fn(z, with_bound=True) for z in zs
-                     for fn in (sf.cos_q, sf.sin_q)) == _bits(got[q])
+        assert _float_bits(fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)) \
+            == _float_bits(got[q])
 
 
 def test_kernel_store_stays_within_its_bounds():
-    special.clear_kernel_store()
-    sf = SpecialFunctions(QContext(2.0))
-    # distinct arguments below q^2, each a miss on the double loop
-    n = special.STORE_MAX_VALUES + 100
-    zs = [k / n for k in range(n)]
-    for z in zs:
-        sf.cos_q(z)
-    info = special.kernel_store_info()[2.0]
-    assert info["misses"] == n
-    assert 0 < info["entries"] <= special.STORE_MAX_VALUES
-    # the oldest values went first
-    assert ("cos", zs[-1]) in sf._cache and ("cos", zs[0]) not in sf._cache
-
     special.clear_kernel_store()
     qs = [1.5 + k / 8 for k in range(special.STORE_MAX_QS + 3)]
     first = SpecialFunctions(QContext(qs[0]))
@@ -566,13 +552,12 @@ def test_kernel_store_stays_within_its_bounds():
     rebuilt = SpecialFunctions(QContext(qs[0]))
     info = special.kernel_store_info()
     assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
-    assert info[qs[0]] == {"entries": 0, "row_entries": 0, "lookups": 0,
-                           "misses": 0,
+    assert info[qs[0]] == {"row_entries": 0, "lookups": 0, "misses": 0,
                            "table_prec": {"cos": None, "sin": None}}
     assert _bits([rebuilt.cos_q(z, with_bound=True),
                   rebuilt.sin_q(z, with_bound=True)]) == want
     # an instance whose q was dropped reads the reopened store
-    assert first._cache is rebuilt._cache
+    assert first._kernel_store() is rebuilt._kernel_store()
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
@@ -582,14 +567,11 @@ def test_kernel_values_do_not_depend_on_store_history(q):
     special.clear_kernel_store()
     warm = SpecialFunctions(ctx)
     # warm the store as the lattice-window ladder does: stationary states
-    # sample the kernels at x y, y = q^0 ... q^5, window by window
+    # read the kernels at q^(n + e), |n| <= w, e = 0 ... 5, window by window
     for w in LADDER:
-        points = LatticeGrid(ctx, -w, w).points.ravel().tolist()
-        for e in range(6):
-            y = ctx.qpow(e)
-            for x in points:
-                warm.cos_q(x * y)
-                warm.sin_q(x * y)
+        for kind in ("cos", "sin"):
+            warm.kernel_row(kind, -w, w + 4)
+            warm.kernel_row(kind, 1 - w, w + 5)
     got = [fn(z, with_bound=True) for z in zs for fn in (warm.cos_q, warm.sin_q)]
     special.clear_kernel_store()
     cold = SpecialFunctions(ctx)
@@ -603,7 +585,7 @@ def test_representations_share_the_store_not_the_instance():
     a = build_representation(LatticeGrid(ctx, -12, 12))
     b = build_representation(LatticeGrid(ctx, -16, 16))
     assert a.sf is not b.sf
-    assert a.sf._cache is b.sf._cache
+    assert a.sf._kernel_store() is b.sf._kernel_store()
     # a wrapper bound on one instance, as a tracing probe binds one,
     # leaves the other alone
     a.sf.cos_q = lambda z, with_bound=False: 0.0
@@ -630,13 +612,13 @@ def test_rows_equal_point_lookups_bit_for_bit(q):
     rows = {(kind, par): sf.kernel_row(kind, par - 170, 170 - par)
             for kind in ("cos", "sin") for par in (0, 1)}
     points = {par: sf.point_row(par - 170, 170 - par) for par in (0, 1)}
-    # the point lookups in a store that never held a row, largest first
+    # one sum per point, in a store that never held a row, largest first
     special.clear_kernel_store()
     sf = SpecialFunctions(ctx)
     for (kind, par), row in rows.items():
         fn = sf.cos_q if kind == "cos" else sf.sin_q
         exps = range(170 - par, par - 171, -2)
-        want = [fn(ctx.qpow(m)) for m in exps][::-1]
+        want = [fn(ctx.qpow(m), with_bound=True)[0] for m in exps][::-1]
         assert _float_bits(row) == _float_bits(want), (kind, par)
         assert _float_bits(points[par]) == _float_bits(
             [ctx.qpow(m) for m in exps][::-1])
@@ -725,6 +707,81 @@ def test_rows_go_with_their_q():
     special.clear_kernel_store()
     gc.collect()
     assert held() is None and special.kernel_store_info() == {}
+
+
+@pytest.mark.parametrize("q, m_max", [(1.5, 92), (3.0, 60)])
+def test_lattice_lookups_read_the_row_entry(q, m_max):
+    # past m = 88 (q = 1.5) and 54 (q = 3) the even entries take the
+    # underflow shortcut; the lookups come in a shuffled order, so rows
+    # grow both ways
+    ctx = QContext(q)
+    exps = list(range(-m_max, m_max + 1))
+    random.Random(3).shuffle(exps)
+    for rows_first in (False, True):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(ctx)
+        for kind, fn in (("cos", sf.cos_q), ("sin", sf.sin_q)):
+            for m in exps:
+                if rows_first:
+                    want = sf.kernel_row(kind, m, m)[0]
+                got = fn(ctx.qpow(m))
+                if not rows_first:
+                    want = sf.kernel_row(kind, m, m)[0]
+                assert _float_bits([got]) == _float_bits([want]), (kind, m)
+                neg = fn(-ctx.qpow(m))
+                assert _float_bits([neg]) == _float_bits(
+                    [-got if kind == "sin" else got]), (kind, m)
+        assert special.kernel_store_info()[q]["row_entries"] == 2 * len(exps)
+
+
+@pytest.mark.parametrize("q", (2.0, 1.5, 3.0))
+def test_off_lattice_lookups_sum_and_keep_nothing(q):
+    ctx = QContext(q)
+    zs = [math.nextafter(ctx.qpow(m), math.inf) for m in (-7, 0, 2, 5, 12)]
+    zs += [-z for z in zs]
+    special.clear_kernel_store()
+    fresh = SpecialFunctions(ctx)
+    want = [fn(z, with_bound=True)[0] for z in zs
+            for fn in (fresh.cos_q, fresh.sin_q)]
+    special.clear_kernel_store()
+    sf = SpecialFunctions(ctx)
+    sf.kernel_row("cos", -20, 20)
+    sf.kernel_row("sin", -21, 21)
+    before = special.kernel_store_info()[q]
+    got = [fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)]
+    assert _float_bits(got) == _float_bits(want)
+    assert special.kernel_store_info()[q] == before
+    # the next double up is no lattice point: its sum is not the entry
+    row = [fn(ctx.qpow(12)) for fn in (sf.cos_q, sf.sin_q)]
+    assert got[8:10] != row
+
+
+def _per_site(sf, grid, kind, y):
+    """The kind's kernel at x y on every site x, one fresh sum each."""
+    fn = sf.cos_q if kind == "cos" else sf.sin_q
+    return [[fn(x * y, with_bound=True)[0] for x in row]
+            for row in grid.points.tolist()]
+
+
+def test_special_tables_rows_equal_per_site_sums_at_q2():
+    # at q = 2 the products x y and z / q^2 are the lattice points
+    special.clear_kernel_store()
+    sf = SpecialFunctions(D2)
+    q = D2.q
+    for kind, fn in (("cos", sf.cos_q), ("sin", sf.sin_q)):
+        for lo, hi in ((-12, 12), (-14, 12), (-9, 4), (3, 3)):
+            want = [fn(q ** m, with_bound=True)[0] for m in range(lo, hi + 1)]
+            assert _float_bits(_kernels(sf, kind, lo, hi)) == _float_bits(want)
+        shifted = [fn(q ** m / q ** 2, with_bound=True)[0]
+                   for m in range(-12, 13)]
+        assert _float_bits(_kernels(sf, kind, -14, 10)) == _float_bits(shifted)
+        for n_min, n_max in ((-8, 8), (-7, 10)):
+            grid = LatticeGrid(D2, n_min, n_max)
+            for y_exp in (0, 1, 3):
+                got = _sampled_kernel(sf, grid, kind, y_exp).data
+                want = LatticeFn(grid, _per_site(sf, grid, kind,
+                                                 D2.qpow(y_exp))).data
+                assert got.tobytes() == want.tobytes(), (kind, y_exp)
 
 
 def test_transform_builds_the_coefficient_table_once():
@@ -834,7 +891,7 @@ def test_gauss_sum_constants_cross_validate():
 
 
 def _sample(grid, fn):
-    return LatticeFn.from_callable(grid, fn)
+    return LatticeFn(grid, [[fn(x) for x in row] for row in grid.points.tolist()])
 
 
 def test_derivative_relations_on_lattice():
