@@ -9,10 +9,11 @@ the bound.  Arguments up to q^2 use a plain double loop.
 For large arguments z = q^m the terms peak near q^((m-1)^2/2) before the
 decay sets in, far beyond double range, while the sum itself is tiny.
 Such a sum needs about peak + 370 significant digits.  The coefficients
-are integer (mantissa, exponent) pairs, built by their term-ratio
-recurrence in Python ints with every operation rounded to nearest, at the
-largest precision any call at this q has needed so far (with headroom, so
-that rising arguments do not rebuild the table on every call).
+of both kinds are integer (mantissa, exponent) pairs in one table, each
+from the one before by one division (see _SeriesCoefficients), built at
+the largest precision any call at this q has needed so far (with
+headroom, so that rising arguments do not rebuild the table on every
+call).
 The series is summed by Horner's rule in Python ints.  With z = M 2^E, M
 odd, and b the bit length of M^2 (at most 106), level k holds the tail
 S_k = sum_(n >= k) c_n z^(2(n - k)) on its own fixed-point scale
@@ -36,7 +37,7 @@ On the even sublattice far out, where the value underflows any double,
 the series is skipped and exact zero returned; that test reads the
 integer exponent of a lattice point, so off the lattice every sum runs.
 
-The kernels, their coefficient tables and N_q depend on q alone, so every
+The kernels, their coefficient table and N_q depend on q alone, so every
 SpecialFunctions at one q reads and writes one module-level kernel store.
 The store caches values only as rows: the lattice points q^m, or cos_q or
 sin_q at them, for every m of one parity across a range, as a float
@@ -50,7 +51,7 @@ series at z and cache nothing.  The store is bounded: it keeps at most
 STORE_MAX_QS values of q, dropping the least recently opened, and at most
 STORE_MAX_VALUES row entries per q: a row that would pass that drops
 every row of its q first, and a request longer than it is returned
-without being kept.  A dropped q lets go of its rows and tables.  An
+without being kept.  A dropped q lets go of its rows and table.  An
 instance opens the store of its q when it is made, and again on its next
 lookup once the store has dropped that q.  `kernel_store_info` reports
 the sizes, the row reads and the row entries evaluated;
@@ -67,6 +68,7 @@ import numpy as np
 
 _FLOAT_STOP = 1e-16
 _GUARD_DIGITS = 40
+_POWER_GUARD_BITS = 32
 _LOG2_10 = math.log2(10.0)
 
 # Bounds of the kernel store: values of q kept, and row entries per q.
@@ -179,53 +181,58 @@ def _round(man, exp, prec):
 
 
 class _SeriesCoefficients:
-    """c_n (cos) or s_n (sin) as (mantissa, exponent) pairs at prec bits.
+    """c_n and s_n of one q as pairs (M, E), M odd, meaning M 2^E at prec
+    bits: entry j = 2n is c_n and entry j = 2n + 1 is s_n.
 
-    Entries are computed on first use, by the term-ratio recurrence
-    c_(n+1) = -c_n q^(-4(n+1)) / ((1 - q^-2j)(1 - q^-2(j+1))), on int
-    pairs (M, E) meaning M 2^E with M odd; each difference, product and
-    quotient is rounded to prec bits, to nearest with ties to even.
+    With R_j = q^(2j) - 1, each factor 1 - q^(-2j) of the Pochhammer
+    symbols is R_j / q^(2j), so from u_0 = 1 the entries follow by
+    s_n = c_n + c_n / R_(2n+1) and c_(n+1) = -s_n / R_(2n+2), computed on
+    first use.  Each costs one division and is rounded once to prec bits,
+    to nearest with ties to even; a sticky bit on an inexact quotient
+    makes that rounding correct.  The power q^(2j) takes one product by
+    the square of q's odd mantissa per step: it is exact until it passes
+    P = prec + _POWER_GUARD_BITS bits, and rounded to P bits after.  R_j
+    is formed from it exactly, then rounded to P bits.
+
+    Error bound: the power is rounded at most j times, so R_j carries a
+    factor 1 + d_j, |d_j| <= (1 + ((1 + 2^-P)^j - 1) / (1 - q^(-2j)))
+    (1 + 2^-P) - 1, and d_j = 0 while both are exact.  That moves -1 / R_j
+    and 1 + 1 / R_j by a factor within 1 / (1 - |d_j|) of 1, and the
+    rounding of entry j by one within 2^-prec of 1, so entry j is within
+    ((1 + 2^-prec)^j prod_(k<=j) 1 / (1 - |d_k|) - 1) |u_j| of the exact
+    u_j: about j units in its last place while the power is exact.
     """
 
-    def __init__(self, q, kind, prec):
+    def __init__(self, q, prec):
         self.prec = prec
-        self.odd = kind == "sin"
-        self.pairs = []
+        self.pairs = [(1, 0)]
         man, exp = _odd_man_exp(q)
-        self._p = self._div((1, 0), (man * man, 2 * exp))  # q^-2
-        self._p2 = self._mul(self._p, self._p)
-        # state for the next entry: c_n, q^-2j, q^-4(n+1)
-        self._c = self._div((1, 0), self._one_minus(self._p)) \
-            if self.odd else (1, 0)
-        self._pj = self._p2 if self.odd else self._p
-        self._pn = self._p2
+        self._q2 = (man * man, 2 * exp)  # q^2, exact
+        self._power = (1, 0)  # q^(2j) of the last entry j
 
-    def _mul(self, a, b):
-        return _round(a[0] * b[0], a[1] + b[1], self.prec)
-
-    def _div(self, a, b):
-        # two bits past prec, then one that is set when the quotient
-        # is inexact: enough to round the exact quotient correctly
-        extra = self.prec - a[0].bit_length() + b[0].bit_length() + 2
-        quot, rem = divmod(a[0] << extra, b[0])
-        return _round(2 * quot + (rem != 0), a[1] - b[1] - extra - 1,
-                      self.prec)
-
-    def _one_minus(self, a):
-        """1 - a for 0 < a < 1."""
-        return _round((1 << -a[1]) - a[0], a[1], self.prec)
-
-    def pair(self, n):
-        """(C, e) with c_n = C 2^e."""
-        if n == len(self.pairs):
-            self.pairs.append(self._c)
-            d = self._mul(self._one_minus(self._pj),
-                          self._one_minus(self._mul(self._pj, self._p)))
-            c, e = self._mul(self._c, self._pn)
-            self._c = self._div((-c, e), d)
-            self._pj = self._mul(self._pj, self._p2)
-            self._pn = self._mul(self._pn, self._p2)
-        return self.pairs[n]
+    def pair(self, j):
+        """(U, e) with u_j = U 2^e."""
+        pairs = self.pairs
+        prec = self.prec
+        wide = prec + _POWER_GUARD_BITS
+        q2, q2_exp = self._q2
+        while len(pairs) <= j:
+            k = len(pairs)
+            pw, pw_exp = self._power = _round(self._power[0] * q2,
+                                              self._power[1] + q2_exp, wide)
+            r, r_exp = _round((pw << pw_exp) - 1 if pw_exp >= 0
+                              else pw - (1 << -pw_exp), min(pw_exp, 0), wide)
+            a, a_exp = pairs[-1]
+            # at least prec + 2 bits of quotient, on a scale that holds a
+            shift = prec - a.bit_length() + 2 + max(r.bit_length(), -r_exp)
+            quot, rem = divmod(a << shift, r)
+            man = 2 * quot + (rem != 0)
+            if k % 2:
+                man += a << (shift + r_exp + 1)
+            else:
+                man = -man
+            pairs.append(_round(man, a_exp - r_exp - shift - 1, prec))
+        return pairs[j]
 
 
 def _odd_man_exp(x):
@@ -253,9 +260,10 @@ def _dps_to_prec(digits):
     return round((digits + 1) * 3.3219280948873626)
 
 
-def _series_fixed(coeffs, z, digits, peak):
+def _series_fixed(coeffs, odd, z, digits, peak):
     """Large-argument series by Horner's rule on per-level fixed-point
-    scales, as the module docstring describes.
+    scales, as the module docstring describes: cos_q with odd = 0, sin_q
+    with odd = 1, term n reading table entry 2n + odd.
 
     2^unit sits the precision of `digits` digits below the peak estimate
     (log10 of the largest term), and coeffs must hold at least that
@@ -264,15 +272,15 @@ def _series_fixed(coeffs, z, digits, peak):
     man, exp = _odd_man_exp(z)
     unit = math.ceil(peak * _LOG2_10) - _dps_to_prec(digits)
     stop_bits = (digits - 5) * _LOG2_10
-    odd = coeffs.odd
     log2_z = math.log2(z)
     # term n lies in [2^(t - 1), 2^t); n ends as N + 1, the first dropped
     pairs = coeffs.pairs
     top = -math.inf
     n = 0
     while True:
-        c, e = pairs[n] if n < len(pairs) else coeffs.pair(n)
-        t = c.bit_length() + e + (2 * n + odd) * log2_z
+        j = 2 * n + odd
+        c, e = pairs[j] if j < len(pairs) else coeffs.pair(j)
+        t = c.bit_length() + e + j * log2_z
         if n and (t < unit or t + stop_bits < top):
             break
         if t > top:
@@ -288,7 +296,7 @@ def _series_fixed(coeffs, z, digits, peak):
         scale -= exp + man.bit_length()  # z < 2^(E + bits(M))
     acc = 0  # S_k on the scale 2^(scale - k step)
     for k in range(n - 1, -1, -1):
-        c, e = pairs[k]
+        c, e = pairs[2 * k + odd]
         s = e + k * step - scale  # c_k in units of level k, halves up
         acc = ((acc * man2 + half) >> b) \
             + (c << s if s >= 0 else ((c >> (-s - 1)) + 1) >> 1)
@@ -299,27 +307,27 @@ def _series_fixed(coeffs, z, digits, peak):
 
 class _KernelStore:
     """What the kernels at one q share: the rows, the coefficient table of
-    each kind, N_q, and the counts of row reads and of row entries
+    both kinds, N_q, and the counts of row reads and of row entries
     evaluated.
 
     rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
     "sin", and entry i of the read-only array belongs to m_lo + 2 i.
     """
 
-    __slots__ = ("rows", "tables", "nq", "lookups", "misses", "dropped")
+    __slots__ = ("rows", "table", "nq", "lookups", "misses", "dropped")
 
     def __init__(self):
         self.rows = {}
-        self.tables = {}
+        self.table = None
         self.nq = None
         self.lookups = 0
         self.misses = 0
         self.dropped = False  # set once the store lets go of it
 
     def drop(self):
-        """Let go of every row and table; holders reopen their q."""
+        """Let go of every row and the table; holders reopen their q."""
         self.rows.clear()
-        self.tables.clear()
+        self.table = None
         self.dropped = True
 
     def row_entries(self):
@@ -352,20 +360,20 @@ def kernel_store_info():
     """{q: {row_entries, lookups, misses, table_prec}} over the stored q,
     least recently opened first; row_entries counts the entries of every
     row, lookups the row reads, misses the row entries evaluated, and
-    table_prec maps each kind to the precision in bits of its coefficient
-    table, None before the first build."""
+    table_prec maps each kind to the precision in bits of the coefficient
+    table both kinds read, None before the first build."""
     return {q: {"row_entries": store.row_entries(),
                 "lookups": store.lookups,
                 "misses": store.misses,
-                "table_prec": {kind: (store.tables[kind].prec
-                                      if kind in store.tables else None)
-                               for kind in ("cos", "sin")}}
+                "table_prec": dict.fromkeys(
+                    ("cos", "sin"),
+                    store.table.prec if store.table else None)}
             for q, store in _STORES.items()}
 
 
 class SpecialFunctions:
-    """Evaluators over one double-backend context; kernel values, tables
-    and N_q live in the kernel store of its q."""
+    """Evaluators over one double-backend context; kernel values, the
+    coefficient table and N_q live in the kernel store of its q."""
 
     def __init__(self, ctx):
         if ctx.exact:
@@ -422,11 +430,11 @@ class SpecialFunctions:
         lm = math.log(z) / self._log_q
         peak = ((lm - 1.0) ** 2 / 2.0 + lm + 4.0) * math.log10(q)
         digits = max(50, int(peak) + 330 + _GUARD_DIGITS)
-        table = self._coefficients(self._kernel_store(), kind, digits)
-        return _series_fixed(table, z, digits, peak)
+        table = self._coefficients(self._kernel_store(), digits)
+        return _series_fixed(table, kind == "sin", z, digits, peak)
 
-    def _coefficients(self, store, kind, digits):
-        """Coefficient table of the kind, rebuilt when a call needs more
+    def _coefficients(self, store, digits):
+        """Coefficient table of both kinds, rebuilt when a call needs more
         precision than any before it at this q.
 
         A rebuild takes at least a quarter more precision than the table it
@@ -434,12 +442,11 @@ class SpecialFunctions:
         sampled outwards), and each would otherwise pay its own rebuild.
         """
         prec = _dps_to_prec(digits)
-        tables = store.tables
-        table = tables.get(kind)
+        table = store.table
         if table is None or table.prec < prec:
             if table is not None:
                 prec = max(prec, table.prec * 5 // 4)
-            table = tables[kind] = _SeriesCoefficients(self.ctx.q, kind, prec)
+            table = store.table = _SeriesCoefficients(self.ctx.q, prec)
         return table
 
     def kernel_row(self, kind, m_lo, m_hi):

@@ -1,14 +1,18 @@
 """q-special functions: combinatorics, series, constants, eigenvalue table."""
 
 import gc
+import hashlib
 import math
+import os
 import random
 import signal
 import struct
+import subprocess
 import sys
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -252,12 +256,12 @@ def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
     assert err.strip().splitlines()[-1].startswith("error: OverflowError")
 
 
-def _forward_sum(coeffs, z, digits, peak):
+def _forward_sum(coeffs, odd, z, digits, peak):
     """The series summed term by term on the one scale 2^unit: each term a
-    product of C_n and the exact power M^(2n) (times M for sin), rounded
-    onto the scale from the leading bits of both, until the first term
-    that rounds to zero or falls below 10^(5 - digits) of the running
-    maximum.  Returns (value, first dropped term) as doubles."""
+    product of table entry 2n + odd and the exact power M^(2n) (times M
+    for sin), rounded onto the scale from the leading bits of both, until
+    the first term that rounds to zero or falls below 10^(5 - digits) of
+    the running maximum.  Returns (value, first dropped term) as doubles."""
     man, exp = special._odd_man_exp(z)
     unit = math.ceil(peak * special._LOG2_10) - special._dps_to_prec(digits)
     stop = 10 ** (digits - 5)
@@ -268,15 +272,15 @@ def _forward_sum(coeffs, z, digits, peak):
         x, s = (c >> drop_c) * (power >> drop_p), s + drop_c + drop_p
         return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
 
-    power, power_exp = (man, exp) if coeffs.odd else (1, 0)
-    c, c_exp = coeffs.pair(0)
+    power, power_exp = (man, exp) if odd else (1, 0)
+    c, c_exp = coeffs.pair(odd)
     total = on_scale(c, power, c_exp + power_exp - unit)
     running_max = abs(total)
     n = 1
     while True:
         power *= man * man
         power_exp += 2 * exp
-        c, c_exp = coeffs.pair(n)
+        c, c_exp = coeffs.pair(2 * n + odd)
         term = on_scale(c, power, c_exp + power_exp - unit)
         if not term or abs(term) * stop < running_max:
             return (special._to_float(total, unit),
@@ -288,18 +292,17 @@ def _forward_sum(coeffs, z, digits, peak):
 
 @pytest.mark.parametrize("q", KERNEL_QS)
 def test_horner_sum_matches_the_forward_sum(q):
-    # both sums on one table per kind, built for the largest argument
+    # both sums on one table, built for the largest argument
     zs = [q ** m for m in range(60, 2, -1)]
-    tables = {kind: special._SeriesCoefficients(
-        q, kind, special._dps_to_prec(_working_digits(q, zs[0])))
-        for kind in ("cos", "sin")}
+    table = special._SeriesCoefficients(
+        q, special._dps_to_prec(_working_digits(q, zs[0])))
     for z in zs:
         peak, digits = _peak(q, z), _working_digits(q, z)
         unit = math.ceil(peak * special._LOG2_10) \
             - special._dps_to_prec(digits)
-        for kind, table in tables.items():
-            got, bound = special._series_fixed(table, z, digits, peak)
-            want, dropped = _forward_sum(table, z, digits, peak)
+        for odd, kind in enumerate(("cos", "sin")):
+            got, bound = special._series_fixed(table, odd, z, digits, peak)
+            want, dropped = _forward_sum(table, odd, z, digits, peak)
             assert bound >= dropped, (q, z, kind)
             if got or want:
                 assert got.hex() == want.hex(), (q, z, kind)
@@ -323,18 +326,17 @@ def test_horner_sum_within_two_units_of_its_table(q):
         digits = int(peak) + 12
         unit = math.ceil(peak * special._LOG2_10) \
             - special._dps_to_prec(digits)
-        for kind in ("cos", "sin"):
-            table = special._SeriesCoefficients(
-                q, kind, special._dps_to_prec(digits))
-            val, bound = special._series_fixed(table, z, digits, peak)
+        table = special._SeriesCoefficients(q, special._dps_to_prec(digits))
+        for odd, kind in enumerate(("cos", "sin")):
+            val, bound = special._series_fixed(table, odd, z, digits, peak)
             assert bound <= 2.0 ** unit, (q, m, kind)
             # the exact sum of the same table entries
             exact = Fraction(0)
             n = 0
             while True:
-                c, e = table.pair(n)
+                c, e = table.pair(2 * n + odd)
                 term = Fraction(c) * Fraction(2) ** e \
-                    * Fraction(z) ** (2 * n + table.odd)
+                    * Fraction(z) ** (2 * n + odd)
                 exact += term
                 if n > m and abs(term) < Fraction(2) ** (unit - 64):
                     break
@@ -348,14 +350,7 @@ def test_horner_sum_within_two_units_of_its_table(q):
 
 
 def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
-    builds = []
-
-    class Counted(special._SeriesCoefficients):
-        def __init__(self, q, kind, prec):
-            builds.append((kind, prec))
-            super().__init__(q, kind, prec)
-
-    monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
+    builds = _count_builds(monkeypatch)
     special.clear_kernel_store()
     # odd exponents: none takes the even-sublattice underflow shortcut
     zs = [2.0 ** m for m in range(41, 2, -2)]
@@ -363,21 +358,25 @@ def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
     for z in zs:
         sf.cos_q(z)
         sf.sin_q(z)
-    assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
+    # one table for both kinds, at the first and largest argument's need
+    assert len(builds) == 1
     sf._kernel_store().rows.clear()
     for z in reversed(zs):
         sf.cos_q(z)
         sf.sin_q(z)
-    assert len(builds) == 2
-    # increasing arguments: every build raises the precision
+    assert len(builds) == 1
+    # increasing arguments: every build raises the precision, by at least
+    # a quarter, and either kind's need rebuilds the one table
     builds.clear()
     special.clear_kernel_store()
     sf = SpecialFunctions(QContext(2.0))
     for z in reversed(zs):
         sf.cos_q(z)
-    precs = [prec for _, prec in builds]
-    assert precs == sorted(set(precs))
-    assert len(precs) < len(zs)
+        sf.sin_q(z)
+    assert all(b >= a * 5 // 4 for a, b in zip(builds, builds[1:]))
+    assert 1 < len(builds) < len(zs)
+    info = special.kernel_store_info()[2.0]
+    assert info["table_prec"] == {"cos": builds[-1], "sin": builds[-1]}
 
 
 # -- integer arithmetic of the large-argument series -------------------------
@@ -431,38 +430,113 @@ def test_dps_to_prec_matches_mpmath():
         assert special._dps_to_prec(digits) == libmp.dps_to_prec(digits)
 
 
-def _mp_table(q, kind, prec, count):
-    """The coefficient recurrence in mpmath at prec bits."""
+def _mp_closed_form(q, prec, count):
+    """Entries 0 ... count - 1 of the joint table, u_(2n) = c_n and
+    u_(2n+1) = s_n, from (-1)^n q^(-2n(n+1)) / (q^-2; q^-2)_j at prec
+    bits."""
     with mpmath.workprec(prec):
         p = mpmath.mpf(q) ** -2
-        p2 = p * p
-        c = 1 / (1 - p) if kind == "sin" else mpmath.mpf(1)
-        pj = p2 if kind == "sin" else p
-        pn = p2
+        poch = mpmath.mpf(1)
         out = []
-        for _ in range(count):
-            out.append(c._mpf_)
-            c = -c * pn / ((1 - pj) * (1 - pj * p))
-            pj *= p2
-            pn *= p2
+        for j in range(count):
+            if j:
+                poch *= 1 - p ** j
+            n = j // 2
+            out.append((-1) ** n * p ** (n * (n + 1)) / poch)
     return out
 
 
-@pytest.mark.parametrize("q", [2.0, 1.5, 1.1, 10.0])
-def test_coefficient_table_matches_mpmath_recurrence(q):
-    for kind in ("cos", "sin"):
-        for prec in (special._dps_to_prec(50), special._dps_to_prec(600)):
-            table = special._SeriesCoefficients(q, kind, prec)
-            for n, (sign, man, exp, size) in enumerate(
-                    _mp_table(q, kind, prec, 60)):
-                got, got_exp = table.pair(n)
-                assert got % 2 == 1, (q, kind, n)
-                want = -man if sign else man
-                # within one unit in the last of prec bits of the reference
-                ulp = exp + size - prec
-                low = min(got_exp, exp, ulp)
-                diff = (got << (got_exp - low)) - (want << (exp - low))
-                assert abs(diff) <= 1 << (ulp - low), (q, kind, prec, n)
+def _mp_table_bound(q, prec, count):
+    """The relative error bound of entries 0 ... count - 1 that the
+    _SeriesCoefficients docstring derives, taking the power as rounded
+    from the first step on, which also covers the exact steps (d_k = 0)."""
+    wide = prec + special._POWER_GUARD_BITS
+    out = []
+    with mpmath.workprec(4 * prec):
+        eps, eps_wide = mpmath.ldexp(1, -prec), mpmath.ldexp(1, -wide)
+        growth = mpmath.mpf(1)
+        for j in range(count):
+            if j:
+                eta = (1 + eps_wide) ** j - 1
+                d = (1 + eta / (1 - mpmath.mpf(q) ** (-2 * j))) \
+                    * (1 + eps_wide) - 1
+                growth *= (1 + eps) / (1 - d)
+            out.append(growth - 1)
+    return out
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 1.1, 10.0, 1.01])
+def test_coefficient_table_within_its_bound_of_the_closed_form(q):
+    count = 240  # c_n and s_n for n <= 119
+    for prec in (special._dps_to_prec(50), special._dps_to_prec(600)):
+        table = special._SeriesCoefficients(q, prec)
+        # the reference at 4 prec bits is within 2^(-3 prec) of exact
+        refs = _mp_closed_form(q, 4 * prec, count)
+        bounds = _mp_table_bound(q, prec, count)
+        with mpmath.workprec(4 * prec):
+            slack = mpmath.ldexp(1, -3 * prec)
+            for j, (ref, bound) in enumerate(zip(refs, bounds)):
+                got, got_exp = table.pair(j)
+                assert got % 2 == 1, (q, prec, j)
+                err = abs(mpmath.ldexp(got, got_exp) - ref)
+                assert err <= (bound + slack) * abs(ref), (q, prec, j)
+                # the entry's sign: c_n and s_n alternate with n
+                assert (got < 0) == (j // 2 % 2 == 1), (q, prec, j)
+
+
+def _round_fraction(x, prec):
+    """The nonzero Fraction x rounded to prec bits, ties to even."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(x) >= Fraction(2) ** e:
+        e += 1  # now 2^(e - 1) <= |x| < 2^e
+    ulp = Fraction(2) ** (e - prec)
+    return round(x / ulp) * ulp
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 10.0])
+def test_coefficient_table_rounds_each_step_once(q):
+    # at these q the power q^(2j) and R_j stay exact up to j = 239 at this
+    # precision, so each entry is the exact step from the one before it,
+    # rounded once to nearest
+    prec = special._dps_to_prec(600)
+    table = special._SeriesCoefficients(q, prec)
+    prev = Fraction(1)
+    for j in range(1, 240):
+        r = Fraction(q) ** (2 * j) - 1
+        step = prev + prev / r if j % 2 else -prev / r
+        got, got_exp = table.pair(j)
+        prev = got * Fraction(2) ** got_exp
+        assert prev == _round_fraction(step, prec), (q, j)
+
+
+# SHA-256 of the hex kernel rows below, captured from the per-kind
+# recurrence tables: the joint table is more accurate, and moves no bit
+ROW_DIGEST = "77dceb6c3eaf6f5486c5aaef4a04f482a7773d409eb0f3bc05fadcbb1cc17ec4"
+
+
+def test_kernel_rows_keep_their_bits():
+    digest = hashlib.sha256()
+    for q in (2.0, 1.5, 3.6931, 1.1):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        for kind in ("cos", "sin"):
+            for lo, hi in ((-160, 160), (-41, 61)):
+                row = sf.kernel_row(kind, lo, hi)
+                digest.update((" ".join(v.hex() for v in row) + "\n").encode())
+    assert digest.hexdigest() == ROW_DIGEST
+
+
+def test_import_builds_no_table_or_store():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import qcalc.fourier, qcalc.schrodinger\n"
+              "from qcalc.special import kernel_store_info\n"
+              "print(kernel_store_info())")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{}"
 
 
 # -- the kernel store shared per q -------------------------------------------
@@ -472,12 +546,13 @@ LADDER = (12, 16, 20, 24, 32, 40, 48)
 
 
 def _count_builds(monkeypatch):
+    """The precision of every coefficient table built from now on."""
     builds = []
 
     class Counted(special._SeriesCoefficients):
-        def __init__(self, q, kind, prec):
-            builds.append((kind, prec))
-            super().__init__(q, kind, prec)
+        def __init__(self, q, prec):
+            builds.append(prec)
+            super().__init__(q, prec)
 
     monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
     return builds
@@ -499,7 +574,8 @@ def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
     for z in zs[1:]:
         second.cos_q(z)
         second.sin_q(z)
-    assert sorted(kind for kind, _ in builds) == ["cos", "sin"]
+    # one table serves both kinds and both instances
+    assert len(builds) == 1
     assert second._kernel_store() is first._kernel_store()
     assert first.n_q() == second.n_q()
     info = special.kernel_store_info()
@@ -507,12 +583,12 @@ def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
     # each lookup grew its odd row by one entry, the next exponent down
     assert info[2.0] == {"row_entries": 2 * len(zs),
                          "lookups": 2 * len(zs), "misses": 2 * len(zs),
-                         "table_prec": dict(builds)}
+                         "table_prec": {"cos": builds[0], "sin": builds[0]}}
     for z in zs:
         first.cos_q(z)
     info = special.kernel_store_info()[2.0]
     assert (info["lookups"], info["misses"]) == (3 * len(zs), 2 * len(zs))
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_instances_at_different_q_never_share_values():
