@@ -2,60 +2,38 @@
 
 cos_q(z) = sum_n c_n z^(2n) and sin_q(z) = sum_n s_n z^(2n+1), with
 c_n = (-1)^n q^(-2n(n+1)) / (q^-2; q^-2)_(2n) and s_n the same over
-(q^-2; q^-2)_(2n+1).  The coefficients decay superexponentially, so a
-truncated sum is accurate to its first dropped term, which is returned as
-the bound.  Arguments up to q^2 use a plain double loop.
+(q^-2; q^-2)_(2n+1).  Up to |z| = q^2 (row entries m <= 2 too) a double
+loop sums the series, its first dropped term the bound.
 
-For large arguments z = q^m the terms peak near q^((m-1)^2/2) before the
-decay sets in, far beyond double range, while the sum itself is tiny.
-Such a sum needs about peak + 370 significant digits.  The coefficients
-of both kinds are integer (mantissa, exponent) pairs in one table, each
-from the one before by one division (see _SeriesCoefficients), built at
-the largest precision any call at this q has needed so far (with
-headroom, so that rising arguments do not rebuild the table on every
-call).
-The series is summed by Horner's rule in Python ints.  With z = M 2^E, M
-odd, and b the bit length of M^2 (at most 106), level k holds the tail
-S_k = sum_(n >= k) c_n z^(2(n - k)) on its own fixed-point scale
-2^(U - k(2E + b)), so that S_(k-1) = round(S_k M^2 / 2^b) + c_(k-1)
-rounded onto that scale: each term costs one product of the running sum
-by the small M^2 (M = 1 on a power of two z, as at every lattice point
-at q = 2) and two shifts.  Each level adds at most one unit of its
-scale and M^2 / 2^b < 1 shrinks what it carries, so S_0 is within N + 1
-units of 2^U; U sits that far (and for sin, which returns z S_0, a
-further factor z) below the scale 2^unit that lies the working precision
-under the peak estimate.  The value is thus within 2^unit, about
-10^-370, of the exact series at the given double z, far below the
-smallest double: it is that series rounded to nearest (within the
-bound), and a sum beyond double range becomes +-inf.  N, the last term
-kept, is fixed before any product from the bit lengths of the table:
-term n lies within a factor 2 below 2^t, t = bits(C_n) + e_n +
-(2n or 2n + 1) log2 z.  The sum keeps every term up to the first that is
-below 2^unit or below 10^(5 - digits) of the largest term before it, and
-returns 2^ceil(t) of that first dropped term as the bound.
-On the even sublattice far out, where the value underflows any double,
-the series is skipped and exact zero returned; that test reads the
-integer exponent of a lattice point, so off the lattice every sum runs.
+Past q^2 the kernels are read only at the lattice points q^m, where the
+derivative gives cos[m] = cos[m-2] - q^(m-2) sin[m-2] and
+sin[m] = sin[m-2] + q^m cos[m], cos[m] = cos_q(q^m): a step of
+determinant 1 and trace 2 - q^(2m-2).  One pass of it fills both kinds'
+row entries m >= 3 of one parity, in binary floats of _BITS-bit integer
+mantissas; q^m is the exact power of q's mantissa, never the double q ** m.
+The pass is seeded by the series at the largest point of its parity with
+q^m <= 8 (q - 1/q), where the terms cancel by at most about e^8, and runs
+forward up to m_h, the first m with q^(2m-2) > 4.  Past m_h the odd
+kernels grow like q^(m^2/2), the dominant solution, and run on forward;
+the even ones decay like q^(-m^2/2), the minimal one, and come from
+Miller's backward recurrence (Gautschi, SIAM Review 9, 1967), scaled to
+the forward value at the even anchor m_a <= m_h.  Miller starts where the
+steps above the row top have given the minimal solution _MILLER_BITS bits
+of dominance, far out near q = 1.  Each entry is rounded once to the
+nearest double: the tests find every entry with m in [3, 132], q from
+1.001 to 50, the exact kernel at the exact point correctly rounded.  Past
+the double range odd entries read +-inf and even ones a signed zero.
 
-The kernels, their coefficient table and N_q depend on q alone, so every
-SpecialFunctions at one q reads and writes one module-level kernel store.
-The store caches values only as rows: the lattice points q^m, or cos_q or
-sin_q at them, for every m of one parity across a range, as a float
-array indexed by the exponent.  `kernel_row` and `point_row` slice them,
-and grow a row to a wider range by evaluating only the exponents it
-lacks, largest argument first, each kernel entry by one sum at the
-double q ** m.  cos_q and sin_q at z read row entry m, and apply the
-sign, when |z| is exactly the double q ** m with m = round(log|z| /
-log q); anywhere else, and whenever the bound is asked for, they sum the
-series at z and cache nothing.  The store is bounded: it keeps at most
-STORE_MAX_QS values of q, dropping the least recently opened, and at most
-STORE_MAX_VALUES row entries per q: a row that would pass that drops
-every row of its q first, and a request longer than it is returned
-without being kept.  A dropped q lets go of its rows and table.  An
-instance opens the store of its q when it is made, and again on its next
-lookup once the store has dropped that q.  `kernel_store_info` reports
-the sizes, the row reads and the row entries evaluated;
-`clear_kernel_store` empties the store.
+Every SpecialFunctions at one q shares a module-level store of rows: q^m,
+cos_q or sin_q for every m of one parity across a range, as float arrays
+indexed by the exponent; the cos_q and sin_q rows of a parity span one
+range.  cos_q and sin_q read row entry m, signed, when |z| is exactly the
+double q ** m, m = round(log|z| / log q).  Elsewhere within q^2, or for the
+bound, they sum the double loop; past q^2 they raise ValueError.  The store
+keeps STORE_MAX_QS values of q, dropping the least recently opened, and
+STORE_MAX_VALUES row entries per q: a row past that drops every row of its
+q first, and a longer one is not kept.  `kernel_store_info` reports sizes,
+row reads and entries evaluated; `clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
@@ -67,9 +45,6 @@ from fractions import Fraction
 import numpy as np
 
 _FLOAT_STOP = 1e-16
-_GUARD_DIGITS = 40
-_POWER_GUARD_BITS = 32
-_LOG2_10 = math.log2(10.0)
 
 # Bounds of the kernel store: values of q kept, and row entries per q.
 STORE_MAX_QS = 8
@@ -165,169 +140,134 @@ def _series_float(q, z, kind):
         next_den_k += 2
 
 
-def _round(man, exp, prec):
-    """(M, E) with M odd and M 2^E the nonzero man 2^exp rounded to prec
-    bits, ties to even."""
-    mag = abs(man)
-    drop = mag.bit_length() - prec
-    if drop > 0:
-        half = mag >> (drop - 1)  # the kept bits, then the half bit
-        up = half & 1 and (half & 2 or mag & ((1 << (drop - 1)) - 1))
-        mag = (half >> 1) + (1 if up else 0)
-        man = -mag if man < 0 else mag
-        exp += drop
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
+# -- cos_q and sin_q on the lattice by their recurrence -----------------------
+
+# A number in a pass is (m, e) for m 2^e, |m| held to _BITS bits by _fix: a
+# binary float whose exponent never leaves range.
+_BITS = 120
+_MILLER_BITS = 128  # dominance Miller's start gains on the row top
 
 
-class _SeriesCoefficients:
-    """c_n and s_n of one q as pairs (M, E), M odd, meaning M 2^E at prec
-    bits: entry j = 2n is c_n and entry j = 2n + 1 is s_n.
-
-    With R_j = q^(2j) - 1, each factor 1 - q^(-2j) of the Pochhammer
-    symbols is R_j / q^(2j), so from u_0 = 1 the entries follow by
-    s_n = c_n + c_n / R_(2n+1) and c_(n+1) = -s_n / R_(2n+2), computed on
-    first use.  Each costs one division and is rounded once to prec bits,
-    to nearest with ties to even; a sticky bit on an inexact quotient
-    makes that rounding correct.  The power q^(2j) takes one product by
-    the square of q's odd mantissa per step: it is exact until it passes
-    P = prec + _POWER_GUARD_BITS bits, and rounded to P bits after.  R_j
-    is formed from it exactly, then rounded to P bits.
-
-    Error bound: the power is rounded at most j times, so R_j carries a
-    factor 1 + d_j, |d_j| <= (1 + ((1 + 2^-P)^j - 1) / (1 - q^(-2j)))
-    (1 + 2^-P) - 1, and d_j = 0 while both are exact.  That moves -1 / R_j
-    and 1 + 1 / R_j by a factor within 1 / (1 - |d_j|) of 1, and the
-    rounding of entry j by one within 2^-prec of 1, so entry j is within
-    ((1 + 2^-prec)^j prod_(k<=j) 1 / (1 - |d_k|) - 1) |u_j| of the exact
-    u_j: about j units in its last place while the power is exact.
-    """
-
-    def __init__(self, q, prec):
-        self.prec = prec
-        self.pairs = [(1, 0)]
-        man, exp = _odd_man_exp(q)
-        self._q2 = (man * man, 2 * exp)  # q^2, exact
-        self._power = (1, 0)  # q^(2j) of the last entry j
-
-    def pair(self, j):
-        """(U, e) with u_j = U 2^e."""
-        pairs = self.pairs
-        prec = self.prec
-        wide = prec + _POWER_GUARD_BITS
-        q2, q2_exp = self._q2
-        while len(pairs) <= j:
-            k = len(pairs)
-            pw, pw_exp = self._power = _round(self._power[0] * q2,
-                                              self._power[1] + q2_exp, wide)
-            r, r_exp = _round((pw << pw_exp) - 1 if pw_exp >= 0
-                              else pw - (1 << -pw_exp), min(pw_exp, 0), wide)
-            a, a_exp = pairs[-1]
-            # at least prec + 2 bits of quotient, on a scale that holds a
-            shift = prec - a.bit_length() + 2 + max(r.bit_length(), -r_exp)
-            quot, rem = divmod(a << shift, r)
-            man = 2 * quot + (rem != 0)
-            if k % 2:
-                man += a << (shift + r_exp + 1)
-            else:
-                man = -man
-            pairs.append(_round(man, a_exp - r_exp - shift - 1, prec))
-        return pairs[j]
+def _fix(m, e):
+    s = m.bit_length() - _BITS
+    return (m >> s, e + s) if s > 0 else (m << -s, e + s)
 
 
-def _odd_man_exp(x):
-    """(M, E) with x = M 2^E and M odd (x a positive double)."""
-    frac, exp = math.frexp(x)
-    man = int(frac * 2.0 ** 53)
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp - 53 + zeros
+def _neg(x):
+    return -x[0], x[1]
 
 
-def _to_float(man, exp):
-    """man 2^exp rounded to 53 bits, ties to even, then to a double: +-inf
-    past the top, and a subnormal rounded again by ldexp."""
-    if not man:
-        return 0.0
-    man, exp = _round(man, exp, 53)
+def _mul(x, y):
+    return _fix(x[0] * y[0], x[1] + y[1])
+
+
+def _add(x, y):
+    (a, e), (b, f) = (x, y) if x[1] >= y[1] else (y, x)
+    # past 2 _BITS apart the smaller is below 2^-239 of the larger
+    return (a, e) if e - f > 2 * _BITS else _fix((a << (e - f)) + b, f)
+
+
+def _div(x, y):
+    a, e = _fix(*x)
+    return _fix((a << (_BITS + 2)) // y[0], e - y[1] - _BITS - 2)
+
+
+def _pow(q, m):
+    """q^m from the exact power of q's mantissa."""
+    frac, e = math.frexp(q)
+    x = _fix(int(frac * 2.0 ** 53) ** abs(m), (e - 53) * abs(m))
+    return x if m >= 0 else _div((1, 0), x)
+
+
+def _to_double(x):
+    """x rounded once to the nearest double, as int division rounds."""
     try:
-        return math.ldexp(man, exp)
+        return x[0] / (1 << -x[1]) if x[1] < 0 else float(x[0] << x[1])
     except OverflowError:
-        return math.copysign(math.inf, man)
+        return math.copysign(math.inf, x[0])
 
 
-def _dps_to_prec(digits):
-    """Bits that hold `digits` decimal digits."""
-    return round((digits + 1) * 3.3219280948873626)
+def _seed(q, z):
+    """[cos_q(z), sin_q(z)] as one chain of series terms, p = q^-2: term j
+    is term j - 1 times z / (1 - p^j), and -p^j for even j; even terms add
+    to cos, odd to sin, till two in a row fall 2^(_BITS + 8) under the top."""
+    one, p = _fix(1, 0), _pow(q, -2)
+    term = _div(z, _add(one, _neg(p)))
+    sums, pj, top, j, quiet = [one, term], p, max(one[1], term[1]), 1, 0
+    while quiet < 2:
+        j += 1
+        pj = _mul(pj, p)
+        term = _div(_mul(term, z), _add(one, _neg(pj)))
+        if j % 2 == 0:
+            term = _neg(_mul(term, pj))
+        sums[j % 2] = _add(sums[j % 2], term)
+        top = max(top, term[1])
+        quiet = quiet + 1 if term[1] < top - _BITS - 8 else 0
+    return sums
 
 
-def _series_fixed(coeffs, odd, z, digits, peak):
-    """Large-argument series by Horner's rule on per-level fixed-point
-    scales, as the module docstring describes: cos_q with odd = 0, sin_q
-    with odd = 1, term n reading table entry 2n + odd.
-
-    2^unit sits the precision of `digits` digits below the peak estimate
-    (log10 of the largest term), and coeffs must hold at least that
-    precision.  Returns (value, bound) as doubles.
-    """
-    man, exp = _odd_man_exp(z)
-    unit = math.ceil(peak * _LOG2_10) - _dps_to_prec(digits)
-    stop_bits = (digits - 5) * _LOG2_10
-    log2_z = math.log2(z)
-    # term n lies in [2^(t - 1), 2^t); n ends as N + 1, the first dropped
-    pairs = coeffs.pairs
-    top = -math.inf
-    n = 0
-    while True:
-        j = 2 * n + odd
-        c, e = pairs[j] if j < len(pairs) else coeffs.pair(j)
-        t = c.bit_length() + e + j * log2_z
-        if n and (t < unit or t + stop_bits < top):
-            break
-        if t > top:
-            top = t
-        n += 1
-    bound = _to_float(1, math.ceil(t))
-    man2 = man * man
-    b = man2.bit_length()
-    half = 1 << (b - 1)
-    step = 2 * exp + b
-    scale = unit - n.bit_length()  # U: n = N + 1 roundings of one unit
-    if odd:
-        scale -= exp + man.bit_length()  # z < 2^(E + bits(M))
-    acc = 0  # S_k on the scale 2^(scale - k step)
-    for k in range(n - 1, -1, -1):
-        c, e = pairs[2 * k + odd]
-        s = e + k * step - scale  # c_k in units of level k, halves up
-        acc = ((acc * man2 + half) >> b) \
-            + (c << s if s >= 0 else ((c >> (-s - 1)) + 1) >> 1)
-    if odd:
-        return _to_float(man * acc, exp + scale), bound
-    return _to_float(acc, scale), bound
+def _recurrence_row(q, lo, hi):
+    """([cos_q], [sin_q]) as doubles at q^m, m = lo, lo + 2, ..., hi, from
+    lo >= 3 on the odd sublattice and lo >= 4 on the even."""
+    odd = lo % 2
+    m_h = math.ceil(1.0 + math.log(4.0) / (2.0 * math.log(q)))
+    m_a = m_h - m_h % 2  # the even anchor
+    m = min(math.floor(math.log(8.0 * (q - 1.0 / q)) / math.log(q)),
+            m_h if odd else m_a, 4 - odd)
+    m -= (m - odd) % 2
+    pw, q2 = _pow(q, m), _pow(q, 2)
+    c, s = _seed(q, pw)
+    vals = [(c, s)] if m >= lo else []
+    while m < (hi if odd else min(hi, m_a)):
+        c = _add(c, _mul(_neg(pw), s))
+        pw = _mul(pw, q2)
+        s = _add(s, _mul(pw, c))
+        m += 2
+        if m >= lo:
+            vals.append((c, s))
+    if m < hi:
+        # Miller from n, the minimal solution _MILLER_BITS up on the other:
+        # a step of trace 2 - t gives 2 log2 of its larger eigenvalue
+        n, bits = hi, 0.0
+        while bits < _MILLER_BITS:
+            n += 2
+            t = 2.0 ** min((2 * n - 2) * math.log2(q), 1000.0) - 2.0
+            bits += 2.0 * math.acosh(t / 2.0) / math.log(2.0)
+        pk, p = _pow(q, n), _pow(q, -2)
+        bc, bs = _mul(pk, p), (1, 0)  # s / c = q^(2 - n), as the minimal one
+        back = []
+        for _ in range(n, m, -2):
+            back.append((bc, bs))
+            bs = _add(bs, _mul(_neg(pk), bc))
+            pk = _mul(pk, p)
+            bc = _add(bc, _mul(pk, bs))
+        # scaled to the forward value at m_a by its larger component
+        scale = _div(c, bc) if c[1] >= s[1] else _div(s, bs)
+        vals += [(_mul(scale, bc), _mul(scale, bs)) for k, (bc, bs)
+                 in zip(range(m + 2, hi + 1, 2), back[::-1]) if k >= lo]
+    return [_to_double(c) for c, _ in vals], [_to_double(s) for _, s in vals]
 
 
 class _KernelStore:
-    """What the kernels at one q share: the rows, the coefficient table of
-    both kinds, N_q, and the counts of row reads and of row entries
-    evaluated.
+    """What the kernels at one q share: the rows, N_q, and the counts of
+    row reads and of row entries evaluated.
 
     rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
     "sin", and entry i of the read-only array belongs to m_lo + 2 i.
     """
 
-    __slots__ = ("rows", "table", "nq", "lookups", "misses", "dropped")
+    __slots__ = ("rows", "nq", "lookups", "misses", "dropped")
 
     def __init__(self):
         self.rows = {}
-        self.table = None
         self.nq = None
         self.lookups = 0
         self.misses = 0
         self.dropped = False  # set once the store lets go of it
 
     def drop(self):
-        """Let go of every row and the table; holders reopen their q."""
+        """Let go of every row; holders reopen their q."""
         self.rows.clear()
-        self.table = None
         self.dropped = True
 
     def row_entries(self):
@@ -350,30 +290,25 @@ def _open_store(q):
 
 
 def clear_kernel_store():
-    """Empty the kernel store: every row, table and count at every q."""
+    """Empty the kernel store: every row and count at every q."""
     for store in _STORES.values():
         store.drop()
     _STORES.clear()
 
 
 def kernel_store_info():
-    """{q: {row_entries, lookups, misses, table_prec}} over the stored q,
-    least recently opened first; row_entries counts the entries of every
-    row, lookups the row reads, misses the row entries evaluated, and
-    table_prec maps each kind to the precision in bits of the coefficient
-    table both kinds read, None before the first build."""
+    """{q: {row_entries, lookups, misses}} over the stored q, least
+    recently opened first; row_entries counts the entries of every row,
+    lookups the row reads and misses the row entries evaluated."""
     return {q: {"row_entries": store.row_entries(),
                 "lookups": store.lookups,
-                "misses": store.misses,
-                "table_prec": dict.fromkeys(
-                    ("cos", "sin"),
-                    store.table.prec if store.table else None)}
+                "misses": store.misses}
             for q, store in _STORES.items()}
 
 
 class SpecialFunctions:
-    """Evaluators over one double-backend context; kernel values, the
-    coefficient table and N_q live in the kernel store of its q."""
+    """Evaluators over one double-backend context; kernel values and N_q
+    live in the kernel store of its q."""
 
     def __init__(self, ctx):
         if ctx.exact:
@@ -392,8 +327,7 @@ class SpecialFunctions:
     # -- trigonometric family ---------------------------------------------
 
     def _kernel(self, kind, z, with_bound):
-        """cos_q or sin_q at z: a row entry at a lattice point, else (or
-        with the bound) one sum at z, as the module docstring says."""
+        """cos_q or sin_q at z, as the module docstring says."""
         z = float(z)
         sign = math.copysign(1.0, z) if kind == "sin" else 1.0
         z = abs(z)
@@ -403,7 +337,11 @@ class SpecialFunctions:
         except OverflowError:  # z near the top rounds m past the double range
             on = False
         if not on or with_bound:
-            val, bound = self._series(kind, z, m if on else None)
+            q = self.ctx.q
+            if z > q * q:
+                raise ValueError(f"{kind}_q({z!r}): past q^2 only lattice "
+                                 "points q^m, and with no bound")
+            val, bound = _series_float(q, z, kind)
             return (sign * val, bound) if with_bound else sign * val
         # the row hit inline, as _row would find it: every lattice call
         # runs this; a dropped store holds no rows, so _row reopens it
@@ -415,44 +353,10 @@ class SpecialFunctions:
             return sign * vals.item(i)
         return sign * self._row(kind, m, m).item(0)
 
-    def _series(self, kind, z, m):
-        """(value, bound) of the kernel at z >= 0, summed; m is the exponent
-        when z is the lattice point q ** m, else None."""
-        q = self.ctx.q
-        if z <= q * q:
-            return _series_float(q, z, kind)
-        # On the even sublattice the value decays like q^(-m^2/2) times a
-        # bounded constant; once even half that decay underflows any
-        # double, skip the high-precision work and return exact zero.
-        if (m is not None and m % 2 == 0
-                and (m * m / 4.0) * math.log10(q) > 340.0):
-            return 0.0, 0.0
-        lm = math.log(z) / self._log_q
-        peak = ((lm - 1.0) ** 2 / 2.0 + lm + 4.0) * math.log10(q)
-        digits = max(50, int(peak) + 330 + _GUARD_DIGITS)
-        table = self._coefficients(self._kernel_store(), digits)
-        return _series_fixed(table, kind == "sin", z, digits, peak)
-
-    def _coefficients(self, store, digits):
-        """Coefficient table of both kinds, rebuilt when a call needs more
-        precision than any before it at this q.
-
-        A rebuild takes at least a quarter more precision than the table it
-        replaces: arguments often arrive in increasing order (a lattice
-        sampled outwards), and each would otherwise pay its own rebuild.
-        """
-        prec = _dps_to_prec(digits)
-        table = store.table
-        if table is None or table.prec < prec:
-            if table is not None:
-                prec = max(prec, table.prec * 5 // 4)
-            table = store.table = _SeriesCoefficients(self.ctx.q, prec)
-        return table
-
     def kernel_row(self, kind, m_lo, m_hi):
-        """cos_q (kind "cos") or sin_q ("sin") at the lattice points
-        ctx.qpow(m), m = m_lo, m_lo + 2, ..., m_hi, as a read-only float
-        array; empty when m_hi < m_lo."""
+        """cos_q (kind "cos") or sin_q ("sin") at the lattice points q^m,
+        m = m_lo, m_lo + 2, ..., m_hi, as a read-only float array; empty
+        when m_hi < m_lo."""
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
         return self._row(kind, m_lo, m_hi)
@@ -473,35 +377,40 @@ class SpecialFunctions:
         lo, vals = store.rows.get(key, (m_lo, _EMPTY))
         hi = lo + 2 * (vals.size - 1)
         if lo > m_lo or m_hi > hi:
-            if (m_hi - m_lo) // 2 + 1 > STORE_MAX_VALUES:
-                # too long to keep
-                return self._row_values(store, kind, m_lo, m_hi)
+            kinds = ("point",) if kind == "point" else ("cos", "sin")
+            if len(kinds) * ((m_hi - m_lo) // 2 + 1) > STORE_MAX_VALUES:
+                return self._row_values(  # too long to keep
+                    store, kinds, m_lo, m_hi)[kinds.index(kind)]
             new_lo, new_hi = min(lo, m_lo), max(hi, m_hi)
-            if (store.row_entries() - vals.size + (new_hi - new_lo) // 2 + 1
-                    > STORE_MAX_VALUES):
+            grow = (new_hi - new_lo) // 2 + 1 - vals.size
+            if store.row_entries() + len(kinds) * grow > STORE_MAX_VALUES:
                 store.rows.clear()
-                lo, hi, vals = m_lo, m_lo - 2, _EMPTY
-                new_lo, new_hi = m_lo, m_hi
-            # the missing top first: the largest argument fixes the
-            # precision of the coefficient table, and smaller ones reuse it
-            top = self._row_values(store, kind, hi + 2, new_hi)
-            vals = np.concatenate(
-                [self._row_values(store, kind, new_lo, lo - 2), vals, top])
-            vals.flags.writeable = False
-            store.rows[key] = (new_lo, vals)
-            lo = new_lo
+                lo, hi, new_lo, new_hi = m_lo, m_lo - 2, m_lo, m_hi
+            for k, low, high in zip(
+                    kinds, self._row_values(store, kinds, new_lo, lo - 2),
+                    self._row_values(store, kinds, hi + 2, new_hi)):
+                row = np.concatenate(
+                    [low, store.rows.get((k, key[1]), (lo, _EMPTY))[1], high])
+                row.flags.writeable = False
+                store.rows[k, key[1]] = (new_lo, row)
+            lo, vals = store.rows[key]
         return vals[(m_lo - lo) // 2:(m_hi - lo) // 2 + 1]
 
-    def _row_values(self, store, kind, lo, hi):
-        """Row entries for m = lo, lo + 2, ..., hi, evaluated from hi down."""
+    def _row_values(self, store, kinds, lo, hi):
+        """Entries m = lo, lo + 2, ..., hi of each row of kinds."""
         q = self.ctx.q
-        exps = range(hi, lo - 1, -2)
-        store.misses += len(exps)
-        if kind == "point":
-            vals = [q ** m for m in exps]
-        else:
-            vals = [self._series(kind, q ** m, m)[0] for m in exps]
-        return np.array(vals[::-1], dtype=float)
+        exps = range(lo, hi + 1, 2)
+        store.misses += len(kinds) * len(exps)
+        if kinds == ("point",):
+            return [np.array([q ** m for m in exps], dtype=float)]
+        first = max(lo, 4 - lo % 2)  # 3 or 4: where the recurrence fills
+        rows = [[_series_float(q, q ** m, kind)[0]
+                 for m in range(lo, min(hi, first - 2) + 1, 2)]
+                for kind in kinds]
+        if hi >= first:
+            for row, tail in zip(rows, _recurrence_row(q, first, hi)):
+                row += tail
+        return [np.array(row, dtype=float) for row in rows]
 
     def cos_q(self, z, with_bound=False):
         return self._kernel("cos", z, with_bound)

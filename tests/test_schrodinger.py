@@ -227,7 +227,7 @@ def test_stationary_energy_and_degeneracy():
 
 def _modes_per_site(rep, family, label, n, rows):
     """The sampled basis member by a per-site loop: the normalizer times
-    one fresh kernel sum at each site x times y = q^(2n + site parity)."""
+    one kernel lookup at each site x times y = q^(2n + site parity)."""
     ctx, grid = rep.ctx, rep.grid
     site_parity = 1 if label == "2n+1" else 0
     norm_const = ctx.q ** n * np.sqrt(2.0 * ctx.q * ctx.inv_lam) * rep.sf.n_q()
@@ -238,7 +238,7 @@ def _modes_per_site(rep, family, label, n, rows):
     sites = (rows, slice((site_parity - grid.n_min) % 2, None, 2))
     x = grid.points[sites]
     vals = np.zeros((len(grid.sectors), grid.size), dtype=complex)
-    vals[sites] = np.reshape([norm_const * kernel(v * y, with_bound=True)[0]
+    vals[sites] = np.reshape([norm_const * kernel(v * y)
                               for v in x.ravel().tolist()], x.shape)
     return vals
 

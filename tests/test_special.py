@@ -1,5 +1,6 @@
 """q-special functions: combinatorics, series, constants, eigenvalue table."""
 
+import functools
 import gc
 import hashlib
 import math
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,8 +20,9 @@ import mpmath
 import pytest
 from mpmath import libmp
 
+import integer_series
 from qcalc import special
-from qcalc.batteries import _kernels, _sampled_kernel, rand_seq
+from qcalc.batteries import _kernels, _sampled_kernel, rand_seq, special_tables
 from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.fourier import QFourier
@@ -120,26 +123,25 @@ def test_large_argument_values_are_tiny_on_even_powers():
     assert SF.cos_q(D2.qpow(120)) == SF.cos_q(D2.qpow(120))  # a row entry
 
 
-# -- large-argument series against an independent reference ---------------
+# -- the rows against the exact kernel at the exact lattice point ------------
 
 # q = 2 puts every lattice point on a power of two; the others do not,
 # and 50 has the steepest terms.
 KERNEL_QS = (2.0, 1.5, 2.3943, 3.6931, 50.0)
+# near q = 1 the two solutions of the recurrence separate slowly, and the
+# even one turns minimal late (m_h = 71 at q = 1.01, 695 at q = 1.001)
+ORACLE_QS = (1.001, 1.01, 1.05, 1.1, 1.5, 2.0, 2.3943, 3.0, 3.6931, 10.0,
+             50.0)
+ORACLE_TOP = 132
 
 
 def _peak(q, z):
-    """The series' peak estimate, log10 of its largest term, as _eval has it."""
-    m = math.log(z) / math.log(q)
-    return ((m - 1.0) ** 2 / 2.0 + m + 4.0) * math.log10(q)
+    """The series' peak estimate, log10 of its largest term."""
+    return integer_series.peak_digits(q, math.log(z) / math.log(q))
 
 
 def _working_digits(q, z):
     return max(50, int(_peak(q, z)) + 370)
-
-
-def _underflow_shortcut(q, z):
-    m = round(math.log(z) / math.log(q))
-    return q ** m == z and m % 2 == 0 and (m * m / 4.0) * math.log10(q) > 340.0
 
 
 def _reference(q, z, kind, digits):
@@ -170,33 +172,67 @@ def _reference(q, z, kind, digits):
             p_k *= p * p
 
 
-def _kernel_inputs(q, rng):
-    zs = [q ** m for m in range(3, 41)]
-    zs += [q ** rng.uniform(2.5, 40.0) for _ in range(6)]
-    return zs
+@functools.lru_cache(maxsize=None)
+def _exact_rows(q):
+    """{(kind, m): the kernel at the exact q^m, rounded once to a double}
+    for m in [3, ORACLE_TOP], summed in Python ints."""
+    table = integer_series.SeriesCoefficients(q, integer_series.dps_to_prec(
+        integer_series.exact_digits(q, ORACLE_TOP)))
+    return {(kind, m): integer_series.exact_kernel(q, m, kind, table)
+            for kind in ("cos", "sin") for m in range(3, ORACLE_TOP + 1)}
 
 
-@pytest.mark.parametrize("q", KERNEL_QS)
+def _assert_rows_exact(sf, q, top):
+    """Both kinds' row entries from m = 3 (odd) or 4 (even) to top, bit for
+    bit the exact kernels: signed zeros, subnormals and +-inf included."""
+    exact = _exact_rows(q)
+    for kind in ("cos", "sin"):
+        for first in (3, 4):
+            last = top - (top - first) % 2
+            got = sf.kernel_row(kind, first, last)
+            want = [exact[kind, m] for m in range(first, last + 1, 2)]
+            assert _float_bits(got) == _float_bits(want), (q, kind, first)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
 def test_large_argument_series_matches_reference(q):
-    sf = SpecialFunctions(QContext(q))
-    rng = random.Random(int(q * 1000))
-    for z in _kernel_inputs(q, rng):
-        for kind, fn in (("cos", sf.cos_q), ("sin", sf.sin_q)):
-            val, bound = fn(z, with_bound=True)
-            if _underflow_shortcut(q, z):
-                # far out on the even sublattice the value is declared zero
-                assert (val, bound) == (0.0, 0.0)
-                continue
-            digits = 2 * _working_digits(q, z)
-            ref = _reference(q, z, kind, digits)
-            with mpmath.workdps(digits):
-                if abs(ref) > sys.float_info.max:
-                    assert val == math.copysign(math.inf, ref), (q, z, kind)
-                    continue
-                # the spacing of doubles at the bottom of the range caps
-                # the relative accuracy of tiny values
-                tol = max(abs(ref) * 2.0 ** -52, bound, 2.0 ** -1074)
-                assert abs(mpmath.mpf(val) - ref) <= tol, (q, z, kind)
+    # every entry past q^2 is the exact kernel at the exact lattice point,
+    # correctly rounded; the series at the double q ** m, which the rows
+    # once read, is astronomically wrong off the dyadic q (-4.3e116 for
+    # 2.7e-141 at q = 1.5, m = 40)
+    special.clear_kernel_store()
+    _assert_rows_exact(SpecialFunctions(QContext(q)), q, ORACLE_TOP)
+
+
+def test_rows_near_q1_are_exact_for_every_row_top():
+    # at q = 1.01 the even solution turns minimal at m_h = 71; a Miller
+    # start a fixed 24 exponents above tops 72-76 left entries 140-3158
+    # ulps off, so the start is taken from the dominance gained
+    q = 1.01
+    for top in range(72, 81):
+        special.clear_kernel_store()
+        _assert_rows_exact(SpecialFunctions(QContext(q)), q, top)
+
+
+def test_seam_defect_fails_the_recurrence_and_gram_rows(monkeypatch):
+    # the rows' recurrence meets the double-loop entries m <= 2 at the
+    # m = 3, 4 seam: seeds off by 1e-9 must show in the special-tables rows
+    # that compare neighbours across it, and in the Gram matrix (its
+    # diagonal reads 5.6e-13 here, inside its 1e-10: at q = 2 the entries
+    # m >= 4 weigh little in the diagonal sums)
+    seed = special._seed
+    off = special._div((10 ** 9 + 1, 0), special._fix(10 ** 9, 0))
+
+    def skewed(q, z):
+        return tuple(special._mul(v, off) for v in seed(q, z))
+
+    monkeypatch.setattr(special, "_seed", skewed)
+    special.clear_kernel_store()
+    rows, _, _ = special_tables(D2, {"k_max": 12})
+    special.clear_kernel_store()
+    failed = {r["check"] for r in rows if not r["ok"]}
+    assert {"recurrences", "eigenvalue-relation",
+            "orthogonality-offdiagonal"} <= failed
 
 
 @contextmanager
@@ -213,26 +249,36 @@ def _deadline(seconds):
 
 
 def test_large_argument_series_terminates_at_q50():
-    # the terms fall by q^-4n per step; most sums end on a term that
-    # rounds to zero on the fixed-point scale, before the relative rule
-    sf = SpecialFunctions(QContext(50.0))
-    with _deadline(20):
-        for m in range(3, 41):
-            for fn in (sf.cos_q, sf.sin_q):
-                val, bound = fn(50.0 ** m, with_bound=True)
-                assert not math.isnan(val) and math.isfinite(bound)
+    # the seed sum stops on the fall of its terms and Miller's start on
+    # the dominance gained; at q = 50 and 1e25 both come within a few
+    # terms, and the rows run past the double range both ways
+    for q in (50.0, 1e25):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        with _deadline(20):
+            for kind in ("cos", "sin"):
+                for par in (0, 1):
+                    row = sf.kernel_row(kind, par - 40, 40 - par).tolist()
+                    assert not any(math.isnan(v) for v in row)
+
+
+# seconds the integer series took for the cold rows below (the fastest of
+# five runs, 2-core shared x86-64 host); the recurrence must not take
+# longer
+COLD_FILL_BUDGET_S = {1.5: 0.099, 1.001: 0.547, 50.0: 0.269}
 
 
 def test_cold_rows_fill_in_time_at_q15():
-    # off the dyadic q nothing takes the even-sublattice shortcut below
-    # m = 90, and the widest rows sum series of about 2500 digits
-    special.clear_kernel_store()
-    sf = SpecialFunctions(QContext(1.5))
-    with _deadline(20):
-        for kind in ("cos", "sin"):
-            for par in (0, 1):
-                row = sf.kernel_row(kind, par - 160, 160 - par)
-                assert not any(math.isnan(v) for v in row.tolist())
+    # both kinds and parities over m in [-160, 160], on a fresh store
+    for q, budget in COLD_FILL_BUDGET_S.items():
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        start = time.perf_counter()
+        rows = [sf.kernel_row(kind, par - 160, 160 - par)
+                for kind in ("cos", "sin") for par in (0, 1)]
+        took = time.perf_counter() - start
+        assert took < budget, (q, took)
+        assert not any(math.isnan(v) for row in rows for v in row.tolist())
 
 
 def test_small_series_terminates_when_its_stop_rule_underflows():
@@ -256,14 +302,18 @@ def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
     assert err.strip().splitlines()[-1].startswith("error: OverflowError")
 
 
+# -- the integer series kept as the exact reference --------------------------
+
+
 def _forward_sum(coeffs, odd, z, digits, peak):
     """The series summed term by term on the one scale 2^unit: each term a
     product of table entry 2n + odd and the exact power M^(2n) (times M
     for sin), rounded onto the scale from the leading bits of both, until
     the first term that rounds to zero or falls below 10^(5 - digits) of
     the running maximum.  Returns (value, first dropped term) as doubles."""
-    man, exp = special._odd_man_exp(z)
-    unit = math.ceil(peak * special._LOG2_10) - special._dps_to_prec(digits)
+    man, exp = integer_series.odd_man_exp(z)
+    unit = math.ceil(peak * integer_series.LOG2_10) \
+        - integer_series.dps_to_prec(digits)
     stop = 10 ** (digits - 5)
 
     def on_scale(c, power, s):
@@ -283,25 +333,30 @@ def _forward_sum(coeffs, odd, z, digits, peak):
         c, c_exp = coeffs.pair(2 * n + odd)
         term = on_scale(c, power, c_exp + power_exp - unit)
         if not term or abs(term) * stop < running_max:
-            return (special._to_float(total, unit),
-                    special._to_float(abs(term), unit))
+            return (integer_series.to_float(total, unit),
+                    integer_series.to_float(abs(term), unit))
         total += term
         running_max = max(running_max, abs(total), abs(term))
         n += 1
+
+
+def _horner_sum(table, odd, z, digits, peak):
+    return integer_series.series_fixed(
+        table, odd, *integer_series.odd_man_exp(z), digits, peak)
 
 
 @pytest.mark.parametrize("q", KERNEL_QS)
 def test_horner_sum_matches_the_forward_sum(q):
     # both sums on one table, built for the largest argument
     zs = [q ** m for m in range(60, 2, -1)]
-    table = special._SeriesCoefficients(
-        q, special._dps_to_prec(_working_digits(q, zs[0])))
+    table = integer_series.SeriesCoefficients(
+        q, integer_series.dps_to_prec(_working_digits(q, zs[0])))
     for z in zs:
         peak, digits = _peak(q, z), _working_digits(q, z)
-        unit = math.ceil(peak * special._LOG2_10) \
-            - special._dps_to_prec(digits)
+        unit = math.ceil(peak * integer_series.LOG2_10) \
+            - integer_series.dps_to_prec(digits)
         for odd, kind in enumerate(("cos", "sin")):
-            got, bound = special._series_fixed(table, odd, z, digits, peak)
+            got, bound = _horner_sum(table, odd, z, digits, peak)
             want, dropped = _forward_sum(table, odd, z, digits, peak)
             assert bound >= dropped, (q, z, kind)
             if got or want:
@@ -324,11 +379,12 @@ def test_horner_sum_within_two_units_of_its_table(q):
         z = q ** m
         peak = _peak(q, z) + 30
         digits = int(peak) + 12
-        unit = math.ceil(peak * special._LOG2_10) \
-            - special._dps_to_prec(digits)
-        table = special._SeriesCoefficients(q, special._dps_to_prec(digits))
+        unit = math.ceil(peak * integer_series.LOG2_10) \
+            - integer_series.dps_to_prec(digits)
+        table = integer_series.SeriesCoefficients(
+            q, integer_series.dps_to_prec(digits))
         for odd, kind in enumerate(("cos", "sin")):
-            val, bound = special._series_fixed(table, odd, z, digits, peak)
+            val, bound = _horner_sum(table, odd, z, digits, peak)
             assert bound <= 2.0 ** unit, (q, m, kind)
             # the exact sum of the same table entries
             exact = Fraction(0)
@@ -349,41 +405,21 @@ def test_horner_sum_within_two_units_of_its_table(q):
                 math.ulp(val)) / 2, (q, m, kind, float(err / 2 ** unit))
 
 
-def test_coefficient_table_built_once_per_precision_increase(monkeypatch):
-    builds = _count_builds(monkeypatch)
-    special.clear_kernel_store()
-    # odd exponents: none takes the even-sublattice underflow shortcut
-    zs = [2.0 ** m for m in range(41, 2, -2)]
-    sf = SpecialFunctions(QContext(2.0))
-    for z in zs:
-        sf.cos_q(z)
-        sf.sin_q(z)
-    # one table for both kinds, at the first and largest argument's need
-    assert len(builds) == 1
-    sf._kernel_store().rows.clear()
-    for z in reversed(zs):
-        sf.cos_q(z)
-        sf.sin_q(z)
-    assert len(builds) == 1
-    # increasing arguments: every build raises the precision, by at least
-    # a quarter, and either kind's need rebuilds the one table
-    builds.clear()
-    special.clear_kernel_store()
-    sf = SpecialFunctions(QContext(2.0))
-    for z in reversed(zs):
-        sf.cos_q(z)
-        sf.sin_q(z)
-    assert all(b >= a * 5 // 4 for a, b in zip(builds, builds[1:]))
-    assert 1 < len(builds) < len(zs)
-    info = special.kernel_store_info()[2.0]
-    assert info["table_prec"] == {"cos": builds[-1], "sin": builds[-1]}
-
-
 # -- integer arithmetic of the large-argument series -------------------------
 
 
 def _mp_to_float(man, exp):
-    return libmp.to_float(libmp.from_man_exp(man, exp, 53, libmp.round_nearest))
+    """man 2^exp rounded once to a double by mpmath, to nearest with ties
+    to even: to 53 bits, or in the subnormal range to the bits above
+    2^-1075, so that ldexp is exact."""
+    x = libmp.from_man_exp(man, exp)
+    prec = min(53, exp + abs(man).bit_length() + 1074)
+    if prec < 1:
+        # below 2^-1074 only a value past the tie at 2^-1075 rounds up
+        up = libmp.mpf_gt(libmp.mpf_abs(x), libmp.from_man_exp(1, -1075))
+        return -5e-324 * up if man < 0 else 5e-324 * up
+    return libmp.to_float(libmp.from_man_exp(man, exp, prec,
+                                             libmp.round_nearest))
 
 
 def _to_float_cases():
@@ -397,13 +433,16 @@ def _to_float_cases():
     # just off a tie, on both sides
     kept = (1 << 52) | 6
     cases += [((2 * kept + 1) << 8 | 1, -8), (((2 * kept + 1) << 8) - 1, -8)]
-    # into the subnormal range (rounded to 53 bits, then again by ldexp)
+    # into the subnormal range, rounded once onto its spacing 2^-1074
     for exp in range(-1140, -1060, 3):
         for bits in (1, 20, 53, 54, 90):
             man = rng.getrandbits(bits) | (1 << (bits - 1))
             cases += [(man, exp), (-man, exp)]
     tie = (1 << 53) + 1  # a tie at 53 bits, inside the subnormal range
     cases += [(tie << 1 | 1, -1128), (tie, -1127), (-tie, -1126)]
+    # a tie on the subnormal spacing, and just off one; 2^-1075 and below
+    cases += [(3, -1075), (-3, -1075), (5, -1075), (1, -1075), (-1, -1075),
+              (3, -1076), (((1 << 60) + 1), -1135), (1, -1200)]
     # near and past the top of the double range
     cases += [((1 << 54) - 1, 970), (-((1 << 54) - 1), 970),
               ((1 << 53) - 1, 971), (1, 1024), (-1, 1024), (5, 1100),
@@ -419,15 +458,16 @@ def test_to_float_rounds_as_mpmath():
     cases = _to_float_cases()
     for man, exp in cases:
         want = _mp_to_float(man, exp)
-        assert special._to_float(man, exp).hex() == want.hex(), (man, exp)
-    got = {special._to_float(man, exp) for man, exp in cases}
+        got = integer_series.to_float(man, exp)
+        assert _float_bits([got]) == _float_bits([want]), (man, exp)
+    got = {integer_series.to_float(man, exp) for man, exp in cases}
     assert {math.inf, -math.inf, 0.0} <= got
     assert any(0 < abs(x) < sys.float_info.min for x in got)
 
 
 def test_dps_to_prec_matches_mpmath():
     for digits in range(50, 6000, 7):
-        assert special._dps_to_prec(digits) == libmp.dps_to_prec(digits)
+        assert integer_series.dps_to_prec(digits) == libmp.dps_to_prec(digits)
 
 
 def _mp_closed_form(q, prec, count):
@@ -448,9 +488,9 @@ def _mp_closed_form(q, prec, count):
 
 def _mp_table_bound(q, prec, count):
     """The relative error bound of entries 0 ... count - 1 that the
-    _SeriesCoefficients docstring derives, taking the power as rounded
+    SeriesCoefficients docstring derives, taking the power as rounded
     from the first step on, which also covers the exact steps (d_k = 0)."""
-    wide = prec + special._POWER_GUARD_BITS
+    wide = prec + integer_series.POWER_GUARD_BITS
     out = []
     with mpmath.workprec(4 * prec):
         eps, eps_wide = mpmath.ldexp(1, -prec), mpmath.ldexp(1, -wide)
@@ -468,8 +508,9 @@ def _mp_table_bound(q, prec, count):
 @pytest.mark.parametrize("q", [2.0, 1.5, 1.1, 10.0, 1.01])
 def test_coefficient_table_within_its_bound_of_the_closed_form(q):
     count = 240  # c_n and s_n for n <= 119
-    for prec in (special._dps_to_prec(50), special._dps_to_prec(600)):
-        table = special._SeriesCoefficients(q, prec)
+    for prec in (integer_series.dps_to_prec(50),
+                 integer_series.dps_to_prec(600)):
+        table = integer_series.SeriesCoefficients(q, prec)
         # the reference at 4 prec bits is within 2^(-3 prec) of exact
         refs = _mp_closed_form(q, 4 * prec, count)
         bounds = _mp_table_bound(q, prec, count)
@@ -498,8 +539,8 @@ def test_coefficient_table_rounds_each_step_once(q):
     # at these q the power q^(2j) and R_j stay exact up to j = 239 at this
     # precision, so each entry is the exact step from the one before it,
     # rounded once to nearest
-    prec = special._dps_to_prec(600)
-    table = special._SeriesCoefficients(q, prec)
+    prec = integer_series.dps_to_prec(600)
+    table = integer_series.SeriesCoefficients(q, prec)
     prev = Fraction(1)
     for j in range(1, 240):
         r = Fraction(q) ** (2 * j) - 1
@@ -509,14 +550,16 @@ def test_coefficient_table_rounds_each_step_once(q):
         assert prev == _round_fraction(step, prec), (q, j)
 
 
-# SHA-256 of the hex kernel rows below, captured from the per-kind
-# recurrence tables: the joint table is more accurate, and moves no bit
-ROW_DIGEST = "77dceb6c3eaf6f5486c5aaef4a04f482a7773d409eb0f3bc05fadcbb1cc17ec4"
+# SHA-256 of the hex kernel rows below at q = 2, captured when the rows
+# past q^2 moved to the lattice recurrence: against the integer series
+# only the signs of 57 zeros moved (even m >= 50), now the exact signs;
+# the other q are held by the exact rows above
+ROW_DIGEST = "62fd01a264634d1095f71b511a482a6d46b9c3de7f6904c36ba328acebca6816"
 
 
 def test_kernel_rows_keep_their_bits():
     digest = hashlib.sha256()
-    for q in (2.0, 1.5, 3.6931, 1.1):
+    for q in (2.0,):
         special.clear_kernel_store()
         sf = SpecialFunctions(QContext(q))
         for kind in ("cos", "sin"):
@@ -526,7 +569,7 @@ def test_kernel_rows_keep_their_bits():
     assert digest.hexdigest() == ROW_DIGEST
 
 
-def test_import_builds_no_table_or_store():
+def test_import_builds_no_store():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     script = ("import qcalc.fourier, qcalc.schrodinger\n"
@@ -545,56 +588,35 @@ def test_import_builds_no_table_or_store():
 LADDER = (12, 16, 20, 24, 32, 40, 48)
 
 
-def _count_builds(monkeypatch):
-    """The precision of every coefficient table built from now on."""
-    builds = []
-
-    class Counted(special._SeriesCoefficients):
-        def __init__(self, q, prec):
-            builds.append(prec)
-            super().__init__(q, prec)
-
-    monkeypatch.setattr(special, "_SeriesCoefficients", Counted)
-    return builds
-
-
-def _bits(pairs):
-    return [(val.hex(), bound.hex()) for val, bound in pairs]
-
-
-def test_instances_at_one_q_share_one_table_per_kind(monkeypatch):
-    builds = _count_builds(monkeypatch)
+def test_instances_at_one_q_share_one_table_per_kind():
     special.clear_kernel_store()
     zs = [2.0 ** m for m in range(41, 2, -2)]
     first = SpecialFunctions(QContext(2.0))
     second = SpecialFunctions(QContext(2.0))
-    # the largest argument needs the most precision; the rest reuse it
     first.cos_q(zs[0])
     first.sin_q(zs[0])
     for z in zs[1:]:
         second.cos_q(z)
         second.sin_q(z)
-    # one table serves both kinds and both instances
-    assert len(builds) == 1
+    # one row per kind serves both instances, and so does N_q
     assert second._kernel_store() is first._kernel_store()
     assert first.n_q() == second.n_q()
     info = special.kernel_store_info()
     assert list(info) == [2.0]
     # each lookup grew its odd row by one entry, the next exponent down
     assert info[2.0] == {"row_entries": 2 * len(zs),
-                         "lookups": 2 * len(zs), "misses": 2 * len(zs),
-                         "table_prec": {"cos": builds[0], "sin": builds[0]}}
+                         "lookups": 2 * len(zs), "misses": 2 * len(zs)}
     for z in zs:
         first.cos_q(z)
     info = special.kernel_store_info()[2.0]
     assert (info["lookups"], info["misses"]) == (3 * len(zs), 2 * len(zs))
-    assert len(builds) == 1
 
 
 def test_instances_at_different_q_never_share_values():
     special.clear_kernel_store()
-    # lattice points of q = 2 (0.5, 2^5, -2^7) and of q = 3 (3^5)
-    zs = [0.5, 1.5, 2.0 ** 5, 3.0 ** 5, -(2.0 ** 7)]
+    # lattice points of q = 2 (0.5, -2) and of q = 3 (3), and of neither
+    # (1.5), all within q^2 at both q, where off-lattice sums are kept
+    zs = [0.5, 1.5, 3.0, -2.0]
     sf2 = SpecialFunctions(QContext(2.0))
     sf3 = SpecialFunctions(QContext(3.0))
     got = {}
@@ -604,7 +626,7 @@ def test_instances_at_different_q_never_share_values():
     assert sf2.n_q() != sf3.n_q()
     assert all(a != b for a, b in zip(got[2.0], got[3.0]))
     info = special.kernel_store_info()
-    assert info[2.0]["lookups"] == 2 * 3 and info[3.0]["lookups"] == 2
+    assert info[2.0]["lookups"] == 2 * 2 and info[3.0]["lookups"] == 2
     # each q reads as it does in a store that never held the other
     for q in (2.0, 3.0):
         special.clear_kernel_store()
@@ -617,10 +639,9 @@ def test_kernel_store_stays_within_its_bounds():
     special.clear_kernel_store()
     qs = [1.5 + k / 8 for k in range(special.STORE_MAX_QS + 3)]
     first = SpecialFunctions(QContext(qs[0]))
-    # an odd power past q^2: the integer series, with a coefficient table
+    # an odd power past q^2: entries of a recurrence row
     z = qs[0] ** 7
-    want = _bits([first.cos_q(z, with_bound=True),
-                  first.sin_q(z, with_bound=True)])
+    want = _float_bits([first.cos_q(z), first.sin_q(z)])
     for q in qs[1:]:
         SpecialFunctions(QContext(q)).cos_q(q ** 7)
         assert len(special.kernel_store_info()) <= special.STORE_MAX_QS
@@ -628,10 +649,8 @@ def test_kernel_store_stays_within_its_bounds():
     rebuilt = SpecialFunctions(QContext(qs[0]))
     info = special.kernel_store_info()
     assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
-    assert info[qs[0]] == {"row_entries": 0, "lookups": 0, "misses": 0,
-                           "table_prec": {"cos": None, "sin": None}}
-    assert _bits([rebuilt.cos_q(z, with_bound=True),
-                  rebuilt.sin_q(z, with_bound=True)]) == want
+    assert info[qs[0]] == {"row_entries": 0, "lookups": 0, "misses": 0}
+    assert _float_bits([rebuilt.cos_q(z), rebuilt.sin_q(z)]) == want
     # an instance whose q was dropped reads the reopened store
     assert first._kernel_store() is rebuilt._kernel_store()
 
@@ -639,7 +658,10 @@ def test_kernel_store_stays_within_its_bounds():
 @pytest.mark.parametrize("q", KERNEL_QS)
 def test_kernel_values_do_not_depend_on_store_history(q):
     ctx = QContext(q)
-    zs = _kernel_inputs(q, random.Random(int(q * 1000)))
+    # lattice points past q^2, and points within it off the lattice
+    rng = random.Random(int(q * 1000))
+    zs = [q ** m for m in range(3, 41)]
+    zs += [q ** rng.uniform(-6.0, 2.0) for _ in range(6)]
     special.clear_kernel_store()
     warm = SpecialFunctions(ctx)
     # warm the store as the lattice-window ladder does: stationary states
@@ -648,12 +670,11 @@ def test_kernel_values_do_not_depend_on_store_history(q):
         for kind in ("cos", "sin"):
             warm.kernel_row(kind, -w, w + 4)
             warm.kernel_row(kind, 1 - w, w + 5)
-    got = [fn(z, with_bound=True) for z in zs for fn in (warm.cos_q, warm.sin_q)]
+    got = [fn(z) for z in zs for fn in (warm.cos_q, warm.sin_q)]
     special.clear_kernel_store()
     cold = SpecialFunctions(ctx)
-    want = [fn(z, with_bound=True)
-            for z in reversed(zs) for fn in (cold.sin_q, cold.cos_q)][::-1]
-    assert _bits(got) == _bits(want)
+    want = [fn(z) for z in reversed(zs) for fn in (cold.sin_q, cold.cos_q)]
+    assert _float_bits(got) == _float_bits(want[::-1])
 
 
 def test_representations_share_the_store_not_the_instance():
@@ -688,19 +709,20 @@ def test_rows_equal_point_lookups_bit_for_bit(q):
     rows = {(kind, par): sf.kernel_row(kind, par - 170, 170 - par)
             for kind in ("cos", "sin") for par in (0, 1)}
     points = {par: sf.point_row(par - 170, 170 - par) for par in (0, 1)}
-    # one sum per point, in a store that never held a row, largest first
+    # one lookup per point, in a store that never held a row, largest
+    # first: each grows its row by one entry
     special.clear_kernel_store()
     sf = SpecialFunctions(ctx)
     for (kind, par), row in rows.items():
         fn = sf.cos_q if kind == "cos" else sf.sin_q
         exps = range(170 - par, par - 171, -2)
-        want = [fn(ctx.qpow(m), with_bound=True)[0] for m in exps][::-1]
+        want = [fn(ctx.qpow(m)) for m in exps][::-1]
         assert _float_bits(row) == _float_bits(want), (kind, par)
         assert _float_bits(points[par]) == _float_bits(
             [ctx.qpow(m) for m in exps][::-1])
     values = [v for row in rows.values() for v in row.tolist()]
     # the rows cross the double range both ways; the kernels never
-    # return NaN (transforms over rows do: see tests/test_fourier.py)
+    # return NaN
     assert {math.inf, -math.inf, 0.0} <= set(values)
     assert not any(math.isnan(v) for v in values)
     if q == 2.0:
@@ -726,16 +748,55 @@ def test_row_reads_slice_the_stored_row():
 def test_kernel_store_info_counts_row_entries():
     special.clear_kernel_store()
     sf = SpecialFunctions(QContext(2.0))
+    # a kernel row comes with its twin of the other kind
     sf.kernel_row("cos", -160, 160)
-    assert special.kernel_store_info()[2.0]["row_entries"] == 161
+    assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 161
     sf.point_row(-81, 79)
-    assert special.kernel_store_info()[2.0]["row_entries"] == 161 + 81
-    # a wider range grows the row by the exponents it lacked
+    assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 161 + 81
+    # a wider range grows both kernel rows by the exponents they lacked
     sf.kernel_row("cos", -170, 164)
-    assert special.kernel_store_info()[2.0]["row_entries"] == 168 + 81
-    # other parity and kind: rows of their own
+    assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 168 + 81
+    sf.kernel_row("sin", -170, 164)
+    assert special.kernel_store_info()[2.0] == {
+        "row_entries": 2 * 168 + 81, "lookups": 4, "misses": 2 * 168 + 81}
+    # other parity: rows of their own
     sf.kernel_row("sin", -3, 5)
-    assert special.kernel_store_info()[2.0]["row_entries"] == 168 + 81 + 5
+    assert special.kernel_store_info()[2.0]["row_entries"] \
+        == 2 * 168 + 81 + 2 * 5
+    # a transform of k = -40 ... 40 keeps the even kernel rows at q^-2j,
+    # j = -80 ... 80, and its weights q^-2k in the even point row
+    special.clear_kernel_store()
+    f = rand_seq(random.Random(5), QContext(2.0))
+    assert (f.k_min, f.k_max) == (-40, 40)
+    QFourier(QContext(2.0)).qft_cos(f)
+    assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 161 + 81
+
+
+def test_one_recurrence_pass_fills_both_kinds(monkeypatch):
+    # each missing span of a parity costs one pass, whichever kind asked
+    passes = []
+    run = special._recurrence_row
+
+    def counted(q, lo, hi):
+        passes.append((lo, hi))
+        return run(q, lo, hi)
+
+    monkeypatch.setattr(special, "_recurrence_row", counted)
+    for q in (1.5, 1.001):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        cos = sf.kernel_row("cos", -11, 41)
+        sin = sf.kernel_row("sin", -11, 41)
+        sf.kernel_row("sin", -10, 40)
+        sf.kernel_row("cos", -10, 60)
+        assert passes == [(3, 41), (4, 40), (42, 60)], q
+        passes.clear()
+        # the twin row reads as if its own kind had asked first
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        assert _float_bits(sf.kernel_row("sin", -11, 41)) == _float_bits(sin)
+        assert _float_bits(sf.kernel_row("cos", -11, 41)) == _float_bits(cos)
+        passes.clear()
 
 
 def test_rows_stay_within_the_store_bound():
@@ -778,7 +839,7 @@ def test_rows_go_with_their_q():
     gc.collect()
     assert held() is None
     assert _float_bits(first.kernel_row("cos", -40, 40)) == want
-    assert special.kernel_store_info()[qs[0]]["row_entries"] == 41
+    assert special.kernel_store_info()[qs[0]]["row_entries"] == 2 * 41
     held = weakref.ref(first.kernel_row("cos", -40, 40).base)
     special.clear_kernel_store()
     gc.collect()
@@ -787,9 +848,8 @@ def test_rows_go_with_their_q():
 
 @pytest.mark.parametrize("q, m_max", [(1.5, 92), (3.0, 60)])
 def test_lattice_lookups_read_the_row_entry(q, m_max):
-    # past m = 88 (q = 1.5) and 54 (q = 3) the even entries take the
-    # underflow shortcut; the lookups come in a shuffled order, so rows
-    # grow both ways
+    # past m = 88 (q = 1.5) and 54 (q = 3) the even entries underflow to
+    # zero; the lookups come in a shuffled order, so rows grow both ways
     ctx = QContext(q)
     exps = list(range(-m_max, m_max + 1))
     random.Random(3).shuffle(exps)
@@ -813,7 +873,7 @@ def test_lattice_lookups_read_the_row_entry(q, m_max):
 @pytest.mark.parametrize("q", (2.0, 1.5, 3.0))
 def test_off_lattice_lookups_sum_and_keep_nothing(q):
     ctx = QContext(q)
-    zs = [math.nextafter(ctx.qpow(m), math.inf) for m in (-7, 0, 2, 5, 12)]
+    zs = [math.nextafter(ctx.qpow(m), math.inf) for m in (-7, 0, 1)]
     zs += [-z for z in zs]
     special.clear_kernel_store()
     fresh = SpecialFunctions(ctx)
@@ -826,17 +886,25 @@ def test_off_lattice_lookups_sum_and_keep_nothing(q):
     before = special.kernel_store_info()[q]
     got = [fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)]
     assert _float_bits(got) == _float_bits(want)
+    # past q^2 only the lattice points are kernels the package reads, and
+    # they carry no bound: the next double up from q^2, q^5 or q^12 raises
+    for z in (ctx.qpow(5), ctx.qpow(12)):
+        for fn in (sf.cos_q, sf.sin_q):
+            with pytest.raises(ValueError):
+                fn(z, with_bound=True)
+    for m in (2, 5, 12):
+        for z in (math.nextafter(ctx.qpow(m), math.inf),
+                  -math.nextafter(ctx.qpow(m), math.inf)):
+            for fn in (sf.cos_q, sf.sin_q):
+                with pytest.raises(ValueError):
+                    fn(z)
     assert special.kernel_store_info()[q] == before
-    # the next double up is no lattice point: its sum is not the entry
-    row = [fn(ctx.qpow(12)) for fn in (sf.cos_q, sf.sin_q)]
-    assert got[8:10] != row
 
 
 def _per_site(sf, grid, kind, y):
-    """The kind's kernel at x y on every site x, one fresh sum each."""
+    """The kind's kernel at x y on every site x, one lookup each."""
     fn = sf.cos_q if kind == "cos" else sf.sin_q
-    return [[fn(x * y, with_bound=True)[0] for x in row]
-            for row in grid.points.tolist()]
+    return [[fn(x * y) for x in row] for row in grid.points.tolist()]
 
 
 def test_special_tables_rows_equal_per_site_sums_at_q2():
@@ -846,10 +914,9 @@ def test_special_tables_rows_equal_per_site_sums_at_q2():
     q = D2.q
     for kind, fn in (("cos", sf.cos_q), ("sin", sf.sin_q)):
         for lo, hi in ((-12, 12), (-14, 12), (-9, 4), (3, 3)):
-            want = [fn(q ** m, with_bound=True)[0] for m in range(lo, hi + 1)]
+            want = [fn(q ** m) for m in range(lo, hi + 1)]
             assert _float_bits(_kernels(sf, kind, lo, hi)) == _float_bits(want)
-        shifted = [fn(q ** m / q ** 2, with_bound=True)[0]
-                   for m in range(-12, 13)]
+        shifted = [fn(q ** m / q ** 2) for m in range(-12, 13)]
         assert _float_bits(_kernels(sf, kind, -14, 10)) == _float_bits(shifted)
         for n_min, n_max in ((-8, 8), (-7, 10)):
             grid = LatticeGrid(D2, n_min, n_max)
@@ -858,28 +925,6 @@ def test_special_tables_rows_equal_per_site_sums_at_q2():
                 want = LatticeFn(grid, _per_site(sf, grid, kind,
                                                  D2.qpow(y_exp))).data
                 assert got.tobytes() == want.tobytes(), (kind, y_exp)
-
-
-def test_transform_builds_the_coefficient_table_once():
-    ctx = QContext(2.0)
-    # q^66 is the largest even power of 2 that sums the series: past it
-    # the even-sublattice shortcut returns zero without a table
-    special.clear_kernel_store()
-    SpecialFunctions(ctx).cos_q(ctx.qpow(68))
-    assert special.kernel_store_info()[2.0]["table_prec"]["cos"] is None
-    special.clear_kernel_store()
-    SpecialFunctions(ctx).cos_q(ctx.qpow(66))
-    want = special.kernel_store_info()[2.0]["table_prec"]
-    assert want["cos"] is not None
-    special.clear_kernel_store()
-    f = rand_seq(random.Random(5), ctx)
-    assert (f.k_min, f.k_max) == (-40, 40)
-    QFourier(ctx).qft_cos(f)
-    info = special.kernel_store_info()[2.0]
-    assert info["table_prec"] == want
-    # the even cos row, arguments q^-2j, j = -80 ... 80, and the weights
-    # q^-2k, k = -40 ... 40, from the even point row
-    assert info["row_entries"] == 161 + 81
 
 
 # -- normalization constant and orthogonality --------------------------------
