@@ -121,7 +121,8 @@ class QFourier:
             return SublatticeSeq(self.ctx, f.k_min,
                                  np.zeros_like(f.values), f.family)
         edge = max(abs(wf[0]), abs(wf[-1]))
-        if edge > TAIL_TOL * scale:
+        # fails closed: a NaN anywhere or an inf peak makes scale non-finite
+        if not (edge <= TAIL_TOL * scale and math.isfinite(scale)):
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
         # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i

@@ -83,6 +83,21 @@ def test_fat_tail_is_refused():
         QF.qft_cos(ones)
 
 
+def test_tail_check_fails_on_nan_and_inf():
+    # a NaN edge, a NaN inside, and an inf peak: no finite edge-to-peak
+    # ratio exists, so the transform refuses rather than return NaN
+    ks = range(-10, 11)
+    decayed = np.array([2.0 ** -(k * k) for k in ks], dtype=complex)
+    for at, bad in ((0, math.nan), (-1, math.nan), (5, math.nan),
+                    (10, math.inf), (10, -math.inf)):
+        values = decayed.copy()
+        values[at] = bad
+        seq = SublatticeSeq(D2, -10, values)
+        for fn in (QF.qft_cos, QF.qft_sin):
+            with pytest.raises(NotConverged):
+                fn(seq)
+
+
 def test_family_and_window_mismatch_rejected():
     a = SublatticeSeq(D2, -5, np.zeros(11), family="even")
     b = SublatticeSeq(D2, -5, np.zeros(11), family="odd")
