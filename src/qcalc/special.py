@@ -386,6 +386,7 @@ class SpecialFunctions:
             if store.row_entries() + len(kinds) * grow > STORE_MAX_VALUES:
                 store.rows.clear()
                 lo, hi, new_lo, new_hi = m_lo, m_lo - 2, m_lo, m_hi
+            # the cos and sin rows of a parity span lo ... hi: grow both
             for k, low, high in zip(
                     kinds, self._row_values(store, kinds, new_lo, lo - 2),
                     self._row_values(store, kinds, hi + 2, new_hi)):
