@@ -93,8 +93,10 @@ class QFourier:
     Kernels and lattice points come as rows indexed by the exponent from
     the kernel store of qcalc.special, which every transform and
     representation at this q shares: only the first request of a value
-    sums its series, and a transform on a window already seen costs a
-    slice of a row, a gather and one dense matrix product.
+    sums its series.  Per kernel kind the instance keeps the weights and
+    the complex kernel matrix of the last window it transformed, so a
+    transform on that window again costs one matrix-vector product; a
+    new window replaces them, and they go with the instance.
     """
 
     def __init__(self, ctx):
@@ -103,6 +105,8 @@ class QFourier:
         self.ctx = ctx
         self.sf = SpecialFunctions(ctx)
         self._nq = self.sf.n_q()
+        # kind -> ((k_min, k_max), weights, kernel matrix)
+        self._last = {}
 
     # -- sequence transform -------------------------------------------------
 
@@ -114,8 +118,15 @@ class QFourier:
         """
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
-        # the weights q^(-2k), k = k_min ... k_max
-        wf = self.sf.point_row(-2 * f.k_max, -2 * f.k_min)[::-1] * f.values
+        window = (f.k_min, f.k_max)
+        last = self._last.get(kind)
+        if last is not None and last[0] == window:
+            _, weights, K = last
+        else:
+            # the weights q^(-2k), k = k_min ... k_max
+            weights = self.sf.point_row(-2 * f.k_max, -2 * f.k_min)[::-1]
+            K = None
+        wf = weights * f.values
         scale = float(np.max(np.abs(wf)))
         if scale == 0.0:
             return SublatticeSeq(self.ctx, f.k_min,
@@ -125,10 +136,14 @@ class QFourier:
         if not (edge <= TAIL_TOL * scale and math.isfinite(scale)):
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
-        # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i
-        kern = self.sf.kernel_row(kind, -4 * f.k_max, -4 * f.k_min)
-        k_idx = np.arange(f.k_min, f.k_max + 1)
-        K = kern[2 * f.k_max - np.add.outer(k_idx, k_idx)]
+        if K is None:
+            # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i;
+            # complex already, as K @ wf would cast it on every call
+            kern = self.sf.kernel_row(kind, -4 * f.k_max, -4 * f.k_min)
+            k_idx = np.arange(f.k_min, f.k_max + 1)
+            K = kern[2 * f.k_max - np.add.outer(k_idx, k_idx)].astype(complex)
+            # a copy, so the instance never keeps a store row alive
+            self._last[kind] = (window, weights.copy(), K)
         g = self._nq * (K @ wf)
         return SublatticeSeq(self.ctx, f.k_min, g, f.family)
 

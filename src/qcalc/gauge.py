@@ -20,7 +20,11 @@ the last bit, not merely to rounding.
 
 Time-dependent identities difference their slices centrally.  Their
 residuals scale as dt^2 and are reported as measured, never absorbed
-into a tolerance.
+into a tolerance.  Each of them stacks the slices m-1, m and m+1 on a
+new leading axis, broadcast to one batch shape and carrying the widest
+pads among them, and takes one dual Einbein of the stack: the
+derivatives, shifts and connections of all three slices, slice m's
+included, come from it.
 
 Every operation here accepts functions with leading batch axes (see
 qcalc.lattice) and broadcasts a batch against a single function, so a
@@ -119,7 +123,11 @@ def covariant_derivative(e, psi, route="both"):
     E nabla + x^-1 (E - Et) L / lam and demands they agree to ROUTE_TOL;
     "shift" and "expanded" pick one evaluation unchecked.
     """
-    et = dual_einbein(e)
+    return _derivative(e, dual_einbein(e), psi, route)
+
+
+def _derivative(e, et, psi, route="both"):
+    """covariant_derivative given the dual einbein et of e."""
     shift = _over_lam_x(covariant_shift_inv(e, psi) - et * psi.L_shift(1))
     if route == "shift":
         return shift
@@ -137,7 +145,11 @@ def covariant_derivative(e, psi, route="both"):
 
 def connection_field(e):
     """Coefficient of L in the connection: x^-1 (1 - Et/E) / lam."""
-    return _over_lam_x(unit_einbein(e.grid) - _div(dual_einbein(e), e))
+    return _connection(e, dual_einbein(e))
+
+
+def _connection(e, et):
+    return _over_lam_x(unit_einbein(e.grid) - _div(et, e))
 
 
 def einbein_shift(e, h):
@@ -180,8 +192,31 @@ def _middle(slices):
     return len(slices) // 2
 
 
-def _ddt(slices, m, dt):
-    return (slices[m + 1] - slices[m - 1]).scale(1.0 / (2.0 * dt))
+def _time_stacks(m, *slice_lists):
+    """Slices m-1, m and m+1 of each list on a new leading axis, every
+    slice broadcast to the batch shape common to all of them."""
+    picked = [slices[m - 1:m + 2] for slices in slice_lists]
+    grid = picked[0][0].grid
+    if any(f.grid is not grid and f.grid != grid for p in picked for f in p):
+        raise GridMismatch("time slices live on different grids")
+    shape = np.broadcast(*(f.data for p in picked for f in p)).shape
+    stacks = []
+    for p in picked:
+        data = np.empty((3, *shape), np.result_type(*(f.data for f in p)))
+        for k, f in enumerate(p):
+            data[k] = f.data
+        stacks.append(p[0]._wrap(data, max(f.pad_lo for f in p),
+                                 max(f.pad_hi for f in p)))
+    return stacks
+
+
+def _slice(stack, k):
+    """Slice m-1+k of a time stack."""
+    return stack._wrap(stack.data[k])
+
+
+def _ddt(stack, dt):
+    return (_slice(stack, 2) - _slice(stack, 0)).scale(1.0 / (2.0 * dt))
 
 
 def curvature(e_slices, omega, dt):
@@ -190,14 +225,19 @@ def curvature(e_slices, omega, dt):
     T closes the commutator on D psi, F on L psi; calF = E F (L E) is
     the version of F that transforms by plain conjugation.
     """
-    m = _middle(e_slices)
-    e0 = e_slices[m]
+    e, = _time_stacks(_middle(e_slices), e_slices)
+    return _curvature(e, dual_einbein(e), omega, dt)
+
+
+def _curvature(e, et, omega, dt):
+    """curvature of a time stack e with its dual einbein et."""
+    e0 = _slice(e, 1)
     e_inv = _div(unit_einbein(e0.grid), e0)
-    t = (_ddt(e_slices, m, dt) * e_inv
-         - e0 * omega.L_shift(-1) * e_inv + omega)
-    phis = [connection_field(e_slices[k]) for k in (m - 1, m, m + 1)]
-    f = (_ddt(phis, 1, dt) - omega.nabla_fn()
-         + omega.L_shift(-1) * phis[1] - phis[1] * omega.L_shift(1))
+    t = _ddt(e, dt) * e_inv - e0 * omega.L_shift(-1) * e_inv + omega
+    phis = _connection(e, et)
+    phi = _slice(phis, 1)
+    f = (_ddt(phis, dt) - omega.nabla_fn()
+         + omega.L_shift(-1) * phi - phi * omega.L_shift(1))
     cal_f = e0 * f * e0.L_shift(1)
     return t, f, cal_f
 
@@ -206,14 +246,15 @@ def commutator_residual(e_slices, psi_slices, omega, dt):
     """Defect of (Dt D - D Dt) psi = T D psi + E F (L psi), centered."""
     if len(psi_slices) != len(e_slices):
         raise InsufficientTimeSlices("field and einbein slices must align")
-    m = _middle(e_slices)
-    d_psi = [covariant_derivative(e_slices[k], psi_slices[k])
-             for k in (m - 1, m, m + 1)]
-    dt_of_d = _ddt(d_psi, 1, dt) + omega * d_psi[1]
-    dt_psi = _ddt(psi_slices, m, dt) + omega * psi_slices[m]
-    d_of_dt = covariant_derivative(e_slices[m], dt_psi)
-    t, f, _ = curvature(e_slices, omega, dt)
-    rhs = t * d_psi[1] + e_slices[m] * f * psi_slices[m].L_shift(1)
+    e, psi = _time_stacks(_middle(e_slices), e_slices, psi_slices)
+    et = dual_einbein(e)
+    e_m, et_m, psi_m = (_slice(s, 1) for s in (e, et, psi))
+    d_psi = _derivative(e, et, psi)
+    dt_of_d = _ddt(d_psi, dt) + omega * _slice(d_psi, 1)
+    dt_psi = _ddt(psi, dt) + omega * psi_m
+    d_of_dt = _derivative(e_m, et_m, dt_psi)
+    t, f, _ = _curvature(e, et, omega, dt)
+    rhs = t * _slice(d_psi, 1) + e_m * f * psi_m.L_shift(1)
     return (dt_of_d - d_of_dt - rhs).max_abs_interior()
 
 
@@ -221,14 +262,15 @@ def mixed_commutator_residual(e_slices, psi_slices, omega, dt):
     """Defect of (shift Dt - Dt shift) psi = L(T psi / E), centered."""
     if len(psi_slices) != len(e_slices):
         raise InsufficientTimeSlices("field and einbein slices must align")
-    m = _middle(e_slices)
-    shifted = [covariant_shift(e_slices[k], psi_slices[k])
-               for k in (m - 1, m, m + 1)]
-    dt_psi = _ddt(psi_slices, m, dt) + omega * psi_slices[m]
-    lhs = (covariant_shift(e_slices[m], dt_psi)
-           - _ddt(shifted, 1, dt) - omega * shifted[1])
-    t, _, _ = curvature(e_slices, omega, dt)
-    rhs = _div(t * psi_slices[m], e_slices[m]).L_shift(1)
+    e, psi = _time_stacks(_middle(e_slices), e_slices, psi_slices)
+    et = dual_einbein(e)
+    e_m, et_m, psi_m = (_slice(s, 1) for s in (e, et, psi))
+    shifted = et * psi.L_shift(1)
+    dt_psi = _ddt(psi, dt) + omega * psi_m
+    lhs = (et_m * dt_psi.L_shift(1)
+           - _ddt(shifted, dt) - omega * _slice(shifted, 1))
+    t, _, _ = _curvature(e, et, omega, dt)
+    rhs = _div(t * psi_m, e_m).L_shift(1)
     return (lhs - rhs).max_abs_interior()
 
 

@@ -24,8 +24,11 @@ Conventions fixed by the exchange relations, not by choice:
 
 Repeated raising builds the excited tower; each application consumes two
 sites of lower padding, and the match against the q-Hermite polynomials
-in xi is reported interior-relative.  The q-Hermite coefficients are
-carried exactly in the Laurent ring over s = q^(1/2).
+in xi is reported interior-relative.  A LadderPair keeps its tower: the
+ground-state recursion runs once per pair and each raised state is built
+once, however many residuals and tables ask for them, and the kept
+states are read-only.  The q-Hermite coefficients are carried exactly in
+the Laurent ring over s = q^(1/2).
 
 The module also holds the Gaussian side of the transform pair: the mixed
 cosine/sine sum of the lattice Gaussian q^(-(l^2+l)/2) c0 collapses to a
@@ -63,6 +66,9 @@ class LadderPair:
     shifts (a = alpha L^-2m - i beta L^-(m+1) nabla L and the matching
     adjoint with its q^(-m-1) weight).  The commutator constant is
     kappa = q^(-2m) (1 - q^(-2m)) |alpha|^2 regardless.
+
+    The operators are fixed once built; the pair keeps the excited tower
+    psi_0, a+ psi_0, ... that ground_state and excited_states have built.
     """
 
     def __init__(self, rep, alpha=None, beta=None, m_index=1):
@@ -87,6 +93,7 @@ class LadderPair:
         self.m_index = m_index
         q2m = ctx.qpow(-2 * m_index)
         self.kappa = q2m * (1.0 - q2m) * abs(alpha) ** 2
+        self._tower = []
         # Rows damaged by window truncation.  The abstract stencil of a is
         # one-sided, but the realized product routes the on-site read
         # through a shift row that the window cuts: one extra bad row on
@@ -198,6 +205,12 @@ def build_ladder(rep, alpha=None, beta=None, m_index=1):
 # -- ground state -------------------------------------------------------
 
 
+def _kept(psi):
+    """psi with its values made read-only, as the pair hands it out."""
+    psi.data.flags.writeable = False
+    return psi
+
+
 def ground_state(pair):
     """Normalized kernel state of the lowering operator.
 
@@ -205,8 +218,16 @@ def ground_state(pair):
     value of the base-q^-2 exponential, then recurses upward:
     psi(sigma q^(n+2)) = psi(sigma q^n) / (1 + i sigma lam r q^n) with
     r = alpha/beta.  Raises NoDecay unless the top-edge values have
-    fallen below 1e-3 of the chain peak.
+    fallen below 1e-3 of the chain peak.  The pair keeps the state: the
+    recursion runs on the first call that succeeds, and later calls
+    return the same read-only state.
     """
+    if not pair._tower:
+        pair._tower.append(_kept(_solve_ground_state(pair)))
+    return pair._tower[0]
+
+
+def _solve_ground_state(pair):
     if pair.m_index != 1:
         raise ValueError("ground-state recursion covers m_index = 1 only")
     rep = pair.rep
@@ -278,19 +299,22 @@ def raising_on_ground_residual(pair, psi):
 def excited_states(pair, n_max):
     """[psi_0, a+ psi_0, ..., (a+)^n_max psi_0], unnormalized above 0.
 
-    Warns with ContaminationWarning once the boundary-clean window of
-    the next state would fall below 6 sites.
+    Warns with ContaminationWarning, on every call, once the
+    boundary-clean window of the next state would fall below 6 sites.
+    The states are the pair's own, each raised once per pair.
     """
-    states = [ground_state(pair)]
+    tower = pair._tower
+    ground_state(pair)
     for k in range(n_max):
-        nxt = pair.apply_raising(states[-1])
+        if len(tower) == k + 1:
+            tower.append(_kept(pair.apply_raising(tower[k])))
+        nxt = tower[k + 1]
         clean = pair.rep.grid.size - nxt.pad_lo - nxt.pad_hi
         if clean < 6:
             warnings.warn(
                 f"state {k + 1} has {clean} boundary-clean sites",
                 ContaminationWarning)
-        states.append(nxt)
-    return states
+    return tower[:max(n_max, 0) + 1]
 
 
 def ladder_energies(pair, n_levels):
@@ -306,13 +330,17 @@ def spectrum_table(pair, n_levels=3):
     """Rows (n, energy, residual): eigen-residual of each tower state.
 
     residual = max_interior |H psi_n - E_n psi_n| / max_interior |psi_n|,
-    with H = a+ a applied through the ladder maps.
+    with H = a+ a applied through the ladder maps to the whole tower at
+    once, one stencil product for a+ and one for a.
     """
     states = excited_states(pair, n_levels)
     energies = ladder_energies(pair, n_levels)
+    tower = LatticeFn(pair.rep.grid, [psi.data for psi in states])
+    h_tower = pair.apply_lowering(pair.apply_raising(tower))
     rows = []
-    for n, psi in enumerate(states):
-        h_psi = pair.apply_lowering(pair.apply_raising(psi))
+    for n, (psi, h) in enumerate(zip(states, h_tower.data)):
+        h_psi = psi._wrap(h, psi.pad_lo + h_tower.pad_lo,
+                          psi.pad_hi + h_tower.pad_hi)
         h_psi = h_psi - psi.scale(pair.kappa)
         h_psi = h_psi.scale(1.0 / pair.ctx.qpow(-2 * pair.m_index))
         diff = h_psi - psi.scale(energies[n])

@@ -1,12 +1,15 @@
 """Sublattice transform: isometry, inversion, step function, serialization."""
 
+import gc
 import math
 import random
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from qcalc import special
 from qcalc.batteries import rand_seq
 from qcalc.context import QContext
 from qcalc.fourier import QFourier, SublatticeSeq
@@ -269,3 +272,79 @@ def test_step_sums_equal_the_loops_bit_for_bit(q):
         values += got.values()
     # the kernels at the exact lattice points keep every sum finite
     assert all(map(math.isfinite, values))
+
+
+# -- the kernel matrix each instance keeps per kind --------------------------
+
+
+@pytest.mark.parametrize("q", (2.0, 1.5, 3.0, 3.6931))
+def test_reused_instance_equals_fresh_ones_bit_for_bit(q):
+    # forward, inverse and double transforms on one instance, windows
+    # alternating so the kept matrix is both reused and replaced
+    ctx = QContext(q)
+    reused = QFourier(ctx)
+    rng = random.Random(SEED + 8)
+    for kind in ("cos", "sin"):
+        for family in ("even", "odd"):
+            for k_lo, k_hi in ((-40, 40), (-40, 40), (-30, 34), (-40, 40)):
+                f = SublatticeSeq(ctx, k_lo, [
+                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    * ctx.qpow(-((k - 2) ** 2))
+                    for k in range(k_lo, k_hi + 1)], family=family)
+                g = reused.transform(f, kind)
+                back = reused.transform(g, kind)
+                twice = reused.transform(reused.transform(f, kind), kind)
+                for got, arg in ((g, f), (back, g), (twice, g)):
+                    want = QFourier(ctx).transform(arg, kind)
+                    assert (got.k_min, got.family) == (want.k_min, family)
+                    assert _bits(got.values.view(float)) \
+                        == _bits(want.values.view(float))
+
+
+def test_a_new_window_replaces_the_kept_matrix():
+    qf = QFourier(D2)
+    rng = random.Random(SEED + 9)
+    wide = rand_seq(rng, D2)
+    narrow = SublatticeSeq(D2, -10, wide.values[30:51])
+    qf.qft_cos(wide)
+    qf.qft_sin(wide)
+    held = weakref.ref(qf._last["cos"][2])
+    assert held().shape == (81, 81)
+    qf.qft_cos(narrow)
+    gc.collect()
+    # one matrix per kind: the wide cos matrix is gone, the sin one stays
+    assert held() is None
+    assert {kind: last[0] for kind, last in qf._last.items()} \
+        == {"cos": (-10, 10), "sin": (-40, 40)}
+    held = weakref.ref(qf._last["sin"][2])
+    del qf
+    gc.collect()
+    assert held() is None
+
+
+def test_tail_check_runs_before_the_kept_matrix():
+    ks = range(-10, 11)
+    decayed = np.array([2.0 ** -(k * k) for k in ks], dtype=complex)
+    bad = [decayed.copy() for _ in range(3)]
+    bad[0][5] = math.nan
+    bad[1][10] = math.inf
+    bad[2][:] = 1.0
+    qf = QFourier(D2)
+    for kind in ("cos", "sin"):
+        qf.transform(SublatticeSeq(D2, -10, decayed), kind)
+        kept = qf._last[kind]
+        for values in bad:
+            with pytest.raises(NotConverged), np.errstate(invalid="ignore"):
+                qf.transform(SublatticeSeq(D2, -10, values), kind)
+            assert qf._last[kind] is kept
+
+
+def test_refused_transform_at_a_fresh_q_builds_no_kernel_row():
+    special.clear_kernel_store()
+    ctx = QContext(2.5)
+    qf = QFourier(ctx)
+    with pytest.raises(NotConverged):
+        qf.qft_cos(SublatticeSeq(ctx, -10, np.ones(21)))
+    # the weights q^(-2k) of the window, and no kernel row
+    assert special.kernel_store_info()[2.5]["row_entries"] == 21
+    assert qf._last == {}

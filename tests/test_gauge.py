@@ -534,3 +534,128 @@ def test_scenario_report_pointwise_budget(monkeypatch):
     monkeypatch.setattr(LatticeFn, "_pointwise", counting)
     scenario_report()
     assert 0 < len(calls) <= 320
+
+
+# -- time slices as one stack --------------------------------------------------------
+#
+# curvature and the commutator residuals take one dual einbein of the
+# slices m-1, m, m+1 stacked; each must equal the formulas evaluated
+# slice by slice, as below, bit for bit.
+
+
+def loop_curvature(e_slices, omega, dt):
+    m = len(e_slices) // 2
+    e0 = e_slices[m]
+    e_inv = _div(unit_einbein(e0.grid), e0)
+    t = ((e_slices[m + 1] - e_slices[m - 1]).scale(1.0 / (2.0 * dt)) * e_inv
+         - e0 * omega.L_shift(-1) * e_inv + omega)
+    phis = [connection_field(e_slices[k]) for k in (m - 1, m, m + 1)]
+    f = ((phis[2] - phis[0]).scale(1.0 / (2.0 * dt)) - omega.nabla_fn()
+         + omega.L_shift(-1) * phis[1] - phis[1] * omega.L_shift(1))
+    return t, f, e0 * f * e0.L_shift(1)
+
+
+def loop_commutator(e_slices, psi_slices, omega, dt):
+    m = len(e_slices) // 2
+    d_psi = [covariant_derivative(e_slices[k], psi_slices[k])
+             for k in (m - 1, m, m + 1)]
+    dt_of_d = (d_psi[2] - d_psi[0]).scale(1.0 / (2.0 * dt)) + omega * d_psi[1]
+    dt_psi = ((psi_slices[m + 1] - psi_slices[m - 1]).scale(1.0 / (2.0 * dt))
+              + omega * psi_slices[m])
+    d_of_dt = covariant_derivative(e_slices[m], dt_psi)
+    t, f, _ = loop_curvature(e_slices, omega, dt)
+    rhs = t * d_psi[1] + e_slices[m] * f * psi_slices[m].L_shift(1)
+    return (dt_of_d - d_of_dt - rhs).max_abs_interior()
+
+
+def loop_mixed_commutator(e_slices, psi_slices, omega, dt):
+    m = len(e_slices) // 2
+    shifted = [covariant_shift(e_slices[k], psi_slices[k])
+               for k in (m - 1, m, m + 1)]
+    dt_psi = ((psi_slices[m + 1] - psi_slices[m - 1]).scale(1.0 / (2.0 * dt))
+              + omega * psi_slices[m])
+    lhs = (covariant_shift(e_slices[m], dt_psi)
+           - (shifted[2] - shifted[0]).scale(1.0 / (2.0 * dt))
+           - omega * shifted[1])
+    t, _, _ = loop_curvature(e_slices, omega, dt)
+    rhs = _div(t * psi_slices[m], e_slices[m]).L_shift(1)
+    return (lhs - rhs).max_abs_interior()
+
+
+def assert_same_fn(a, b):
+    assert (a.pad_lo, a.pad_hi) == (b.pad_lo, b.pad_hi)
+    assert a.data.shape == b.data.shape
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.fixture
+def time_slices():
+    grid = make_grid()
+    rng = np.random.default_rng(SEED + 24)
+    omega = random_field(rng, grid, 0.5)
+    e_at = einbein_path(rng, grid)
+    p_at = field_path(rng, grid)
+    alphas = random_phase(rng, grid, 1.0, (T,))
+    dt, t0 = 1e-3, 0.4
+    # five slices: the outer two must not enter
+    times = [t0 + k * dt for k in (-2, -1, 0, 1, 2)]
+    return [e_at(t) for t in times], [p_at(t) for t in times], omega, \
+        alphas, dt
+
+
+def test_stacked_slices_equal_the_slice_formulas(time_slices):
+    e_sl, p_sl, omega, alphas, dt = time_slices
+    e_batch = [transform_einbein(e, alphas) for e in e_sl]
+    p_batch = [transform_field(p, alphas) for p in p_sl]
+    # plain slices, an einbein with its own batch axis, and both batched
+    for es, ps in ((e_sl, p_sl), (e_batch, p_sl), (e_batch, p_batch)):
+        for a, b in zip(curvature(es, omega, dt),
+                        loop_curvature(es, omega, dt)):
+            assert_same_fn(a, b)
+        for fn, loop in ((commutator_residual, loop_commutator),
+                         (mixed_commutator_residual, loop_mixed_commutator)):
+            got = fn(es, ps, omega, dt)
+            assert got > 0.0
+            assert got == loop(es, ps, omega, dt)
+    # a batched residual is the worst of its members' residuals
+    loop_e = zip(*(members(e) for e in e_batch))
+    assert commutator_residual(e_batch, p_sl, omega, dt) == max(
+        loop_commutator(list(es), p_sl, omega, dt) for es in loop_e)
+    for k, (t, f, cal_f) in enumerate(zip(
+            *(members(x) for x in curvature(e_batch, omega, dt)))):
+        want = loop_curvature([members(e)[k] for e in e_batch], omega, dt)
+        for a, b in zip((t, f, cal_f), want):
+            assert_same_fn(a, b)
+
+
+def test_stacked_slices_name_slice_m_minus_1_first(time_slices, monkeypatch):
+    e_sl, p_sl, omega, _, dt = time_slices
+    e_sl = [e.copy() for e in e_sl]
+    # singular at slices m-1, m and m+1, each at its own site and value
+    for e, (site, value) in zip(e_sl[1:4], ((3, 1e-13), (2, 1e-14),
+                                            (1, 1e-15))):
+        e.sector(-1)[site] = value
+    calls = (lambda: curvature(e_sl, omega, dt),
+             lambda: commutator_residual(e_sl, p_sl, omega, dt),
+             lambda: mixed_commutator_residual(e_sl, p_sl, omega, dt),
+             lambda: loop_commutator(e_sl, p_sl, omega, dt))
+    for call in calls:
+        with pytest.raises(SingularEinbein, match=r"modulus 1e-13 below"):
+            call()
+    # every slice's routes part by more than a tolerance this tight
+    e_sl, p_sl = time_slices[:2]
+    monkeypatch.setattr(gauge, "ROUTE_TOL", 1e-30)
+    with pytest.raises(RouteMismatch) as batched:
+        commutator_residual(e_sl, p_sl, omega, dt)
+    with pytest.raises(RouteMismatch) as looped:
+        loop_commutator(e_sl, p_sl, omega, dt)
+    with pytest.raises(RouteMismatch) as first:
+        covariant_derivative(e_sl[1], p_sl[1])
+    assert str(batched.value) == str(looped.value) == str(first.value)
+
+
+def test_time_slices_on_other_grids_are_refused(time_slices):
+    e_sl, p_sl, omega, _, dt = time_slices
+    other = random_field(np.random.default_rng(SEED), make_grid(-7, 9))
+    with pytest.raises(GridMismatch):
+        commutator_residual(e_sl, p_sl[:2] + [other] + p_sl[3:], omega, dt)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qcalc import batteries, oscillator
 from qcalc.context import QContext
 from qcalc.integration import norm as fn_norm
 from qcalc.lattice import LatticeGrid
@@ -208,16 +209,24 @@ def test_contamination_warning(pair):
         warnings.simplefilter("always")
         excited_states(pair, 5)
     assert not rec
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        excited_states(pair, 7)
-    assert any(issubclass(w.category, ContaminationWarning) for w in rec)
+    # the tower is kept, and every call that reaches the state warns
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            excited_states(pair, 7)
+        assert [str(w.message) for w in rec
+                if issubclass(w.category, ContaminationWarning)] \
+            == ["state 7 has 4 boundary-clean sites"]
 
 
 def test_no_decay_raises(rep, pair):
     flat = build_ladder(rep, alpha=1e-6 * pair.beta, beta=pair.beta)
+    # a failure is not kept: every call runs the recursion and raises
+    for _ in range(2):
+        with pytest.raises(NoDecay):
+            ground_state(flat)
     with pytest.raises(NoDecay):
-        ground_state(flat)
+        excited_states(flat, 2)
 
 
 @pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
@@ -272,3 +281,65 @@ def test_level_table_csv(pair):
     assert lines[0] == "n,energy"
     assert len(lines) == 5
     assert abs(float(lines[2].split(",")[1]) - 1.0) < 1e-12
+
+
+# -- the tower each pair keeps ----------------------------------------------
+
+
+def test_pair_keeps_one_read_only_tower(rep):
+    pair = build_ladder(rep)
+    psi0 = ground_state(pair)
+    states = excited_states(pair, 4)
+    assert states[0] is psi0 and ground_state(pair) is psi0
+    again = excited_states(pair, 6)
+    assert len(again) == 7
+    assert all(a is b for a, b in zip(states, again))
+    for psi in again:
+        with pytest.raises(ValueError):
+            psi.data[0, 0] = 0.0
+    # a copy is the caller's own
+    psi = psi0.copy()
+    psi.sector(1)[0] = 0.0
+    assert psi0.sector(1)[0] != 0.0
+
+
+def test_oscillator_battery_solves_the_ground_state_once(monkeypatch):
+    calls = []
+    solve = oscillator._solve_ground_state
+
+    def counted(pair):
+        calls.append(pair)
+        return solve(pair)
+
+    monkeypatch.setattr(oscillator, "_solve_ground_state", counted)
+    params = {"window": [-12, 12], "levels": 4, "m_index": 1}
+    rows, _, _ = batteries.oscillator(D2, params)
+    assert all(r["ok"] for r in rows)
+    assert len(calls) == 1
+
+
+def loop_spectrum_table(pair, n_levels):
+    """spectrum_table with a+ and a applied state by state."""
+    energies = ladder_energies(pair, n_levels)
+    rows = []
+    for n, psi in enumerate(excited_states(pair, n_levels)):
+        h_psi = pair.apply_lowering(pair.apply_raising(psi))
+        h_psi = h_psi - psi.scale(pair.kappa)
+        h_psi = h_psi.scale(1.0 / pair.ctx.qpow(-2 * pair.m_index))
+        diff = h_psi - psi.scale(energies[n])
+        rows.append((n, energies[n],
+                     diff.max_abs_interior() / psi.max_abs_interior(
+                         extra_margin=h_psi.pad_lo - psi.pad_lo)))
+    return rows
+
+
+@pytest.mark.parametrize("q, window, n_levels", [
+    (2.0, (-12, 12), 3), (2.0, (-12, 12), 6), (1.5, (-20, 20), 4),
+    (3.0, (-10, 10), 4)])
+def test_spectrum_table_equals_the_state_loop(q, window, n_levels):
+    rep = build_representation(LatticeGrid(QContext(q), *window))
+    got = spectrum_table(build_ladder(rep), n_levels)
+    want = loop_spectrum_table(build_ladder(rep), n_levels)
+    assert len(got) == n_levels + 1
+    assert [tuple(map(float.hex, map(float, r))) for r in got] \
+        == [tuple(map(float.hex, map(float, r))) for r in want]
