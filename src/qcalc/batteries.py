@@ -10,13 +10,15 @@ further artifacts as (file name, text) pairs.
 it demands and its parameters with their defaults.  `run` resolves a
 battery's parameters against the registry (given values win over
 defaults), validates them, picks the backend from q and calls the
-battery; the CLI builds its flags and help from the same records.
+battery (with no context when it declares no q); the CLI builds its
+flags and help from the same records.
 """
 
 import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,7 +89,6 @@ from .schrodinger import (
     evolve as evolve_state,
     free_evolve,
     history_to_csv,
-    run_experiment,
     stationary_state,
 )
 from .special import DivergentProduct, OutOfRadius, SpecialFunctions
@@ -185,8 +186,8 @@ def eigen_packet(rep, H, rng):
 
 
 def verify_algebra(ctx, params):
-    # the normal-ordering ring is symbolic in the square root of q;
-    # q only pins the backend contract and is echoed back
+    # the normal-ordering ring is symbolic in the square root of q, so the
+    # battery takes no q and ctx is None
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
     X, P, L = AlgebraElement.x, AlgebraElement.p, AlgebraElement.L
@@ -249,7 +250,7 @@ def verify_algebra(ctx, params):
                     not (bar(X()) == X() and bar(P()) == P()
                          and bar(L()).same_stored(L(-1)))))
 
-    return rows, {"q": str(ctx.q), "trials": trials, "seed": seed}, ()
+    return rows, {"trials": trials, "seed": seed}, ()
 
 
 # -- leibniz ------------------------------------------------------------------
@@ -580,9 +581,9 @@ def spectrum(ctx, params):
         for lab in ("2n+1", "2n"):
             for n in range(n_max):
                 psi, e = stationary_state(rep, fam, lab, n, 1, mass)
-                c = rep.coords(psi)[plus]
-                r = H.dense[plus] @ c - e * c
-                denom = np.max(np.abs(e * c[sl]))
+                c = rep.coords(psi)
+                r = (H.stencil @ c)[plus] - e * c[plus]
+                denom = np.max(np.abs(e * c[plus, sl]))
                 resid = float(np.max(np.abs(r[sl])) / denom)
                 resids.append(resid)
                 lines.append(f"{fam},{lab},{n},{repr(float(e))},"
@@ -599,17 +600,55 @@ def spectrum(ctx, params):
 # -- evolve -------------------------------------------------------------------
 
 
+# the initial state's keys and the values run when a config omits one
+INITIAL = {"family": "C", "label": "2n+1", "n": 0, "sector": 1}
+
+
+def _potential_sites(grid, pot):
+    """A config's {"[sigma, n]": value} map as {(sigma, n): value}; a key
+    that is no site of the grid or has no finite real value raises."""
+    if not isinstance(pot, dict):
+        raise ValueError(f"potential must be null or a map, got {pot!r}")
+    sites = {}
+    for key, val in pot.items():
+        try:
+            site = tuple(json.loads(key))
+        except (TypeError, ValueError):
+            site = ()
+        if not (len(site) == 2 and {type(v) for v in site} == {int}
+                and site[0] in grid.sectors
+                and grid.n_min <= site[1] <= grid.n_max):
+            raise ValueError(f"potential key {key!r} is not a site [sigma, n]"
+                             f" with n in [{grid.n_min}, {grid.n_max}]")
+        # int and float compare exactly: no NaN, inf or too large an int
+        if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
+            raise ValueError(f"potential value at {key!r} is not a finite "
+                             f"real: {val!r}")
+        sites[site] = val
+    return sites
+
+
 def evolve(ctx, params):
     lo, hi = params["window"]
-    seed, dt, steps, mass, initial = (params[k] for k in (
-        "seed", "dt", "steps", "mass", "initial"))
-    result = run_experiment({**params, "q": ctx.q})
-    H = result["hamiltonian"]
-    rep = result["rep"]
-    c0 = rep.coords(result["initial"])
-    cT = rep.coords(result["final"].psi)
-    rows = [row("norm-drift", result["norm_drift"], 1e-8),
-            row("energy-drift", abs(H.energy(cT) - H.energy(c0)), 1e-8)]
+    seed, dt, steps, mass = (params[k] for k in ("seed", "dt", "steps",
+                                                 "mass"))
+    initial = {**INITIAL, **params["initial"]}
+    for key, val in initial.items():
+        if key not in INITIAL or type(val) is not type(INITIAL[key]):
+            raise ConfigError(f"initial: {key!r}: {val!r} does not fit "
+                              f"{INITIAL} (keys and value types)")
+    grid = LatticeGrid(ctx, lo, hi)
+    pot = params["potential"]
+    if pot is not None:
+        pot = LatticeFn.from_sites(grid, _potential_sites(grid, pot)).data
+    rep = build_representation(grid)
+    H = Hamiltonian(rep, mass=mass, potential=pot)
+    psi0, _ = stationary_state(rep, **initial, mass=mass)
+    start = EvolutionState(psi0)
+    final = evolve_state(start, H, dt, steps, record=True)
+    rows = [row("norm-drift", abs(final.norm() - start.norm()), 1e-8),
+            row("energy-drift", abs(H.energy(rep.coords(final.psi))
+                                    - H.energy(rep.coords(psi0))), 1e-8)]
 
     # drift of |psi| under the analytic propagator, for the initial state
     # and two reference states; the deep window keeps the expansion error
@@ -617,8 +656,7 @@ def evolve(ctx, params):
     deep = build_representation(LatticeGrid(ctx, -36, 12))
     drift = []
     for fam, lab, n in dict.fromkeys((
-            (initial.get("family", "C"), initial.get("label", "2n+1"),
-             int(initial.get("n", 0))),
+            (initial["family"], initial["label"], initial["n"]),
             ("C", "2n+1", 0), ("C", "2n", 1))):
         psi, _ = stationary_state(deep, fam, lab, n, 1, mass)
         psit = free_evolve(deep, psi, 1.0, family=fam, mass=mass)
@@ -649,7 +687,7 @@ def evolve(ctx, params):
 
     used = {"q": str(ctx.q), "window": [lo, hi], "dt": dt, "steps": steps,
             "mass": mass, "seed": seed, "initial": initial}
-    return rows, used, [("history.csv", history_to_csv(result["final"]))]
+    return rows, used, [("history.csv", history_to_csv(final))]
 
 
 # -- gauge --------------------------------------------------------------------
@@ -781,7 +819,7 @@ def _window(value, span):
 @dataclass(frozen=True)
 class Battery:
     run: object
-    backend: str  # "exact", "double" or "either"
+    backend: str  # "exact", "double", "either", or None for no q
     help: str
     params: tuple
 
@@ -805,10 +843,10 @@ _MASS = Param("mass", 1.0, "particle mass", kind=float, low=0.0)
 
 REGISTRY = {
     "verify-algebra": Battery(
-        verify_algebra, "exact",
+        verify_algebra, None,
         "normal-ordering ring: relations, bar, associativity, derivative "
         "extraction",
-        (_q("3/2"), _seed(), Param("trials", 200, "random elements", low=1))),
+        (_seed(), Param("trials", 200, "random elements", low=1))),
     "leibniz": Battery(
         leibniz, "exact",
         "field calculus: product rules, comultiplication, kernel and "
@@ -849,8 +887,7 @@ REGISTRY = {
         (_q("2"), _window_param((-12, 12), span=14), _seed(),
          Param("dt", 1e-3, "time step", kind=float, low=0.0),
          Param("steps", 200, "step count", low=1), _MASS,
-         Param("initial", {"family": "C", "label": "2n+1", "n": 0,
-                           "sector": 1}, kind=dict, flag=False),
+         Param("initial", INITIAL, kind=dict, flag=False),
          Param("potential", None, kind=None, flag=False))),
     "gauge": Battery(
         gauge, "double",
@@ -892,9 +929,12 @@ def parse_q(value):
 
 
 def resolve(name, given):
-    """Context and validated parameters: given values win over defaults."""
+    """Context and validated parameters: given values win over defaults.
+    A battery that declares no q gets no context."""
     battery = REGISTRY[name]
     params = {p.key: p.pick(given) for p in battery.params}
+    if "q" not in params:
+        return None, params
     ctx = parse_q(params.pop("q"))
     if battery.backend not in ("either", ctx.backend):
         example = "a fraction, e.g. --q 3/2" if ctx.backend == "double" \

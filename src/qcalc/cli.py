@@ -11,9 +11,9 @@ compute.
 
 Flags, their defaults and help come from the battery registry.  The
 --q value picks the arithmetic backend: a fraction such as 3/2 runs on
-exact rationals, a decimal such as 2.0 on doubles.  The algebraic
-batteries (verify-algebra, leibniz) demand the exact backend; the
-lattice batteries demand doubles.  Defaults may be supplied as a JSON
+exact rationals, a decimal such as 2.0 on doubles.  leibniz demands the
+exact backend and the lattice batteries demand doubles; verify-algebra
+is symbolic in q^(1/2) and ignores --q.  Defaults may be supplied as a JSON
 object via --config; explicit flags win over file values.  Runs are
 deterministic: the same config and seed produce byte-identical
 artifacts.

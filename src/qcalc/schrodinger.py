@@ -11,9 +11,9 @@ shift, and the scale map of the field calculus is the shift times q^(1/2).
 Each operator is a lattice.Stencil (diagonals times shift powers, both
 sectors stacked).  The Hamiltonian couples n only to n +- 2, so each
 sector splits into two real parity chains (the sites of even and of odd
-exponent), and its eigenproblem is solved chain by chain.  It is also
-kept dense, one (sectors, size, size) stack, for its matrices, the energy
-and the spectrum battery.
+exponent), and its eigenproblem is solved chain by chain on tridiagonal
+matrices read from the stencil's diagonals.  No dense (size, size)
+matrix is built unless a caller reads Hamiltonian.matrices.
 The momentum acts as -i times the difference quotient; hard truncation
 keeps it hermitian because the difference quotient stays antisymmetric
 when rows are simply dropped.
@@ -23,14 +23,12 @@ operator.  Everything checked here is an interior statement: boundary
 rows see a cut stencil and are excluded from residuals.
 """
 
-import json
-import sys
+import functools
 
 import numpy as np
 
-from .context import QContext
 from .integration import improper_integral, norm as fn_norm
-from .lattice import LatticeFn, LatticeGrid, SectorRows, Stencil, worst
+from .lattice import LatticeFn, SectorRows, Stencil, worst
 from .special import EIGEN_EXPONENT, SpecialFunctions
 
 
@@ -116,11 +114,12 @@ def build_representation(grid):
 class Hamiltonian:
     """-(1/2m) nabla^2 + V as a stencil, symmetrized after truncation.
 
-    eigh solves each sector's two parity chains, the sites of even and of
-    odd exponent, as real symmetric problems.  dense stacks the full
-    matrices per sector, matrices[s] views one; they serve the energy and
-    the spectrum battery, not the solve.  Methods take coefficients
-    stacked or as a {sector: row} mapping.
+    The stencil has diagonals 0 and +-2 only, so eigh solves each sector's
+    two parity chains, the sites of even and of odd exponent, as real
+    symmetric tridiagonal problems.  matrices[s] is sector s's dense
+    matrix, built on first read; nothing in the solve, the energy or the
+    evolution needs it.  Methods take coefficients stacked or as a
+    {sector: row} mapping.
     """
 
     def __init__(self, rep, mass=1.0, potential=None):
@@ -138,24 +137,39 @@ class Hamiltonian:
         if gap > 1e-9 * max(1.0, sym.max_abs()):
             raise NonHermitianHamiltonian(
                 f"asymmetry {gap:.2e} survived symmetrization")
-        odd = sorted(c for c in sym.diags if c % 2)
-        if odd:
-            raise ChainStructureError(
-                f"offsets {odd} couple the two parity chains")
         if any(np.any(d.imag) for d in sym.diags.values()):
             raise ChainStructureError("the parity chains are not real")
-        self.dense = sym.dense()
-        self.matrices = SectorRows(rep.grid, self.dense)
+        other = sorted(set(sym.diags) - {-2, 0, 2})
+        if other:
+            raise ChainStructureError(
+                f"offsets {other} couple sites off the tridiagonal parity "
+                f"chains")
+        self.stencil = sym
+
+    @functools.cached_property
+    def matrices(self):
+        return SectorRows(self.rep.grid, self.stencil.dense())
+
+    def _chain(self, parity):
+        """The chain of sites parity, parity + 2, ... of every sector as a
+        real tridiagonal stack: stencil offset c is chain offset c / 2."""
+        size = (self.rep.grid.size + 1 - parity) // 2
+        t = np.zeros((len(self.rep.grid.sectors), size, size))
+        for c, d in self.stencil.diags.items():
+            k = c // 2
+            i = np.arange(max(k, 0), size + min(k, 0))
+            t[:, i, i - k] += d.real[:, parity::2][:, i]
+        return t
 
     def eigh(self):
         """(eigenvalues, eigenvectors) of every sector, stacked: eigenvalues
         ascending, each eigenvector supported on one parity chain."""
         if self._eig is None:
-            h = self.dense.real
-            half = (h.shape[-1] + 1) // 2
-            vecs = np.zeros(h.shape, dtype=complex)
-            w0, vecs[:, 0::2, :half] = np.linalg.eigh(h[:, 0::2, 0::2])
-            w1, vecs[:, 1::2, half:] = np.linalg.eigh(h[:, 1::2, 1::2])
+            n = self.rep.grid.size
+            half = (n + 1) // 2
+            vecs = np.zeros((len(self.rep.grid.sectors), n, n), dtype=complex)
+            w0, vecs[:, 0::2, :half] = np.linalg.eigh(self._chain(0))
+            w1, vecs[:, 1::2, half:] = np.linalg.eigh(self._chain(1))
             w = np.concatenate((w0, w1), axis=-1)
             order = np.argsort(w, axis=-1, kind="stable")
             self._eig = (np.take_along_axis(w, order, -1),
@@ -166,8 +180,8 @@ class Hamiltonian:
         return tuple(a[self.rep.grid.row(s)] for a in self.eigh())
 
     def energy(self, coeffs):
-        c = self.rep.grid.stack(coeffs)[..., None]
-        return float(np.sum((_adjoint(c) @ (self.dense @ c)).real))
+        c = self.rep.grid.stack(coeffs)
+        return float(np.vdot(c, self.stencil @ c).real)
 
     def evolve_coeffs(self, coeffs, t):
         c = self.rep.grid.stack(coeffs)
@@ -333,8 +347,6 @@ class EvolutionState:
 
 def evolve(state, H, dt, steps=1, record=False):
     """Unitary evolution by the spectral decomposition of H."""
-    if isinstance(state, LatticeFn):
-        state = EvolutionState(state)
     rep = H.rep
     if dt == 0.0:
         return EvolutionState(state.psi.copy(), state.time, list(state.history))
@@ -368,63 +380,7 @@ def energy_form_residual(psi, mass=1.0):
     return abs(lhs - rhs)
 
 
-# -- experiment interface -----------------------------------------------------------
-
-def _potential_sites(grid, pot):
-    """A config's {"[sigma, n]": value} map as {(sigma, n): value}; a key
-    that is no site of the grid or has no finite real value raises."""
-    if not isinstance(pot, dict):
-        raise ValueError(f"potential must be null or a map, got {pot!r}")
-    sites = {}
-    for key, val in pot.items():
-        try:
-            site = tuple(json.loads(key))
-        except (TypeError, ValueError):
-            site = ()
-        if not (len(site) == 2 and {type(v) for v in site} == {int}
-                and site[0] in grid.sectors
-                and grid.n_min <= site[1] <= grid.n_max):
-            raise ValueError(f"potential key {key!r} is not a site [sigma, n]"
-                             f" with n in [{grid.n_min}, {grid.n_max}]")
-        # int and float compare exactly: no NaN, inf or too large an int
-        if type(val) not in (int, float) or not abs(val) <= sys.float_info.max:
-            raise ValueError(f"potential value at {key!r} is not a finite "
-                             f"real: {val!r}")
-        sites[site] = val
-    return sites
-
-
-def run_experiment(cfg):
-    """Run a small evolution experiment described by a config mapping.
-
-    Keys: q, mass, window [n_min, n_max], dt, steps, potential (null or
-    {"[sigma, n]": value}, each site inside the window), initial
-    {family, label, n, sector}.
-    """
-    ctx = QContext(float(cfg["q"]))
-    grid = LatticeGrid(ctx, int(cfg["window"][0]), int(cfg["window"][1]))
-    rep = build_representation(grid)
-    mass = float(cfg.get("mass", 1.0))
-    pot = cfg.get("potential")
-    if pot is not None:
-        pot = LatticeFn.from_sites(grid, _potential_sites(grid, pot)).data
-    H = Hamiltonian(rep, mass=mass, potential=pot)
-    ini = cfg["initial"]
-    psi, energy = stationary_state(rep, ini.get("family", "C"),
-                                   ini.get("label", "2n+1"),
-                                   int(ini.get("n", 0)),
-                                   int(ini.get("sector", 1)), mass)
-    state = evolve(psi, H, float(cfg["dt"]), int(cfg["steps"]), record=True)
-    return {
-        "rep": rep,
-        "hamiltonian": H,
-        "initial": psi,
-        "analytic_energy": energy,
-        "final": state,
-        "norm_drift": abs(state.norm()
-                          - fn_norm(psi, tail_tol=float("inf"))),
-    }
-
+# -- artifacts ---------------------------------------------------------------------
 
 def history_to_csv(state):
     """CSV time series: t, sigma, n, rho, j at every valid site, one line

@@ -73,8 +73,12 @@ def test_parse_q_backends():
 
 
 def test_exact_battery_refuses_double(tmp_path):
-    assert run(tmp_path, "verify-algebra", "--q", "2.0") == 2
     assert run(tmp_path, "leibniz", "--q", "2.0") == 2
+    # verify-algebra is symbolic in q^(1/2): it takes no q and ignores --q
+    assert run(tmp_path, "verify-algebra", "--q", "2.0",
+               "--trials", "5") == 0
+    report = json.loads((tmp_path / "verify-algebra.json").read_text())
+    assert report["config"] == {"seed": 0, "trials": 5}
 
 
 def test_double_battery_refuses_exact(tmp_path):
@@ -249,6 +253,35 @@ def test_evolve_battery(tmp_path):
     assert len(history) > 10
 
 
+@pytest.mark.parametrize("given", [{"n": 1}, {}, {"sector": -1,
+                                                   "family": "S"}])
+def test_evolve_echoes_the_initial_state_it_ran(tmp_path, given):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": given}))
+    assert main(["evolve", "--config", str(cfg), "--steps", "2",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "evolve.json").read_text())
+    assert report["config"]["initial"] == {**batteries.INITIAL, **given}
+    assert set(report["config"]["initial"]) == {"family", "label", "n",
+                                                "sector"}
+
+
+@pytest.mark.parametrize("given, named", [
+    ({"famly": "S"}, "'famly'"),
+    ({"n": "1"}, "n"),
+    ({"n": 1.5}, "n"),
+    ({"sector": None}, "sector"),
+    ({"family": ["C"]}, "family"),
+], ids=["misspelled", "n-string", "n-float", "sector-null", "family-list"])
+def test_evolve_refuses_a_bad_initial_state(tmp_path, capsys, given, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": given}))
+    assert main(["evolve", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    line = _last_stderr_line(capsys)
+    assert line.startswith("config error: initial: ") and named in line
+
+
 # -- honest verdicts and validated inputs -------------------------------------
 
 
@@ -395,7 +428,10 @@ def test_registry_entries_are_subcommands_with_registry_defaults(capsys):
         assert given == {}
         ctx, params = resolve(name, given)
         defaults = {p.key: p.check(p.default) for p in battery.params}
-        assert ctx.q == parse_q(defaults.pop("q")).q
+        if "q" in defaults:
+            assert ctx.q == parse_q(defaults.pop("q")).q
+        else:
+            assert ctx is None and battery.backend is None
         assert params == defaults
 
         with pytest.raises(SystemExit):
@@ -412,7 +448,7 @@ def test_registry_entries_are_subcommands_with_registry_defaults(capsys):
 # -- property: every invocation ends in a documented way ----------------------
 
 GOOD_Q = {"exact": ["3/2", "5/2"], "double": ["2", "2.5", "3", "10"]}
-GOOD_Q["either"] = GOOD_Q["exact"] + GOOD_Q["double"]
+GOOD_Q["either"] = GOOD_Q[None] = GOOD_Q["exact"] + GOOD_Q["double"]
 ANY_Q = st.sampled_from(["1", "0.5", "1.0000001", "nan", "inf", "zebra",
                          "2/4", "3/2", "2"])
 WINDOWS = st.one_of(st.tuples(st.integers(-16, -6), st.integers(6, 16)),

@@ -9,10 +9,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcalc.batteries import eigen_packet, rand_lattice_fn as rand_fn
+from qcalc.batteries import (
+    eigen_packet,
+    rand_lattice_fn as rand_fn,
+    run as run_battery,
+)
 from qcalc.context import QContext
 from qcalc.integration import definite_integral, norm as fn_norm
-from qcalc.lattice import InsufficientPadding, LatticeFn, LatticeGrid, Stencil
+from qcalc.lattice import (
+    InsufficientPadding,
+    LatticeFn,
+    LatticeGrid,
+    SectorRows,
+    Stencil,
+)
 from qcalc.schrodinger import (
     ChainStructureError,
     EvolutionState,
@@ -29,7 +39,6 @@ from qcalc.schrodinger import (
     history_to_csv,
     noether_current,
     _sampled_modes,
-    run_experiment,
     stationary_state,
 )
 
@@ -154,6 +163,8 @@ def test_scale_map_matches_lattice_shift():
     ({0: 1.0, 1: 1.0, -1: 1.0}, r"offsets \[-1, 1\] couple"),
     # hermitian with imaginary entries at offsets +-2
     ({0: 1.0, 2: 1j, -2: -1j}, r"not real"),
+    # real, parity-preserving, but nabla^2 then reaches n +- 4
+    ({2: 1.0, -2: 1.0}, r"offsets \[-4, 4\] couple"),
 ])
 def test_hamiltonian_refuses_what_the_chain_solve_cannot_take(offsets,
                                                               message):
@@ -175,10 +186,11 @@ def test_chain_solve_matches_the_dense_solve(q, w, harmonic):
     assert evals.shape == (2, n) and evecs.shape == (2, n, n)
     assert evals.dtype == float and evecs.dtype == complex
     assert np.all(np.diff(evals, axis=-1) >= 0)
-    ref = np.linalg.eigh(H.dense)[0]
+    dense = H.stencil.dense()
+    ref = np.linalg.eigh(dense)[0]
     assert np.max(np.abs(evals - ref)) <= 1e-14 * np.max(np.abs(ref))
-    r = H.dense @ evecs - evecs * evals[:, None, :]
-    assert np.max(np.abs(r)) <= 1e-13 * np.max(np.abs(H.dense))
+    r = dense @ evecs - evecs * evals[:, None, :]
+    assert np.max(np.abs(r)) <= 1e-13 * np.max(np.abs(dense))
     gram = np.conj(evecs).swapaxes(-1, -2) @ evecs
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-13
     # every eigenvector lives on one chain, exactly zero on the other
@@ -186,6 +198,81 @@ def test_chain_solve_matches_the_dense_solve(q, w, harmonic):
     on_odd = np.any(evecs[:, 1::2, :] != 0, axis=1)
     assert np.all(on_even != on_odd)
     assert np.all(np.sum(on_even, axis=-1) == (n + 1) // 2)
+
+
+def _dense_slice_eigh(H):
+    """The parity-chain solve on slices of the dense matrices, as eigh ran
+    before it read the chains from the stencil's diagonals."""
+    h = H.stencil.dense().real
+    half = (h.shape[-1] + 1) // 2
+    vecs = np.zeros(h.shape, dtype=complex)
+    w0, vecs[:, 0::2, :half] = np.linalg.eigh(h[:, 0::2, 0::2])
+    w1, vecs[:, 1::2, half:] = np.linalg.eigh(h[:, 1::2, 1::2])
+    w = np.concatenate((w0, w1), axis=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return (np.take_along_axis(w, order, -1),
+            np.take_along_axis(vecs, order[:, None, :], -1))
+
+
+POTENTIALS = {"free": lambda x: None, "harmonic": lambda x: 0.3 * x * x,
+              "linear": lambda x: 0.1 * x}
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0, 1.1, 2.3943])
+@pytest.mark.parametrize("window", [(-8, 8), (-11, 12), (-24, 24), (-31, 36),
+                                    (-48, 48)])
+@pytest.mark.parametrize("potential", list(POTENTIALS))
+def test_chains_from_the_stencil_equal_the_dense_slice_solve(q, window,
+                                                             potential):
+    rep = build_representation(LatticeGrid(QContext(q), *window))
+    H = Hamiltonian(rep, potential=POTENTIALS[potential](rep.grid.points))
+    for got, want in zip(H.eigh(), _dense_slice_eigh(H)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _square_arrays(obj, n):
+    """Attributes of obj, one level into tuples and sector views, that hold
+    an array of trailing shape (n, n)."""
+    found = []
+    for name, val in vars(obj).items():
+        items = val if isinstance(val, tuple) else (val,)
+        for item in items:
+            arr = item.rows if isinstance(item, SectorRows) else item
+            if isinstance(arr, np.ndarray) and arr.shape[-2:] == (n, n):
+                found.append(name)
+    return found
+
+
+def test_no_dense_matrix_until_matrices_is_read():
+    rep = make_rep()
+    n = rep.grid.size
+    H = Hamiltonian(rep, potential=0.3 * rep.grid.points ** 2)
+    H.energy(rep.coords(stationary_state(rep)[0]))
+    assert _square_arrays(H, n) == []
+    # the solve keeps its eigenvectors, and nothing else square
+    H.eigh()
+    assert _square_arrays(H, n) == ["_eig"]
+    dense = H.stencil.dense()
+    for s in rep.grid.sectors:
+        assert np.array_equal(H.matrices[s], dense[rep.grid.row(s)])
+    assert _square_arrays(H, n) == ["_eig", "matrices"]
+    assert H.matrices is H.matrices
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+def test_energy_is_the_dense_quadratic_form(q):
+    rep = build_representation(LatticeGrid(QContext(q), -12, 12))
+    H = Hamiltonian(rep, potential=0.3 * rep.grid.points ** 2)
+    dense = H.stencil.dense()
+    rng = random.Random(SEED + 11)
+    for _ in range(5):
+        c = rep.coords(rand_fn(rng, rep.grid))
+        want = float(np.sum(np.conj(c) * (dense @ c[..., None])[..., 0]).real)
+        size = np.sum(np.abs(c) * (np.abs(dense) @ np.abs(c)[..., None])[..., 0])
+        assert abs(H.energy(c) - want) <= 1e-14 * size
+        assert H.energy({s: c[rep.grid.row(s)] for s in rep.grid.sectors}) \
+            == H.energy(c)
 
 
 def test_chain_solve_only_sees_real_half_size_blocks(monkeypatch):
@@ -494,28 +581,26 @@ def test_potential_forms_and_guard():
         Hamiltonian(rep, potential=bad)
 
 
-# -- experiment interface -----------------------------------------------------------
+# -- the evolve battery on a config -------------------------------------------------
 
 
-def test_experiment_json_and_csv():
-    cfg = {
-        "q": 2.0,
-        "mass": 1.0,
-        "window": [-12, 12],
-        "dt": 0.05,
-        "steps": 4,
-        "potential": {"[1, 0]": 0.01},
+def test_evolve_battery_runs_a_config_experiment():
+    rows, used, extra = run_battery("evolve", {
+        "q": "2.0", "mass": 1.0, "window": [-12, 12], "dt": 0.05,
+        "steps": 4, "potential": {"[1, 0]": 0.01},
         "initial": {"family": "C", "label": "2n+1", "n": 0, "sector": 1},
-    }
-    out = run_experiment(cfg)
-    assert out["norm_drift"] < 1e-10
-    assert abs(out["final"].time - 0.2) < 1e-12
-    assert len(out["final"].history) == 4
-    text = history_to_csv(out["final"])
+    })
+    checks = {r["check"]: r for r in rows}
+    assert checks["norm-drift"]["residual"] < 1e-10
+    assert used["dt"] == 0.05 and used["steps"] == 4
+    [(name, text)] = extra
+    assert name == "history.csv"
     lines = text.strip().splitlines()
     assert lines[0] == "t,sigma,n,rho,j"
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.05
+    times = list(dict.fromkeys(float(line.split(",")[0])
+                               for line in lines[1:]))
+    assert times[0] == 0.05 and len(times) == 4
+    assert abs(times[-1] - 0.2) < 1e-12
     assert all(len(row.split(",")) == 5 for row in lines[1:])
 
 
@@ -574,8 +659,9 @@ def test_benchmark_contract():
     # the views are keyed by sector, not by row: the state lives on +1 only
     assert np.any(c) and not np.any(rep.coeffs(psi)[-1])
     assert np.array_equal(c, rep.coords(psi)[rep.grid.row(1)])
-    assert np.array_equal(H.matrices[1], H.dense[rep.grid.row(1)])
+    assert np.array_equal(H.matrices[1], H.stencil.dense(1))
     assert H.mass == 1.0 and rep.sf is not None
-    # the traced run walks the attributes of both objects
+    # the traced run walks the attributes of both objects, after it has
+    # read H.matrices
     assert {"grid", "sf"} <= set(vars(rep))
     assert {"rep", "mass", "matrices"} <= set(vars(H))
