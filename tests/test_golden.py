@@ -50,6 +50,12 @@ special-tables, gauge and oscillator exit 1, the other three exit 0.
 keys without a flag, is pinned by the SHA-256 of its `evolve.json` and
 `history.csv`, captured before the experiment stopped passing its
 config through a JSON string.
+
+Later recaptures, each its own change with every verdict held:
+
+  * `verify-algebra.json` in `default/` and `q3_2/` lost `"q"` from its
+    config when the battery stopped declaring a q (it is symbolic in
+    q^(1/2)); every row is unchanged.
 """
 
 import hashlib
