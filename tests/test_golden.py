@@ -56,6 +56,11 @@ Later recaptures, each its own change with every verdict held:
   * `verify-algebra.json` in `default/` and `q3_2/` lost `"q"` from its
     config when the battery stopped declaring a q (it is symbolic in
     q^(1/2)); every row is unchanged.
+  * the `spectrum` reports and `spectrum.csv` in `default/` and `q1_5/`
+    when the residual moved from the dense matrix-vector product to the
+    Hamiltonian's stencil apply, which rounds differently:
+    `eigenvalue-table` reads 7.595e-12 -> 1.155e-11 at default and
+    2.958e-13 -> 1.798e-13 at `--q 1.5`, against a tolerance of 1e-6.
 """
 
 import hashlib
