@@ -61,6 +61,9 @@ Later recaptures, each its own change with every verdict held:
     Hamiltonian's stencil apply, which rounds differently:
     `eigenvalue-table` reads 7.595e-12 -> 1.155e-11 at default and
     2.958e-13 -> 1.798e-13 at `--q 1.5`, against a tolerance of 1e-6.
+  * the `q1_5/` evolve reports when `Hamiltonian.energy` moved to the
+    stencil apply: `energy-drift` reads 3.986e-12 -> 3.979e-12; the
+    `history.csv` hashes held.
 """
 
 import hashlib
