@@ -64,6 +64,9 @@ Later recaptures, each its own change with every verdict held:
   * the `q1_5/` evolve reports when `Hamiltonian.energy` moved to the
     stencil apply: `energy-drift` reads 3.986e-12 -> 3.979e-12; the
     `history.csv` hashes held.
+  * the config run's `evolve.json` digest, for the same reason: its
+    `energy-drift` reads 3.348e-13 -> 3.890e-13; its `history.csv`
+    digest held.
 """
 
 import hashlib
@@ -189,7 +192,7 @@ EVOLVE_CONFIG = {"potential": {"[1, 0]": 0.01, "[-1, 3]": -0.02},
                              "sector": -1}}
 EVOLVE_CONFIG_SHA256 = {
     "evolve.json":
-        "1f3274dd8620558ec4df76a7ee9d6df98a6203475674031551ae773b4979d207",
+        "044371e9d276d476f01cd08af73cde4e8b28fa72eb0e08f9628b40b03e5f194e",
     "history.csv":
         "c71e5be37c640c7179b4045115661bb1e57a9e0c9ae02e838f030f16bbe685d3",
 }
