@@ -41,7 +41,7 @@ class NonHermitianHamiltonian(Exception):
 
 
 class ChainStructureError(ValueError):
-    """The Hamiltonian couples the two parity chains or is not real."""
+    """The Hamiltonian is not real or not tridiagonal on its parity chains."""
 
 
 class Representation:
@@ -155,10 +155,13 @@ class Hamiltonian:
         real tridiagonal stack: stencil offset c is chain offset c / 2."""
         size = (self.rep.grid.size + 1 - parity) // 2
         t = np.zeros((len(self.rep.grid.sectors), size, size))
+        flat = t.reshape(len(t), -1)
         for c, d in self.stencil.diags.items():
+            # entries (j, j - k), j = lo ... hi - 1, sit at j (size + 1) - k
             k = c // 2
-            i = np.arange(max(k, 0), size + min(k, 0))
-            t[:, i, i - k] += d.real[:, parity::2][:, i]
+            lo, hi = max(k, 0), size + min(k, 0)
+            band = flat[:, lo * (size + 1) - k::size + 1]
+            band += d.real[:, parity::2][:, lo:hi]
         return t
 
     def eigh(self):
