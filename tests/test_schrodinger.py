@@ -269,7 +269,8 @@ def test_energy_is_the_dense_quadratic_form(q):
     for _ in range(5):
         c = rep.coords(rand_fn(rng, rep.grid))
         want = float(np.sum(np.conj(c) * (dense @ c[..., None])[..., 0]).real)
-        size = np.sum(np.abs(c) * (np.abs(dense) @ np.abs(c)[..., None])[..., 0])
+        a = np.abs(c)
+        size = np.sum(a[..., None] * np.abs(dense) * a[..., None, :])
         assert abs(H.energy(c) - want) <= 1e-14 * size
         assert H.energy({s: c[rep.grid.row(s)] for s in rep.grid.sectors}) \
             == H.energy(c)
@@ -584,7 +585,7 @@ def test_potential_forms_and_guard():
 # -- the evolve battery on a config -------------------------------------------------
 
 
-def test_evolve_battery_runs_a_config_experiment():
+def test_experiment_json_and_csv():
     rows, used, extra = run_battery("evolve", {
         "q": "2.0", "mass": 1.0, "window": [-12, 12], "dt": 0.05,
         "steps": 4, "potential": {"[1, 0]": 0.01},
