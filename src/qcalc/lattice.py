@@ -204,8 +204,21 @@ class LatticeFn:
 
     # -- pointwise algebra ----------------------------------------------------
 
+    @classmethod
+    def of_data(cls, grid, data, pad_lo, pad_hi):
+        """A function holding data, a (..., sectors, size) complex array of
+        grid's shape, without the copy and checks of the constructor."""
+        f = cls.__new__(cls)
+        f.grid = grid
+        f.data = data
+        f.pad_lo = pad_lo
+        f.pad_hi = pad_hi
+        return f
+
     def _wrap(self, data, pad_lo=None, pad_hi=None):
         """A function on this grid holding data; pads default to ours."""
+        # built here, not through of_data: every pointwise op and shift
+        # wraps its result, and the extra call doubles the cost of a wrap
         f = LatticeFn.__new__(LatticeFn)
         f.grid = self.grid
         f.data = data
@@ -265,17 +278,22 @@ class LatticeFn:
 
     def interior(self, extra_margin=0):
         """View of the values inside the valid window, every batch member
-        and sector; extra_margin trims that many more sites at each end."""
-        lo, hi = self.valid_window()
-        lo, hi = lo + extra_margin, hi - extra_margin
-        if lo > hi:
+        and sector; extra_margin trims that many more sites at each end.
+        A negative margin may widen the window up to the grid's edge."""
+        lo = self.pad_lo + extra_margin
+        hi = self.grid.size - self.pad_hi - extra_margin
+        if lo >= hi:
             raise InsufficientPadding("no interior sites remain")
-        return self.data[..., self.grid.index(lo):self.grid.index(hi) + 1]
+        if lo < 0 or hi > self.grid.size:
+            # a negative slice bound would wrap around instead
+            raise IndexError(f"margin {extra_margin} reaches past the window "
+                             f"[{self.grid.n_min}, {self.grid.n_max}]")
+        return self.data[..., lo:hi]
 
     def max_abs_interior(self, extra_margin=0):
         """Largest |value| inside the valid window over the whole batch;
         NaN if any is NaN."""
-        return float(np.max(np.abs(self.interior(extra_margin))))
+        return float(np.abs(self.interior(extra_margin)).max())
 
     def __repr__(self):
         lo, hi = self.valid_window()

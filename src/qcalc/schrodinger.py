@@ -78,7 +78,7 @@ class Representation:
 
     def coords(self, f):
         """Coefficients of f, sectors stacked."""
-        if f.grid != self.grid:
+        if f.grid is not self.grid and f.grid != self.grid:
             raise ValueError("function lives on a different grid")
         return self._sqrt_w * f.data
 
@@ -88,8 +88,8 @@ class Representation:
 
     def lattice_fn(self, coeffs, pad_lo=0, pad_hi=0):
         """The function with these coefficients (stacked or by sector)."""
-        return LatticeFn(self.grid, self.grid.stack(coeffs) / self._sqrt_w,
-                         pad_lo, pad_hi)
+        return LatticeFn.of_data(
+            self.grid, self.grid.stack(coeffs) / self._sqrt_w, pad_lo, pad_hi)
 
     # -- structural residuals --------------------------------------------------
 
@@ -287,29 +287,43 @@ def free_evolve(rep, psi, t, family="C", mass=1.0):
 
 # -- density and current -------------------------------------------------------
 
-def _wronskian(psi):
-    """L^-1 [psi* L(nabla psi) - L(nabla psi*) psi]."""
-    lgrad = psi.nabla_fn().L_shift(1)
-    lgrad_c = psi.conj().nabla_fn().L_shift(1)
-    return (psi.conj() * lgrad - lgrad_c * psi).L_shift(-1)
-
-
 def density_current(psi, mass=1.0):
-    """rho = psi* psi and the lattice current of the continuity equation."""
-    return psi.conj() * psi, _wronskian(psi).scale(1.0 / (2.0 * mass * 1j))
+    """rho = psi* psi and the lattice current of the continuity equation,
+
+        j = L^-1 [psi* L(nabla psi) - L(nabla psi*) psi] / (2 m i).
+
+    nabla has real coefficients on the lattice, so nabla(psi*) is
+    (nabla psi)* and one gradient g serves both terms; and L^-1 of a
+    product of L-shifted factors is the product of the unshifted ones,
+    so j[i] = (psi*[i + 1] g[i] - g*[i] psi[i + 1]) / (2 m i), read
+    straight from the arrays.  j carries pads (pad_lo + 2, pad_hi + 2).
+    """
+    v_c = np.conj(psi.data)
+    rho = LatticeFn.of_data(psi.grid, v_c * psi.data, psi.pad_lo, psi.pad_hi)
+    return rho, _current(psi, v_c, psi.nabla_fn(), mass)
+
+
+def _current(psi, v_c, grad, mass):
+    """density_current's j from psi* (an array) and grad = nabla psi."""
+    v, g = psi.data, grad.data
+    w = np.zeros(v.shape, dtype=complex)
+    w[..., :-1] = (v_c[..., 1:] * g[..., :-1]
+                   - np.conj(g[..., :-1]) * v[..., 1:])
+    w *= complex(1.0 / (2.0 * mass * 1j))
+    return LatticeFn.of_data(psi.grid, w, psi.pad_lo + 2, psi.pad_hi + 2)
 
 
 def noether_current(psi, alpha=1.0, mass=1.0):
     """The conserved current in its L-shifted bracket form.
 
     The scale map passes through the inner derivative at the cost of one
-    factor q, which the prefactor divides back out.
+    factor q, which the prefactor divides back out.  (nabla psi)* and
+    (L^-1 psi)* are the conjugates of the gradient and back-shift.
     """
     q = psi.grid.ctx.q
     grad = psi.nabla_fn()
-    grad_c = psi.conj().nabla_fn()
-    inner = grad_c.scale(q) * psi.L_shift(-1) \
-        - grad.scale(q) * psi.conj().L_shift(-1)
+    back = psi.L_shift(-1)
+    inner = grad.conj().scale(q) * back - grad.scale(q) * back.conj()
     return inner.scale(-1j * float(alpha) / (2.0 * mass * q))
 
 
@@ -317,16 +331,16 @@ def check_noether(psi, alpha=1.0, mass=1.0):
     """Worst interior deviation of the Noether expressions from -alpha*j.
 
     Compares the bracket-chain current (two evaluation orders) against
-    -alpha times the probability current.
+    -alpha times the probability current; the unscaled order and the
+    current share one gradient.
     """
     a = float(alpha)
-    _, j = density_current(psi, mass)
-    target = j.scale(-a)
+    grad = psi.nabla_fn()
+    target = _current(psi, np.conj(psi.data), grad, mass).scale(-a)
 
     form1 = noether_current(psi, alpha, mass)
-    grad = psi.nabla_fn()
-    grad_c = psi.conj().nabla_fn()
-    form2_inner = grad_c * psi.L_shift(-1) - grad * psi.conj().L_shift(-1)
+    back = psi.L_shift(-1)
+    form2_inner = grad.conj() * back - grad * back.conj()
     form2 = form2_inner.scale(a / (2.0 * mass * 1j))
     return worst(f.max_abs_interior()
                  for f in (form1 - target, form2 - target))
@@ -356,12 +370,16 @@ def evolve(state, H, dt, steps=1, record=False):
     c = rep.coords(state.psi)
     t = state.time
     hist = list(state.history)
+    psi = None
     for _ in range(int(steps)):
         c = H.evolve_coeffs(c, dt)
         t += dt
         if record:
-            hist.append((t, *density_current(rep.lattice_fn(c), H.mass)))
-    return EvolutionState(rep.lattice_fn(c), t, hist)
+            psi = rep.lattice_fn(c)
+            hist.append((t, *density_current(psi, H.mass)))
+    if psi is None:
+        psi = rep.lattice_fn(c)
+    return EvolutionState(psi, t, hist)
 
 
 def continuity_residual(psi, H, dt=1e-3):

@@ -322,6 +322,21 @@ def test_batched_max_abs_interior_is_the_worst_member(grid):
         f.max_abs_interior(grid.size)
 
 
+def test_interior_refuses_a_margin_past_the_window_edge(grid):
+    # a negative margin widens the valid window up to the grid's edge and
+    # no further: a slice would wrap a negative start round to the far end
+    f = LatticeFn(grid, np.ones((len(grid.sectors), grid.size)), 1, 2)
+    assert f.interior(-1).shape[-1] == grid.size - 1
+    for pads, margin in (((1, 2), -2), ((0, 0), -1), ((3, 0), -1)):
+        g = LatticeFn(grid, f.data, *pads)
+        with pytest.raises(IndexError):
+            g.interior(margin)
+        with pytest.raises(IndexError):
+            g.max_abs_interior(margin)
+    with pytest.raises(InsufficientPadding):
+        f.interior(grid.size // 2)
+
+
 def test_batch_axes_keep_the_sector_layout(grid):
     f = rand_batch(np.random.default_rng(SEED), grid, shape=(2, 3))
     assert grid.stack(f.data).shape == f.data.shape

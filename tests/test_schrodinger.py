@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from qcalc.lattice import (
     LatticeGrid,
     SectorRows,
     Stencil,
+    worst,
 )
 from qcalc.schrodinger import (
     ChainStructureError,
@@ -29,6 +31,7 @@ from qcalc.schrodinger import (
     GridTooSmall,
     Hamiltonian,
     NonHermitianHamiltonian,
+    Representation,
     build_representation,
     check_noether,
     continuity_residual,
@@ -388,6 +391,68 @@ def test_evolve_dt_zero_identity():
     assert out.time == 0.0
 
 
+def test_recorded_evolve_ends_on_the_current_of_its_state():
+    rep = make_rep()
+    H = Hamiltonian(rep, mass=0.7)
+    pkt = eigen_packet(rep, H, random.Random(SEED + 8))
+    start = evolve(EvolutionState(pkt), H, 0.01, 2, record=True)
+    final = evolve(start, H, 0.01, 3, record=True)
+    assert len(final.history) == len(start.history) + 3
+    t, rho, j = final.history[-1]
+    assert t == final.time
+    rho_now, j_now = density_current(final.psi, H.mass)
+    for got, want in ((rho, rho_now), (j, j_now)):
+        assert (got.pad_lo, got.pad_hi) == (want.pad_lo, want.pad_hi)
+        assert_same_bits(got.data, want.data)
+    # the recorded density is its own array, not a view of the state
+    assert not np.shares_memory(rho.data, final.psi.data)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_evolve_without_steps_returns_a_new_function(record):
+    rep = make_rep()
+    H = Hamiltonian(rep)
+    psi, _ = stationary_state(rep, "C", "2n+1", 0)
+    out = evolve(EvolutionState(psi), H, 0.1, 0, record=record)
+    assert out.psi is not psi
+    assert not np.shares_memory(out.psi.data, psi.data)
+    assert out.history == [] and out.time == 0.0
+    assert np.max(np.abs(out.psi.data - psi.data)) < 1e-15
+
+
+def _counting(monkeypatch, calls, cls, name):
+    inner = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+@pytest.mark.parametrize("steps, record", [(1, True), (3, True), (3, False)])
+def test_work_per_evolve_step(monkeypatch, steps, record):
+    # one gradient and one function per recorded step; an unrecorded run
+    # builds its function once, at the end
+    rep = make_rep()
+    H = Hamiltonian(rep)
+    state = EvolutionState(eigen_packet(rep, H, random.Random(SEED + 9)))
+    calls = Counter()
+    _counting(monkeypatch, calls, LatticeFn, "nabla_fn")
+    _counting(monkeypatch, calls, Representation, "lattice_fn")
+    evolve(state, H, 1e-3, steps, record=record)
+    assert calls == Counter(nabla_fn=steps if record else 0,
+                            lattice_fn=steps if record else 1)
+
+
+def test_check_noether_takes_two_gradients(monkeypatch):
+    psi = rand_fn(random.Random(SEED + 4), make_rep().grid)
+    calls = Counter()
+    _counting(monkeypatch, calls, LatticeFn, "nabla_fn")
+    check_noether(psi)
+    assert calls == Counter(nabla_fn=2)
+
+
 def test_norm_and_energy_conserved():
     rep = make_rep()
     H = Hamiltonian(rep)
@@ -440,6 +505,87 @@ def test_free_evolve_superposition_norm():
 
 
 # -- density and current ---------------------------------------------------------
+
+
+# Reference forms, as the formulas read: nabla(psi*) is taken as its own
+# gradient and every product is wrapped and shifted as written.  The
+# one-gradient current must reproduce them bit for bit.
+
+def _wronskian(psi):
+    """L^-1 [psi* L(nabla psi) - L(nabla psi*) psi]."""
+    lgrad = psi.nabla_fn().L_shift(1)
+    lgrad_c = psi.conj().nabla_fn().L_shift(1)
+    return (psi.conj() * lgrad - lgrad_c * psi).L_shift(-1)
+
+
+def _reference_density_current(psi, mass):
+    return psi.conj() * psi, _wronskian(psi).scale(1.0 / (2.0 * mass * 1j))
+
+
+def _reference_noether_current(psi, alpha, mass):
+    q = psi.grid.ctx.q
+    grad = psi.nabla_fn()
+    grad_c = psi.conj().nabla_fn()
+    inner = grad_c.scale(q) * psi.L_shift(-1) \
+        - grad.scale(q) * psi.conj().L_shift(-1)
+    return inner.scale(-1j * float(alpha) / (2.0 * mass * q))
+
+
+def _reference_check_noether(psi, alpha, mass):
+    a = float(alpha)
+    target = _reference_density_current(psi, mass)[1].scale(-a)
+    form1 = _reference_noether_current(psi, alpha, mass)
+    grad = psi.nabla_fn()
+    grad_c = psi.conj().nabla_fn()
+    form2_inner = grad_c * psi.L_shift(-1) - grad * psi.conj().L_shift(-1)
+    form2 = form2_inner.scale(a / (2.0 * mass * 1j))
+    return worst(f.max_abs_interior()
+                 for f in (form1 - target, form2 - target))
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal IEEE bit patterns, zero signs and NaNs too."""
+    assert got.shape == want.shape
+    for a, b in ((got.real, want.real), (got.imag, want.imag)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _current_cases(q):
+    """A random state, one with a NaN and one with an inf site, a real
+    state, a padded one and a batch of three, on a +-10 window."""
+    rep = build_representation(LatticeGrid(QContext(q), -10, 10))
+    psi = rand_fn(random.Random(SEED + 7), rep.grid)
+    nan, inf = psi.copy(), psi.copy()
+    nan.sector(1)[6] = np.nan
+    inf.sector(-1)[9] = complex(np.inf, 0.5)
+    return {"random": psi, "nan": nan, "inf": inf,
+            "real": LatticeFn(rep.grid, psi.data.real),
+            "padded": psi.L_shift(1),
+            "batch": LatticeFn(rep.grid, [psi.data, nan.data, psi.data * 1j])}
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.7])
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+@np.errstate(invalid="ignore")
+def test_current_from_one_gradient_is_the_two_gradient_current(q, mass):
+    for name, psi in _current_cases(q).items():
+        rho, j = density_current(psi, mass)
+        rho_ref, j_ref = _reference_density_current(psi, mass)
+        assert (j.pad_lo, j.pad_hi) == (j_ref.pad_lo, j_ref.pad_hi), name
+        assert (rho.pad_lo, rho.pad_hi) == (psi.pad_lo, psi.pad_hi), name
+        assert_same_bits(rho.data, rho_ref.data)
+        assert_same_bits(j.interior(), j_ref.interior())
+
+        for alpha in (1.0, -2.5):
+            got = check_noether(psi, alpha, mass)
+            want = _reference_check_noether(psi, alpha, mass)
+            assert repr(got) == repr(want), (name, alpha)
+            # equal values; a zero may change its sign
+            cur = noether_current(psi, alpha, mass)
+            ref = _reference_noether_current(psi, alpha, mass)
+            assert (cur.pad_lo, cur.pad_hi) == (ref.pad_lo, ref.pad_hi)
+            assert np.array_equal(cur.interior(), ref.interior(),
+                                  equal_nan=True), (name, alpha)
 
 
 def test_density_current_real():
