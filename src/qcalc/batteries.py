@@ -1,17 +1,23 @@
 """Residual batteries: one per CLI subcommand, shared with the acceptance gate.
 
 A battery checks one family of the library's identities.  It is a
-function `(ctx, params) -> (rows, used, extra)`: `rows` holds one
+function `(q, params) -> (rows, used, extra)`: `rows` holds one
 verdict per check (name, worst residual, tolerance, ok), `used` is the
 effective configuration echoed into the report, and `extra` lists
 further artifacts as (file name, text) pairs.
 
-`REGISTRY` records per subcommand its battery, the arithmetic backend
-it demands and its parameters with their defaults.  `run` resolves a
-battery's parameters against the registry (given values win over
-defaults), validates them, picks the backend from q and calls the
-battery (with no context when it declares no q); the CLI builds its
-flags and help from the same records.
+There is one q, an exact rational (`parse_q`), and two engines that
+compute at it.  The field engine (leibniz, integrate's field rows) runs
+on `QContext(q)` at any q > 1.  The lattice engine runs on
+`lattice_context(q)`, whose q is a double; it refuses a q that is not
+exactly its double.  verify-algebra is symbolic in q^(1/2) and takes
+no q.
+
+`REGISTRY` records per subcommand its battery and its parameters with
+their defaults.  `run` resolves a battery's parameters against the
+registry (given values win over defaults), validates them and calls the
+battery with the parsed q (None when it declares no q); the CLI builds
+its flags and help from the same records.
 """
 
 import itertools
@@ -108,9 +114,27 @@ LIBRARY_ERRORS = (
     OverflowError, ParityMismatch, RouteMismatch, ValueError,
 )
 
-# Below this q the normalising products (q^-4; q^-4)_inf of the double
-# backend underflow (they fall like exp(-pi^2 / (24 ln q))).
+# Below this q the normalising products (q^-4; q^-4)_inf of the lattice
+# engine underflow (they fall like exp(-pi^2 / (24 ln q))); the field
+# engine runs at any q > 1.
 Q_MIN_DOUBLE = 1.001
+
+
+def lattice_context(q):
+    """The lattice engine's context at the exact rational q:
+    QContext(float(q)).  ConfigError unless that double is finite, at
+    least Q_MIN_DOUBLE and exactly q; the message names the double."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = math.inf
+    if not Q_MIN_DOUBLE <= x < math.inf:
+        raise ConfigError(f"the lattice needs a finite q >= {Q_MIN_DOUBLE}, "
+                          f"got {x!r}")
+    if x != q:
+        raise ConfigError(f"the lattice needs q as a double and {q} is not "
+                          f"one; pass q as {x!r}")
+    return QContext(x)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -185,9 +209,9 @@ def eigen_packet(rep, H, rng):
 # -- verify-algebra -----------------------------------------------------------
 
 
-def verify_algebra(ctx, params):
+def verify_algebra(q, params):
     # the normal-ordering ring is symbolic in the square root of q, so the
-    # battery takes no q and ctx is None
+    # battery takes no q and q is None
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
     X, P, L = AlgebraElement.x, AlgebraElement.p, AlgebraElement.L
@@ -260,7 +284,8 @@ def verify_algebra(ctx, params):
 D_CONVENTIONS = (("A", 1), ("A", -1), ("B", 1), ("B", -1))
 
 
-def leibniz(ctx, params):
+def leibniz(q, params):
+    ctx = QContext(q)
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
 
@@ -334,49 +359,48 @@ def _inverse_series_gap(ctx):
     return False
 
 
-def integrate(ctx, params):
+def integrate(q, params):
+    ctx = QContext(q)
     trials, seed = params["trials"], params["seed"]
     rng = random.Random(seed)
-    used = {"q": str(ctx.q), "trials": trials, "seed": seed,
-            "backend": ctx.backend}
-
-    # the field rows are exact at every q
-    fctx = ctx.as_exact()
-    tol = 0.5 if ctx.exact else 1e-12
+    used = {"q": str(q), "trials": trials, "seed": seed}
 
     # closed form for monomial integrals, both endpoint parities
     agree = True
     for n in range(-5, 6):
         if n == -1:
             continue
-        h = LaurentPoly.monomial(fctx, n)
-        agree = agree and definite_integral(h, -4, 4) == fctx.coerce(
-            monomial_integral_closed_form(fctx, n, -4, 4))
-        agree = agree and definite_integral(h, -3, 5) == fctx.coerce(
-            monomial_integral_closed_form(fctx, n, -3, 5))
-    rows = [row("trace-vs-closed-form", not agree, tol)]
-    h = LaurentPoly.monomial(fctx, -1)
+        h = LaurentPoly.monomial(ctx, n)
+        agree = agree and definite_integral(h, -4, 4) == ctx.coerce(
+            monomial_integral_closed_form(ctx, n, -4, 4))
+        agree = agree and definite_integral(h, -3, 5) == ctx.coerce(
+            monomial_integral_closed_form(ctx, n, -3, 5))
+    rows = [row("trace-vs-closed-form", not agree, 1e-12)]
+    h = LaurentPoly.monomial(ctx, -1)
     rows.append(row("x-inverse-rule", definite_integral(h, -6, 4)
-                    != fctx.coerce(fctx.lam * 5), tol))
+                    != ctx.coerce(ctx.lam * 5), 1e-12))
 
-    if ctx.exact:
-        stokes = True
-        for _ in range(trials):
-            coeffs = {rng.randrange(-4, 5): Fraction(rng.randrange(-9, 10), 3)
-                      for _ in range(4)}
-            f = LaurentPoly(ctx, {n: ctx.coerce(c)
-                                  for n, c in coeffs.items()})
-            N = rng.randrange(-6, 3)
-            M = rng.randrange(N + 1, 9)
-            if (M - N) % 2:
-                M += 1
-            got = definite_integral(nabla(f), N, M)
-            want = f.evaluate(ctx.qpow(M)) - f.evaluate(ctx.qpow(N))
-            stokes = stokes and got == ctx.coerce(want)
-        rows.append(row("stokes", not stokes))
+    try:
+        lattice = lattice_context(q)
+    except ConfigError:
+        pass  # no lattice at this q: the field rows alone
     else:
-        rows += _lattice_integral_rows(ctx, rng, trials)
-    rows.append(row("inverse-series", _inverse_series_gap(fctx), tol))
+        rows += _lattice_integral_rows(lattice, rng, trials)
+    rows.append(row("inverse-series", _inverse_series_gap(ctx), 1e-12))
+
+    stokes = True
+    for _ in range(trials):
+        coeffs = {rng.randrange(-4, 5): Fraction(rng.randrange(-9, 10), 3)
+                  for _ in range(4)}
+        f = LaurentPoly(ctx, {n: ctx.coerce(c) for n, c in coeffs.items()})
+        N = rng.randrange(-6, 3)
+        M = rng.randrange(N + 1, 9)
+        if (M - N) % 2:
+            M += 1
+        got = definite_integral(nabla(f), N, M)
+        want = f.evaluate(ctx.qpow(M)) - f.evaluate(ctx.qpow(N))
+        stokes = stokes and got == ctx.coerce(want)
+    rows.append(row("field-stokes", not stokes, 1e-12))
     return rows, used, ()
 
 
@@ -429,7 +453,8 @@ def _sampled_kernel(sf, grid, kind, y_exp):
     return LatticeFn(grid, np.outer(sign, vals))
 
 
-def special_tables(ctx, params):
+def special_tables(q, params):
+    ctx = lattice_context(q)
     sf = SpecialFunctions(ctx)
     q = ctx.q
     k_max = params["k_max"]
@@ -516,7 +541,8 @@ def special_tables(ctx, params):
 # -- fourier ------------------------------------------------------------------
 
 
-def fourier(ctx, params):
+def fourier(q, params):
+    ctx = lattice_context(q)
     qf = QFourier(ctx)
     seed, m_cut = params["seed"], params["m_cut"]
     rng = random.Random(seed)
@@ -567,7 +593,8 @@ def fourier(ctx, params):
 # -- spectrum -----------------------------------------------------------------
 
 
-def spectrum(ctx, params):
+def spectrum(q, params):
+    ctx = lattice_context(q)
     lo, hi = params["window"]
     mass, n_max = params["mass"], params["n_max"]
     rep = build_representation(LatticeGrid(ctx, lo, hi))
@@ -628,7 +655,8 @@ def _potential_sites(grid, pot):
     return sites
 
 
-def evolve(ctx, params):
+def evolve(q, params):
+    ctx = lattice_context(q)
     lo, hi = params["window"]
     seed, dt, steps, mass = (params[k] for k in ("seed", "dt", "steps",
                                                  "mass"))
@@ -693,15 +721,16 @@ def evolve(ctx, params):
 # -- gauge --------------------------------------------------------------------
 
 
-def gauge(ctx, params):
-    cfg = dict(params, q=float(ctx.q))
+def gauge(q, params):
+    cfg = dict(params, q=lattice_context(q).q)
     return scenario_report(cfg), cfg, ()
 
 
 # -- oscillator ---------------------------------------------------------------
 
 
-def oscillator(ctx, params):
+def oscillator(q, params):
+    ctx = lattice_context(q)
     lo, hi = params["window"]
     levels, m_index = params["levels"], params["m_index"]
     rep = build_representation(LatticeGrid(ctx, lo, hi))
@@ -819,14 +848,13 @@ def _window(value, span):
 @dataclass(frozen=True)
 class Battery:
     run: object
-    backend: str  # "exact", "double", "either", or None for no q
     help: str
     params: tuple
 
 
 def _q(default):
-    return Param("q", default, "deformation parameter; a fraction like 3/2 "
-                 "selects exact arithmetic, a decimal selects doubles",
+    return Param("q", default, "deformation parameter q > 1, a decimal or a "
+                 "fraction such as 3/2; lattice checks need q to be a double",
                  kind=str)
 
 
@@ -843,17 +871,17 @@ _MASS = Param("mass", 1.0, "particle mass", kind=float, low=0.0)
 
 REGISTRY = {
     "verify-algebra": Battery(
-        verify_algebra, None,
+        verify_algebra,
         "normal-ordering ring: relations, bar, associativity, derivative "
         "extraction",
         (_seed(), Param("trials", 200, "random elements", low=1))),
     "leibniz": Battery(
-        leibniz, "exact",
+        leibniz,
         "field calculus: product rules, comultiplication, kernel and "
         "image, one-form product rules and d^2 = 0",
         (_q("3/2"), _seed(), Param("trials", 500, "random pairs", low=1))),
     "integrate": Battery(
-        integrate, "either",
+        integrate,
         "Jackson integrals: closed forms, Stokes, Green, hermiticity, "
         "inverse-derivative series; or one definite integral",
         (_q("2"), _seed(), Param("trials", 100, "random fields", low=1),
@@ -864,23 +892,23 @@ REGISTRY = {
                flag="--to"),
          Param("sector", 1, "half-line sign", choices=(1, -1)))),
     "special-tables": Battery(
-        special_tables, "double",
+        special_tables,
         "deformed trig tables, recurrences, orthogonality",
         (_q("2"),
          Param("k_max", 12, "table half-width in lattice exponents", low=0))),
     "fourier": Battery(
-        fourier, "double",
+        fourier,
         "transform isometry, inversion, step functions",
         (_q("2"), _seed(),
          Param("m_cut", 0, "step cut exponent for the CSV table"))),
     "spectrum": Battery(
-        spectrum, "double",
+        spectrum,
         "second-derivative eigenvalue table, Heisenberg relation and "
         "nabla adjoint on the lattice window",
         (_q("2"), _window_param((-12, 12)),
          Param("n_max", 3, "levels per family", low=1), _MASS)),
     "evolve": Battery(
-        evolve, "double",
+        evolve,
         "unitary evolution: norm and energy drift, stationarity, "
         "continuity, Noether current",
         # the adjoint identity keeps its probe 6 sites clear of both edges
@@ -890,7 +918,7 @@ REGISTRY = {
          Param("initial", INITIAL, kind=dict, flag=False),
          Param("potential", None, kind=None, flag=False))),
     "gauge": Battery(
-        gauge, "double",
+        gauge,
         "covariance battery for the gauged derivative and curvature",
         (_q(DEFAULT_SCENARIO["q"]),
          _window_param(tuple(DEFAULT_SCENARIO["window"])),
@@ -904,7 +932,7 @@ REGISTRY = {
          Param("alpha_amplitude", DEFAULT_SCENARIO["alpha_amplitude"],
                kind=float, flag=False))),
     "oscillator": Battery(
-        oscillator, "double",
+        oscillator,
         "ladder pair, ground state, level table, Gaussian transform pair, "
         "number-operator form and xi exchange",
         (_q("2"), _window_param((-12, 12)),
@@ -914,34 +942,26 @@ REGISTRY = {
 
 
 def parse_q(value):
-    """Backend selection: fractions run exact, decimals run double."""
+    """q as one exact rational: a fraction as written, a decimal as the
+    exact value of its double."""
     text = str(value).strip()
     try:
-        q = Fraction(text) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse q={value!r}") from exc
+        q = Fraction(text) if "/" in text else Fraction(float(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"cannot parse q={value!r} as a finite "
+                          f"number") from exc
     if not q > 1:
         raise ConfigError("q must be greater than 1")
-    if isinstance(q, float) and not Q_MIN_DOUBLE <= q < math.inf:
-        raise ConfigError(f"the double backend needs finite q >= "
-                          f"{Q_MIN_DOUBLE}, got {value!r}")
-    return QContext(q)
+    return q
 
 
 def resolve(name, given):
-    """Context and validated parameters: given values win over defaults.
-    A battery that declares no q gets no context."""
-    battery = REGISTRY[name]
-    params = {p.key: p.pick(given) for p in battery.params}
+    """q and validated parameters: given values win over defaults.  A
+    battery that declares no q gets None."""
+    params = {p.key: p.pick(given) for p in REGISTRY[name].params}
     if "q" not in params:
         return None, params
-    ctx = parse_q(params.pop("q"))
-    if battery.backend not in ("either", ctx.backend):
-        example = "a fraction, e.g. --q 3/2" if ctx.backend == "double" \
-            else "a decimal, e.g. --q 2"
-        raise ConfigError(f"this battery runs on the {battery.backend} "
-                          f"backend; pass q as {example}")
-    return ctx, params
+    return parse_q(params.pop("q")), params
 
 
 def run(name, given):
@@ -951,6 +971,6 @@ def run(name, given):
     fails every NaN or inf residual, and a configuration the library
     cannot compute raises one of LIBRARY_ERRORS.
     """
-    ctx, params = resolve(name, given)
+    q, params = resolve(name, given)
     with np.errstate(all="ignore"):
-        return REGISTRY[name].run(ctx, params)
+        return REGISTRY[name].run(q, params)

@@ -9,12 +9,14 @@ configuration error: a bad flag or config value, or a library exception
 raised because the configuration lies outside what the battery can
 compute.
 
-Flags, their defaults and help come from the battery registry.  The
---q value picks the arithmetic backend: a fraction such as 3/2 runs on
-exact rationals, a decimal such as 2.0 on doubles.  leibniz demands the
-exact backend and the lattice batteries demand doubles; verify-algebra
-is symbolic in q^(1/2) and ignores --q.  Defaults may be supplied as a JSON
-object via --config; explicit flags win over file values.  Runs are
+Flags, their defaults and help come from the battery registry.  --q
+is read once as an exact rational: a fraction such as 3/2 as written, a
+decimal such as 1.5 as the exact value of its double, so the two
+spellings run the same.  Field checks run at any q > 1; lattice checks
+need q to be a double and refuse, naming the nearest double, a q such
+as 4/3; verify-algebra is symbolic in q^(1/2) and ignores --q.  Defaults
+may be supplied as a JSON object via --config; explicit flags win over
+file values.  Runs are
 deterministic: the same config and seed produce byte-identical
 artifacts.
 """
@@ -35,6 +37,7 @@ from .batteries import (
     resolve,
     run,
 )
+from .context import QContext
 from .fields import LaurentPoly
 from .integration import definite_integral
 
@@ -99,15 +102,16 @@ def _parse_poly(ctx, text):
 
 
 def _print_integral(given):
-    """The integral exactly; a decimal q integrates at the exact rational
-    its double stores and prints the value rounded to a double."""
-    ctx, params = resolve("integrate", given)
+    """The integral exactly at q; a fraction q prints the exact value, a
+    decimal q prints it rounded to a double."""
+    q, params = resolve("integrate", given)
     lo, hi = params["from_exp"], params["to_exp"]
     if lo is None or hi is None:
         raise ConfigError("--poly needs --from and --to lattice exponents")
-    val = definite_integral(_parse_poly(ctx.as_exact(), params["poly"]),
+    val = definite_integral(_parse_poly(QContext(q), params["poly"]),
                             lo, hi, sector=params["sector"])
-    print(val if ctx.exact else f"{float(val.re):g}")
+    q_param, = (p for p in REGISTRY["integrate"].params if p.key == "q")
+    print(val if "/" in q_param.pick(given) else f"{float(val.re):g}")
     return 0
 
 

@@ -11,8 +11,8 @@ by an integer b and a variant flag:
 
 Default is variant A with b = 1, where dx and x commute.
 
-Storage.  Fields are exact at every q: a LaurentPoly needs an exact
-context, and a decimal q is the exact rational its double stores,
+Storage.  Fields are exact at every q: a LaurentPoly needs a context
+with a Fraction q, and a double q is the exact rational it stores,
 QContext(Fraction(q)).  It is Gaussian integers over one denominator:
 `_c` maps n to a pair (re, im) of ints and `den` is a positive int, so
 the coefficient of x^n is (re + i im) / den.  The form is canonical:
@@ -80,7 +80,7 @@ class LaurentPoly:
     __slots__ = ("ctx", "_c", "den")
 
     def __init__(self, ctx, coeffs=None):
-        if not ctx.exact:
+        if not isinstance(ctx.q, Fraction):
             raise ValueError(f"fields need an exact q; use "
                              f"QContext(Fraction({ctx.q!r}))")
         self.ctx = ctx

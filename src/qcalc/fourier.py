@@ -100,8 +100,6 @@ class QFourier:
     """
 
     def __init__(self, ctx):
-        if ctx.exact:
-            raise ValueError("transforms need the double backend")
         self.ctx = ctx
         self.sf = SpecialFunctions(ctx)
         self._nq = self.sf.n_q()

@@ -48,8 +48,6 @@ class Representation:
     """Stencils for x, the shifts, and the derivative, sectors stacked."""
 
     def __init__(self, grid):
-        if grid.ctx.exact:
-            raise ValueError("representations need the double backend")
         if grid.size < 8:
             raise GridTooSmall(f"{grid.size} sites per sector, need >= 8")
         self.grid = grid

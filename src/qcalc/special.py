@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class QCombinatorics:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._fact = {0: Fraction(1) if ctx.exact else 1 + 0j}
+        self._fact = {0: 1}
 
     def qfact(self, n):
         if n < 0:
@@ -93,7 +92,7 @@ class QCombinatorics:
             return self.qpoch_inf(a, p)
         if n < 0:
             raise ValueError("Pochhammer index must be >= 0 or inf")
-        acc = Fraction(1) if self.ctx.exact else 1.0
+        acc = 1
         f = a
         for _ in range(n):
             acc = acc * (1 - f)
@@ -101,8 +100,6 @@ class QCombinatorics:
         return acc
 
     def qpoch_inf(self, a, p):
-        if self.ctx.exact:
-            raise ValueError("infinite products need the double backend")
         if abs(p) >= 1:
             raise DivergentProduct(f"|p| = {abs(p)} >= 1")
         acc = 1.0
@@ -307,12 +304,13 @@ def kernel_store_info():
 
 
 class SpecialFunctions:
-    """Evaluators over one double-backend context; kernel values and N_q
-    live in the kernel store of its q."""
+    """Evaluators over one lattice context (a float q); kernel values and
+    N_q live in the kernel store of its q."""
 
     def __init__(self, ctx):
-        if ctx.exact:
-            raise ValueError("special-function evaluation uses the double backend")
+        if not isinstance(ctx.q, float):
+            raise ValueError(f"special functions need a float q; use "
+                             f"QContext(float({ctx.q!r}))")
         self.ctx = ctx
         self.comb = QCombinatorics(ctx)
         self._store = _open_store(ctx.q)

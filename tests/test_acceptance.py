@@ -94,11 +94,13 @@ def test_criterion_2_leibniz_morphism():
 
 
 def test_criterion_3_integration():
+    # both runs make the field rows and the lattice rows
     exact = _rows("integrate", q="3/2", seed=SEED + 2, trials=100)
     double = _rows("integrate", q="2", seed=SEED + 2, trials=100)
     rows = [dict(r, check="exact " + r["check"]) for r in exact] + double
-    pinned = dict.fromkeys(("exact trace-vs-closed-form",
-                            "exact x-inverse-rule", "exact stokes"), EXACT)
+    pinned = dict.fromkeys((
+        "exact trace-vs-closed-form", "exact x-inverse-rule", "exact stokes",
+        "exact field-stokes", "field-stokes"), EXACT)
     pinned.update(dict.fromkeys((
         "trace-vs-closed-form", "x-inverse-rule", "stokes",
         "partial-integration", "green-identity", "nabla2-hermiticity"),

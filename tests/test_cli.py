@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,23 +58,31 @@ def test_readme_example(argv, status, printed, tmp_path, capsys):
         assert capsys.readouterr().out.split()[-1] == printed
 
 
-# -- backend selection -------------------------------------------------------
+# -- one q, two engines ------------------------------------------------------
+
+# Subcommands that take q; all but leibniz and integrate run the lattice
+# alone.
+Q_BATTERIES = [name for name, battery in REGISTRY.items()
+               if any(p.key == "q" for p in battery.params)]
+LATTICE = [name for name in Q_BATTERIES if name not in ("leibniz",
+                                                        "integrate")]
+FIELD_ROWS = ["trace-vs-closed-form", "x-inverse-rule", "inverse-series",
+              "field-stokes"]
 
 
-def test_parse_q_backends():
-    assert parse_q("3/2").exact
-    assert not parse_q("2").exact
-    assert not parse_q("2.0").exact
-    with pytest.raises(ConfigError):
-        parse_q("1")
-    with pytest.raises(ConfigError):
-        parse_q("2/4")
-    with pytest.raises(ConfigError):
-        parse_q("zebra")
+def test_parse_q_reads_one_exact_rational():
+    assert parse_q("3/2") == parse_q("1.5") == Fraction(3, 2)
+    assert parse_q("2") == parse_q("2.0") == 2
+    assert parse_q("4/3") == Fraction(4, 3)
+    # a decimal is the exact value of its double
+    assert parse_q("1.1") == Fraction(1.1) != Fraction(11, 10)
+    assert all(type(parse_q(v)) is Fraction for v in ("2", "1.5", "3/2"))
+    for bad in ("1", "0.5", "2/4", "nan", "inf", "1e400", "zebra", "1/0"):
+        with pytest.raises(ConfigError):
+            parse_q(bad)
 
 
-def test_exact_battery_refuses_double(tmp_path):
-    assert run(tmp_path, "leibniz", "--q", "2.0") == 2
+def test_verify_algebra_ignores_q(tmp_path):
     # verify-algebra is symbolic in q^(1/2): it takes no q and ignores --q
     assert run(tmp_path, "verify-algebra", "--q", "2.0",
                "--trials", "5") == 0
@@ -81,10 +90,56 @@ def test_exact_battery_refuses_double(tmp_path):
     assert report["config"] == {"seed": 0, "trials": 5}
 
 
-def test_double_battery_refuses_exact(tmp_path):
-    assert run(tmp_path, "spectrum", "--q", "3/2") == 2
-    assert run(tmp_path, "fourier", "--q", "3/2") == 2
-    assert run(tmp_path, "oscillator", "--q", "3/2") == 2
+def test_double_battery_refuses_exact(tmp_path, capsys):
+    # a q with no exact double: the lattice refuses it and names the
+    # double to pass instead
+    for name in LATTICE:
+        assert run(tmp_path, name, "--q", "4/3") == 2, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert "1.3333333333333333" in err[0], err
+    assert run(tmp_path, "spectrum", "--q", "3/2") == 0
+
+
+@pytest.mark.parametrize("name", Q_BATTERIES)
+def test_decimal_and_fraction_q_write_the_same_artifacts(name, tmp_path,
+                                                         capsys):
+    dec, frac = tmp_path / "dec", tmp_path / "frac"
+    assert main([name, "--q", "1.5", "--out", str(dec)]) \
+        == main([name, "--q", "3/2", "--out", str(frac)])
+    capsys.readouterr()
+    names = sorted(p.name for p in dec.iterdir())
+    assert names == sorted(p.name for p in frac.iterdir())
+    for file in names:
+        assert (dec / file).read_bytes() == (frac / file).read_bytes(), file
+    # the lattice echoes its double, the field engine its fraction
+    q = json.loads((dec / f"{name}.json").read_text())["config"]["q"]
+    want = {"leibniz": "3/2", "integrate": "3/2", "gauge": 1.5}
+    assert q == want.get(name, "1.5")
+
+
+@pytest.mark.parametrize("q", ["1.5", "2", "2.5", "3", "1.0001", "4/3"])
+def test_leibniz_runs_at_every_q(q, tmp_path):
+    assert run(tmp_path, "leibniz", "--q", q, "--trials", "20") == 0
+    report = json.loads((tmp_path / "leibniz.json").read_text())
+    assert report["config"]["q"] == str(parse_q(q))
+
+
+@pytest.mark.parametrize("name", LATTICE)
+def test_lattice_batteries_run_at_a_dyadic_fraction(name, tmp_path,
+                                                    capsys):
+    code = run(tmp_path / "frac", name, "--q", "5/2")
+    assert code != 2 and code == run(tmp_path / "dec", name, "--q", "2.5")
+
+
+@pytest.mark.parametrize("q", ["4/3", "1.0001"])
+def test_integrate_runs_its_field_rows_where_the_lattice_cannot(q,
+                                                                 tmp_path):
+    assert run(tmp_path, "integrate", "--q", q, "--trials", "20") == 0
+    report = json.loads((tmp_path / "integrate.json").read_text())
+    assert [r["check"] for r in report["checks"]] == FIELD_ROWS
+    assert all(r["residual"] == 0.0 and r["tolerance"] == 1e-12
+               for r in report["checks"])
 
 
 def test_unknown_subcommand_exits_two():
@@ -143,12 +198,15 @@ def test_verify_algebra_battery(tmp_path):
 
 
 def test_integrate_batteries_both_backends(tmp_path):
-    assert run(tmp_path, "integrate", "--q", "3/2", "--trials", "20") == 0
-    assert run(tmp_path, "integrate", "--q", "2", "--trials", "20") == 0
-    report = json.loads((tmp_path / "integrate.json").read_text())
-    assert report["config"]["backend"] == "double"
-    assert {r["check"] for r in report["checks"]} >= {
-        "trace-vs-closed-form", "stokes", "green-identity"}
+    # every q with an exact double runs the field and the lattice rows
+    lattice = ["stokes", "partial-integration", "nabla2-hermiticity",
+               "green-identity"]
+    for q in ("3/2", "2"):
+        assert run(tmp_path, "integrate", "--q", q, "--trials", "20") == 0
+        report = json.loads((tmp_path / "integrate.json").read_text())
+        assert report["config"] == {"q": q, "seed": 0, "trials": 20}
+        assert [r["check"] for r in report["checks"]] \
+            == FIELD_ROWS[:2] + lattice + FIELD_ROWS[2:]
 
 
 @pytest.mark.parametrize("q", ["1.5", "2.5"])
@@ -426,12 +484,10 @@ def test_registry_entries_are_subcommands_with_registry_defaults(capsys):
         given = vars(parser.parse_args([name]))
         assert given.pop("command") == name
         assert given == {}
-        ctx, params = resolve(name, given)
+        q, params = resolve(name, given)
         defaults = {p.key: p.check(p.default) for p in battery.params}
-        if "q" in defaults:
-            assert ctx.q == parse_q(defaults.pop("q")).q
-        else:
-            assert ctx is None and battery.backend is None
+        assert q == (parse_q(defaults.pop("q")) if "q" in defaults
+                     else None)
         assert params == defaults
 
         with pytest.raises(SystemExit):
@@ -447,8 +503,7 @@ def test_registry_entries_are_subcommands_with_registry_defaults(capsys):
 
 # -- property: every invocation ends in a documented way ----------------------
 
-GOOD_Q = {"exact": ["3/2", "5/2"], "double": ["2", "2.5", "3", "10"]}
-GOOD_Q["either"] = GOOD_Q[None] = GOOD_Q["exact"] + GOOD_Q["double"]
+GOOD_Q = st.sampled_from(["3/2", "5/2", "2", "2.5", "3", "10"])
 ANY_Q = st.sampled_from(["1", "0.5", "1.0000001", "nan", "inf", "zebra",
                          "2/4", "3/2", "2"])
 WINDOWS = st.one_of(st.tuples(st.integers(-16, -6), st.integers(6, 16)),
@@ -476,8 +531,7 @@ BAD_VALUES = st.sampled_from(["-1", "0", "nan", "inf", "-1e-3", "x + ^"])
 @st.composite
 def invocations(draw):
     name = draw(st.sampled_from(sorted(REGISTRY)))
-    good_q = st.sampled_from(GOOD_Q[REGISTRY[name].backend])
-    argv = [name, "--q", draw(st.one_of(good_q, ANY_Q))]
+    argv = [name, "--q", draw(st.one_of(GOOD_Q, ANY_Q))]
     if draw(st.booleans()):
         argv += ["--window", *map(str, draw(WINDOWS))]
     if draw(st.booleans()):

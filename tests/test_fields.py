@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -29,15 +30,35 @@ CTX = QContext(Fraction(3, 2))
 
 
 def test_context_backends():
-    assert CTX.exact and CTX.lam == Fraction(5, 6)
+    # a context keeps q in the number type it is given; an int becomes a
+    # Fraction
+    assert type(CTX.q) is Fraction and CTX.lam == Fraction(5, 6)
+    two = QContext(2)
+    assert type(two.q) is Fraction and two.lam == Fraction(3, 2)
     d = QContext(2.0)
-    assert not d.exact and d.lam == 1.5
-    assert d.sqrt_q == 2.0 ** 0.5
-    with pytest.raises(ValueError):
-        CTX.sqrt_q
-    with pytest.raises(ValueError):
-        QContext(Fraction(1, 2))
+    assert type(d.q) is float and d.lam == 1.5
+    assert d.sqrt_q == 2.0 ** 0.5 and CTX.sqrt_q == 1.5 ** 0.5
+    for bad in (Fraction(1, 2), 1, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            QContext(bad)
+    with pytest.raises(TypeError):
+        QContext("2")
     assert CTX.qnum(2) == CTX.q + 1 / CTX.q
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 1.1, 3.7])
+def test_float_context_is_the_double_formulas_bit_for_bit(q):
+    ctx = QContext(q)
+    lam = q - 1.0 / q
+    assert _bits(ctx.lam) == _bits(lam)
+    assert _bits(ctx.inv_lam) == _bits(1.0 / lam)
+    for n in range(-40, 41):
+        got = ctx.qpow(n)
+        assert type(got) is float and _bits(got) == _bits(q ** n)
 
 
 def test_nabla_monomials():

@@ -5,7 +5,7 @@ files the CLI wrote before the exact field layer moved to integer
 storage:
 
   * `q3_2/`: `verify-algebra`, `leibniz` and `integrate` at `--q 3/2`;
-  * `default/`: `integrate` at its default q (the double backend).
+  * `default/`: `integrate` at its default q, 2.
 
 Each test reruns the command through `cli.main` into a temporary
 directory and compares bytes.  The one allowed difference is that the
@@ -67,6 +67,13 @@ Later recaptures, each its own change with every verdict held:
   * the config run's `evolve.json` digest, for the same reason: its
     `energy-drift` reads 3.348e-13 -> 3.890e-13; its `history.csv`
     digest held.
+  * the `integrate` reports in `default/` and `q3_2/` when one q came
+    to run both engines: the `backend` key left the config, and the
+    default q echoes as its fraction, "2" (it was "2.0").  Both runs
+    make the field rows and the lattice rows, with the field Stokes row
+    named `field-stokes` and appended last; at `--q 3/2` the lattice
+    rows are new, and the all-or-nothing rows' tolerance tightened
+    from 0.5 to 1e-12.  Every earlier row at default is unchanged.
 """
 
 import hashlib

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def test_oscillator_battery_solves_the_ground_state_once(monkeypatch):
 
     monkeypatch.setattr(oscillator, "_solve_ground_state", counted)
     params = {"window": [-12, 12], "levels": 4, "m_index": 1}
-    rows, _, _ = batteries.oscillator(D2, params)
+    rows, _, _ = batteries.oscillator(Fraction(2), params)
     assert all(r["ok"] for r in rows)
     assert len(calls) == 1
 

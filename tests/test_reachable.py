@@ -1,15 +1,17 @@
-"""Every def and class in src/qcalc is reached from src/ or bench/.
+"""Every def and class in src/qcalc is reached from the code of src/ or bench/.
 
-A name counts as reached when it appears, as a whole word, in the text of
-src/ or bench/ more often than it is defined in src/qcalc: the battery
-CLI and the benchmark are the library's two users, so a name that only
-tests call is code without a user.  Text rather than code tokens, since
-the benchmark looks some attributes up by their string name.  Dunder
-methods are reached through the language and skipped.
+The battery CLI and the benchmark are the library's two users, so a name
+that only tests call is code without a user.  A name counts as reached
+when the syntax trees of src/ and bench/ use it: as a name, an
+attribute, an imported name or alias, or a string constant that is a
+bare identifier (the benchmark looks some attributes up by their string
+name).  Docstrings, comments and other prose do not count; nor does the
+def that defines the name.  The trees are read rather than the tokens,
+since a call inside an f-string is a string token on Python 3.11.
+Dunder methods are reached through the language and skipped.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +24,12 @@ ALLOWED = {
         "the exact reference value the ring tests compare arithmetic with",
     "QCombinatorics.qpoch": "serves criterion 4 in tests/test_acceptance.py",
     "QCombinatorics.qfact": "serves criterion 4 in tests/test_acceptance.py",
+    "kernel_store_info":
+        "tests read the kernel store's sizes and counts; the observability "
+        "report of ROADMAP item 7 will read it too",
+    "clear_kernel_store":
+        "tests reset the kernel store to start from cold rows; the "
+        "observability report of ROADMAP item 7 will use it too",
 }
 
 
@@ -36,10 +44,40 @@ def _definitions(tree, prefix=""):
             yield from _definitions(node, prefix)
 
 
-def _word_counts():
+def _docstrings(tree):
+    """The constant nodes that are docstrings of the tree's module, defs
+    and classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef,
+                             ast.AsyncFunctionDef, ast.ClassDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) \
+                    and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                yield first.value
+
+
+def _uses(tree):
+    """Every name the tree's code uses, once per use."""
+    prose = set(map(id, _docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.Constant) and id(node) not in prose \
+                and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def _use_counts():
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
-    return Counter(word for path in files
-                   for word in re.findall(r"\w+", path.read_text()))
+    return Counter(name for path in files
+                   for name in _uses(ast.parse(path.read_text())))
 
 
 def _package_definitions():
@@ -48,22 +86,20 @@ def _package_definitions():
 
 
 def test_every_definition_is_reached_from_src_or_bench():
-    words = _word_counts()
-    defs = _package_definitions()
-    defined = Counter(name for _, name in defs)
-    orphans = [qual for qual, name in defs
+    uses = _use_counts()
+    orphans = [qual for qual, name in _package_definitions()
                if not (name.startswith("__") and name.endswith("__"))
-               and words[name] <= defined[name] and qual not in ALLOWED]
+               and not uses[name] and qual not in ALLOWED]
     assert orphans == []
 
 
 def test_allowlist_holds_only_unreached_definitions():
     # an allowlisted name that gains a user in src/ or bench/ leaves the list
-    assert len(ALLOWED) <= 3
-    words = _word_counts()
+    assert len(ALLOWED) <= 5
+    uses = _use_counts()
     quals = {qual for qual, _ in _package_definitions()}
     for qual in ALLOWED:
-        assert qual in quals and words[qual.rsplit(".", 1)[-1]] == 1, qual
+        assert qual in quals and not uses[qual.rsplit(".", 1)[-1]], qual
 
 
 def test_definitions_are_qualified_by_their_classes():
@@ -71,3 +107,25 @@ def test_definitions_are_qualified_by_their_classes():
                      "            pass\n")
     assert list(_definitions(tree)) == [("A", "A"), ("A.f", "f"),
                                         ("A.f.g", "g")]
+
+
+def test_code_counts_and_prose_does_not():
+    tree = ast.parse('"""Call named() here."""\n'
+                     'import a.b as c\n'
+                     'from d import e\n'
+                     'def f():\n'
+                     '    """named() again."""\n'
+                     '    # named() in a comment\n'
+                     '    x = f"{called(1)} named()"\n'
+                     '    return getattr(x, "looked_up"), x.attr\n')
+    uses = Counter(_uses(tree))
+    assert not uses["named"]
+    assert all(uses[n] == 1 for n in ("a", "b", "c", "e", "called",
+                                      "looked_up", "attr"))
+
+
+def test_the_backend_split_is_gone():
+    # the context's old backend flag and converter have no use left
+    uses = _use_counts()
+    assert not uses["exact"] and not uses["as_exact"]
+    assert not uses["backend"]

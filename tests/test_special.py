@@ -228,7 +228,7 @@ def test_seam_defect_fails_the_recurrence_and_gram_rows(monkeypatch):
 
     monkeypatch.setattr(special, "_seed", skewed)
     special.clear_kernel_store()
-    rows, _, _ = special_tables(D2, {"k_max": 12})
+    rows, _, _ = special_tables(Fraction(2), {"k_max": 12})
     special.clear_kernel_store()
     failed = {r["check"] for r in rows if not r["ok"]}
     assert {"recurrences", "eigenvalue-relation",
