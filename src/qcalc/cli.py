@@ -16,9 +16,8 @@ spellings run the same.  Field checks run at any q > 1; lattice checks
 need q to be a double and refuse, naming the nearest double, a q such
 as 4/3; verify-algebra is symbolic in q^(1/2) and ignores --q.  Defaults
 may be supplied as a JSON object via --config; explicit flags win over
-file values.  Runs are
-deterministic: the same config and seed produce byte-identical
-artifacts.
+file values.  Runs are deterministic: the same config and seed produce
+byte-identical artifacts.
 """
 
 import argparse

@@ -35,10 +35,10 @@ class QContext:
     __slots__ = ("q", "lam", "inv_lam", "_pow", "_qnum")
 
     def __init__(self, q):
-        if isinstance(q, int):
+        if not isinstance(q, (float, Fraction)):
+            if not isinstance(q, int):
+                raise TypeError("q must be a Fraction, an int or a float")
             q = Fraction(q)
-        elif not isinstance(q, (float, Fraction)):
-            raise TypeError("q must be a Fraction, an int or a float")
         if not q > 1:
             raise ValueError("q must be > 1")
         self.q = q

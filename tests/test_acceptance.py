@@ -6,9 +6,9 @@ printed per criterion.  Each criterion runs the CLI's residual batteries
 rows: every row must pass, and every check the criterion pins must be
 present with its pinned tolerance or a tighter one.  The few checks no
 battery makes stay here as code.  The algebraic criteria demand exact
-equality on the rational backend (all-or-nothing rows, tolerance
-EXACT); the lattice criteria are double-precision with explicit
-residual bounds.
+equality in exact rationals (all-or-nothing rows, tolerance EXACT);
+the lattice criteria are double-precision with explicit residual
+bounds.
 """
 
 import time

@@ -98,7 +98,14 @@ def test_double_battery_refuses_exact(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert "1.3333333333333333" in err[0], err
-    assert run(tmp_path, "spectrum", "--q", "3/2") == 0
+
+
+@pytest.mark.parametrize("q", ["1", "0.5", "2/4", "nan", "inf", "zebra"])
+def test_bad_q_exits_two_with_one_line(q, tmp_path, capsys):
+    for name in Q_BATTERIES:
+        assert run(tmp_path, name, "--q", q) == 2, name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
 
 
 @pytest.mark.parametrize("name", Q_BATTERIES)
@@ -126,8 +133,7 @@ def test_leibniz_runs_at_every_q(q, tmp_path):
 
 
 @pytest.mark.parametrize("name", LATTICE)
-def test_lattice_batteries_run_at_a_dyadic_fraction(name, tmp_path,
-                                                    capsys):
+def test_lattice_batteries_run_at_a_dyadic_fraction(name, tmp_path):
     code = run(tmp_path / "frac", name, "--q", "5/2")
     assert code != 2 and code == run(tmp_path / "dec", name, "--q", "2.5")
 
