@@ -808,13 +808,17 @@ class Param:
         return self.check(self.default if value is None else value)
 
     def check(self, value):
-        """The value converted to its kind; ConfigError when out of range."""
+        """The value converted to its kind; ConfigError when out of range
+        or when no flag could spell it, such as a bool, or a float for an
+        int key."""
         if value is None or self.kind is None:
             return value
         if self.kind == "window":
             return _window(value, self.low or 1)
         try:
-            out = self.kind(value)
+            if isinstance(value, bool):
+                raise TypeError("a bool is no flag value")
+            out = _int(value) if self.kind is int else self.kind(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.key}: cannot read {value!r}") from exc
         if self.kind is float and not math.isfinite(out):
@@ -830,15 +834,24 @@ class Param:
         return out
 
 
+def _int(value):
+    """int(value) for an int or a string of one, as a flag spells it;
+    TypeError for any other value, a float or a bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _window(value, span):
+    message = f"window must be two integers LO < HI, got {value!r}"
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(message)
     try:
-        lo, hi = (int(v) for v in value)
+        lo, hi = map(_int, value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"window must be two integers LO < HI, "
-                          f"got {value!r}") from exc
+        raise ConfigError(message) from exc
     if lo >= hi:
-        raise ConfigError(f"window must be two integers LO < HI, "
-                          f"got {value!r}")
+        raise ConfigError(message)
     if hi - lo < span:
         raise ConfigError(f"this battery needs a window spanning >= {span}, "
                           f"got {value!r}")

@@ -126,10 +126,20 @@ def report_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def _make_out(out_dir):
+    """Create the artifact directory, before any battery runs."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
+
+
 def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(text)
+    try:
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
 
 
 def _finish(command, rows, config, extra, out_dir, tol):
@@ -207,6 +217,7 @@ def main(argv=None):
         out, tol = (prm.pick(given) for prm in RUNNER)
         if command == "integrate" and given.get("poly") is not None:
             return _print_integral(given)
+        _make_out(out)
         # warnings wait for the verdict: a run that ends in a library
         # error prints that one line alone
         with warnings.catch_warnings(record=True) as caught:

@@ -13,10 +13,12 @@ D transforms exactly like psi itself.  The gauge group here is the
 unit-modulus phase group, but products are kept in operator order so a
 matrix-valued value type would reuse the same formulas.
 
-Fields that transform like E itself (two-sided) are transported with
-the adjoint-type action; written through the quotient H/E that action
-fixes E exactly, so the parallel-transport statement D E = 0 holds to
-the last bit, not merely to rounding.
+Every derivative here divides a difference of two shifts by lam x,
+the division LatticeFn.nabla_fn makes, so D with E = 1 is nabla bit for
+bit.  Fields that transform like E itself (two-sided) are transported
+as E nabla(H/E); the quotient E/E is exactly one, so the
+parallel-transport statement D E = 0 holds to the last bit, not merely
+to rounding.
 
 Time-dependent identities difference their slices centrally.  Their
 residuals scale as dt^2 and are reported as measured, never absorbed
@@ -75,8 +77,8 @@ def _div(f, g):
 
 
 def _over_lam_x(f):
-    """x^-1 f / lam: the difference of two shifts made a derivative."""
-    return f.x_multiply(-1).scale(f.grid.ctx.inv_lam)
+    """f / (lam x): the difference of two shifts made a derivative."""
+    return f._wrap(f.data / f.grid.lam_x)
 
 
 def _check_invertible(e):
@@ -116,24 +118,25 @@ def covariant_shift_inv(e, psi):
     return e * psi.L_shift(-1)
 
 
-def covariant_derivative(e, psi, route="both"):
-    """x^-1 (shift_inv - shift) / lam.
-
-    route "both" evaluates the shift form and the expanded form
-    E nabla + x^-1 (E - Et) L / lam and demands they agree to ROUTE_TOL;
-    "shift" and "expanded" pick one evaluation unchecked.
-    """
-    return _derivative(e, dual_einbein(e), psi, route)
+def covariant_derivative(e, psi):
+    """x^-1 (shift_inv - shift) / lam, checked against the expanded form
+    (see _routes) to ROUTE_TOL."""
+    return _derivative(e, dual_einbein(e), psi)
 
 
-def _derivative(e, et, psi, route="both"):
+def _routes(e, et, psi):
+    """D psi as the shift form x^-1 (shift_inv - shift) / lam and as the
+    expanded form E nabla + x^-1 (E - Et) L / lam, given the dual
+    einbein et of e."""
+    shifted = psi.L_shift(1)
+    shift = _over_lam_x(covariant_shift_inv(e, psi) - et * shifted)
+    expanded = e * psi.nabla_fn() + _over_lam_x((e - et) * shifted)
+    return shift, expanded
+
+
+def _derivative(e, et, psi):
     """covariant_derivative given the dual einbein et of e."""
-    shift = _over_lam_x(covariant_shift_inv(e, psi) - et * psi.L_shift(1))
-    if route == "shift":
-        return shift
-    expanded = e * psi.nabla_fn() + _over_lam_x((e - et) * psi.L_shift(1))
-    if route == "expanded":
-        return expanded
+    shift, expanded = _routes(e, et, psi)
     # per batch member, so a NaN member cannot hide another's mismatch
     gaps = np.max(np.abs((shift - expanded).interior()), axis=(-2, -1))
     bad = gaps > ROUTE_TOL
@@ -152,18 +155,9 @@ def _connection(e, et):
     return _over_lam_x(unit_einbein(e.grid) - _div(et, e))
 
 
-def einbein_shift(e, h):
-    """Transport of a field h that transforms like E: L(h/E) * E."""
-    return _div(h, e).L_shift(1) * e
-
-
-def einbein_shift_inv(e, h):
-    return e * _div(h, e).L_shift(-1)
-
-
 def einbein_derivative(e, h):
-    """D on einbein-like fields; equals E nabla(h/E), so D E = 0 exactly."""
-    return _over_lam_x(einbein_shift_inv(e, h) - einbein_shift(e, h))
+    """D on einbein-like fields, E nabla(h/E); D E = 0 exactly."""
+    return e * _div(h, e).nabla_fn()
 
 
 # -- gauge transformations ----------------------------------------------------------
@@ -436,8 +430,7 @@ def scenario_report(cfg=None):
     def add(check, residual, tolerance):
         rows.append(row(check, residual, tolerance))
 
-    shift_form = covariant_derivative(e, psi, route="shift")
-    expanded = covariant_derivative(e, psi, route="expanded")
+    shift_form, expanded = _routes(e, dual_einbein(e), psi)
     add("derivative-routes", (shift_form - expanded).max_abs_interior(), 1e-12)
     add("shift-inverse", shift_inverse_residual(e, psi), 1e-12)
     add("einbein-transport",

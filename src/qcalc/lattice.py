@@ -13,10 +13,11 @@ The scale map and the derivative are shifts along the last axis:
     (L^k f)(sigma q^n)   = f(sigma q^(n-k))
     (nabla f)(sigma q^n) = [f(sigma q^(n+1)) - f(sigma q^(n-1))] / (lam sigma q^n)
 
-The site factors q^n, x = sigma q^n, lam x and x^power are computed once
-per grid, each site from ctx.qpow(n) and a Python float power, so they
-round as the per-site formulas do (numpy's vectorised power differs in
-the last bit at some sites).
+The site factors q^n, x = sigma q^n and lam x are computed once per
+grid, each site from ctx.qpow(n), so they round as the per-site formulas
+do (numpy's vectorised power differs in the last bit at some sites).
+Every derivative of a LatticeFn, the gauge layer's included, divides by
+lam x.
 
 A shift cannot see past the window edge, so functions carry a count of
 invalid layers at each end (pad_lo, pad_hi); shifted-in sites hold zero
@@ -71,7 +72,7 @@ class LatticeGrid:
     whose q^n leaves the double range either way raises OverflowError."""
 
     __slots__ = ("ctx", "n_min", "n_max", "sectors", "qpows", "points",
-                 "lam_x", "_x_powers")
+                 "lam_x")
 
     def __init__(self, ctx, n_min, n_max, sectors=(1, -1)):
         if n_min >= n_max:
@@ -89,7 +90,6 @@ class LatticeGrid:
             raise OverflowError(f"q^{n_min} underflows to 0.0")
         self.points = np.outer(sectors, self.qpows)
         self.lam_x = ctx.lam * self.points
-        self._x_powers = {}
 
     @property
     def size(self):
@@ -119,15 +119,6 @@ class LatticeGrid:
         if out.shape[-2:] != (len(self.sectors), self.size):
             raise ValueError("value array does not match the grid")
         return out
-
-    def x_power(self, power):
-        """x^power, built once per power; a float power of a negative base
-        is its modulus' power signed, so this is (sigma q^n) ** power."""
-        if power not in self._x_powers:
-            mod = [v ** power for v in self.qpows.tolist()]
-            self._x_powers[power] = np.outer(
-                np.array(self.sectors) ** (power % 2), mod).astype(complex)
-        return self._x_powers[power]
 
     def __eq__(self, other):
         if not isinstance(other, LatticeGrid):
@@ -252,9 +243,9 @@ class LatticeFn:
     def conj(self):
         return self._wrap(np.conj(self.data))
 
-    def x_multiply(self, power=1):
-        """Multiply by x^power pointwise (x = sigma q^n)."""
-        return self._wrap(self.data * self.grid.x_power(power))
+    def x_multiply(self):
+        """Multiply by x = sigma q^n pointwise."""
+        return self._wrap(self.data * self.grid.points)
 
     # -- shifts and derivatives ------------------------------------------------
 

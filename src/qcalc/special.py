@@ -68,46 +68,40 @@ class OutOfRadius(Exception):
     """q-exponential series argument on or outside the unit circle."""
 
 
-class QCombinatorics:
-    """[n], [n]!, and (a; p)_n over a QContext, with per-instance caches."""
+def qfact(ctx, n):
+    """[n]! = [1] [2] ... [n], exactly (Fraction q)."""
+    if n < 0:
+        raise ValueError("q-factorial needs n >= 0")
+    acc = 1
+    for k in range(1, n + 1):
+        acc = acc * ctx.qnum(k)
+    return acc
 
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self._fact = {0: 1}
 
-    def qfact(self, n):
-        if n < 0:
-            raise ValueError("q-factorial needs n >= 0")
-        if n not in self._fact:
-            top = max(self._fact)
-            acc = self._fact[top]
-            for k in range(top + 1, n + 1):
-                acc = acc * self.ctx.qnum(k)
-                self._fact[k] = acc
-        return self._fact[n]
+def qpoch(a, p, n):
+    """(a; p)_n = prod_{k<n} (1 - a p^k); n = inf takes qpoch_inf."""
+    if n == math.inf:
+        return qpoch_inf(a, p)
+    if n < 0:
+        raise ValueError("Pochhammer index must be >= 0 or inf")
+    acc = 1
+    f = a
+    for _ in range(n):
+        acc = acc * (1 - f)
+        f = f * p
+    return acc
 
-    def qpoch(self, a, p, n):
-        """(a; p)_n = prod_{k<n} (1 - a p^k)."""
-        if n == math.inf:
-            return self.qpoch_inf(a, p)
-        if n < 0:
-            raise ValueError("Pochhammer index must be >= 0 or inf")
-        acc = 1
-        f = a
-        for _ in range(n):
-            acc = acc * (1 - f)
-            f = f * p
-        return acc
 
-    def qpoch_inf(self, a, p):
-        if abs(p) >= 1:
-            raise DivergentProduct(f"|p| = {abs(p)} >= 1")
-        acc = 1.0
-        f = a
-        while abs(f) > 1e-18:
-            acc *= 1 - f
-            f *= p
-        return acc
+def qpoch_inf(a, p):
+    """(a; p)_inf in doubles, to the first factor within 1e-18 of one."""
+    if abs(p) >= 1:
+        raise DivergentProduct(f"|p| = {abs(p)} >= 1")
+    acc = 1.0
+    f = a
+    while abs(f) > 1e-18:
+        acc *= 1 - f
+        f *= p
+    return acc
 
 
 def _series_float(q, z, kind):
@@ -312,7 +306,6 @@ class SpecialFunctions:
             raise ValueError(f"special functions need a float q; use "
                              f"QContext(float({ctx.q!r}))")
         self.ctx = ctx
-        self.comb = QCombinatorics(ctx)
         self._store = _open_store(ctx.q)
         self._log_q = math.log(ctx.q)
 
@@ -424,8 +417,8 @@ class SpecialFunctions:
         store = self._kernel_store()
         if store.nq is None:
             q = self.ctx.q
-            store.nq = (self.comb.qpoch_inf(q ** -2, q ** -4)
-                        / self.comb.qpoch_inf(q ** -4, q ** -4))
+            store.nq = (qpoch_inf(q ** -2, q ** -4)
+                        / qpoch_inf(q ** -4, q ** -4))
         return store.nq
 
     # -- q-exponential --------------------------------------------------------
@@ -479,10 +472,9 @@ class SpecialFunctions:
             s_prime += t
             l += 1
         p4 = q ** -4
-        base = self.comb.qpoch_inf(p4, p4)
-        tilde_prod = base * self.comb.qpoch_inf(-(q ** -2), p4) ** 2
-        prime_prod = base * self.comb.qpoch_inf(-p4, p4) \
-            * self.comb.qpoch_inf(-1.0, p4)
+        base = qpoch_inf(p4, p4)
+        tilde_prod = base * qpoch_inf(-(q ** -2), p4) ** 2
+        prime_prod = base * qpoch_inf(-p4, p4) * qpoch_inf(-1.0, p4)
         return {
             "c0_tilde": (c0 * s_tilde, c0 * tilde_prod),
             "c0_prime": (c0 * s_prime, c0 * prime_prod),

@@ -381,12 +381,55 @@ def test_bad_values_exit_two(tmp_path, capsys, argv):
     assert _last_stderr_line(capsys).startswith("config error: ")
 
 
+def _one_config_error(capsys, key):
+    """The run printed nothing but one `config error:` line naming key."""
+    printed = capsys.readouterr()
+    assert printed.out == "" and "Traceback" not in printed.err
+    line, = printed.err.strip().splitlines()
+    assert line.startswith(f"config error: {key}"), line
+
+
 def test_bad_config_file_value_exits_two(tmp_path, capsys):
+    # a file value no flag could spell is refused, never truncated
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"levels": "many"}))
-    assert main(["oscillator", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == 2
-    assert _last_stderr_line(capsys).startswith("config error: levels")
+    for command, value in [
+            ("oscillator", {"levels": "many"}),
+            ("leibniz", {"trials": 2.5}),
+            ("leibniz", {"trials": True}),
+            ("special-tables", {"k_max": 3.99}),
+            ("spectrum", {"window": [-12.9, 12.9]}),
+            ("spectrum", {"window": [True, 12]}),
+            ("spectrum", {"window": "12"}),
+            ("spectrum", {"mass": True})]:
+        cfg.write_text(json.dumps(value))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2, value
+        key, = value
+        _one_config_error(capsys, key)
+
+
+@pytest.mark.parametrize("value", [7, "7"])
+def test_config_file_integers_read_as_their_flag_does(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": value, "seed": value}))
+    assert main(["verify-algebra", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify-algebra.json").read_text())
+    assert report["config"] == {"seed": 7, "trials": 7}
+
+
+def test_unusable_out_exits_two_before_the_battery_runs(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        assert main(["verify-algebra", "--trials", "2",
+                     "--out", str(out)]) == 2
+        _one_config_error(capsys, "out")
+    # the directory exists, but the report cannot be written into it
+    (tmp_path / "d" / "verify-algebra.json").mkdir(parents=True)
+    assert main(["verify-algebra", "--trials", "2",
+                 "--out", str(tmp_path / "d")]) == 2
+    _one_config_error(capsys, "out")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -532,6 +575,9 @@ FLAG_VALUES = {
     "sector": st.sampled_from([1, -1]),
 }
 BAD_VALUES = st.sampled_from(["-1", "0", "nan", "inf", "-1e-3", "x + ^"])
+# Config-file values no flag could spell, by the kind of key they fill.
+UNSPELLED = {int: [2.5, True, 3.99], float: [True],
+             "window": [[-12.9, 12.9], [True, 8]]}
 
 
 @st.composite
@@ -550,14 +596,31 @@ def invocations(draw):
             bad = draw(st.integers(0, 7)) == 0
             value = draw(BAD_VALUES if bad else FLAG_VALUES[p.key])
             argv += [p.option, str(value)]
-    return argv
+    # sometimes an --out that is a file, or a config file value no flag
+    # could spell for a key no flag sets; either must exit 2
+    out_is_file = draw(st.integers(0, 7)) == 0
+    free = [p for p in REGISTRY[name].params
+            if p.kind in UNSPELLED and p.option not in argv]
+    cfg = None
+    if free and draw(st.integers(0, 7)) == 0:
+        p = draw(st.sampled_from(free))
+        cfg = {p.key: draw(st.sampled_from(UNSPELLED[p.kind]))}
+    return argv, out_is_file, cfg
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
-def test_every_invocation_ends_with_a_documented_exit(argv):
-    with tempfile.TemporaryDirectory() as out:
+def test_every_invocation_ends_with_a_documented_exit(invocation):
+    argv, out_is_file, cfg = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if out_is_file:
+            Path(out).write_text("")
+        if cfg is not None:
+            path = os.path.join(tmp, "cfg.json")
+            Path(path).write_text(json.dumps(cfg))
+            argv = argv + ["--config", path]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -567,6 +630,9 @@ def test_every_invocation_ends_with_a_documented_exit(argv):
                 code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        # the one-shot integral writes no artifacts and needs no --out
+        if cfg is not None or (out_is_file and "--poly" not in argv):
+            assert code == 2
         report = Path(out) / f"{argv[0]}.json"
         if report.exists():
             for r in json.loads(report.read_text())["checks"]:

@@ -189,12 +189,11 @@ def test_shift_and_derivative_follow_each_sector(ordered):
             assert d.value(s, n) == want
 
 
-@pytest.mark.parametrize("power", [1, -1, 2, -3])
-def test_x_multiply_uses_each_sector_sign(ordered, power):
+def test_x_multiply_uses_each_sector_sign(ordered):
     grid, f = ordered
-    got = f.x_multiply(power)
+    got = f.x_multiply()
     want = rows_by_sign(grid, lambda s, n: site_value(s, n)
-                        * complex((s * D2.qpow(n)) ** power))
+                        * complex(s * D2.qpow(n)))
     assert np.array_equal(got.data, want)
 
 
@@ -244,8 +243,6 @@ def test_site_factors_match_the_scalar_formulas_bit_for_bit(q, w):
             assert grid.qpows[i] == ctx.qpow(n)
             assert grid.points[k, i] == s * ctx.qpow(n)
             assert grid.lam_x[k, i] == ctx.lam * s * ctx.qpow(n)
-            for power in (1, -1, 2, -2, 3):
-                assert grid.x_power(power)[k, i] == (s * ctx.qpow(n)) ** power
 
 
 # -- leading batch axes ------------------------------------------------------------
@@ -279,7 +276,6 @@ UNARY = {
     "neg": lambda f: -f,
     "conj": lambda f: f.conj(),
     "x_multiply": lambda f: f.x_multiply(),
-    "x_multiply(-2)": lambda f: f.x_multiply(-2),
     "L_shift(1)": lambda f: f.L_shift(1),
     "L_shift(-1)": lambda f: f.L_shift(-1),
     "L_shift(3)": lambda f: f.L_shift(3),

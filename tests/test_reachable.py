@@ -22,8 +22,8 @@ PACKAGE = ROOT / "src" / "qcalc"
 ALLOWED = {
     "Scalar.evaluate_exact":
         "the exact reference value the ring tests compare arithmetic with",
-    "QCombinatorics.qpoch": "serves criterion 4 in tests/test_acceptance.py",
-    "QCombinatorics.qfact": "serves criterion 4 in tests/test_acceptance.py",
+    "qpoch": "serves criterion 4 in tests/test_acceptance.py",
+    "qfact": "serves criterion 4 in tests/test_acceptance.py",
     "kernel_store_info":
         "tests read the kernel store's sizes and counts; the observability "
         "report of ROADMAP item 7 will read it too",

@@ -32,8 +32,10 @@ from qcalc.special import (
     EIGEN_EXPONENT,
     DivergentProduct,
     OutOfRadius,
-    QCombinatorics,
     SpecialFunctions,
+    qfact,
+    qpoch,
+    qpoch_inf,
 )
 
 EXACT = QContext(Fraction(3, 2))
@@ -45,37 +47,36 @@ SF = SpecialFunctions(D2)
 
 
 def test_qnum_and_factorial():
-    comb = QCombinatorics(EXACT)
     assert EXACT.qnum(2) == EXACT.q + 1 / EXACT.q
     assert EXACT.qnum(0) == 0
     assert EXACT.qnum(-3) == -EXACT.qnum(3)
-    assert comb.qfact(0) == 1
-    assert comb.qfact(4) == EXACT.qnum(2) * EXACT.qnum(3) * EXACT.qnum(4)
+    assert qfact(EXACT, 0) == 1
+    assert qfact(EXACT, 4) == EXACT.qnum(2) * EXACT.qnum(3) * EXACT.qnum(4)
 
 
 def test_qpoch_basics():
-    comb = QCombinatorics(EXACT)
     a = EXACT.qpow(-2)
-    assert comb.qpoch(a, a, 0) == 1
-    assert comb.qpoch(a, a, 2) == (1 - a) * (1 - a * a)
+    assert qpoch(a, a, 0) == 1
+    assert qpoch(a, a, 2) == (1 - a) * (1 - a * a)
 
 
 def test_pochhammer_identity_exact():
     # (q^-2; q^-2)_n == q^(-n(n+1)/2) lam^n [n]! for 0 <= n <= 12
-    comb = QCombinatorics(EXACT)
     a = EXACT.qpow(-2)
     for n in range(0, 13):
-        lhs = comb.qpoch(a, a, n)
+        lhs = qpoch(a, a, n)
         rhs = EXACT.qpow(Fraction(-n * (n + 1), 2)) * EXACT.lam ** n \
-            * comb.qfact(n)
+            * qfact(EXACT, n)
         assert lhs == rhs
 
 
 def test_qpoch_inf_guard():
-    comb = QCombinatorics(D2)
     with pytest.raises(DivergentProduct):
-        comb.qpoch_inf(0.5, 1.0)
-    assert abs(comb.qpoch_inf(0.5, 0.0) - 0.5) < 1e-15
+        qpoch_inf(0.5, 1.0)
+    assert abs(qpoch_inf(0.5, 0.0) - 0.5) < 1e-15
+    assert qpoch(0.5, 0.25, math.inf) == qpoch_inf(0.5, 0.25)
+    # the float-q evaluators hold no combinatorics that need a Fraction q
+    assert not hasattr(SF, "comb")
 
 
 # -- series values -----------------------------------------------------------
