@@ -74,6 +74,16 @@ Later recaptures, each its own change with every verdict held:
     named `field-stokes` and appended last; at `--q 3/2` the lattice
     rows are new, and the all-or-nothing rows' tolerance tightened
     from 0.5 to 1e-12.  Every earlier row at default is unchanged.
+  * the `q1_5/` gauge reports when every gauge derivative came to
+    divide by the grid's lam x, as nabla does, instead of multiplying
+    by x^-1 and then 1/lam (at q = 2 the two agree bit for bit, and the
+    `default/` gauge files held): `derivative-routes` 5.024e-15 ->
+    3.662e-15, `product-leibniz` 1.089e-14 -> 7.944e-15,
+    `derivative-covariance` 7.324e-15 -> 5.617e-15, `connection-law`
+    1.0695e-14 -> 1.0805e-14, `commutator` 7.35974e-08 -> 7.35971e-08,
+    `curvature-covariance` 4.66746e-12 -> 4.66741e-12,
+    `commutator-order` 1.9999949 -> 1.9999990, `coupling-linearity`
+    1.55092425206e-4 -> 1.55092425312e-4; `einbein-transport` stays 0.0.
 """
 
 import hashlib
