@@ -75,8 +75,6 @@ def test_qpoch_inf_guard():
         qpoch_inf(0.5, 1.0)
     assert abs(qpoch_inf(0.5, 0.0) - 0.5) < 1e-15
     assert qpoch(0.5, 0.25, math.inf) == qpoch_inf(0.5, 0.25)
-    # the float-q evaluators hold no combinatorics that need a Fraction q
-    assert not hasattr(SF, "comb")
 
 
 # -- series values -----------------------------------------------------------
