@@ -2,27 +2,28 @@
 
 cos_q(z) = sum_n c_n z^(2n) and sin_q(z) = sum_n s_n z^(2n+1), with
 c_n = (-1)^n q^(-2n(n+1)) / (q^-2; q^-2)_(2n) and s_n the same over
-(q^-2; q^-2)_(2n+1).  Up to |z| = q^2 (row entries m <= 2 too) a double
-loop sums the series, its first dropped term the bound.
+(q^-2; q^-2)_(2n+1).  Off the lattice within |z| = q^2, and for the
+bound, a double loop sums the series, its first dropped term the bound.
 
-Past q^2 the kernels are read only at the lattice points q^m, where the
-derivative gives cos[m] = cos[m-2] - q^(m-2) sin[m-2] and
-sin[m] = sin[m-2] + q^m cos[m], cos[m] = cos_q(q^m): a step of
-determinant 1 and trace 2 - q^(2m-2).  One pass of it fills both kinds'
-row entries m >= 3 of one parity, in binary floats of _BITS-bit integer
-mantissas; q^m is the exact power of q's mantissa, never the double q ** m.
-The pass is seeded by the series at the largest point of its parity with
-q^m <= 8 (q - 1/q), where the terms cancel by at most about e^8, and runs
-forward up to m_h, the first m with q^(2m-2) > 4.  Past m_h the odd
-kernels grow like q^(m^2/2), the dominant solution, and run on forward;
-the even ones decay like q^(-m^2/2), the minimal one, and come from
-Miller's backward recurrence (Gautschi, SIAM Review 9, 1967), scaled to
-the forward value at the even anchor m_a <= m_h.  Miller starts where the
-steps above the row top have given the minimal solution _MILLER_BITS bits
-of dominance, far out near q = 1.  Each entry is rounded once to the
-nearest double: the tests find every entry with m in [3, 132], q from
-1.001 to 50, the exact kernel at the exact point correctly rounded.  Past
-the double range odd entries read +-inf and even ones a signed zero.
+At the lattice points q^m, at any m, the derivative gives
+cos[m] = cos[m-2] - q^(m-2) sin[m-2] and sin[m] = sin[m-2] + q^m cos[m],
+cos[m] = cos_q(q^m): a step of determinant 1 and trace 2 - q^(2m-2).
+One pass of it fills both kinds' row entries of one parity, in binary
+floats of _BITS-bit integer mantissas; q^m is the exact power of q's
+mantissa, never the double q ** m.  The pass is seeded by the series at
+the lowest of the row's low end, the largest m with q^m <= 8 (q - 1/q),
+where the terms cancel by at most about e^8, and m_h or m_a below, on
+the row's parity.  It runs forward up to m_h, the first m with
+q^(2m-2) > 4.  Past m_h the odd kernels grow like q^(m^2/2), the
+dominant solution, and run on forward; the even ones decay like
+q^(-m^2/2), the minimal one, and come from Miller's backward recurrence
+(Gautschi, SIAM Review 9, 1967), scaled to the forward value at the even
+anchor m_a <= m_h.  Miller starts where the steps above the row top have
+given the minimal solution _MILLER_BITS bits of dominance, far out near
+q = 1.  Each entry is rounded once to the nearest double: the tests find
+every entry with m in [-40, 132], q from 1.001 to 50, the kernel at the
+lattice point correctly rounded.  Past the double range odd entries read
++-inf and even ones a signed zero.
 
 Every SpecialFunctions at one q shares a module-level store of rows: q^m,
 cos_q or sin_q for every m of one parity across a range, as float arrays
@@ -198,13 +199,14 @@ def _seed(q, z):
 
 
 def _recurrence_row(q, lo, hi):
-    """([cos_q], [sin_q]) as doubles at q^m, m = lo, lo + 2, ..., hi, from
-    lo >= 3 on the odd sublattice and lo >= 4 on the even."""
+    """([cos_q], [sin_q]) as doubles at q^m, m = lo, lo + 2, ..., hi, by
+    one pass seeded at the lowest of lo, the cancellation-safe point and
+    m_h (odd) or m_a (even), on lo's parity; hi >= lo."""
     odd = lo % 2
     m_h = math.ceil(1.0 + math.log(4.0) / (2.0 * math.log(q)))
     m_a = m_h - m_h % 2  # the even anchor
     m = min(math.floor(math.log(8.0 * (q - 1.0 / q)) / math.log(q)),
-            m_h if odd else m_a, 4 - odd)
+            m_h if odd else m_a, lo)
     m -= (m - odd) % 2
     pw, q2 = _pow(q, m), _pow(q, 2)
     c, s = _seed(q, pw)
@@ -395,13 +397,7 @@ class SpecialFunctions:
         store.misses += len(kinds) * len(exps)
         if kinds == ("point",):
             return [np.array([q ** m for m in exps], dtype=float)]
-        first = max(lo, 4 - lo % 2)  # 3 or 4: where the recurrence fills
-        rows = [[_series_float(q, q ** m, kind)[0]
-                 for m in range(lo, min(hi, first - 2) + 1, 2)]
-                for kind in kinds]
-        if hi >= first:
-            for row, tail in zip(rows, _recurrence_row(q, first, hi)):
-                row += tail
+        rows = _recurrence_row(q, lo, hi) if exps else ([], [])
         return [np.array(row, dtype=float) for row in rows]
 
     def cos_q(self, z, with_bound=False):

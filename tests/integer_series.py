@@ -24,8 +24,10 @@ to the first that is below 2^unit or below 10^(5 - digits) of the largest
 term before it, and returns 2^ceil(t) of that first dropped term as the
 bound.
 
-`exact_kernel` sums at the exact lattice point q^m, the pair
-(M_q^m, m E_q) for q = M_q 2^(E_q), with the digits `exact_digits` gives.
+`exact_kernel` sums at the lattice point q^m, the pair (M_q^m, m E_q)
+for q = M_q 2^(E_q) and m >= 0, with the digits `exact_digits` gives;
+below m = 0 the point is the quotient 2^(m E_q) / M_q^-m to past the
+table's precision.
 """
 
 import math
@@ -195,9 +197,22 @@ def exact_digits(q, m):
 
 
 def exact_kernel(q, m, kind, table):
-    """cos_q (kind "cos") or sin_q ("sin") at the exact lattice point q^m,
-    m >= 0, rounded once to a double; table holds at least
-    dps_to_prec(exact_digits(q, m)) bits."""
+    """cos_q (kind "cos") or sin_q ("sin") at the lattice point q^m,
+    rounded once to a double; table holds at least
+    dps_to_prec(exact_digits(q, m)) bits.
+
+    For m >= 0 the point is exact.  For m < 0 it is 2^(mE_q) / M_q^-m,
+    its quotient rounded to POWER_GUARD_BITS past the table's precision:
+    within a relative 2^-(prec + 31) of the point, which moves term n by
+    at most 2n + 1 times that, far under the table's own rounding of its
+    entry."""
     man, exp = odd_man_exp(q)
-    return series_fixed(table, kind == "sin", man ** m, exp * m,
+    if m >= 0:
+        man, exp = man ** m, exp * m
+    else:
+        den = man ** -m
+        shift = table.prec + POWER_GUARD_BITS + den.bit_length()
+        man, exp = round_bits(((1 << shift) + den // 2) // den,
+                              exp * m - shift, table.prec + POWER_GUARD_BITS)
+    return series_fixed(table, kind == "sin", man, exp,
                         exact_digits(q, m), peak_digits(q, m))[0]

@@ -181,7 +181,7 @@ def test_lattice_artifacts_match_golden(command, subdir, argv, tmp_path,
 # At --q 3 the lattice subcommands are pinned by exit code and verdicts:
 # the rows that fail, in report order, and the number of rows.
 Q3_FAILING = {
-    "special-tables": ["recurrences", "orthogonality-offdiagonal"],
+    "special-tables": ["recurrences"],
     "fourier": [],
     "spectrum": [],
     "evolve": [],

@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import json
 import math
 import os
 import random
@@ -21,7 +22,7 @@ import pytest
 from mpmath import libmp
 
 import integer_series
-from qcalc import special
+from qcalc import batteries, special
 from qcalc.batteries import _kernels, _sampled_kernel, rand_seq, special_tables
 from qcalc.cli import main
 from qcalc.context import QContext
@@ -131,7 +132,7 @@ KERNEL_QS = (2.0, 1.5, 2.3943, 3.6931, 50.0)
 # even one turns minimal late (m_h = 71 at q = 1.01, 695 at q = 1.001)
 ORACLE_QS = (1.001, 1.01, 1.05, 1.1, 1.5, 2.0, 2.3943, 3.0, 3.6931, 10.0,
              50.0)
-ORACLE_TOP = 132
+ORACLE_BOTTOM, ORACLE_TOP = -40, 132
 
 
 def _peak(q, z):
@@ -173,20 +174,22 @@ def _reference(q, z, kind, digits):
 
 @functools.lru_cache(maxsize=None)
 def _exact_rows(q):
-    """{(kind, m): the kernel at the exact q^m, rounded once to a double}
-    for m in [3, ORACLE_TOP], summed in Python ints."""
+    """{(kind, m): the kernel at q^m, rounded once to a double} for m in
+    [ORACLE_BOTTOM, ORACLE_TOP], summed in Python ints."""
     table = integer_series.SeriesCoefficients(q, integer_series.dps_to_prec(
         integer_series.exact_digits(q, ORACLE_TOP)))
     return {(kind, m): integer_series.exact_kernel(q, m, kind, table)
-            for kind in ("cos", "sin") for m in range(3, ORACLE_TOP + 1)}
+            for kind in ("cos", "sin")
+            for m in range(ORACLE_BOTTOM, ORACLE_TOP + 1)}
 
 
 def _assert_rows_exact(sf, q, top):
-    """Both kinds' row entries from m = 3 (odd) or 4 (even) to top, bit for
-    bit the exact kernels: signed zeros, subnormals and +-inf included."""
+    """Both kinds' row entries of both parities from ORACLE_BOTTOM to top,
+    bit for bit the exact kernels: signed zeros, subnormals and +-inf
+    included."""
     exact = _exact_rows(q)
     for kind in ("cos", "sin"):
-        for first in (3, 4):
+        for first in (ORACLE_BOTTOM, ORACLE_BOTTOM + 1):
             last = top - (top - first) % 2
             got = sf.kernel_row(kind, first, last)
             want = [exact[kind, m] for m in range(first, last + 1, 2)]
@@ -195,10 +198,12 @@ def _assert_rows_exact(sf, q, top):
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_large_argument_series_matches_reference(q):
-    # every entry past q^2 is the exact kernel at the exact lattice point,
-    # correctly rounded; the series at the double q ** m, which the rows
-    # once read, is astronomically wrong off the dyadic q (-4.3e116 for
-    # 2.7e-141 at q = 1.5, m = 40)
+    # every entry is the exact kernel at the lattice point, correctly
+    # rounded; the series at the double q ** m, which the rows once read,
+    # is astronomically wrong off the dyadic q past q^2 (-4.3e116 for
+    # 2.7e-141 at q = 1.5, m = 40), and summed in doubles it was wrong
+    # below q^2 too (cos_q(1) read -1.8e197 at q = 1.001, and entries up
+    # to 1.7e9 ulps off at q = 50)
     special.clear_kernel_store()
     _assert_rows_exact(SpecialFunctions(QContext(q)), q, ORACLE_TOP)
 
@@ -213,25 +218,64 @@ def test_rows_near_q1_are_exact_for_every_row_top():
         _assert_rows_exact(SpecialFunctions(QContext(q)), q, top)
 
 
-def test_seam_defect_fails_the_recurrence_and_gram_rows(monkeypatch):
-    # the rows' recurrence meets the double-loop entries m <= 2 at the
-    # m = 3, 4 seam: seeds off by 1e-9 must show in the special-tables rows
-    # that compare neighbours across it, and in the Gram matrix (its
-    # diagonal reads 5.6e-13 here, inside its 1e-10: at q = 2 the entries
-    # m >= 4 weigh little in the diagonal sums)
+def test_rows_never_sum_the_double_series(monkeypatch):
+    # every row entry, m <= 2 too, comes from the recurrence pass
+    def refuse(q, z, kind):
+        raise AssertionError(f"row entry summed in doubles at q = {q}")
+
+    monkeypatch.setattr(special, "_series_float", refuse)
+    for q in (1.001, 1.5, 2.0, 3.0, 50.0):
+        special.clear_kernel_store()
+        sf = SpecialFunctions(QContext(q))
+        for kind in ("cos", "sin"):
+            for par in (0, 1):
+                row = sf.kernel_row(kind, par - 160, 160 - par)
+                assert row.size == 161 - par, (q, kind, par)
+    special.clear_kernel_store()
+
+
+def test_seed_defect_fails_the_recurrence_gram_and_isometry_rows(
+        monkeypatch):
+    # a cos seed off by 1e-9 must show in the rows that read the kernels
+    # as a whole: the recurrence where the forward pass meets Miller's,
+    # the Gram sums and the transform isometries.  derivative-relations
+    # cannot see it: the rows are built from that relation
     seed = special._seed
     off = special._div((10 ** 9 + 1, 0), special._fix(10 ** 9, 0))
 
     def skewed(q, z):
-        return tuple(special._mul(v, off) for v in seed(q, z))
+        cos, sin = seed(q, z)
+        return special._mul(cos, off), sin
 
     monkeypatch.setattr(special, "_seed", skewed)
     special.clear_kernel_store()
-    rows, _, _ = special_tables(Fraction(2), {"k_max": 12})
+    failed = set()
+    for battery in ("special-tables", "fourier"):
+        rows, _, _ = batteries.run(battery, {})
+        failed |= {r["check"] for r in rows if not r["ok"]}
     special.clear_kernel_store()
-    failed = {r["check"] for r in rows if not r["ok"]}
-    assert {"recurrences", "eigenvalue-relation",
-            "orthogonality-offdiagonal"} <= failed
+    assert {"recurrences", "orthogonality-diagonal",
+            "orthogonality-offdiagonal", "isometry-cos",
+            "isometry-sin"} <= failed
+
+
+@pytest.mark.parametrize("q, check", [("4", "orthogonality-offdiagonal"),
+                                      ("1.05", "recurrences")])
+def test_exact_low_entries_clear_the_special_tables_row(q, check, tmp_path,
+                                                        capsys):
+    # these rows failed on the entries m <= 2 summed in doubles: 2.9e-8 at
+    # q = 4 and 3.4e-12 at q = 1.05 (q = 3 is pinned with the goldens)
+    main(["special-tables", "--q", q, "--out", str(tmp_path)])
+    capsys.readouterr()
+    report = json.loads((tmp_path / "special-tables.json").read_text())
+    assert {r["check"]: r["ok"] for r in report["checks"]}[check]
+
+
+def test_spectrum_passes_at_the_q_floor(tmp_path, capsys):
+    # at q = 1.001 the double series read cos_q(1) as -1.8e197 and the
+    # spectrum exited 1
+    assert main(["spectrum", "--q", "1.001", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 @contextmanager
@@ -549,11 +593,11 @@ def test_coefficient_table_rounds_each_step_once(q):
         assert prev == _round_fraction(step, prec), (q, j)
 
 
-# SHA-256 of the hex kernel rows below at q = 2, captured when the rows
-# past q^2 moved to the lattice recurrence: against the integer series
-# only the signs of 57 zeros moved (even m >= 50), now the exact signs;
-# the other q are held by the exact rows above
-ROW_DIGEST = "62fd01a264634d1095f71b511a482a6d46b9c3de7f6904c36ba328acebca6816"
+# SHA-256 of the hex kernel rows below at q = 2, captured when the row
+# entries m <= 2 moved from the double series to the recurrence pass (the
+# entries m >= 3 held every bit); the other q are held by the exact rows
+# above
+ROW_DIGEST = "0b69f6628ebffe2e0efe6fda06e32f30ef2b018b9ee68ae580e4f07ee5a919ec"
 
 
 def test_kernel_rows_keep_their_bits():
@@ -788,7 +832,8 @@ def test_one_recurrence_pass_fills_both_kinds(monkeypatch):
         sin = sf.kernel_row("sin", -11, 41)
         sf.kernel_row("sin", -10, 40)
         sf.kernel_row("cos", -10, 60)
-        assert passes == [(3, 41), (4, 40), (42, 60)], q
+        # one pass per missing span, none for the empty span below -10
+        assert passes == [(-11, 41), (-10, 40), (42, 60)], q
         passes.clear()
         # the twin row reads as if its own kind had asked first
         special.clear_kernel_store()
