@@ -68,6 +68,7 @@ from .lattice import (
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
+    row,
     to_csv,
     worst,
 )
@@ -138,17 +139,6 @@ def lattice_context(q):
 
 
 # -- verdicts -----------------------------------------------------------------
-
-
-def row(check, residual, tolerance=0.5):
-    """One verdict; it passes only on a finite residual below tolerance.
-
-    All-or-nothing checks pass a bool that is true on failure: residual 1
-    against tolerance 0.5.
-    """
-    residual = float(residual)
-    return {"check": check, "residual": residual,
-            "tolerance": float(tolerance), "ok": bool(residual < tolerance)}
 
 
 # -- random generators (seeded) -----------------------------------------------

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import GridMismatch, LatticeFn, LatticeGrid, worst
+from .context import QContext
+from .lattice import GridMismatch, LatticeFn, LatticeGrid, row, worst
 
 SINGULAR_FLOOR = 1e-12
 ROUTE_TOL = 1e-12
@@ -407,17 +408,13 @@ def scenario_report(cfg=None):
     The commutator rows carry the dt^2 story: the -order row holds the
     measured convergence order of the residual under dt halving.
     """
-    from .batteries import row
-    from .context import QContext
-
     merged = {**DEFAULT_SCENARIO, **(cfg or {})}
-    ctx = QContext(float(merged["q"]))
     lo, hi = merged["window"]
-    grid = LatticeGrid(ctx, int(lo), int(hi))
-    rng = np.random.default_rng(int(merged["seed"]))
-    dt = float(merged["dt"])
-    amp = float(merged["einbein_amplitude"])
-    aamp = float(merged["alpha_amplitude"])
+    grid = LatticeGrid(QContext(merged["q"]), lo, hi)
+    rng = np.random.default_rng(merged["seed"])
+    dt = merged["dt"]
+    amp = merged["einbein_amplitude"]
+    aamp = merged["alpha_amplitude"]
 
     e = random_einbein(rng, grid, amp)
     e2 = random_einbein(rng, grid, amp)
@@ -439,7 +436,7 @@ def scenario_report(cfg=None):
         product_leibniz_residual(e, e2, psi, chi), 1e-12)
     add("scalar-factor", scalar_factor_residual(e, f_scalar, psi), 1e-12)
 
-    alphas = random_phase(rng, grid, aamp, (int(merged["transforms"]),))
+    alphas = random_phase(rng, grid, aamp, (merged["transforms"],))
     add("derivative-covariance",
         derivative_covariance_residual(e, psi, alphas), 1e-10)
     add("connection-law", connection_consistency_residual(e, alphas), 1e-12)

@@ -22,7 +22,8 @@ lam x.
 A shift cannot see past the window edge, so functions carry a count of
 invalid layers at each end (pad_lo, pad_hi); shifted-in sites hold zero
 and are excluded from any residual check.  Checks and integrals read
-valid sites only.
+valid sites only; `row` makes one check's verdict and `worst` the
+largest of its residuals.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ import io
 from collections.abc import Mapping
 
 import numpy as np
+
+
+def row(check, residual, tolerance=0.5):
+    """One verdict; it passes only on a finite residual below tolerance.
+
+    All-or-nothing checks pass a bool that is true on failure: residual 1
+    against tolerance 0.5.
+    """
+    residual = float(residual)
+    return {"check": check, "residual": residual,
+            "tolerance": float(tolerance), "ok": bool(residual < tolerance)}
 
 
 def worst(residuals):

@@ -1,5 +1,10 @@
 """Covariant shifts, Einbein transport, gauge laws, curvature."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -397,6 +402,22 @@ def test_scenario_report_all_green():
 def test_scenario_report_config_override():
     rows = scenario_report({"window": [-6, 6], "transforms": 3, "seed": 5})
     assert all(r["ok"] for r in rows)
+
+
+def test_scenario_report_leaves_the_batteries_unimported():
+    # the report makes its verdicts with lattice.row, so a gauge run never
+    # compiles the battery registry
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = ("import sys\n"
+              "from qcalc.gauge import scenario_report\n"
+              "rows = scenario_report({'window': [-8, 8]})\n"
+              "print(len(rows), 'qcalc.batteries' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["12", "False"]
 
 
 def test_commutator_order_fails_on_nan(monkeypatch):
