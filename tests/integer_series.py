@@ -24,10 +24,10 @@ to the first that is below 2^unit or below 10^(5 - digits) of the largest
 term before it, and returns 2^ceil(t) of that first dropped term as the
 bound.
 
-`exact_kernel` sums at the lattice point q^m, the pair (M_q^m, m E_q)
-for q = M_q 2^(E_q) and m >= 0, with the digits `exact_digits` gives;
-below m = 0 the point is the quotient 2^(m E_q) / M_q^-m to past the
-table's precision.
+`exact_kernel` sums at the lattice point q^m, with the digits
+`exact_digits` gives: for q = M_q 2^(E_q) and m >= 0 the point is the
+pair (M_q^m, m E_q), and below m = 0 the quotient 2^(m E_q) / M_q^-m
+rounded 32 bits past the table's precision.
 """
 
 import math

@@ -238,8 +238,9 @@ def test_seed_defect_fails_the_recurrence_gram_and_isometry_rows(
         monkeypatch):
     # a cos seed off by 1e-9 must show in the rows that read the kernels
     # as a whole: the recurrence where the forward pass meets Miller's,
-    # the Gram sums and the transform isometries.  derivative-relations
-    # cannot see it: the rows are built from that relation
+    # the Gram sums, the transform isometries and the step transform's
+    # closed form.  derivative-relations cannot see it: the rows are built
+    # from that relation
     seed = special._seed
     off = special._div((10 ** 9 + 1, 0), special._fix(10 ** 9, 0))
 
@@ -255,8 +256,8 @@ def test_seed_defect_fails_the_recurrence_gram_and_isometry_rows(
         failed |= {r["check"] for r in rows if not r["ok"]}
     special.clear_kernel_store()
     assert {"recurrences", "orthogonality-diagonal",
-            "orthogonality-offdiagonal", "isometry-cos",
-            "isometry-sin"} <= failed
+            "orthogonality-offdiagonal", "isometry-cos", "isometry-sin",
+            "step-closed-form"} <= failed
 
 
 @pytest.mark.parametrize("q, check", [("4", "orthogonality-offdiagonal"),
