@@ -43,8 +43,13 @@ special-tables, fourier and evolve reports were recaptured when the
 kernel rows past q^2 moved to the exact lattice points: their NaN/inf
 residuals became finite, and every row but evolve's
 `stationarity-drift` now passes.  At `--q 3` the lattice subcommands are
-pinned only by exit code and by the rows that fail (`Q3_FAILING`):
+pinned by exit code, row count and the rows that fail, which are the
+q = 3 column of the verdict map (`tests/test_verdict_map.py`):
 special-tables, gauge and oscillator exit 1, the other three exit 0.
+The gauge reports at `--q 3` and at `--window -12 12` (both exit 1, on
+`commutator` and `curvature-covariance`) are pinned by the SHA-256 of
+`gauge.json` and `gauge-checks.csv`, so that a residual refactored to
+round differently in its last bit fails here.
 
 `evolve` with a config file that sets `potential` and `initial`, the two
 keys without a flag, is pinned by the SHA-256 of its `evolve.json` and
@@ -102,6 +107,7 @@ from pathlib import Path
 import pytest
 
 from qcalc.cli import main
+from test_verdict_map import VERDICTS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -188,16 +194,9 @@ def test_lattice_artifacts_match_golden(command, subdir, argv, tmp_path,
 
 
 # At --q 3 the lattice subcommands are pinned by exit code and verdicts:
-# the rows that fail, in report order, and the number of rows.
-Q3_FAILING = {
-    "special-tables": ["recurrences"],
-    "fourier": [],
-    "spectrum": [],
-    "evolve": [],
-    "gauge": ["commutator", "curvature-covariance"],
-    "oscillator": ["commutator-normalized", "hermite-tower",
-                   "ladder-spectrum", "number-operator-form"],
-}
+# the rows that fail, in report order (which is sorted order for all six),
+# and the number of rows.
+Q3_FAILING = VERDICTS[("q", "3")]
 Q3_ROWS = {"special-tables": 6, "fourier": 7, "spectrum": 3, "evolve": 6,
            "gauge": 12, "oscillator": 10}
 
@@ -210,7 +209,33 @@ def test_lattice_verdicts_at_q3(command, tmp_path, capsys):
     capsys.readouterr()
     checks = json.loads((tmp_path / f"{command}.json").read_bytes())["checks"]
     assert len(checks) == Q3_ROWS[command]
-    assert [r["check"] for r in checks if not r["ok"]] == failing
+    assert tuple(r["check"] for r in checks if not r["ok"]) == failing
+
+
+GAUGE_SHA256 = {
+    "q3": (["--q", "3"], {
+        "gauge.json":
+            "17707906e3c27cb86022b457a70e78752f676e112ee38a6bf36b1064617df4bf",
+        "gauge-checks.csv":
+            "15124349347f6ef225e00ac3ceff978531769cfc124d14c998ab84a400841f51",
+    }),
+    "window12": (["--window", "-12", "12"], {
+        "gauge.json":
+            "b75e71fc7ed261d4a3d67afc63c543c662958235892f53411d88099cddaa164f",
+        "gauge-checks.csv":
+            "dd3ca82dbf5fe07fba24f4618073b9c7d331b79bd0667024f6ded16ae4bbd17b",
+    }),
+}
+
+
+@pytest.mark.parametrize("run_id", list(GAUGE_SHA256))
+def test_gauge_reports_match_digests(run_id, tmp_path, capsys):
+    argv, digests = GAUGE_SHA256[run_id]
+    assert main(["gauge", *argv, "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 EVOLVE_CONFIG = {"potential": {"[1, 0]": 0.01, "[-1, 3]": -0.02},
