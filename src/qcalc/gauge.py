@@ -20,13 +20,21 @@ as E nabla(H/E); the quotient E/E is exactly one, so the
 parallel-transport statement D E = 0 holds to the last bit, not merely
 to rounding.
 
+An `Einbein` holds E and its dual Et together.  Building one checks
+that E is invertible and forms Et, once; every covariant shift,
+derivative, connection, curvature and residual here takes an Einbein
+and reads both, and the transformed and product einbeins come back as
+Einbeins.
+
 Time-dependent identities difference their slices centrally.  Their
 residuals scale as dt^2 and are reported as measured, never absorbed
-into a tolerance.  Each of them stacks the slices m-1, m and m+1 on a
-new leading axis, broadcast to one batch shape and carrying the widest
-pads among them, and takes one dual Einbein of the stack: the
-derivatives, shifts and connections of all three slices, slice m's
-included, come from it.
+into a tolerance.  `time_stack` puts the slices m-1, m and m+1 on a new
+axis just before the sectors, after any batch axes, broadcast to one
+batch shape and carrying the widest pads among them.  A stacked field
+then broadcasts against a stacked einbein whatever batch either
+carries.  One Einbein of a step's stacked einbeins serves every
+identity at that step: the derivatives, shifts and connections of all
+three slices, slice m's included, come from it.
 
 Every operation here accepts functions with leading batch axes (see
 qcalc.lattice) and broadcasts a batch against a single function, so a
@@ -96,10 +104,22 @@ def unit_einbein(grid):
     return LatticeFn(grid, np.ones((len(grid.sectors), grid.size)))
 
 
-def dual_einbein(e):
-    """Et = L(1/E), so Et(sigma q^n) E(sigma q^(n-1)) = 1."""
-    _check_invertible(e)
-    return _div(unit_einbein(e.grid), e).L_shift(1)
+class Einbein:
+    """An invertible einbein E with its dual Et = L(1/E), so
+    Et(sigma q^n) E(sigma q^(n-1)) = 1; SingularEinbein otherwise."""
+
+    __slots__ = ("e", "et")
+
+    def __init__(self, e):
+        _check_invertible(e)
+        self.e = e
+        self.et = _div(unit_einbein(e.grid), e).L_shift(1)
+
+    def at(self, k):
+        """Slice m-1+k of an Einbein of a time stack, checked with it."""
+        part = Einbein.__new__(Einbein)
+        part.e, part.et = _slice(self.e, k), _slice(self.et, k)
+        return part
 
 
 def phase_field(alpha, sign=1):
@@ -112,32 +132,26 @@ def phase_field(alpha, sign=1):
 
 
 def covariant_shift(e, psi):
-    return dual_einbein(e) * psi.L_shift(1)
+    return e.et * psi.L_shift(1)
 
 
 def covariant_shift_inv(e, psi):
-    return e * psi.L_shift(-1)
+    return e.e * psi.L_shift(-1)
+
+
+def _routes(e, psi):
+    """D psi as the shift form x^-1 (shift_inv - shift) / lam and as the
+    expanded form E nabla + x^-1 (E - Et) L / lam."""
+    shifted = psi.L_shift(1)
+    shift = _over_lam_x(covariant_shift_inv(e, psi) - e.et * shifted)
+    expanded = e.e * psi.nabla_fn() + _over_lam_x((e.e - e.et) * shifted)
+    return shift, expanded
 
 
 def covariant_derivative(e, psi):
     """x^-1 (shift_inv - shift) / lam, checked against the expanded form
     (see _routes) to ROUTE_TOL."""
-    return _derivative(e, dual_einbein(e), psi)
-
-
-def _routes(e, et, psi):
-    """D psi as the shift form x^-1 (shift_inv - shift) / lam and as the
-    expanded form E nabla + x^-1 (E - Et) L / lam, given the dual
-    einbein et of e."""
-    shifted = psi.L_shift(1)
-    shift = _over_lam_x(covariant_shift_inv(e, psi) - et * shifted)
-    expanded = e * psi.nabla_fn() + _over_lam_x((e - et) * shifted)
-    return shift, expanded
-
-
-def _derivative(e, et, psi):
-    """covariant_derivative given the dual einbein et of e."""
-    shift, expanded = _routes(e, et, psi)
+    shift, expanded = _routes(e, psi)
     # per batch member, so a NaN member cannot hide another's mismatch
     gaps = np.max(np.abs((shift - expanded).interior()), axis=(-2, -1))
     bad = gaps > ROUTE_TOL
@@ -149,16 +163,12 @@ def _derivative(e, et, psi):
 
 def connection_field(e):
     """Coefficient of L in the connection: x^-1 (1 - Et/E) / lam."""
-    return _connection(e, dual_einbein(e))
-
-
-def _connection(e, et):
-    return _over_lam_x(unit_einbein(e.grid) - _div(et, e))
+    return _over_lam_x(unit_einbein(e.e.grid) - _div(e.et, e.e))
 
 
 def einbein_derivative(e, h):
     """D on einbein-like fields, E nabla(h/E); D E = 0 exactly."""
-    return e * _div(h, e).nabla_fn()
+    return e.e * _div(h, e.e).nabla_fn()
 
 
 # -- gauge transformations ----------------------------------------------------------
@@ -169,7 +179,8 @@ def transform_field(psi, alpha):
 
 
 def transform_einbein(e, alpha):
-    return phase_field(alpha) * e * phase_field(alpha, -1).L_shift(-1)
+    return Einbein(phase_field(alpha) * e.e
+                   * phase_field(alpha, -1).L_shift(-1))
 
 
 def transform_connection(phi, alpha):
@@ -181,55 +192,40 @@ def transform_connection(phi, alpha):
 # -- curvature ------------------------------------------------------------------
 
 
-def _middle(slices):
+def time_stack(slices):
+    """Slices m-1, m and m+1 around the middle m of slices, on a new axis
+    before the sectors, each broadcast to the batch shape of the three."""
     if len(slices) < 3:
         raise InsufficientTimeSlices("need at least three time slices")
-    return len(slices) // 2
-
-
-def _time_stacks(m, *slice_lists):
-    """Slices m-1, m and m+1 of each list on a new leading axis, every
-    slice broadcast to the batch shape common to all of them."""
-    picked = [slices[m - 1:m + 2] for slices in slice_lists]
-    grid = picked[0][0].grid
-    if any(f.grid is not grid and f.grid != grid for p in picked for f in p):
+    m = len(slices) // 2
+    picked = slices[m - 1:m + 2]
+    grid = picked[0].grid
+    if any(f.grid is not grid and f.grid != grid for f in picked):
         raise GridMismatch("time slices live on different grids")
-    shape = np.broadcast(*(f.data for p in picked for f in p)).shape
-    stacks = []
-    for p in picked:
-        data = np.empty((3, *shape), np.result_type(*(f.data for f in p)))
-        for k, f in enumerate(p):
-            data[k] = f.data
-        stacks.append(p[0]._wrap(data, max(f.pad_lo for f in p),
-                                 max(f.pad_hi for f in p)))
-    return stacks
+    data = np.stack(np.broadcast_arrays(*(f.data for f in picked)), axis=-3)
+    return picked[0]._wrap(data, max(f.pad_lo for f in picked),
+                           max(f.pad_hi for f in picked))
 
 
 def _slice(stack, k):
     """Slice m-1+k of a time stack."""
-    return stack._wrap(stack.data[k])
+    return stack._wrap(stack.data[..., k, :, :])
 
 
 def _ddt(stack, dt):
     return (_slice(stack, 2) - _slice(stack, 0)).scale(1.0 / (2.0 * dt))
 
 
-def curvature(e_slices, omega, dt):
-    """(T, F, calF) at the middle slice.
+def curvature(e, omega, dt):
+    """(T, F, calF) at the middle slice of an Einbein e of a time stack.
 
     T closes the commutator on D psi, F on L psi; calF = E F (L E) is
     the version of F that transforms by plain conjugation.
     """
-    e, = _time_stacks(_middle(e_slices), e_slices)
-    return _curvature(e, dual_einbein(e), omega, dt)
-
-
-def _curvature(e, et, omega, dt):
-    """curvature of a time stack e with its dual einbein et."""
-    e0 = _slice(e, 1)
+    e0 = _slice(e.e, 1)
     e_inv = _div(unit_einbein(e0.grid), e0)
-    t = _ddt(e, dt) * e_inv - e0 * omega.L_shift(-1) * e_inv + omega
-    phis = _connection(e, et)
+    t = _ddt(e.e, dt) * e_inv - e0 * omega.L_shift(-1) * e_inv + omega
+    phis = connection_field(e)
     phi = _slice(phis, 1)
     f = (_ddt(phis, dt) - omega.nabla_fn()
          + omega.L_shift(-1) * phi - phi * omega.L_shift(1))
@@ -237,35 +233,29 @@ def _curvature(e, et, omega, dt):
     return t, f, cal_f
 
 
-def commutator_residual(e_slices, psi_slices, omega, dt):
-    """Defect of (Dt D - D Dt) psi = T D psi + E F (L psi), centered."""
-    if len(psi_slices) != len(e_slices):
-        raise InsufficientTimeSlices("field and einbein slices must align")
-    e, psi = _time_stacks(_middle(e_slices), e_slices, psi_slices)
-    et = dual_einbein(e)
-    e_m, et_m, psi_m = (_slice(s, 1) for s in (e, et, psi))
-    d_psi = _derivative(e, et, psi)
+def commutator_residual(e, psi, omega, dt):
+    """Defect of (Dt D - D Dt) psi = T D psi + E F (L psi), centered;
+    e is an Einbein of a time stack and psi a time stack."""
+    e_m, psi_m = e.at(1), _slice(psi, 1)
+    d_psi = covariant_derivative(e, psi)
     dt_of_d = _ddt(d_psi, dt) + omega * _slice(d_psi, 1)
     dt_psi = _ddt(psi, dt) + omega * psi_m
-    d_of_dt = _derivative(e_m, et_m, dt_psi)
-    t, f, _ = _curvature(e, et, omega, dt)
-    rhs = t * _slice(d_psi, 1) + e_m * f * psi_m.L_shift(1)
+    d_of_dt = covariant_derivative(e_m, dt_psi)
+    t, f, _ = curvature(e, omega, dt)
+    rhs = t * _slice(d_psi, 1) + e_m.e * f * psi_m.L_shift(1)
     return (dt_of_d - d_of_dt - rhs).max_abs_interior()
 
 
-def mixed_commutator_residual(e_slices, psi_slices, omega, dt):
-    """Defect of (shift Dt - Dt shift) psi = L(T psi / E), centered."""
-    if len(psi_slices) != len(e_slices):
-        raise InsufficientTimeSlices("field and einbein slices must align")
-    e, psi = _time_stacks(_middle(e_slices), e_slices, psi_slices)
-    et = dual_einbein(e)
-    e_m, et_m, psi_m = (_slice(s, 1) for s in (e, et, psi))
-    shifted = et * psi.L_shift(1)
+def mixed_commutator_residual(e, psi, omega, dt):
+    """Defect of (shift Dt - Dt shift) psi = L(T psi / E), centered;
+    e is an Einbein of a time stack and psi a time stack."""
+    e_m, psi_m = e.at(1), _slice(psi, 1)
+    shifted = covariant_shift(e, psi)
     dt_psi = _ddt(psi, dt) + omega * psi_m
-    lhs = (et_m * dt_psi.L_shift(1)
+    lhs = (covariant_shift(e_m, dt_psi)
            - _ddt(shifted, dt) - omega * _slice(shifted, 1))
-    t, _, _ = _curvature(e, et, omega, dt)
-    rhs = _div(t * psi_m, e_m).L_shift(1)
+    t, _, _ = curvature(e, omega, dt)
+    rhs = _div(t * psi_m, e_m.e).L_shift(1)
     return (lhs - rhs).max_abs_interior()
 
 
@@ -296,7 +286,7 @@ def connection_consistency_residual(e, alpha):
 def product_leibniz_residual(e1, e2, psi, chi):
     """Defect of D(psi chi) = (D psi)(shift chi) + (shift_inv psi)(D chi)
     with the product representation carrying E1 E2."""
-    lhs = covariant_derivative(e1 * e2, psi * chi)
+    lhs = covariant_derivative(Einbein(e1.e * e2.e), psi * chi)
     rhs = (covariant_derivative(e1, psi) * covariant_shift(e2, chi)
            + covariant_shift_inv(e1, psi) * covariant_derivative(e2, chi))
     return (lhs - rhs).max_abs_interior()
@@ -309,14 +299,15 @@ def scalar_factor_residual(e, f, psi):
     return (lhs - rhs).max_abs_interior()
 
 
-def curvature_covariance_residual(e_slices, omega, alpha, dt):
+def curvature_covariance_residual(e, omega, alpha, dt):
     """T and calF conjugate by the phase; abelian, so they are invariant.
 
-    alpha is static here: a time-dependent alpha would feed its own
-    dt^2 differencing error into omega'.
+    e is an Einbein of a time stack.  alpha is static here, the same at
+    all three slices: a time-dependent alpha would feed its own dt^2
+    differencing error into omega'.
     """
-    t, _, cal_f = curvature(e_slices, omega, dt)
-    e_prime = [transform_einbein(e, alpha) for e in e_slices]
+    t, _, cal_f = curvature(e, omega, dt)
+    e_prime = transform_einbein(e, time_stack([alpha] * 3))
     tp, _, cal_fp = curvature(e_prime, omega, dt)
     return worst(((tp - t).max_abs_interior(),
                   (cal_fp - cal_f).max_abs_interior()))
@@ -329,7 +320,7 @@ def coupling_linearity_ratio(e_base, psi, g):
     h = e_base - one
     r = {}
     for scale_g in (g, 0.5 * g):
-        e = one + h.scale(scale_g)
+        e = Einbein(one + h.scale(scale_g))
         dev = covariant_derivative(e, psi) - psi.nabla_fn()
         r[scale_g] = dev.max_abs_interior()
     return r[0.5 * g] / r[g]
@@ -416,8 +407,8 @@ def scenario_report(cfg=None):
     amp = merged["einbein_amplitude"]
     aamp = merged["alpha_amplitude"]
 
-    e = random_einbein(rng, grid, amp)
-    e2 = random_einbein(rng, grid, amp)
+    e = Einbein(random_einbein(rng, grid, amp))
+    e2 = Einbein(random_einbein(rng, grid, amp))
     psi = random_field(rng, grid)
     chi = random_field(rng, grid)
     f_scalar = random_field(rng, grid)
@@ -427,11 +418,11 @@ def scenario_report(cfg=None):
     def add(check, residual, tolerance):
         rows.append(row(check, residual, tolerance))
 
-    shift_form, expanded = _routes(e, dual_einbein(e), psi)
+    shift_form, expanded = _routes(e, psi)
     add("derivative-routes", (shift_form - expanded).max_abs_interior(), 1e-12)
     add("shift-inverse", shift_inverse_residual(e, psi), 1e-12)
     add("einbein-transport",
-        einbein_derivative(e, e).max_abs_interior(), 1e-12)
+        einbein_derivative(e, e.e).max_abs_interior(), 1e-12)
     add("product-leibniz",
         product_leibniz_residual(e, e2, psi, chi), 1e-12)
     add("scalar-factor", scalar_factor_residual(e, f_scalar, psi), 1e-12)
@@ -448,16 +439,16 @@ def scenario_report(cfg=None):
     resid = {}
     for step in (dt, 2.0 * dt):
         times = (t0 - step, t0, t0 + step)
-        e_sl = [e_at(t) for t in times]
-        p_sl = [p_at(t) for t in times]
-        resid[step] = commutator_residual(e_sl, p_sl, omega, step)
+        e_st = Einbein(time_stack([e_at(t) for t in times]))
+        p_st = time_stack([p_at(t) for t in times])
+        resid[step] = commutator_residual(e_st, p_st, omega, step)
         if step == dt:
             add("commutator", resid[step], 1e-6)
             add("mixed-commutator",
-                mixed_commutator_residual(e_sl, p_sl, omega, step), 1e-6)
+                mixed_commutator_residual(e_st, p_st, omega, step), 1e-6)
             alpha = random_phase(rng, grid, aamp)
             add("curvature-covariance",
-                curvature_covariance_residual(e_sl, omega, alpha, step), 1e-10)
+                curvature_covariance_residual(e_st, omega, alpha, step), 1e-10)
     order = np.log2(resid[2.0 * dt] / resid[dt]) if resid[dt] > 0 else 2.0
     if np.isnan(worst(resid.values())):
         order = np.nan

@@ -19,6 +19,7 @@ import numpy as np
 from qcalc.batteries import row, run, worst
 from qcalc.context import QContext
 from qcalc.gauge import (
+    Einbein,
     curvature_covariance_residual,
     einbein_derivative,
     einbein_path,
@@ -27,6 +28,7 @@ from qcalc.gauge import (
     random_field,
     random_phase,
     shift_inverse_residual,
+    time_stack,
 )
 from qcalc.lattice import LatticeGrid
 from qcalc.special import qfact, qpoch
@@ -163,19 +165,19 @@ def test_criterion_7_gauge():
     dt = 1e-3
     omega = random_field(rng, grid, 0.5)
     e_at = einbein_path(rng, grid)
-    e_slices = [e_at(t) for t in (0.4 - dt, 0.4, 0.4 + dt)]
+    e = Einbein(time_stack([e_at(t) for t in (0.4 - dt, 0.4, 0.4 + dt)]))
     rows.append(row("curvature-covariance, 100 phases", worst(
-        curvature_covariance_residual(e_slices, omega,
+        curvature_covariance_residual(e, omega,
                                       random_phase(rng, grid, 1.0), dt)
         for _ in range(100)), 1e-10))
 
     transport, leib, inv = [], [], []
     for _ in range(10):
-        e1 = random_einbein(rng, grid, 0.3)
-        e2 = random_einbein(rng, grid, 0.3)
+        e1 = Einbein(random_einbein(rng, grid, 0.3))
+        e2 = Einbein(random_einbein(rng, grid, 0.3))
         f1 = random_field(rng, grid)
         f2 = random_field(rng, grid)
-        transport.append(einbein_derivative(e1, e1).max_abs_interior())
+        transport.append(einbein_derivative(e1, e1.e).max_abs_interior())
         leib.append(product_leibniz_residual(e1, e2, f1, f2))
         inv.append(shift_inverse_residual(e1, f1))
     rows += [row("frame transport, 10 einbeins", worst(transport), 1e-12),

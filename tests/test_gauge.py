@@ -11,6 +11,7 @@ import pytest
 from qcalc import gauge
 from qcalc.context import QContext
 from qcalc.gauge import (
+    Einbein,
     InsufficientTimeSlices,
     RouteMismatch,
     SingularEinbein,
@@ -26,7 +27,6 @@ from qcalc.gauge import (
     curvature,
     curvature_covariance_residual,
     derivative_covariance_residual,
-    dual_einbein,
     einbein_derivative,
     einbein_path,
     field_path,
@@ -39,6 +39,7 @@ from qcalc.gauge import (
     scalar_factor_residual,
     scenario_report,
     shift_inverse_residual,
+    time_stack,
     transform_connection,
     transform_einbein,
     transform_field,
@@ -61,7 +62,7 @@ def test_dual_einbein_pointwise():
     grid = make_grid()
     rng = np.random.default_rng(SEED)
     e = random_einbein(rng, grid, 0.3)
-    et = dual_einbein(e)
+    et = Einbein(e).et
     assert et.pad_lo == 1 and et.pad_hi == 0
     for s in grid.sectors:
         prod = et.sector(s)[1:] * e.sector(s)[:-1]
@@ -88,7 +89,7 @@ def test_singular_einbein_rejected():
     vals = {s: np.ones(grid.size) for s in grid.sectors}
     vals[1][3] = 1e-14
     with pytest.raises(SingularEinbein):
-        dual_einbein(LatticeFn(grid, vals))
+        Einbein(LatticeFn(grid, vals))
 
 
 def test_singular_einbein_names_the_first_failing_sector():
@@ -96,10 +97,10 @@ def test_singular_einbein_names_the_first_failing_sector():
     vals = {1: np.ones(grid.size), -1: np.ones(grid.size)}
     vals[1][3], vals[-1][2] = 1e-13, 1e-15
     with pytest.raises(SingularEinbein, match=r"modulus 1e-13 below"):
-        dual_einbein(LatticeFn(grid, vals))
+        Einbein(LatticeFn(grid, vals))
     vals[1][3] = 1.0
     with pytest.raises(SingularEinbein, match=r"modulus 1e-15 below"):
-        dual_einbein(LatticeFn(grid, vals))
+        Einbein(LatticeFn(grid, vals))
 
 
 @pytest.mark.parametrize("sector", [1, -1])
@@ -108,7 +109,7 @@ def test_nan_einbein_rejected(sector):
     vals = {s: np.ones(grid.size) for s in grid.sectors}
     vals[sector][3] = np.nan
     with pytest.raises(SingularEinbein):
-        dual_einbein(LatticeFn(grid, vals))
+        Einbein(LatticeFn(grid, vals))
 
 
 @pytest.mark.parametrize("q", [2.0, 1.5, 3.0, 1.1])
@@ -117,7 +118,7 @@ def test_unit_einbein_reduces_to_nabla(q):
     grid = LatticeGrid(QContext(q), -8, 8)
     rng = np.random.default_rng(SEED + 1)
     psi = random_field(rng, grid)
-    d = covariant_derivative(unit_einbein(grid), psi)
+    d = covariant_derivative(Einbein(unit_einbein(grid)), psi)
     want = psi.nabla_fn()
     assert (d.pad_lo, d.pad_hi) == (want.pad_lo, want.pad_hi)
     assert np.array_equal(d.interior(), want.interior())
@@ -126,9 +127,9 @@ def test_unit_einbein_reduces_to_nabla(q):
 def test_derivative_routes_agree(monkeypatch):
     grid = make_grid()
     rng = np.random.default_rng(SEED + 2)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
-    a, b = _routes(e, dual_einbein(e), psi)
+    a, b = _routes(e, psi)
     assert (a - b).max_abs_interior() < 1e-12
     assert np.array_equal(covariant_derivative(e, psi).data, a.data)
     monkeypatch.setattr(gauge, "ROUTE_TOL", 1e-18)
@@ -142,7 +143,7 @@ def test_derivative_routes_agree(monkeypatch):
 def test_derivative_covariance():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 3)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
     for _ in range(5):
         alpha = random_phase(rng, grid)
@@ -152,7 +153,7 @@ def test_derivative_covariance():
 def test_connection_law_matches_recomputation():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 4)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     for _ in range(5):
         alpha = random_phase(rng, grid)
         assert connection_consistency_residual(e, alpha) < 1e-12
@@ -162,7 +163,7 @@ def test_connection_field_formula():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 5)
     e = random_einbein(rng, grid, 0.3)
-    phi = connection_field(e)
+    phi = connection_field(Einbein(e))
     n = 2
     i = grid.index(n)
     want = (D2.inv_lam / D2.qpow(n)
@@ -173,11 +174,11 @@ def test_connection_field_formula():
 def test_alpha_zero_is_identity():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 6)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
     zero = LatticeFn(grid)
     assert (transform_field(psi, zero) - psi).max_abs_interior() == 0.0
-    assert (transform_einbein(e, zero) - e).max_abs_interior(1) == 0.0
+    assert (transform_einbein(e, zero).e - e.e).max_abs_interior(1) == 0.0
     phi = connection_field(e)
     assert (transform_connection(phi, zero) - phi).max_abs_interior(1) == 0.0
 
@@ -206,7 +207,7 @@ def test_einbein_transport_vanishes_exactly():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 10)
     e = random_einbein(rng, grid, 0.3)
-    assert einbein_derivative(e, e).max_abs_interior() == 0.0
+    assert einbein_derivative(Einbein(e), e).max_abs_interior() == 0.0
 
 
 def test_einbein_shift_rational_values():
@@ -217,7 +218,7 @@ def test_einbein_shift_rational_values():
     vals = {s: rng.choice(choices, grid.size).astype(complex)
             for s in grid.sectors}
     e = LatticeFn(grid, vals)
-    assert einbein_derivative(e, e).max_abs_interior() == 0.0
+    assert einbein_derivative(Einbein(e), e).max_abs_interior() == 0.0
 
 
 def test_general_einbein_like_field_transport():
@@ -226,7 +227,7 @@ def test_general_einbein_like_field_transport():
     rng = np.random.default_rng(SEED + 12)
     e = random_einbein(rng, grid, 0.3)
     h = random_einbein(rng, grid, 0.3)
-    got = einbein_derivative(e, h)
+    got = einbein_derivative(Einbein(e), h)
     want = e * LatticeFn(grid, {s: h.sector(s) / e.sector(s)
                                 for s in grid.sectors}).nabla_fn()
     assert (got - want).max_abs_interior() < 1e-12
@@ -242,7 +243,7 @@ def test_general_einbein_like_field_transport():
 def test_shift_inverse_identity():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 13)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
     assert shift_inverse_residual(e, psi) < 1e-12
 
@@ -251,7 +252,8 @@ def test_shift_inverse_residual_keeps_nan_of_second_route():
     # E = 1e-10 leaves E (L^-1 psi) finite on the first route, while the
     # second route's Et (L psi) overflows and turns into NaN
     grid = make_grid()
-    e = LatticeFn(grid, {s: np.full(grid.size, 1e-10) for s in grid.sectors})
+    e = Einbein(LatticeFn(grid, {s: np.full(grid.size, 1e-10)
+                                 for s in grid.sectors}))
     psi = LatticeFn(grid, {s: np.full(grid.size, 1e300 * np.exp(0.5j))
                            for s in grid.sectors})
     with np.errstate(all="ignore"):
@@ -261,7 +263,7 @@ def test_shift_inverse_residual_keeps_nan_of_second_route():
 def test_scalar_factor_rule():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 14)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     assert scalar_factor_residual(e, random_field(rng, grid),
                                   random_field(rng, grid)) < 1e-12
 
@@ -270,8 +272,8 @@ def test_product_leibniz():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 15)
     for _ in range(5):
-        e1 = random_einbein(rng, grid, 0.3)
-        e2 = random_einbein(rng, grid, 0.3)
+        e1 = Einbein(random_einbein(rng, grid, 0.3))
+        e2 = Einbein(random_einbein(rng, grid, 0.3))
         psi = random_field(rng, grid)
         chi = random_field(rng, grid)
         assert product_leibniz_residual(e1, e2, psi, chi) < 1e-12
@@ -280,7 +282,7 @@ def test_product_leibniz():
 def test_product_leibniz_unit_einbeins():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 16)
-    one = unit_einbein(grid)
+    one = Einbein(unit_einbein(grid))
     psi = random_field(rng, grid)
     chi = random_field(rng, grid)
     assert product_leibniz_residual(one, one, psi, chi) < 1e-13
@@ -301,7 +303,8 @@ def test_static_curvature_vanishes():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 18)
     e = random_einbein(rng, grid, 0.3)
-    t, f, cal_f = curvature([e, e, e], LatticeFn(grid), 1e-3)
+    t, f, cal_f = curvature(Einbein(time_stack([e, e, e])), LatticeFn(grid),
+                            1e-3)
     assert t.max_abs_interior() == 0.0
     assert f.max_abs_interior() == 0.0
     assert cal_f.max_abs_interior() == 0.0
@@ -311,11 +314,10 @@ def test_insufficient_time_slices():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 19)
     e = random_einbein(rng, grid, 0.3)
-    omega = LatticeFn(grid)
     with pytest.raises(InsufficientTimeSlices):
-        curvature([e, e], omega, 1e-3)
+        time_stack([e, e])
     with pytest.raises(InsufficientTimeSlices):
-        commutator_residual([e, e, e], [LatticeFn(grid)], omega, 1e-3)
+        time_stack([LatticeFn(grid)])
 
 
 def test_commutator_identity():
@@ -326,10 +328,10 @@ def test_commutator_identity():
     p_at = field_path(rng, grid)
     dt, t0 = 1e-3, 0.4
     times = (t0 - dt, t0, t0 + dt)
-    e_sl = [e_at(t) for t in times]
-    p_sl = [p_at(t) for t in times]
-    assert commutator_residual(e_sl, p_sl, omega, dt) < 1e-6
-    assert mixed_commutator_residual(e_sl, p_sl, omega, dt) < 1e-6
+    e = Einbein(time_stack([e_at(t) for t in times]))
+    psi = time_stack([p_at(t) for t in times])
+    assert commutator_residual(e, psi, omega, dt) < 1e-6
+    assert mixed_commutator_residual(e, psi, omega, dt) < 1e-6
 
 
 def test_commutator_is_second_order_in_dt():
@@ -342,8 +344,9 @@ def test_commutator_is_second_order_in_dt():
     r = {}
     for dt in (1e-3, 2e-3):
         times = (t0 - dt, t0, t0 + dt)
-        r[dt] = commutator_residual([e_at(t) for t in times],
-                                    [p_at(t) for t in times],
+        r[dt] = commutator_residual(Einbein(time_stack([e_at(t)
+                                                        for t in times])),
+                                    time_stack([p_at(t) for t in times]),
                                     omega, dt)
     assert 3.4 < r[2e-3] / r[1e-3] < 4.6
 
@@ -354,10 +357,10 @@ def test_curvature_covariance():
     omega = random_field(rng, grid, 0.5)
     e_at = einbein_path(rng, grid)
     dt, t0 = 1e-3, 0.4
-    e_sl = [e_at(t) for t in (t0 - dt, t0, t0 + dt)]
+    e = Einbein(time_stack([e_at(t) for t in (t0 - dt, t0, t0 + dt)]))
     for _ in range(3):
         alpha = random_phase(rng, grid)
-        assert curvature_covariance_residual(e_sl, omega, alpha, dt) < 1e-10
+        assert curvature_covariance_residual(e, omega, alpha, dt) < 1e-10
 
 
 def test_curvature_covariance_residual_keeps_nan_of_calf():
@@ -365,13 +368,13 @@ def test_curvature_covariance_residual_keeps_nan_of_calf():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 23)
     omega = random_field(rng, grid, 0.5)
-    e_sl = [LatticeFn(grid, {s: np.full(grid.size, 1e200 * (1 + 1j) * k)
-                             for s in grid.sectors})
-            for k in (0.999, 1.0, 1.001)]
+    e = Einbein(time_stack([
+        LatticeFn(grid, {s: np.full(grid.size, 1e200 * (1 + 1j) * k)
+                         for s in grid.sectors})
+        for k in (0.999, 1.0, 1.001)]))
     alpha = random_phase(rng, grid)
     with np.errstate(all="ignore"):
-        assert np.isnan(curvature_covariance_residual(e_sl, omega, alpha,
-                                                      1e-3))
+        assert np.isnan(curvature_covariance_residual(e, omega, alpha, 1e-3))
 
 
 # -- covariant shift sanity on plain structure ---------------------------------------
@@ -381,7 +384,7 @@ def test_covariant_shifts_reduce_to_plain_shifts():
     grid = make_grid()
     rng = np.random.default_rng(SEED + 23)
     psi = random_field(rng, grid)
-    one = unit_einbein(grid)
+    one = Einbein(unit_einbein(grid))
     assert (covariant_shift(one, psi)
             - psi.L_shift(1)).max_abs_interior() == 0.0
     assert (covariant_shift_inv(one, psi)
@@ -453,7 +456,7 @@ def assert_batch_is_the_loop(batched, looped):
 def batch_scenario():
     grid = make_grid()
     rng = np.random.default_rng(SEED)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
     alphas = random_phase(rng, grid, 1.0, (T,))
     return e, psi, alphas
@@ -475,17 +478,18 @@ def test_batched_transforms_match_the_member_loop(batch_scenario):
     e, psi, alphas = batch_scenario
     loop = members(alphas)
     e_batch = transform_einbein(e, alphas)
+    e_loop = [Einbein(b) for b in members(e_batch.e)]
     psi_batch = transform_field(psi, alphas)
     cases = [
         (phase_field(alphas, -1), [phase_field(a, -1) for a in loop]),
-        (e_batch, [transform_einbein(e, a) for a in loop]),
-        (_div(psi, e_batch), [_div(psi, transform_einbein(e, a))
-                              for a in loop]),
-        (_div(e_batch, e_batch), [_div(b, b) for b in members(e_batch)]),
-        (connection_field(e_batch),
-         [connection_field(b) for b in members(e_batch)]),
+        (e_batch.e, [transform_einbein(e, a).e for a in loop]),
+        (e_batch.et, [b.et for b in e_loop]),
+        (_div(psi, e_batch.e), [_div(psi, transform_einbein(e, a).e)
+                                for a in loop]),
+        (_div(e_batch.e, e_batch.e), [_div(b.e, b.e) for b in e_loop]),
+        (connection_field(e_batch), [connection_field(b) for b in e_loop]),
         (covariant_derivative(e_batch, psi_batch),
-         [covariant_derivative(b, p) for b, p in zip(members(e_batch),
+         [covariant_derivative(b, p) for b, p in zip(e_loop,
                                                      members(psi_batch))]),
     ]
     for batched, looped in cases:
@@ -511,15 +515,15 @@ def test_nan_in_one_member_makes_the_batched_residual_nan(batch_scenario):
 
 def test_singular_member_is_named_as_the_loop_names_it(batch_scenario):
     e, _, alphas = batch_scenario
-    e_batch = transform_einbein(e, alphas)
+    e_batch = transform_einbein(e, alphas).e
     e_batch.data[4, 0, 3] = 1e-15
     e_batch.data[2, -1, 6] = 2e-14
     e_batch.data[2, 0, 9] = np.nan
     with pytest.raises(SingularEinbein) as batched:
-        dual_einbein(e_batch)
+        Einbein(e_batch)
     with pytest.raises(SingularEinbein) as looped:
         for b in members(e_batch):
-            dual_einbein(b)
+            Einbein(b)
     assert str(batched.value) == str(looped.value)
     assert "nan" in str(batched.value)
 
@@ -529,7 +533,7 @@ def test_route_mismatch_names_the_first_failing_member():
     # down far enough to agree, and a NaN member must hide nothing
     grid = make_grid(-20, 20)
     rng = np.random.default_rng(SEED)
-    e = random_einbein(rng, grid, 0.3)
+    e = Einbein(random_einbein(rng, grid, 0.3))
     psi = random_field(rng, grid)
     scales = np.array([1e-20, 1e-20, np.nan, 0.5, 1.0])
     psis = LatticeFn(grid, scales[:, None, None] * psi.data)
@@ -556,11 +560,28 @@ def test_scenario_report_pointwise_budget(monkeypatch):
     assert 0 < len(calls) <= 320
 
 
+def test_scenario_report_checks_each_einbein_once(monkeypatch):
+    # ten einbeins: E, E2, their product, the two transformed by the phase
+    # batch, the three time stacks and the two coupling einbeins; every
+    # covariant call took its own dual, 20 of them, before they were built
+    # once as Einbeins
+    calls = []
+    check = gauge._check_invertible
+
+    def counting(e):
+        calls.append(e)
+        return check(e)
+
+    monkeypatch.setattr(gauge, "_check_invertible", counting)
+    scenario_report()
+    assert len(calls) == 10
+
+
 # -- time slices as one stack --------------------------------------------------------
 #
-# curvature and the commutator residuals take one dual einbein of the
-# slices m-1, m, m+1 stacked; each must equal the formulas evaluated
-# slice by slice, as below, bit for bit.
+# curvature and the commutator residuals take one Einbein of the slices
+# m-1, m, m+1 stacked; each must equal the formulas evaluated slice by
+# slice, each slice its own Einbein, as below, bit for bit.
 
 
 def loop_curvature(e_slices, omega, dt):
@@ -569,7 +590,8 @@ def loop_curvature(e_slices, omega, dt):
     e_inv = _div(unit_einbein(e0.grid), e0)
     t = ((e_slices[m + 1] - e_slices[m - 1]).scale(1.0 / (2.0 * dt)) * e_inv
          - e0 * omega.L_shift(-1) * e_inv + omega)
-    phis = [connection_field(e_slices[k]) for k in (m - 1, m, m + 1)]
+    phis = [connection_field(Einbein(e_slices[k]))
+            for k in (m - 1, m, m + 1)]
     f = ((phis[2] - phis[0]).scale(1.0 / (2.0 * dt)) - omega.nabla_fn()
          + omega.L_shift(-1) * phis[1] - phis[1] * omega.L_shift(1))
     return t, f, e0 * f * e0.L_shift(1)
@@ -577,12 +599,12 @@ def loop_curvature(e_slices, omega, dt):
 
 def loop_commutator(e_slices, psi_slices, omega, dt):
     m = len(e_slices) // 2
-    d_psi = [covariant_derivative(e_slices[k], psi_slices[k])
+    d_psi = [covariant_derivative(Einbein(e_slices[k]), psi_slices[k])
              for k in (m - 1, m, m + 1)]
     dt_of_d = (d_psi[2] - d_psi[0]).scale(1.0 / (2.0 * dt)) + omega * d_psi[1]
     dt_psi = ((psi_slices[m + 1] - psi_slices[m - 1]).scale(1.0 / (2.0 * dt))
               + omega * psi_slices[m])
-    d_of_dt = covariant_derivative(e_slices[m], dt_psi)
+    d_of_dt = covariant_derivative(Einbein(e_slices[m]), dt_psi)
     t, f, _ = loop_curvature(e_slices, omega, dt)
     rhs = t * d_psi[1] + e_slices[m] * f * psi_slices[m].L_shift(1)
     return (dt_of_d - d_of_dt - rhs).max_abs_interior()
@@ -590,11 +612,11 @@ def loop_commutator(e_slices, psi_slices, omega, dt):
 
 def loop_mixed_commutator(e_slices, psi_slices, omega, dt):
     m = len(e_slices) // 2
-    shifted = [covariant_shift(e_slices[k], psi_slices[k])
+    shifted = [covariant_shift(Einbein(e_slices[k]), psi_slices[k])
                for k in (m - 1, m, m + 1)]
     dt_psi = ((psi_slices[m + 1] - psi_slices[m - 1]).scale(1.0 / (2.0 * dt))
               + omega * psi_slices[m])
-    lhs = (covariant_shift(e_slices[m], dt_psi)
+    lhs = (covariant_shift(Einbein(e_slices[m]), dt_psi)
            - (shifted[2] - shifted[0]).scale(1.0 / (2.0 * dt))
            - omega * shifted[1])
     t, _, _ = loop_curvature(e_slices, omega, dt)
@@ -625,24 +647,29 @@ def time_slices():
 
 def test_stacked_slices_equal_the_slice_formulas(time_slices):
     e_sl, p_sl, omega, alphas, dt = time_slices
-    e_batch = [transform_einbein(e, alphas) for e in e_sl]
+    e_batch = [transform_einbein(Einbein(e), alphas).e for e in e_sl]
     p_batch = [transform_field(p, alphas) for p in p_sl]
     # plain slices, an einbein with its own batch axis, and both batched
     for es, ps in ((e_sl, p_sl), (e_batch, p_sl), (e_batch, p_batch)):
-        for a, b in zip(curvature(es, omega, dt),
+        e = Einbein(time_stack(es))
+        for a, b in zip(curvature(e, omega, dt),
                         loop_curvature(es, omega, dt)):
             assert_same_fn(a, b)
         for fn, loop in ((commutator_residual, loop_commutator),
                          (mixed_commutator_residual, loop_mixed_commutator)):
-            got = fn(es, ps, omega, dt)
+            got = fn(e, time_stack(ps), omega, dt)
             assert got > 0.0
             assert got == loop(es, ps, omega, dt)
     # a batched residual is the worst of its members' residuals
+    e_b, e_st = Einbein(time_stack(e_batch)), Einbein(time_stack(e_sl))
     loop_e = zip(*(members(e) for e in e_batch))
-    assert commutator_residual(e_batch, p_sl, omega, dt) == max(
+    assert commutator_residual(e_b, time_stack(p_sl), omega, dt) == max(
         loop_commutator(list(es), p_sl, omega, dt) for es in loop_e)
+    assert curvature_covariance_residual(e_st, omega, alphas, dt) == max(
+        curvature_covariance_residual(e_st, omega, a, dt)
+        for a in members(alphas))
     for k, (t, f, cal_f) in enumerate(zip(
-            *(members(x) for x in curvature(e_batch, omega, dt)))):
+            *(members(x) for x in curvature(e_b, omega, dt)))):
         want = loop_curvature([members(e)[k] for e in e_batch], omega, dt)
         for a, b in zip((t, f, cal_f), want):
             assert_same_fn(a, b)
@@ -655,9 +682,7 @@ def test_stacked_slices_name_slice_m_minus_1_first(time_slices, monkeypatch):
     for e, (site, value) in zip(e_sl[1:4], ((3, 1e-13), (2, 1e-14),
                                             (1, 1e-15))):
         e.sector(-1)[site] = value
-    calls = (lambda: curvature(e_sl, omega, dt),
-             lambda: commutator_residual(e_sl, p_sl, omega, dt),
-             lambda: mixed_commutator_residual(e_sl, p_sl, omega, dt),
+    calls = (lambda: Einbein(time_stack(e_sl)),
              lambda: loop_commutator(e_sl, p_sl, omega, dt))
     for call in calls:
         with pytest.raises(SingularEinbein, match=r"modulus 1e-13 below"):
@@ -666,11 +691,12 @@ def test_stacked_slices_name_slice_m_minus_1_first(time_slices, monkeypatch):
     e_sl, p_sl = time_slices[:2]
     monkeypatch.setattr(gauge, "ROUTE_TOL", 1e-30)
     with pytest.raises(RouteMismatch) as batched:
-        commutator_residual(e_sl, p_sl, omega, dt)
+        commutator_residual(Einbein(time_stack(e_sl)), time_stack(p_sl),
+                            omega, dt)
     with pytest.raises(RouteMismatch) as looped:
         loop_commutator(e_sl, p_sl, omega, dt)
     with pytest.raises(RouteMismatch) as first:
-        covariant_derivative(e_sl[1], p_sl[1])
+        covariant_derivative(Einbein(e_sl[1]), p_sl[1])
     assert str(batched.value) == str(looped.value) == str(first.value)
 
 
@@ -678,4 +704,8 @@ def test_time_slices_on_other_grids_are_refused(time_slices):
     e_sl, p_sl, omega, _, dt = time_slices
     other = random_field(np.random.default_rng(SEED), make_grid(-7, 9))
     with pytest.raises(GridMismatch):
-        commutator_residual(e_sl, p_sl[:2] + [other] + p_sl[3:], omega, dt)
+        time_stack(p_sl[:2] + [other] + p_sl[3:])
+    # an einbein stack and a field stack on two grids
+    with pytest.raises(GridMismatch):
+        commutator_residual(Einbein(time_stack(e_sl)),
+                            time_stack([other] * 3), omega, dt)
