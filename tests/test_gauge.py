@@ -561,10 +561,9 @@ def test_scenario_report_pointwise_budget(monkeypatch):
 
 
 def test_scenario_report_checks_each_einbein_once(monkeypatch):
-    # ten einbeins: E, E2, their product, the two transformed by the phase
-    # batch, the three time stacks and the two coupling einbeins; every
-    # covariant call took its own dual, 20 of them, before they were built
-    # once as Einbeins
+    # one check per distinct einbein, ten in all: E, E2, their product,
+    # E transformed by the phase batch for each of two rows, the dt stack,
+    # its transform and the 2 dt stack, and the two coupling einbeins
     calls = []
     check = gauge._check_invertible
 
