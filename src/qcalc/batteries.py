@@ -51,15 +51,13 @@ from .fields import (
     nabla,
     nabla_preimage,
 )
-from .fourier import QFourier, SublatticeSeq, running_sum
+from .fourier import QFourier, SublatticeSeq
 from .gauge import DEFAULT_SCENARIO, RouteMismatch, scenario_report
 from .integration import (
     DivergentBranch,
     NotConverged,
     ParityMismatch,
-    check_green,
     definite_integral,
-    improper_integral,
     monomial_integral_closed_form,
     nabla_inverse_series,
 )
@@ -68,7 +66,11 @@ from .lattice import (
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
+    check_green,
+    definite_integral as lattice_integral,
+    improper_integral,
     row,
+    running_sum,
     to_csv,
     worst,
 )
@@ -401,7 +403,7 @@ def _lattice_integral_rows(ctx, rng, trials):
     stokes = []
     for _ in range(trials):
         f = rand_lattice_fn(rng, grid)
-        got = definite_integral(f.nabla_fn(), -7, 7)
+        got = lattice_integral(f.nabla_fn(), -7, 7)
         want = f.value(1, 7) - f.value(1, -7)
         stokes.append(abs(got - want) / max(1.0, abs(want)))
 

@@ -27,8 +27,9 @@ Gaussian int products, one denominator product and one gcd.  L, nabla
 and its preimage multiply degree n by the integer pair of q^(-pn), [n]
 or 1/[n] from the context (q = a/b, so q^k = a^k / b^k), over one common
 lcm of the pair denominators.  `evaluate` and `sum_at` sum in ints and
-return a QQi.  `coeffs` is a fresh {n: QQi} dict to read; writing to it
-does not change the polynomial.
+return a QQi; `sum_at` sums each monomial over a run of lattice points
+as one geometric progression.  `coeffs` is a fresh {n: QQi} dict to
+read; writing to it does not change the polynomial.
 """
 
 from __future__ import annotations
@@ -191,44 +192,75 @@ class LaurentPoly:
     __hash__ = None
 
     def evaluate(self, x0):
-        return self.sum_at((x0,))
+        """Exact f(x0) at a rational x0, as a QQi.
 
-    def sum_at(self, points, power=0):
-        """Exact sum of x^power f(x) over one or more rational points x, as
-        a QQi.
-
-        With m = n + power running from lo to hi, x = u/v contributes
-        sum_n c_n u^(m-lo) v^(hi-m) times u^lo / v^hi: an int sum per
-        point.  The points are then added pairwise, so each gcd meets two
-        denominators of like size rather than the lcm of all of them,
-        which grows with the window.
+        With n from lo to hi, x0 = u/v contributes sum_n c_n u^(n-lo)
+        v^(hi-n), an int sum, times u^lo / v^hi.
         """
         if not self._c:
             return QQi(0, 0)
-        lo, hi = min(self._c) + power, max(self._c) + power
-        sums = []
-        for x in points:
-            u, v = Fraction(x).as_integer_ratio()
-            sr = si = 0
-            for n, (re, im) in self._c.items():
-                w = u ** (n + power - lo) * v ** (hi - n - power)
-                sr += re * w
-                si += im * w
-            # u^lo / v^hi as num / den; den is negative for some u < 0,
-            # and zero (a ZeroDivisionError below) at x = 0 with lo < 0
-            num, den = (u ** lo, v ** hi) if lo >= 0 else \
-                (v ** -lo, u ** -lo * v ** (hi - lo))
-            sums.append((sr * num, si * num, den))
-        while len(sums) > 1:
-            merged = []
-            for (r1, i1, d1), (r2, i2, d2) in zip(sums[::2], sums[1::2]):
-                g = math.gcd(d1, d2)
-                a, b = d2 // g, d1 // g
-                merged.append((r1 * a + r2 * b, i1 * a + i2 * b, d1 * a))
-            sums = merged + sums[2 * len(merged):]
-        tr, ti, d = sums[0]
-        d *= self.den
-        return QQi(Fraction(tr, d), Fraction(ti, d))
+        lo, hi = min(self._c), max(self._c)
+        u, v = Fraction(x0).as_integer_ratio()
+        sr = si = 0
+        for n, (re, im) in self._c.items():
+            w = u ** (n - lo) * v ** (hi - n)
+            sr += re * w
+            si += im * w
+        # u^lo / v^hi as num / den; den is negative for some u < 0,
+        # and zero (a ZeroDivisionError below) at x0 = 0 with lo < 0
+        num, den = (u ** lo, v ** hi) if lo >= 0 else \
+            (v ** -lo, u ** -lo * v ** (hi - lo))
+        den *= self.den
+        return QQi(Fraction(sr * num, den), Fraction(si * num, den))
+
+    def sum_at(self, sector, sites, power):
+        """Exact sum of x^power f(x) over the lattice points x = sector q^n,
+        n in the range sites, as a QQi.
+
+        With q = a/b and k sites, c x^n contributes c sector^e sum q^s over
+        s = e n, e = n + power, from lo to hi in steps of d = |e| sites.step:
+        sum_s a^s / b^s = G a^lo / b^hi with the int
+        G = sum_s a^(s-lo) b^(hi-s) = (a^(dk) - b^(dk)) / (a^d - b^d)
+        (G = k for e = 0), one geometric progression per monomial.  The
+        monomials then share a^L / b^H, L the least lo and H the greatest
+        hi, so the whole sum is one int over one denominator.
+        """
+        if not self._c:
+            return QQi(0, 0)
+        ctx = self.ctx
+        k = len(sites)
+        parts = []
+        for n, (re, im) in self._c.items():
+            e = n + power
+            if e:
+                d = abs(e * sites.step)
+                a_dk, b_dk = ctx.qpow_pair(d * k)
+                a_d, b_d = ctx.qpow_pair(d)
+                g = (a_dk - b_dk) // (a_d - b_d)
+            else:
+                g = k
+            if sector < 0 and e % 2:
+                g = -g
+            s0, s1 = e * sites[0], e * sites[-1]
+            parts.append((re * g, im * g, min(s0, s1), max(s0, s1)))
+        a, b = ctx.q.numerator, ctx.q.denominator
+        L = min(p[2] for p in parts)
+        H = max(p[3] for p in parts)
+        tr = ti = 0
+        for re, im, lo, hi in parts:
+            w = a ** (lo - L) * b ** (H - hi)
+            tr += re * w
+            ti += im * w
+        num, den = 1, self.den
+        if L >= 0:
+            num = a ** L
+        else:
+            den *= a ** -L
+        if H >= 0:
+            den *= b ** H
+        else:
+            num *= b ** -H
+        return QQi(Fraction(tr * num, den), Fraction(ti * num, den))
 
     def __str__(self):
         coeffs = self.coeffs

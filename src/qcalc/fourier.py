@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .integration import NotConverged
+from .lattice import running_sum
 from .special import SpecialFunctions
 
 _FAMILIES = ("even", "odd")
@@ -206,10 +207,3 @@ class QFourier:
             sums = running_sum(terms) * self._nq
         return dict(zip(ns, sums.tolist()))
 
-
-def running_sum(terms):
-    """Sums over the last axis, added left to right from 0.0 as a Python
-    loop adds them (np.sum adds pairwise, which rounds differently)."""
-    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
-    padded[..., 1:] = terms
-    return np.take(np.cumsum(padded, axis=-1), -1, axis=-1)

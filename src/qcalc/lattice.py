@@ -24,6 +24,14 @@ invalid layers at each end (pad_lo, pad_hi); shifted-in sites hold zero
 and are excluded from any residual check.  Checks and integrals read
 valid sites only; `row` makes one check's verdict and `worst` the
 largest of its residuals.
+
+Jackson integrals of lattice data sum complex doubles, each in loop
+order through `running_sum`: the definite integral is the trace formula
+of qcalc.integration on the valid sites of opposite parity, and the
+improper integral weights every valid site of both sectors by the
+positive measure (1/2) lam q^n (the sector's sign cancels against the
+sign of x).  The scalar product, its norm and the windowed Green
+identity are built on them.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ import io
 from collections.abc import Mapping
 
 import numpy as np
+
+from .integration import NotConverged, _site_exponents
 
 
 def row(check, residual, tolerance=0.5):
@@ -56,6 +66,17 @@ def worst(residuals):
         if r > out:
             out = r
     return out
+
+
+def running_sum(terms):
+    """Sums over the last axis, in the terms' own dtype, added left to
+    right from zero as a Python loop adds them (np.sum adds pairwise,
+    which rounds differently)."""
+    terms = np.asarray(terms)
+    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,),
+                      dtype=terms.dtype)
+    padded[..., 1:] = terms
+    return np.take(np.cumsum(padded, axis=-1), -1, axis=-1)
 
 
 def _shift_sites(v, k):
@@ -387,6 +408,69 @@ class Stencil:
             np.max(np.abs(d[:, margin + max(c, 0):n - margin + min(c, 0)]),
                    initial=0.0)
             for c, d in self.diags.items())
+
+
+# -- integrals -------------------------------------------------------------------
+
+
+def definite_integral(h, lower_exp, upper_exp, sector=1):
+    """Trace-formula integral of the LatticeFn h from sigma q^lower to
+    sigma q^upper: the opposite-parity sites in between, each weighted by
+    x = sigma q^n and added in order of n; lam times that sum.
+
+    Every site must lie in the valid window (InsufficientPadding) of a
+    sector the grid carries.
+    """
+    sites = _site_exponents(lower_exp, upper_exp)
+    # the end sites raise what the first bad site would
+    h.value(sector, sites[0])
+    h.value(sector, sites[-1])
+    grid = h.grid
+    k = grid.row(sector)
+    cols = slice(grid.index(sites[0]), grid.index(sites[-1]) + 1, 2)
+    return grid.ctx.lam * running_sum(grid.points[k, cols]
+                                      * h.data[..., k, cols])
+
+
+def improper_integral(h, tail_tol=1e-10):
+    """(1/2) lam sum over sectors and all valid sites of q^n h(sigma q^n),
+    the sector sign being cancelled against the x eigenvalue's sign."""
+    ctx = h.grid.ctx
+    cols = h.valid_slice()
+    terms = h.grid.qpows[cols] * h.data[:, cols]
+    acc = running_sum(terms.ravel())  # sector-major
+    i = np.arange(terms.shape[-1])
+    edge = (i < 2) | (i >= i.size - 2)
+    # scalar moduli: np.abs rounds some of them differently
+    worst_tail = worst(map(abs, (ctx.lam * terms[:, edge]).ravel().tolist()))
+    if not worst_tail <= tail_tol:  # a NaN tail fails too
+        raise NotConverged(
+            f"window tail term {worst_tail:.3e} exceeds {tail_tol:.3e}")
+    return 0.5 * ctx.lam * acc
+
+
+def scalar_product(chi, psi, tail_tol=1e-10):
+    """(chi, psi) = improper integral of conj(chi) psi."""
+    if chi.grid != psi.grid:
+        raise GridMismatch("scalar product needs a common grid")
+    return improper_integral(chi.conj() * psi, tail_tol=tail_tol)
+
+
+def norm(psi, tail_tol=1e-10):
+    return abs(scalar_product(psi, psi, tail_tol=tail_tol)) ** 0.5
+
+
+def check_green(f, g, lower_exp, upper_exp):
+    """LHS - RHS of the windowed Green identity on sector +1 lattice data.
+
+    LHS: definite integral of (nabla^2 f) g - f (nabla^2 g);
+    RHS: boundary values of (nabla f)(L^-1 g) - (L^-1 f)(nabla g).
+    """
+    integrand = f.nabla2_fn() * g - f * g.nabla2_fn()
+    lhs = definite_integral(integrand, lower_exp, upper_exp)
+    flux = f.nabla_fn() * g.L_shift(-1) - f.L_shift(-1) * g.nabla_fn()
+    rhs = flux.value(1, upper_exp) - flux.value(1, lower_exp)
+    return lhs - rhs
 
 
 # -- serialization -------------------------------------------------------------

@@ -44,8 +44,7 @@ import warnings
 
 import numpy as np
 
-from .integration import norm as fn_norm
-from .lattice import LatticeFn, Stencil, worst
+from .lattice import LatticeFn, Stencil, norm as fn_norm, worst
 from .scalars import QQi, Scalar
 from .schrodinger import GridTooSmall
 from .special import SpecialFunctions

@@ -27,8 +27,8 @@ import functools
 
 import numpy as np
 
-from .integration import improper_integral, norm as fn_norm
-from .lattice import LatticeFn, SectorRows, Stencil, worst
+from .lattice import (LatticeFn, SectorRows, Stencil, improper_integral,
+                      norm as fn_norm, worst)
 from .special import EIGEN_EXPONENT, SpecialFunctions
 
 

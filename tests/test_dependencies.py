@@ -6,6 +6,7 @@ equal the names in `[project] dependencies`.  A subprocess then imports
 every qcalc module and runs special-tables, whose kernel rows past q^2
 come from the lattice recurrence seeded by the series summed on Python
 ints, and checks that mpmath (a test-only reference) was never imported.
+Another imports the exact engine alone and checks that numpy was not.
 """
 
 import ast
@@ -58,15 +59,27 @@ print(json.dumps({"code": code,
 """
 
 
-def test_package_runs_the_integer_series_without_mpmath():
+def _run(script):
+    """The last line script prints, run in a fresh interpreter on src/."""
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_runs_the_integer_series_without_mpmath():
+    got = json.loads(_run(SCRIPT))
     assert got["code"] in (0, 1)
     assert got["mpmath"] is False
     # the rows out to q^132 were filled: the recurrence really ran
     assert got["entries"] > 132
+
+
+def test_exact_engine_imports_no_numpy():
+    # the field engine, its integrals included, is pure Python
+    modules = ("scalars", "context", "algebra", "fields", "integration")
+    script = "import sys\n" + "".join(f"import qcalc.{m}\n" for m in modules)
+    assert _run(script + "print('numpy' in sys.modules)") == "False"

@@ -14,19 +14,20 @@ from qcalc.integration import (
     DivergentBranch,
     NotConverged,
     ParityMismatch,
-    check_green,
     definite_integral,
-    improper_integral,
     monomial_integral_closed_form,
     nabla_inverse_series,
-    norm,
-    scalar_product,
 )
 from qcalc.lattice import (
     GridMismatch,
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
+    check_green,
+    definite_integral as lattice_integral,
+    improper_integral,
+    norm,
+    scalar_product,
 )
 from qcalc.scalars import QQi
 
@@ -166,7 +167,7 @@ def test_stokes_on_lattice_data():
     rng = random.Random(17)
     f = rand_lattice_fn(rng, grid)
     df = f.nabla_fn()
-    got = definite_integral(df, -7, 7)
+    got = lattice_integral(df, -7, 7)
     want = f.value(1, 7) - f.value(1, -7)
     assert abs(got - want) < 1e-13 * max(1.0, abs(want))
 
@@ -223,8 +224,8 @@ def test_parity_families_sum_to_improper():
     h = rand_lattice_fn(rng, grid, lo=-7, hi=7)
     total = 0j
     for s in grid.sectors:
-        even = definite_integral(h, -14, 14, sector=s)
-        odd = definite_integral(h, -13, 13, sector=s)
+        even = lattice_integral(h, -14, 14, sector=s)
+        odd = lattice_integral(h, -13, 13, sector=s)
         total += s * (even + odd)
     assert abs(0.5 * total - improper_integral(h)) < 1e-13
 

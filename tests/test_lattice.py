@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from qcalc.context import QContext
-from qcalc.integration import improper_integral
+from qcalc.integration import ParityMismatch, _site_exponents
 from qcalc.lattice import (
     GridMismatch,
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
     Stencil,
+    definite_integral,
+    improper_integral,
     to_csv,
 )
 
@@ -204,6 +206,59 @@ def test_improper_integral_sums_sector_major(ordered):
         for n in grid.exponents():
             acc += D2.qpow(n) * f.value(s, n)
     assert improper_integral(f, tail_tol=math.inf) == 0.5 * D2.lam * acc
+
+
+def loop_trace_integral(h, lower_exp, upper_exp, sector=1):
+    """The trace integral as a loop over the sites, one value() each."""
+    ctx = h.grid.ctx
+    acc = 0j
+    for n in _site_exponents(lower_exp, upper_exp):
+        acc += (sector * ctx.qpow(n)) * h.value(sector, n)
+    return ctx.lam * acc
+
+
+def outcome(integral, *args):
+    """The integral's type and bits, or the type of the error it raised."""
+    try:
+        v = integral(*args)
+    except (ParityMismatch, InsufficientPadding, IndexError, KeyError,
+            ValueError) as e:
+        return type(e)
+    bits = np.asarray(v, dtype=complex)
+    return (type(v), bits.real.view(np.uint64).tolist(),
+            bits.imag.view(np.uint64).tolist())
+
+
+# (lower, upper): even and odd endpoint pairs inside the valid window
+# [-8, 9] of a +-10 function with pads (2, 1), one each at its ends; then
+# a pad site, sites past the grid, a parity mismatch and empty ranges
+TRACE_WINDOWS = [(-8, 8), (-6, 2), (0, 2), (-9, 9), (8, 10), (-7, 7),
+                 (-7, 9), (-5, -3), (1, 3), (-10, 10), (-9, 11), (-12, -8),
+                 (-14, -6), (8, 14), (-8, 11), (4, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+@np.errstate(invalid="ignore")
+def test_trace_integral_is_the_site_loop(q):
+    rng = np.random.default_rng(SEED + 2)
+    grid = LatticeGrid(QContext(q), -10, 10)
+    f = rand_batch(rng, grid, pads=(2, 1), shape=())
+    bad = f.copy()
+    bad.sector(1)[4] = np.inf  # n = -6
+    bad.sector(-1)[13] = complex(0.5, np.nan)  # n = 3
+    batch = rand_batch(rng, grid, pads=(2, 1), shape=(3,))
+    one = LatticeFn(LatticeGrid(QContext(q), -10, 10, (1,)),
+                    [f.sector(1)], 2, 1)
+    for h in (f, bad, batch, one):
+        for s in (1, -1):
+            for lo, hi in TRACE_WINDOWS:
+                want = outcome(loop_trace_integral, h, lo, hi, s)
+                assert outcome(definite_integral, h, lo, hi, s) == want, \
+                    (lo, hi, s)
+    assert outcome(definite_integral, f, -10, 10) is InsufficientPadding
+    assert outcome(definite_integral, f, -8, 12) is InsufficientPadding
+    assert outcome(definite_integral, f, -8, 11) is ParityMismatch
+    assert outcome(definite_integral, one, -8, 8, -1) is KeyError
 
 
 def test_max_abs_interior_sees_nan_in_the_last_row(ordered):

@@ -16,7 +16,7 @@ from qcalc.batteries import (
     run as run_battery,
 )
 from qcalc.context import QContext
-from qcalc.integration import definite_integral, norm as fn_norm
+from qcalc.lattice import definite_integral, norm as fn_norm
 from qcalc.lattice import (
     InsufficientPadding,
     LatticeFn,
