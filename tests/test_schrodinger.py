@@ -16,14 +16,14 @@ from qcalc.batteries import (
     run as run_battery,
 )
 from qcalc.context import QContext
-from qcalc.lattice import definite_integral, norm as fn_norm
 from qcalc.lattice import (
     InsufficientPadding,
     LatticeFn,
     LatticeGrid,
     SectorRows,
     Stencil,
-    worst,
+    definite_integral,
+    norm as fn_norm,
 )
 from qcalc.schrodinger import (
     ChainStructureError,
@@ -532,15 +532,13 @@ def _reference_noether_current(psi, alpha, mass):
 
 
 def _reference_check_noether(psi, alpha, mass):
-    a = float(alpha)
-    target = _reference_density_current(psi, mass)[1].scale(-a)
-    form1 = _reference_noether_current(psi, alpha, mass)
-    grad = psi.nabla_fn()
-    grad_c = psi.conj().nabla_fn()
-    form2_inner = grad_c * psi.L_shift(-1) - grad * psi.conj().L_shift(-1)
-    form2 = form2_inner.scale(a / (2.0 * mass * 1j))
-    return worst(f.max_abs_interior()
-                 for f in (form1 - target, form2 - target))
+    q = psi.grid.ctx.q
+    back, back_c = psi.L_shift(-1), psi.conj().L_shift(-1)
+    grad = back.nabla_fn().L_shift(1).scale(1.0 / q)
+    grad_c = back_c.nabla_fn().L_shift(1).scale(1.0 / q)
+    j = (back_c * grad - grad_c * back).scale(1.0 / (2.0 * mass * 1j))
+    return (_reference_noether_current(psi, alpha, mass)
+            - j.scale(-float(alpha))).max_abs_interior()
 
 
 def assert_same_bits(got, want):
@@ -667,6 +665,25 @@ def test_noether_random_state():
     rng = random.Random(SEED + 4)
     psi = rand_fn(rng, rep.grid)
     assert check_noether(psi) < 1e-10
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
+def test_noether_fails_on_a_derivative_that_breaks_the_scale_rule(
+        q, monkeypatch):
+    rep = build_representation(LatticeGrid(QContext(q), -12, 12))
+    H = Hamiltonian(rep)
+    psi = rand_fn(random.Random(SEED + 4), rep.grid)
+    packet = evolve(EvolutionState(eigen_packet(rep, H, random.Random(SEED))),
+                    H, 1e-3, steps=5).psi
+    assert check_noether(psi) < 1e-10
+    assert check_noether(packet) < 1e-10
+    nabla_fn = LatticeFn.nabla_fn
+    # a gradient off by a multiple of itself and of psi: its current is
+    # still the current's own bracket, so only the scale rule can see it
+    monkeypatch.setattr(LatticeFn, "nabla_fn", lambda f: nabla_fn(f).scale(
+        1.7) + f.scale(0.3))
+    assert check_noether(psi) > 1e-3
+    assert check_noether(packet) > 1e-10
 
 
 def test_noether_zero_state():
