@@ -63,6 +63,22 @@ def _exact_poly(ctx, c, den):
     return _poly(ctx, c, den)
 
 
+def _power_sum(parts, u, v, den):
+    """The QQi sum of (re + i im) u^lo / v^hi / den over the int tuples
+    (re, im, lo, hi) in parts: one int sum over the one denominator
+    u^-L v^H den, L <= 0 the least lo and H >= 0 the greatest hi.  A zero
+    denominator (u = 0 with some lo < 0) raises ZeroDivisionError."""
+    L = min([0, *(p[2] for p in parts)])
+    H = max([0, *(p[3] for p in parts)])
+    tr = ti = 0
+    for re, im, lo, hi in parts:
+        w = u ** (lo - L) * v ** (H - hi)
+        tr += re * w
+        ti += im * w
+    den *= u ** -L * v ** H
+    return QQi(Fraction(tr, den), Fraction(ti, den))
+
+
 def _rescale(f, factor, shift=0):
     """Exact f with c x^n -> c factor(n) x^(n + shift); factor(n) is a
     rational (num, den > 0) pair of ints, all over one common lcm of the
@@ -192,26 +208,11 @@ class LaurentPoly:
     __hash__ = None
 
     def evaluate(self, x0):
-        """Exact f(x0) at a rational x0, as a QQi.
-
-        With n from lo to hi, x0 = u/v contributes sum_n c_n u^(n-lo)
-        v^(hi-n), an int sum, times u^lo / v^hi.
-        """
-        if not self._c:
-            return QQi(0, 0)
-        lo, hi = min(self._c), max(self._c)
+        """Exact f(x0) at a rational x0 = u/v, as a QQi: the sum of
+        c_n u^n / v^n."""
         u, v = Fraction(x0).as_integer_ratio()
-        sr = si = 0
-        for n, (re, im) in self._c.items():
-            w = u ** (n - lo) * v ** (hi - n)
-            sr += re * w
-            si += im * w
-        # u^lo / v^hi as num / den; den is negative for some u < 0,
-        # and zero (a ZeroDivisionError below) at x0 = 0 with lo < 0
-        num, den = (u ** lo, v ** hi) if lo >= 0 else \
-            (v ** -lo, u ** -lo * v ** (hi - lo))
-        den *= self.den
-        return QQi(Fraction(sr * num, den), Fraction(si * num, den))
+        return _power_sum([(re, im, n, n) for n, (re, im) in self._c.items()],
+                          u, v, self.den)
 
     def sum_at(self, sector, sites, power):
         """Exact sum of x^power f(x) over the lattice points x = sector q^n,
@@ -221,46 +222,20 @@ class LaurentPoly:
         s = e n, e = n + power, from lo to hi in steps of d = |e| sites.step:
         sum_s a^s / b^s = G a^lo / b^hi with the int
         G = sum_s a^(s-lo) b^(hi-s) = (a^(dk) - b^(dk)) / (a^d - b^d)
-        (G = k for e = 0), one geometric progression per monomial.  The
-        monomials then share a^L / b^H, L the least lo and H the greatest
-        hi, so the whole sum is one int over one denominator.
+        (G = k for e = 0), one geometric progression per monomial.
         """
-        if not self._c:
-            return QQi(0, 0)
-        ctx = self.ctx
-        k = len(sites)
+        ctx, k = self.ctx, len(sites)
         parts = []
         for n, (re, im) in self._c.items():
             e = n + power
-            if e:
-                d = abs(e * sites.step)
-                a_dk, b_dk = ctx.qpow_pair(d * k)
-                a_d, b_d = ctx.qpow_pair(d)
-                g = (a_dk - b_dk) // (a_d - b_d)
-            else:
-                g = k
+            d = abs(e * sites.step)
+            (a_dk, b_dk), (a_d, b_d) = ctx.qpow_pair(d * k), ctx.qpow_pair(d)
+            g = (a_dk - b_dk) // (a_d - b_d) if e else k
             if sector < 0 and e % 2:
                 g = -g
             s0, s1 = e * sites[0], e * sites[-1]
             parts.append((re * g, im * g, min(s0, s1), max(s0, s1)))
-        a, b = ctx.q.numerator, ctx.q.denominator
-        L = min(p[2] for p in parts)
-        H = max(p[3] for p in parts)
-        tr = ti = 0
-        for re, im, lo, hi in parts:
-            w = a ** (lo - L) * b ** (H - hi)
-            tr += re * w
-            ti += im * w
-        num, den = 1, self.den
-        if L >= 0:
-            num = a ** L
-        else:
-            den *= a ** -L
-        if H >= 0:
-            den *= b ** H
-        else:
-            num *= b ** -H
-        return QQi(Fraction(tr * num, den), Fraction(ti * num, den))
+        return _power_sum(parts, ctx.q.numerator, ctx.q.denominator, self.den)
 
     def __str__(self):
         coeffs = self.coeffs

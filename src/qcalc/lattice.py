@@ -72,7 +72,6 @@ def running_sum(terms):
     """Sums over the last axis, in the terms' own dtype, added left to
     right from zero as a Python loop adds them (np.sum adds pairwise,
     which rounds differently)."""
-    terms = np.asarray(terms)
     padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,),
                       dtype=terms.dtype)
     padded[..., 1:] = terms
