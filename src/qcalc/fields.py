@@ -214,20 +214,20 @@ class LaurentPoly:
         return _power_sum([(re, im, n, n) for n, (re, im) in self._c.items()],
                           u, v, self.den)
 
-    def sum_at(self, sector, sites, power):
-        """Exact sum of x^power f(x) over the lattice points x = sector q^n,
-        n in the range sites, as a QQi.
+    def sum_at(self, sector, sites):
+        """Exact sum of x f(x) over the lattice points x = sector q^n, n in
+        the range sites, as a QQi: the trace formula's weighted sum.
 
-        With q = a/b and k sites, c x^n contributes c sector^e sum q^s over
-        s = e n, e = n + power, from lo to hi in steps of d = |e| sites.step:
-        sum_s a^s / b^s = G a^lo / b^hi with the int
+        With q = a/b and k sites m, c x^(e-1) contributes c sector^e times
+        sum_m q^(em), and over s = em from lo to hi in steps of
+        d = |e| sites.step, sum_s a^s / b^s = G a^lo / b^hi with the int
         G = sum_s a^(s-lo) b^(hi-s) = (a^(dk) - b^(dk)) / (a^d - b^d)
         (G = k for e = 0), one geometric progression per monomial.
         """
         ctx, k = self.ctx, len(sites)
         parts = []
         for n, (re, im) in self._c.items():
-            e = n + power
+            e = n + 1
             d = abs(e * sites.step)
             (a_dk, b_dk), (a_d, b_d) = ctx.qpow_pair(d * k), ctx.qpow_pair(d)
             g = (a_dk - b_dk) // (a_d - b_d) if e else k

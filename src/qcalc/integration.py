@@ -70,7 +70,7 @@ def definite_integral(h, lower_exp, upper_exp, sector=1):
     """Trace-formula integral of the LaurentPoly h from sigma q^lower to
     sigma q^upper, summed exactly: a QQi."""
     sites = _site_exponents(lower_exp, upper_exp)
-    return h.scale(h.ctx.lam).sum_at(sector, sites, power=1)
+    return h.scale(h.ctx.lam).sum_at(sector, sites)
 
 
 def monomial_integral_closed_form(ctx, n, lower_exp, upper_exp):

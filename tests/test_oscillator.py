@@ -9,8 +9,7 @@ import pytest
 
 from qcalc import batteries, oscillator
 from qcalc.context import QContext
-from qcalc.lattice import norm as fn_norm
-from qcalc.lattice import LatticeGrid
+from qcalc.lattice import LatticeGrid, norm as fn_norm
 from qcalc.oscillator import (
     ContaminationWarning,
     NoDecay,
