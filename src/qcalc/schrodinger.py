@@ -28,7 +28,7 @@ import functools
 import numpy as np
 
 from .lattice import (LatticeFn, SectorRows, Stencil, improper_integral,
-                      norm as fn_norm, worst)
+                      norm as fn_norm)
 from .special import EIGEN_EXPONENT, SpecialFunctions
 
 
