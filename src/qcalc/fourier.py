@@ -19,15 +19,25 @@ tail they drop to fall below STEP_TOL.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .integration import NotConverged
 from .lattice import running_sum
-from .special import SpecialFunctions
+from .special import KeptMatrix, SpecialFunctions
 
 _FAMILIES = ("even", "odd")
 
 TAIL_TOL = 1e-10
 STEP_TOL = 1e-14
+
+# The scaled kernel product: a kept matrix's largest entry lies in
+# [2^(_MATRIX_EXP - 1), 2^_MATRIX_EXP), and the samples are scaled so that
+# a sum of N products of matrix entries and samples stays below
+# 2^_SUM_EXP.  Kernel rows peak near one, so 2^64 lifts every subnormal
+# entry into the normal range, and samples on 81 sites are scaled up,
+# not down, while their peak stays below 2^951.
+_MATRIX_EXP = 64
+_SUM_EXP = 1022
 
 
 class SublatticeSeq:
@@ -94,18 +104,29 @@ class QFourier:
     Kernels and lattice points come as rows indexed by the exponent from
     the kernel store of qcalc.special, which every transform and
     representation at this q shares: only the first request of a value
-    sums its series.  Per kernel kind the instance keeps the weights and
-    the complex kernel matrix of the last window it transformed, so a
-    transform on that window again costs one matrix-vector product; a
-    new window replaces them, and they go with the instance.
+    sums its series.  Per kernel kind the store of q also keeps, for the
+    last window any transform at this q built one on, the weights and
+    the kernel matrix, so a transform on that window again costs one
+    matrix-vector product; a new window replaces them, and they go when
+    the store drops q or needs their room for matrices used since (see
+    qcalc.special.STORE_MAX_MATRIX_ENTRIES).
+
+    The kept matrix is the complex Hankel matrix of the kernel row times
+    an exact 2^s.  Each transform multiplies the weighted samples by an
+    exact 2^t, as large as the sum of N products and a normal
+    N_q 2^-(s+t) allow, and the sum by N_q 2^-(s+t), once.  Where the
+    unscaled product rounded through subnormals (kernels at q = 2 reach
+    4e-319) this one rounds in the normal range, several times faster;
+    every entry whose unscaled sum never rounded through subnormals
+    keeps its bits.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.sf = SpecialFunctions(ctx)
         self._nq = self.sf.n_q()
-        # kind -> ((k_min, k_max), weights, kernel matrix)
-        self._last = {}
+        # the largest s + t that keeps N_q 2^-(s+t) a normal double
+        self._lift = math.frexp(self._nq)[1] + 1021
 
     # -- sequence transform -------------------------------------------------
 
@@ -118,13 +139,13 @@ class QFourier:
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
         window = (f.k_min, f.k_max)
-        last = self._last.get(kind)
-        if last is not None and last[0] == window:
-            _, weights, K = last
+        held = self.sf.kept_matrix(kind)
+        if held is not None and held.window == window:
+            weights = held.weights
         else:
             # the weights q^(-2k), k = k_min ... k_max
             weights = self.sf.point_row(-2 * f.k_max, -2 * f.k_min)[::-1]
-            K = None
+            held = None
         wf = weights * f.values
         scale = float(np.max(np.abs(wf)))
         if scale == 0.0:
@@ -135,16 +156,38 @@ class QFourier:
         if not (edge <= TAIL_TOL * scale and math.isfinite(scale)):
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
-        if K is None:
-            # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i;
-            # complex already, as K @ wf would cast it on every call
-            kern = self.sf.kernel_row(kind, -4 * f.k_max, -4 * f.k_min)
-            k_idx = np.arange(f.k_min, f.k_max + 1)
-            K = kern[2 * f.k_max - np.add.outer(k_idx, k_idx)].astype(complex)
-            # a copy, so the instance never keeps a store row alive
-            self._last[kind] = (window, weights.copy(), K)
-        g = self._nq * (K @ wf)
+        if held is None:
+            # a copy, so the store never keeps a replaced point row alive
+            held = KeptMatrix(window, weights.copy(),
+                              *self._kernel_matrix(kind, *window))
+            self.sf.keep_matrix(kind, held)
+        K, s = held.matrix, held.s
+        lift = 0  # s + t, undone on N_q
+        if s is not None:
+            # N products of entries below 2^_MATRIX_EXP and 2^(peak + t)
+            t = min(_SUM_EXP - (wf.size - 1).bit_length() - _MATRIX_EXP
+                    - math.frexp(scale)[1], self._lift - s)
+            # as floats, so the imaginary parts keep the signs of zeros
+            wf = (wf.view(float) * math.ldexp(1.0, t)).view(complex)
+            lift = s + t
+        g = math.ldexp(self._nq, -lift) * (K @ wf)
         return SublatticeSeq(self.ctx, f.k_min, g, f.family)
+
+    def _kernel_matrix(self, kind, k_min, k_max):
+        """(K, s): K[a, b] the kernel at q^(-2(k_min + a + k_min + b))
+        times 2^s, complex, as K @ wf would cast it on every call.  s is
+        None, and K unscaled, when the kernel row is zero, not finite,
+        or peaks at 2^_MATRIX_EXP or above."""
+        # entry i of the row is the kernel at q^(-2j), j = 2 k_max - i:
+        # reversed, K[a, b] is its entry a + b
+        row = self.sf.kernel_row(kind, -4 * k_max, -4 * k_min)[::-1]
+        top = float(np.max(np.abs(row)))
+        s = None
+        if 0.0 < top < 2.0 ** _MATRIX_EXP:
+            s = _MATRIX_EXP - math.frexp(top)[1]
+            row = np.ldexp(row, s)
+        K = sliding_window_view(row, k_max - k_min + 1).astype(complex)
+        return K, s
 
     def qft_cos(self, f):
         return self.transform(f, "cos")

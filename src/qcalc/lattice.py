@@ -72,10 +72,11 @@ def running_sum(terms):
     """Sums over the last axis, in the terms' own dtype, added left to
     right from zero as a Python loop adds them (np.sum adds pairwise,
     which rounds differently)."""
-    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,),
-                      dtype=terms.dtype)
-    padded[..., 1:] = terms
-    return np.take(np.cumsum(padded, axis=-1), -1, axis=-1)
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1], dtype=terms.dtype)[()]
+    # the loop's sum differs from the first term's only where that term
+    # is -0.0, and then only in the sign of a zero sum: + 0.0 repairs it
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
 def _shift_sites(v, k):

@@ -33,22 +33,29 @@ double q ** m, m = round(log|z| / log q).  Elsewhere within q^2, or for the
 bound, they sum the double loop; past q^2 they raise ValueError.  The store
 keeps STORE_MAX_QS values of q, dropping the least recently opened, and
 STORE_MAX_VALUES row entries per q: a row past that drops every row of its
-q first, and a longer one is not kept.  `kernel_store_info` reports sizes,
-row reads and entries evaluated; `clear_kernel_store` empties the store.
+q first, and a longer one is not kept.  Beside its rows the store of q
+keeps the Fourier transform's kernel matrices, one per kernel kind, till
+it drops q; past STORE_MAX_MATRIX_ENTRIES matrix entries across every q
+it lets go of the least recently used, and a larger matrix is not kept.
+`kernel_store_info` reports sizes, row reads and entries evaluated;
+`clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
 _FLOAT_STOP = 1e-16
 
-# Bounds of the kernel store: values of q kept, and row entries per q.
+# Bounds of the kernel store: values of q kept, row entries per q, and
+# complex transform matrix entries across every q (512 kB: both kinds at
+# two q for windows of 81 sites, one matrix of up to 181 sites).
 STORE_MAX_QS = 8
 STORE_MAX_VALUES = 1 << 14
+STORE_MAX_MATRIX_ENTRIES = 1 << 15
 
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
@@ -241,33 +248,50 @@ def _recurrence_row(q, lo, hi):
     return [_to_double(c) for c, _ in vals], [_to_double(s) for _, s in vals]
 
 
+# A Fourier transform's kernel matrix on the window (k_min, k_max), with
+# the window's weights and the matrix's scale exponent s (qcalc.fourier)
+KeptMatrix = namedtuple("KeptMatrix", "window weights matrix s")
+
+
 class _KernelStore:
-    """What the kernels at one q share: the rows, N_q, and the counts of
-    row reads and of row entries evaluated.
+    """What the kernels at one q share: the rows, the transform matrices,
+    N_q, and the counts of row reads and of row entries evaluated.
 
     rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
     "sin", and entry i of the read-only array belongs to m_lo + 2 i.
+    matrices maps a kernel kind, "cos" or "sin", to the KeptMatrix the
+    Fourier transforms at this q keep for the last window they built a
+    matrix on.
     """
 
-    __slots__ = ("rows", "nq", "lookups", "misses", "dropped")
+    __slots__ = ("rows", "matrices", "nq", "lookups", "misses", "dropped")
 
     def __init__(self):
         self.rows = {}
+        self.matrices = {}
         self.nq = None
         self.lookups = 0
         self.misses = 0
         self.dropped = False  # set once the store lets go of it
 
     def drop(self):
-        """Let go of every row; holders reopen their q."""
+        """Let go of every row and matrix; holders reopen their q."""
         self.rows.clear()
+        for kind in self.matrices:
+            del _MATRIX_USE[self, kind]
+        self.matrices.clear()
         self.dropped = True
 
     def row_entries(self):
         return sum(vals.size for _, vals in self.rows.values())
 
+    def matrix_entries(self):
+        return sum(held.matrix.size for held in self.matrices.values())
+
 
 _STORES = OrderedDict()  # q -> _KernelStore, least recently opened first
+# (store, kind) of every kept matrix, least recently used first
+_MATRIX_USE = OrderedDict()
 
 
 def _open_store(q):
@@ -283,17 +307,19 @@ def _open_store(q):
 
 
 def clear_kernel_store():
-    """Empty the kernel store: every row and count at every q."""
+    """Empty the kernel store: every row, matrix and count at every q."""
     for store in _STORES.values():
         store.drop()
     _STORES.clear()
 
 
 def kernel_store_info():
-    """{q: {row_entries, lookups, misses}} over the stored q, least
-    recently opened first; row_entries counts the entries of every row,
+    """{q: {row_entries, matrix_entries, lookups, misses}} over the stored
+    q, least recently opened first; row_entries counts the entries of
+    every row, matrix_entries those of every kept transform matrix,
     lookups the row reads and misses the row entries evaluated."""
     return {q: {"row_entries": store.row_entries(),
+                "matrix_entries": store.matrix_entries(),
                 "lookups": store.lookups,
                 "misses": store.misses}
             for q, store in _STORES.items()}
@@ -353,6 +379,31 @@ class SpecialFunctions:
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
         return self._row(kind, m_lo, m_hi)
+
+    def kept_matrix(self, kind):
+        """The KeptMatrix the store of this q keeps for kind, or None."""
+        store = self._kernel_store()
+        held = store.matrices.get(kind)
+        if held is not None:
+            _MATRIX_USE.move_to_end((store, kind))
+        return held
+
+    def keep_matrix(self, kind, held):
+        """Keep held for kind in the store of this q, in place of the one
+        kept before, and let go of the least recently used matrices across
+        every q till at most STORE_MAX_MATRIX_ENTRIES entries are kept; a
+        matrix of more entries is not kept."""
+        if held.matrix.size > STORE_MAX_MATRIX_ENTRIES:
+            return
+        store = self._kernel_store()
+        store.matrices[kind] = held
+        _MATRIX_USE[store, kind] = None
+        _MATRIX_USE.move_to_end((store, kind))
+        while sum(old.matrices[old_kind].matrix.size
+                  for old, old_kind in _MATRIX_USE) \
+                > STORE_MAX_MATRIX_ENTRIES:
+            old, old_kind = _MATRIX_USE.popitem(last=False)[0]
+            del old.matrices[old_kind]
 
     def point_row(self, m_lo, m_hi):
         """The lattice points ctx.qpow(m), m = m_lo, m_lo + 2, ..., m_hi, as

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _loop_transform(qf, f, kind):
-    """QFourier.transform with one kernel lookup per j."""
+def _loop_operands(qf, f, kind):
+    """The kernel matrix and the weighted samples, one lookup per entry."""
     sf = qf.sf
     k_idx = np.arange(f.k_min, f.k_max + 1)
     wf = np.array([qf.ctx.qpow(-2 * k) for k in range(f.k_min, f.k_max + 1)]) \
@@ -171,7 +172,44 @@ def _loop_transform(qf, f, kind):
     j_lo, j_hi = 2 * f.k_min, 2 * f.k_max
     kern = np.array([(sf.cos_q if kind == "cos" else sf.sin_q)(
         qf.ctx.qpow(-2 * j)) for j in range(j_lo, j_hi + 1)])
-    return qf._nq * (kern[np.add.outer(k_idx, k_idx) - j_lo] @ wf)
+    return kern[np.add.outer(k_idx, k_idx) - j_lo], wf
+
+
+def _loop_transform(qf, f, kind):
+    """QFourier.transform as one unscaled product of the loop's operands."""
+    K, wf = _loop_operands(qf, f, kind)
+    return qf._nq * (K @ wf)
+
+
+# Below this magnitude an entry of the unscaled product may have rounded
+# through subnormals, which the transform's scaled product does not do.
+TINY = 2.0 ** -960
+
+
+def _assert_is_the_loop(qf, f, kind, got):
+    """got has the unscaled product's bits at every entry of magnitude
+    TINY and up (and at every NaN).  A smaller entry lies within the
+    dot-product bound gamma_(N+1) N_q sum_j |K_ij wf_j| (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 3.1; the one more
+    rounding is the product with N_q) plus half the smallest subnormal
+    of N_q times the exact sum of the loop's double operands."""
+    K, wf = _loop_operands(qf, f, kind)
+    want = (qf._nq * (K @ wf)).view(float)
+    got = np.asarray(got).view(float)
+    small = np.abs(want) < TINY
+    assert _bits(got[~small]) == _bits(want[~small])
+    n = wf.size
+    gamma = Fraction((n + 1), 2 ** 53 - (n + 1))
+    nq = Fraction(qf._nq)
+    parts = wf.view(float).reshape(n, 2)
+    for entry in np.flatnonzero(small):
+        i, part = divmod(int(entry), 2)
+        terms = [Fraction(float(K[i, j])) * Fraction(float(parts[j, part]))
+                 for j in range(n)]
+        exact = nq * sum(terms)
+        bound = gamma * nq * sum(map(abs, terms)) + Fraction(1, 2 ** 1075)
+        assert abs(Fraction(float(got[entry])) - exact) <= bound, (i, part)
+    return int(small.sum())
 
 
 def _loop_weighted_norm_sq(f):
@@ -217,8 +255,7 @@ def test_transforms_and_norms_equal_the_loops_bit_for_bit(q):
         for _ in range(2):
             f = rand_seq(rng, ctx, family=family)
             got = qf.transform(f, kind)
-            want = _loop_transform(qf, f, kind)
-            assert _bits(got.values.view(float)) == _bits(want.view(float))
+            _assert_is_the_loop(qf, f, kind, got.values)
             for seq in (f, got):
                 assert _bits([seq.weighted_norm_sq()]) \
                     == _bits([_loop_weighted_norm_sq(seq)])
@@ -274,13 +311,23 @@ def test_step_sums_equal_the_loops_bit_for_bit(q):
     assert all(map(math.isfinite, values))
 
 
-# -- the kernel matrix each instance keeps per kind --------------------------
+# -- the kernel matrix the store of q keeps per kind -------------------------
+
+
+def _unkept(ctx):
+    """A QFourier that builds its kernel matrix anew on every call, from
+    the store's rows, and keeps none."""
+    qf = QFourier(ctx)
+    qf.sf.kept_matrix = lambda kind: None
+    qf.sf.keep_matrix = lambda kind, held: None
+    return qf
 
 
 @pytest.mark.parametrize("q", (2.0, 1.5, 3.0, 3.6931))
 def test_reused_instance_equals_fresh_ones_bit_for_bit(q):
     # forward, inverse and double transforms on one instance, windows
-    # alternating so the kept matrix is both reused and replaced
+    # alternating so the kept matrix is both reused and replaced, against
+    # matrices built anew
     ctx = QContext(q)
     reused = QFourier(ctx)
     rng = random.Random(SEED + 8)
@@ -295,34 +342,128 @@ def test_reused_instance_equals_fresh_ones_bit_for_bit(q):
                 back = reused.transform(g, kind)
                 twice = reused.transform(reused.transform(f, kind), kind)
                 for got, arg in ((g, f), (back, g), (twice, g)):
-                    want = QFourier(ctx).transform(arg, kind)
+                    want = _unkept(ctx).transform(arg, kind)
                     assert (got.k_min, got.family) == (want.k_min, family)
                     assert _bits(got.values.view(float)) \
                         == _bits(want.values.view(float))
 
 
 def test_a_new_window_replaces_the_kept_matrix():
+    special.clear_kernel_store()
     qf = QFourier(D2)
     rng = random.Random(SEED + 9)
     wide = rand_seq(rng, D2)
     narrow = SublatticeSeq(D2, -10, wide.values[30:51])
     qf.qft_cos(wide)
     qf.qft_sin(wide)
-    held = weakref.ref(qf._last["cos"][2])
+    held = weakref.ref(qf.sf.kept_matrix("cos").matrix)
     assert held().shape == (81, 81)
+    assert special.kernel_store_info()[2.0]["matrix_entries"] == 2 * 81 ** 2
     qf.qft_cos(narrow)
     gc.collect()
     # one matrix per kind: the wide cos matrix is gone, the sin one stays
     assert held() is None
-    assert {kind: last[0] for kind, last in qf._last.items()} \
+    assert {kind: qf.sf.kept_matrix(kind).window for kind in ("cos", "sin")} \
         == {"cos": (-10, 10), "sin": (-40, 40)}
-    held = weakref.ref(qf._last["sin"][2])
+    assert special.kernel_store_info()[2.0]["matrix_entries"] \
+        == 21 ** 2 + 81 ** 2
+    # and one per q: a transform at another q keeps its own
+    D4 = QContext(4.0)
+    QFourier(D4).qft_cos(rand_seq(rng, D4))
+    info = special.kernel_store_info()
+    assert info[4.0]["matrix_entries"] == 81 ** 2
+    assert info[2.0]["matrix_entries"] == 21 ** 2 + 81 ** 2
+    # the matrix outlives the instance, and goes with the store, even
+    # while an instance still holds the store it dropped
+    held = weakref.ref(qf.sf.kept_matrix("sin").matrix)
     del qf
     gc.collect()
+    assert held() is not None
+    holder = QFourier(D2)
+    special.clear_kernel_store()
+    gc.collect()
     assert held() is None
+    assert holder.sf.kept_matrix("sin") is None
+
+
+def _decayed_seq(ctx, half):
+    """A sequence on k = -half ... half whose edges have decayed."""
+    return SublatticeSeq(ctx, -half, [ctx.qpow(-k * k)
+                                      for k in range(-half, half + 1)])
+
+
+def test_kept_matrices_stay_within_their_bound():
+    # four matrices of 81 sites fit across every q, and a fifth does not:
+    # the least recently used goes first
+    assert 4 * 81 ** 2 <= special.STORE_MAX_MATRIX_ENTRIES < 5 * 81 ** 2
+    special.clear_kernel_store()
+    rng = random.Random(SEED + 13)
+    held = {}
+
+    def transform(q, kind, f=None):
+        ctx = QContext(q)
+        qf = QFourier(ctx)
+        qf.transform(rand_seq(rng, ctx) if f is None else f, kind)
+        held[q, kind] = weakref.ref(qf.sf.kept_matrix(kind).matrix)
+
+    def entries():
+        return {q: info["matrix_entries"] for q, info
+                in special.kernel_store_info().items()}
+
+    for q in (2.0, 4.0):
+        for kind in ("cos", "sin"):
+            transform(q, kind)
+    assert entries() == {2.0: 2 * 81 ** 2, 4.0: 2 * 81 ** 2}
+    transform(2.0, "cos")  # read again: now the most recently used
+    transform(8.0, "cos")
+    transform(8.0, "sin")
+    gc.collect()
+    assert sorted(key for key, ref in held.items() if ref() is None) \
+        == [(2.0, "sin"), (4.0, "cos")]
+    assert entries() == {2.0: 81 ** 2, 4.0: 81 ** 2, 8.0: 2 * 81 ** 2}
+    # a larger matrix takes the room of as many as it needs
+    transform(4.0, "cos", _decayed_seq(QContext(4.0), 60))
+    gc.collect()
+    assert sorted(key for key, ref in held.items() if ref() is None) \
+        == [(2.0, "cos"), (2.0, "sin"), (4.0, "sin")]
+    assert entries() == {2.0: 0, 4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
+    # one past the bound alone is built for its call and not kept
+    big = _decayed_seq(QContext(8.0), 91)
+    assert 183 ** 2 > special.STORE_MAX_MATRIX_ENTRIES
+    qf = QFourier(QContext(8.0))
+    got = qf.qft_sin(big)
+    assert qf.sf.kept_matrix("sin").window == (-40, 40)
+    assert entries() == {2.0: 0, 4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
+    want = _unkept(QContext(8.0)).qft_sin(big)
+    assert _bits(got.values.view(float)) == _bits(want.values.view(float))
+    # a q the store drops frees its room: four more fit at two new q
+    for q in range(3, 3 + special.STORE_MAX_QS):
+        SpecialFunctions(QContext(q + 0.5))
+    assert set(special.kernel_store_info()).isdisjoint({2.0, 4.0, 8.0})
+    for q in (2.0, 4.0):
+        for kind in ("cos", "sin"):
+            transform(q, kind)
+    assert sum(entries().values()) == 4 * 81 ** 2
+    special.clear_kernel_store()
+
+
+def test_instances_at_one_q_and_window_share_the_kept_matrix():
+    special.clear_kernel_store()
+    f = rand_seq(random.Random(SEED + 10), D2)
+    first = QFourier(D2)
+    want = first.qft_cos(f)
+    held = first.sf.kept_matrix("cos")
+    before = special.kernel_store_info()[2.0]
+    second = QFourier(D2)
+    got = second.qft_cos(f)
+    # no row read, no entry evaluated, no matrix built: the same one
+    assert second.sf.kept_matrix("cos") is held
+    assert special.kernel_store_info()[2.0] == before
+    assert _bits(got.values.view(float)) == _bits(want.values.view(float))
 
 
 def test_tail_check_runs_before_the_kept_matrix():
+    special.clear_kernel_store()
     ks = range(-10, 11)
     decayed = np.array([2.0 ** -(k * k) for k in ks], dtype=complex)
     bad = [decayed.copy() for _ in range(3)]
@@ -332,11 +473,15 @@ def test_tail_check_runs_before_the_kept_matrix():
     qf = QFourier(D2)
     for kind in ("cos", "sin"):
         qf.transform(SublatticeSeq(D2, -10, decayed), kind)
-        kept = qf._last[kind]
+        kept = qf.sf.kept_matrix(kind)
         for values in bad:
-            with pytest.raises(NotConverged), np.errstate(invalid="ignore"):
-                qf.transform(SublatticeSeq(D2, -10, values), kind)
-            assert qf._last[kind] is kept
+            # on the kept window, and on a new one it would replace
+            for seq in (SublatticeSeq(D2, -10, values),
+                        SublatticeSeq(D2, -11, np.append(values, 1.0))):
+                with pytest.raises(NotConverged), \
+                        np.errstate(invalid="ignore"):
+                    qf.transform(seq, kind)
+                assert qf.sf.kept_matrix(kind) is kept
 
 
 def test_refused_transform_at_a_fresh_q_builds_no_kernel_row():
@@ -345,6 +490,78 @@ def test_refused_transform_at_a_fresh_q_builds_no_kernel_row():
     qf = QFourier(ctx)
     with pytest.raises(NotConverged):
         qf.qft_cos(SublatticeSeq(ctx, -10, np.ones(21)))
-    # the weights q^(-2k) of the window, and no kernel row
-    assert special.kernel_store_info()[2.5]["row_entries"] == 21
-    assert qf._last == {}
+    # the weights q^(-2k) of the window, and no kernel row or matrix
+    info = special.kernel_store_info()[2.5]
+    assert (info["row_entries"], info["matrix_entries"]) == (21, 0)
+    assert qf.sf.kept_matrix("cos") is None
+
+
+# -- the scaled product ------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", (1.001, 1.5, 2.0, 4.0))
+def test_scalings_neither_overflow_nor_underflow_the_result(q):
+    # the default window's largest kernel entries against one site, and
+    # against every site at once with the signs that add them up, at
+    # peaks from 2^-800 to 2^800: every result entry is the unscaled
+    # product's, or within its dot-product bound where that one rounded
+    # through subnormals
+    special.clear_kernel_store()
+    ctx = QContext(q)
+    qf = QFourier(ctx)
+    weights = np.array([ctx.qpow(-2 * k) for k in range(-40, 41)])
+    for kind in ("cos", "sin"):
+        centre = np.zeros(81, dtype=complex)
+        centre[40] = 1.0  # a window with decayed edges at every q
+        qf.transform(SublatticeSeq(ctx, -40, centre), kind)
+        _, _, K, s = qf.sf.kept_matrix(kind)
+        top = np.max(np.abs(K))
+        # the kernel row's largest entry, 2^s up, just below 2^64
+        assert s is not None and 2.0 ** 63 <= top < 2.0 ** 64
+        assert top == math.ldexp(
+            np.max(np.abs(qf.sf.kernel_row(kind, -160, 160))), s)
+        # the largest entry off the edge columns, which must hold zeros
+        i, j = np.unravel_index(np.argmax(np.abs(K[:, 1:-1])), (81, 79))
+        j += 1
+        one = np.zeros(81, dtype=complex)
+        one[j] = 1 - 1j
+        signs = np.sign(K[i].real) * (1 + 1j)
+        signs[[0, -1]] = 0.0  # the edges a transform needs decayed
+        for wf in (one, signs):
+            for peak in (2.0 ** -800, 1.0, 2.0 ** 800):
+                f = SublatticeSeq(ctx, -40, wf * peak / weights)
+                got = qf.transform(f, kind).values
+                assert np.all(np.isfinite(got.view(float)))
+                _assert_is_the_loop(qf, f, kind, got)
+
+
+def test_a_kernel_row_or_input_holding_inf_or_nan_fails_as_unscaled(
+        monkeypatch):
+    special.clear_kernel_store()
+    ctx = QContext(2.5)
+    f = rand_seq(random.Random(SEED + 12), ctx)
+    # a non-finite input: refused before any matrix or kernel row
+    for bad in (math.nan, math.inf):
+        values = f.values.copy()
+        values[40] = bad
+        with pytest.raises(NotConverged), np.errstate(invalid="ignore"):
+            QFourier(ctx).qft_cos(SublatticeSeq(ctx, -40, values))
+    assert special.kernel_store_info()[2.5]["matrix_entries"] == 0
+    # a non-finite kernel row: kept unscaled, and the product is the
+    # unscaled one, non-finite where it was
+    row = SpecialFunctions(ctx).kernel_row("cos", -160, 160)
+    for at, bad in ((80, math.inf), (100, -math.inf), (120, math.nan)):
+        special.clear_kernel_store()
+        qf = QFourier(ctx)
+        poisoned = row.copy()
+        poisoned[at] = bad
+        monkeypatch.setattr(qf.sf, "kernel_row",
+                            lambda kind, lo, hi: poisoned)
+        with np.errstate(invalid="ignore"):
+            got = qf.qft_cos(f).values
+            K = np.lib.stride_tricks.sliding_window_view(poisoned[::-1], 81)
+            want = qf._nq * (K @ (qf.sf.point_row(-80, 80)[::-1] * f.values))
+        assert qf.sf.kept_matrix("cos").s is None
+        assert not np.all(np.isfinite(got.view(float)))
+        assert _bits(got.view(float)) == _bits(want.view(float))
+    special.clear_kernel_store()

@@ -4,6 +4,7 @@ of sector-stacked lattice functions; site factors; field maxima."""
 import csv
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qcalc.lattice import (
     Stencil,
     definite_integral,
     improper_integral,
+    running_sum,
     to_csv,
 )
 
@@ -397,3 +399,55 @@ def test_batch_axes_keep_the_sector_layout(grid):
                               f.data[..., grid.row(s), grid.index(0)])
     with pytest.raises(ValueError):
         grid.stack(f.data[..., :-1])
+
+
+def _loop_sum(row):
+    acc = 0.0
+    for t in row:
+        acc += t
+    return acc
+
+
+def _parts_bits(values):
+    """Every bit of the real and imaginary part of each value, but one
+    mark for every NaN: the sign and payload an addition gives a NaN
+    depend on its operand order, which C compilers choose."""
+    def bits(x):
+        return "nan" if math.isnan(x) else struct.pack("<d", x)
+    return [(bits(v.real), bits(v.imag)) if isinstance(v, complex)
+            else bits(v) for v in values]
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def test_running_sum_is_the_python_loop_bit_for_bit():
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 1e-320]
+    rng = np.random.default_rng(SEED + 3)
+    reals = [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [math.inf],
+             [math.inf, -math.inf], [1e308, 1e308, -1e308], [1.0, -1.0],
+             [math.nan, 1.0], [-0.0, math.nan]]
+    reals += [list(rng.choice(specials, size=n)) for n in (1, 2, 3, 5)
+              for _ in range(30)]
+    reals += [list(rng.standard_normal(n)) for n in (1, 7, 40)]
+    for rows in (reals[:1], reals):
+        for row in rows:
+            got = running_sum(np.array(row))
+            assert type(got) is np.float64
+            assert _parts_bits([got]) == _parts_bits([_loop_sum(row)]), row
+    complexes = [[complex(a, b) for a, b in zip(row, row[::-1])]
+                 for row in reals]
+    complexes += [[complex(-0.0, -0.0)], [complex(-0.0, 0.0)] * 2,
+                  [complex(math.nan, -0.0), complex(-0.0, math.inf)]]
+    for row in complexes:
+        got = running_sum(np.array(row, dtype=complex))
+        assert _parts_bits([complex(got)]) \
+            == _parts_bits([complex(_loop_sum(row))]), row
+    # a 2-d array sums each row, as the loop does
+    table = rng.choice(specials + [1.5, -2.25], size=(6, 4))
+    assert _parts_bits(running_sum(table).tolist()) \
+        == _parts_bits([_loop_sum(r) for r in table.tolist()])
+    # an empty last axis sums to zeros, in the terms' dtype
+    assert _parts_bits([running_sum(np.empty(0))]) == _parts_bits([0.0])
+    for dtype in (float, complex):
+        empty = running_sum(np.empty((3, 0), dtype=dtype))
+        assert empty.dtype == dtype and empty.shape == (3,)
+        assert _parts_bits(empty.tolist()) == _parts_bits([dtype(0)] * 3)

@@ -648,7 +648,7 @@ def test_instances_at_one_q_share_one_table_per_kind():
     info = special.kernel_store_info()
     assert list(info) == [2.0]
     # each lookup grew its odd row by one entry, the next exponent down
-    assert info[2.0] == {"row_entries": 2 * len(zs),
+    assert info[2.0] == {"row_entries": 2 * len(zs), "matrix_entries": 0,
                          "lookups": 2 * len(zs), "misses": 2 * len(zs)}
     for z in zs:
         first.cos_q(z)
@@ -693,7 +693,8 @@ def test_kernel_store_stays_within_its_bounds():
     rebuilt = SpecialFunctions(QContext(qs[0]))
     info = special.kernel_store_info()
     assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
-    assert info[qs[0]] == {"row_entries": 0, "lookups": 0, "misses": 0}
+    assert info[qs[0]] == {"row_entries": 0, "matrix_entries": 0,
+                           "lookups": 0, "misses": 0}
     assert _float_bits([rebuilt.cos_q(z), rebuilt.sin_q(z)]) == want
     # an instance whose q was dropped reads the reopened store
     assert first._kernel_store() is rebuilt._kernel_store()
@@ -802,18 +803,22 @@ def test_kernel_store_info_counts_row_entries():
     assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 168 + 81
     sf.kernel_row("sin", -170, 164)
     assert special.kernel_store_info()[2.0] == {
-        "row_entries": 2 * 168 + 81, "lookups": 4, "misses": 2 * 168 + 81}
+        "row_entries": 2 * 168 + 81, "matrix_entries": 0, "lookups": 4,
+        "misses": 2 * 168 + 81}
     # other parity: rows of their own
     sf.kernel_row("sin", -3, 5)
     assert special.kernel_store_info()[2.0]["row_entries"] \
         == 2 * 168 + 81 + 2 * 5
     # a transform of k = -40 ... 40 keeps the even kernel rows at q^-2j,
-    # j = -80 ... 80, and its weights q^-2k in the even point row
+    # j = -80 ... 80, its weights q^-2k in the even point row, and its
+    # 81 x 81 kernel matrix
     special.clear_kernel_store()
     f = rand_seq(random.Random(5), QContext(2.0))
     assert (f.k_min, f.k_max) == (-40, 40)
     QFourier(QContext(2.0)).qft_cos(f)
-    assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 161 + 81
+    assert special.kernel_store_info()[2.0] == {
+        "row_entries": 2 * 161 + 81, "matrix_entries": 81 * 81,
+        "lookups": 2, "misses": 2 * 161 + 81}
 
 
 def test_one_recurrence_pass_fills_both_kinds(monkeypatch):
