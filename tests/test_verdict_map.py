@@ -2,9 +2,10 @@
 
 The goldens pin the bytes at default flags and at q = 1.5.  This table
 pins the verdicts everywhere else that a change tends to move them: q
-from the lattice floor 1.001 up to 10, every battery at its default
-window, and the windows +-24 and +-60 at q = 2 for the batteries that
-take a window.  Every cell runs through `batteries.run`, as the CLI does.
+from the lattice floor 1.001 up to 50, and q = 1e25, where the batteries
+run past the double range, every battery at its default window; and the
+windows +-24 and +-60 at q = 2 for the batteries that take a window.
+Every cell runs through `batteries.run`, as the CLI does.
 
 A cell's outcome is the sorted names of the rows that fail, or the name
 of the exception the run raises, which the CLI reports as exit 2.  An
@@ -21,13 +22,14 @@ from qcalc.batteries import LIBRARY_ERRORS, run
 BATTERIES = ("integrate", "special-tables", "fourier", "spectrum", "evolve",
              "gauge", "oscillator")
 WINDOWED = ("spectrum", "evolve", "gauge", "oscillator")
-QS = ("1.001", "1.05", "1.1", "1.2", "1.5", "3", "4", "10")
+QS = ("1.001", "1.05", "1.1", "1.2", "1.5", "3", "4", "10", "50", "1e25")
 WINDOWS = (24, 60)
 
 # The q columns below 1.5 fail where the batteries size their sums and
-# windows for q = 2 (item 17); the q = 3, 4 and 10 columns and the wide
+# windows for q = 2 (item 17); the q = 3 to 50 columns and the wide
 # windows fail on entries that grow like q^(2W) (items 2 and 15), and
 # gauge's RouteMismatch exits 2 where it should be a failing row (item 21).
+# At q = 1e25 the spans sized for q = 2 leave the double range (item 17).
 VERDICTS = {
     ("q", "1.001"): {
         "integrate": ("nabla2-hermiticity",),  # item 15
@@ -112,6 +114,33 @@ VERDICTS = {
                        "ladder-spectrum", "number-operator-form",
                        "raising-identity",
                        "raising-xi-exchange"),  # items 2 and 15
+    },
+    ("q", "50"): {
+        "integrate": ("green-identity", "nabla2-hermiticity"),  # item 15
+        "special-tables": ("eigenvalue-relation",
+                           "orthogonality-offdiagonal"),  # item 15
+        "fourier": (),
+        "spectrum": ("eigenvalue-table",),  # item 2
+        "evolve": ("adjoint-identity", "energy-drift",
+                   "noether-current"),  # items 2 and 15
+        "gauge": "RouteMismatch",  # item 21
+        "oscillator": ("commutator-normalized", "hermite-tower",
+                       "ladder-spectrum", "number-operator-form",
+                       "raising-identity",
+                       "raising-xi-exchange"),  # items 2 and 15
+    },
+    ("q", "1e25"): {
+        "integrate": ("green-identity", "nabla2-hermiticity"),  # item 15
+        "special-tables": "OverflowError",  # item 17: q^m past the doubles
+        "fourier": "OverflowError",  # item 17: q^m past the doubles
+        "spectrum": "ChainStructureError",  # items 2 and 17
+        "evolve": "ChainStructureError",  # items 2 and 17
+        "gauge": "RouteMismatch",  # item 21
+        # the one run whose Gaussian pair reads kernels where q^m underflows
+        "oscillator": ("commutator-normalized", "ground-state-defect",
+                       "hermite-tower", "ladder-spectrum",
+                       "number-operator-form", "raising-identity",
+                       "raising-xi-exchange"),  # items 2, 15 and 17
     },
     ("window", 24): {
         "spectrum": ("eigenvalue-table",),  # item 2
