@@ -34,7 +34,8 @@ The module also holds the Gaussian side of the transform pair: the mixed
 cosine/sine sum of the lattice Gaussian q^(-(l^2+l)/2) c0 collapses to a
 base-q^-2 exponential with constants that are Gauss sums, checkable
 against their triple-product forms.  The l sum stops where the Gaussian
-falls below 1e-14 of c0; both tau = +-1 are checked over nu = -8 .. 0.
+falls below 1e-14 of c0; both tau = +-1 are checked over nu = -8 .. 0,
+each nu's sum reading one cos and one sin kernel row by exponent.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import warnings
 
 import numpy as np
 
-from .lattice import LatticeFn, Stencil, norm as fn_norm, worst
+from .lattice import (LatticeFn, Stencil, norm as fn_norm, running_sum,
+                      worst)
 from .scalars import QQi, Scalar
 from .schrodinger import GridTooSmall
 from .special import SpecialFunctions
@@ -444,36 +446,33 @@ def gaussian_fourier_pair(ctx, c0=1.0):
             "deviation": abs(direct - product),
         }
     ls = range(-half, half + 1)
-    gauss = sf.lattice_gaussian
+    g_even = np.array([sf.lattice_gaussian(2 * l, c0) for l in ls])
+    g_odd = np.array([sf.lattice_gaussian(2 * l + 1, c0) for l in ls])
 
-    def even_sum(nu, tau):
-        acc = 0.0j
-        for l in ls:
-            z = ctx.qpow(2 * (nu + l))
-            acc += ctx.qpow(nu + l) * (gauss(2 * l, c0) * sf.cos_q(z)
-                                       + 1j * tau * gauss(2 * l + 1, c0)
-                                       * sf.sin_q(z))
-        return scale * acc
+    def kernel_sum(nu, tau, g_cos, cos_shift, g_sin):
+        """scale sum_l q^(nu+l) (g_cos cos_q(q^(2(nu+l) + cos_shift))
+        + i tau g_sin sin_q(q^(2(nu+l)))), added in the loop's order."""
+        pts = np.array([ctx.qpow(nu + l) for l in ls])
+        lo, hi = 2 * (nu - half), 2 * (nu + half)
+        cos = sf.kernel_row("cos", lo + cos_shift, hi + cos_shift)
+        sin = sf.kernel_row("sin", lo, hi)
+        # like the Python floats these sums replace, pass inf and NaN silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = pts * (g_cos * cos + 1j * tau * g_sin * sin)
+        return scale * complex(running_sum(terms))
 
     even, odd, conj_gap = [], [], []
     for tau in (1, -1):
         for nu in range(-8, 1):
-            got = even_sum(nu, tau)
+            got = kernel_sum(nu, tau, g_even, 0, g_odd)
             want = (scale * consts["c0_tilde"][1] * ctx.qpow(nu)
                     * sf.q_exp(1j * tau * ctx.qpow(2 * nu - 1)))
             even.append(abs(got - want) / abs(want))
             if tau == 1:
-                conj_gap.append(abs(even_sum(nu, -1) - np.conj(got))
-                                / abs(got))
+                conj_gap.append(abs(kernel_sum(nu, -1, g_even, 0, g_odd)
+                                    - np.conj(got)) / abs(got))
         for nu in range(-8, 0):
-            acc = 0.0j
-            for l in ls:
-                acc += ctx.qpow(nu + l) * (
-                    gauss(2 * l + 1, c0) * q
-                    * sf.cos_q(ctx.qpow(2 * (nu + l + 1)))
-                    + 1j * tau * gauss(2 * l, c0)
-                    * sf.sin_q(ctx.qpow(2 * (nu + l))))
-            got = scale * acc
+            got = kernel_sum(nu, tau, g_odd * q, 2, g_even)
             want = (scale * consts["c0_prime"][1] * ctx.qpow(nu)
                     * sf.q_exp(1j * tau * ctx.qpow(2 * nu)))
             odd.append(abs(got - want) / abs(want))

@@ -2,8 +2,8 @@
 
 cos_q(z) = sum_n c_n z^(2n) and sin_q(z) = sum_n s_n z^(2n+1), with
 c_n = (-1)^n q^(-2n(n+1)) / (q^-2; q^-2)_(2n) and s_n the same over
-(q^-2; q^-2)_(2n+1).  Off the lattice within |z| = q^2, and for the
-bound, a double loop sums the series, its first dropped term the bound.
+(q^-2; q^-2)_(2n+1).  The package reads them only at the lattice points
++-q^m, as eigenfunctions of the derivative sampled there.
 
 At the lattice points q^m, at any m, the derivative gives
 cos[m] = cos[m-2] - q^(m-2) sin[m-2] and sin[m] = sin[m-2] + q^m cos[m],
@@ -29,16 +29,18 @@ Every SpecialFunctions at one q shares a module-level store of rows: q^m,
 cos_q or sin_q for every m of one parity across a range, as float arrays
 indexed by the exponent; the cos_q and sin_q rows of a parity span one
 range.  cos_q and sin_q read row entry m, signed, when |z| is exactly the
-double q ** m, m = round(log|z| / log q).  Elsewhere within q^2, or for the
-bound, they sum the double loop; past q^2 they raise ValueError.  The store
-keeps STORE_MAX_QS values of q, dropping the least recently opened, and
-STORE_MAX_VALUES row entries per q: a row past that drops every row of its
-q first, and a longer one is not kept.  Beside its rows the store of q
-keeps the Fourier transform's kernel matrices, one per kernel kind, till
-it drops q; past STORE_MAX_MATRIX_ENTRIES matrix entries across every q
-it lets go of the least recently used, and a larger matrix is not kept.
-`kernel_store_info` reports sizes, row reads and entries evaluated;
-`clear_kernel_store` empties the store.
+double q ** m, m = round(log|z| / log q); any other z (0, an off-lattice
+double, +-inf, NaN, or one whose q ** m overflows) raises ValueError and
+leaves the store as it was.  Their bound is half an ulp of the value, the
+smallest subnormal at least: each entry is the kernel rounded once.  The
+store keeps STORE_MAX_QS values of q, dropping the least recently opened,
+and STORE_MAX_VALUES row entries per q: a row past that drops every row
+of its q first, and a longer one is not kept.  Beside its rows the store
+of q keeps the Fourier transform's kernel matrices, one per kernel kind,
+till it drops q; past STORE_MAX_MATRIX_ENTRIES matrix entries across
+every q it lets go of the least recently used, and a larger matrix is not
+kept.  `kernel_store_info` reports sizes, row reads and entries
+evaluated; `clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
@@ -112,33 +114,6 @@ def qpoch_inf(a, p):
     return acc
 
 
-def _series_float(q, z, kind):
-    """Double-precision alternating series; returns (value, first dropped)."""
-    qm2 = q ** (-2.0)
-    if kind == "cos":
-        term = 1.0
-        next_den_k = 1  # next denominator factors are (1-q^-2k) for k = 1, 2
-    else:
-        term = z / (1.0 - qm2)
-        next_den_k = 2
-    total = term
-    running_max = abs(term)
-    n = 0
-    while True:
-        # t_{n+1}/t_n = -q^(-4(n+1)) z^2 / ((1-q^-2j)(1-q^-2(j+1)))
-        d1 = 1.0 - q ** (-2.0 * next_den_k)
-        d2 = 1.0 - q ** (-2.0 * (next_den_k + 1))
-        term = -term * q ** (-4.0 * (n + 1)) * z * z / (d1 * d2)
-        # a zero term stops too: when _FLOAT_STOP * running_max underflows
-        # to 0.0 (z = 0, subnormal z) no term is ever below it
-        if not term or abs(term) < _FLOAT_STOP * running_max:
-            return total, abs(term)
-        total += term
-        running_max = max(running_max, abs(total), abs(term))
-        n += 1
-        next_den_k += 2
-
-
 # -- cos_q and sin_q on the lattice by their recurrence -----------------------
 
 # A number in a pass is (m, e) for m 2^e, |m| held to _BITS bits by _fix: a
@@ -179,11 +154,18 @@ def _pow(q, m):
 
 
 def _to_double(x):
-    """x rounded once to the nearest double, as int division rounds."""
+    """x rounded once to the nearest double, as int division rounds; an x
+    below 2^-1075 or from 2^1024 up is a signed zero or inf at once."""
+    m, e = x
+    top = e + m.bit_length()  # |x| < 2^top
+    if top <= -1075 or not m:
+        return math.copysign(0.0, m)
+    if top > 1024:
+        return math.copysign(math.inf, m)
     try:
-        return x[0] / (1 << -x[1]) if x[1] < 0 else float(x[0] << x[1])
+        return m / (1 << -e) if e < 0 else float(m << e)
     except OverflowError:
-        return math.copysign(math.inf, x[0])
+        return math.copysign(math.inf, m)
 
 
 def _seed(q, z):
@@ -346,31 +328,31 @@ class SpecialFunctions:
     # -- trigonometric family ---------------------------------------------
 
     def _kernel(self, kind, z, with_bound):
-        """cos_q or sin_q at z, as the module docstring says."""
+        """cos_q or sin_q at the lattice point z, as the module docstring
+        says; with_bound, the value and half its ulp."""
         z = float(z)
         sign = math.copysign(1.0, z) if kind == "sin" else 1.0
-        z = abs(z)
-        m = round(math.log(z) / self._log_q) if z else None
         try:
-            on = m is not None and self.ctx.q ** m == z
-        except OverflowError:  # z near the top rounds m past the double range
+            m = round(math.log(abs(z)) / self._log_q)
+            on = self.ctx.q ** m == abs(z)
+        except (ValueError, OverflowError):  # 0, inf, NaN, q^m past range
             on = False
-        if not on or with_bound:
-            q = self.ctx.q
-            if z > q * q:
-                raise ValueError(f"{kind}_q({z!r}): past q^2 only lattice "
-                                 "points q^m, and with no bound")
-            val, bound = _series_float(q, z, kind)
-            return (sign * val, bound) if with_bound else sign * val
-        # the row hit inline, as _row would find it: every lattice call
-        # runs this; a dropped store holds no rows, so _row reopens it
+        if not on:
+            raise ValueError(f"{kind}_q({z!r}): z is no lattice point "
+                             f"+-q^m of q = {self.ctx.q!r}")
+        # the row hit inline, as _row would find it: every lookup runs
+        # this; a dropped store holds no rows, so _row reopens it
         store = self._store
         lo, vals = store.rows.get((kind, m % 2), (0, _EMPTY))
         i = (m - lo) // 2
         if 0 <= i < vals.size:
             store.lookups += 1
-            return sign * vals.item(i)
-        return sign * self._row(kind, m, m).item(0)
+            val = sign * vals.item(i)
+        else:
+            val = sign * self._row(kind, m, m).item(0)
+        # each entry is the kernel rounded once
+        return (val, max(math.ulp(val) / 2, math.ulp(0.0))) if with_bound \
+            else val
 
     def kernel_row(self, kind, m_lo, m_hi):
         """cos_q (kind "cos") or sin_q ("sin") at the lattice points q^m,

@@ -15,30 +15,33 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcalc"
 ALLOWED = {"schrodinger.Hamiltonian.matrices"}
 
 
-def _dense_calls(tree, prefix):
-    """Qualified name of the def or class around each `.dense(` call."""
+def calls(tree, prefix, attrs):
+    """Qualified name of the def or class around each `.attr(` call, attr
+    one of attrs."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield from _dense_calls(node, f"{prefix}.{node.name}")
+            yield from calls(node, f"{prefix}.{node.name}", attrs)
             continue
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dense"):
+                and node.func.attr in attrs):
             yield prefix
-        yield from _dense_calls(node, prefix)
+        yield from calls(node, prefix, attrs)
 
 
-def _package_dense_calls():
+def package_calls(attrs):
+    """Where code under src/qcalc calls `.attr(`, attr one of attrs."""
     return [where for path in sorted(PACKAGE.glob("*.py"))
-            for where in _dense_calls(ast.parse(path.read_text()), path.stem)]
+            for where in calls(ast.parse(path.read_text()), path.stem,
+                               attrs)]
 
 
 def test_only_hamiltonian_matrices_calls_dense():
-    assert sorted(_package_dense_calls()) == sorted(ALLOWED)
+    assert sorted(package_calls({"dense"})) == sorted(ALLOWED)
 
 
 def test_calls_are_qualified_by_their_defs():
     tree = ast.parse("class A:\n    def f(self):\n        return g(x.dense())"
                      "\n\ny = op.dense(1)\n")
-    assert list(_dense_calls(tree, "m")) == ["m.A.f", "m"]
+    assert list(calls(tree, "m", {"dense"})) == ["m.A.f", "m"]

@@ -1,5 +1,6 @@
 """Ladder pair, ground state, q-Hermite tower, Gaussian transform pair."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from qcalc import batteries, oscillator
 from qcalc.context import QContext
-from qcalc.lattice import LatticeGrid, norm as fn_norm
+from qcalc.lattice import LatticeGrid, norm as fn_norm, worst
 from qcalc.oscillator import (
     ContaminationWarning,
     NoDecay,
@@ -28,6 +29,7 @@ from qcalc.oscillator import (
 )
 from qcalc.scalars import QQi, Scalar
 from qcalc.schrodinger import GridTooSmall, build_representation
+from qcalc.special import SpecialFunctions
 
 D2 = QContext(2.0)
 SEED = 20260816
@@ -273,6 +275,83 @@ def test_gaussian_pair_propagates_nan():
     for key in ("even_max_rel", "odd_max_rel", "conjugation_max_rel",
                 "max_rel"):
         assert np.isnan(report[key])
+
+
+def loop_gaussian_pair(ctx, c0=1.0):
+    """gaussian_fourier_pair by a Python loop over l, one kernel entry per
+    term, read as kernel_row(kind, m, m)[0]: it runs where q^m underflows
+    too, as at q = 1e25."""
+    sf = SpecialFunctions(ctx)
+    q = ctx.q
+    half = oscillator._gaussian_window(sf, c0)
+    consts = sf.gauss_sum_constants(c0)
+    scale = sf.n_q() / math.sqrt(2.0)
+    report = {"q": q, "c0": c0, "l_halfwidth": half, "nu_range": [-8, 0],
+              "constants": {}}
+    for name in ("c0_tilde", "c0_prime"):
+        direct, product = consts[name]
+        report["constants"][name] = {"direct_sum": direct,
+                                     "triple_product": product,
+                                     "deviation": abs(direct - product)}
+    ls = range(-half, half + 1)
+    gauss = sf.lattice_gaussian
+
+    def kern(kind, m):
+        return float(sf.kernel_row(kind, m, m)[0])
+
+    def even_sum(nu, tau):
+        acc = 0.0j
+        for l in ls:
+            m = 2 * (nu + l)
+            acc += ctx.qpow(nu + l) * (gauss(2 * l, c0) * kern("cos", m)
+                                       + 1j * tau * gauss(2 * l + 1, c0)
+                                       * kern("sin", m))
+        return scale * acc
+
+    even, odd, conj_gap = [], [], []
+    for tau in (1, -1):
+        for nu in range(-8, 1):
+            got = even_sum(nu, tau)
+            want = (scale * consts["c0_tilde"][1] * ctx.qpow(nu)
+                    * sf.q_exp(1j * tau * ctx.qpow(2 * nu - 1)))
+            even.append(abs(got - want) / abs(want))
+            if tau == 1:
+                conj_gap.append(abs(even_sum(nu, -1) - np.conj(got))
+                                / abs(got))
+        for nu in range(-8, 0):
+            acc = 0.0j
+            for l in ls:
+                acc += ctx.qpow(nu + l) * (
+                    gauss(2 * l + 1, c0) * q * kern("cos", 2 * (nu + l + 1))
+                    + 1j * tau * gauss(2 * l, c0) * kern("sin", 2 * (nu + l)))
+            got = scale * acc
+            want = (scale * consts["c0_prime"][1] * ctx.qpow(nu)
+                    * sf.q_exp(1j * tau * ctx.qpow(2 * nu)))
+            odd.append(abs(got - want) / abs(want))
+    report["even_max_rel"] = worst(even)
+    report["odd_max_rel"] = worst(odd)
+    report["conjugation_max_rel"] = worst(conj_gap)
+    report["max_rel"] = worst(even + odd)
+    return report
+
+
+@pytest.mark.parametrize("c0", (1.0, float("nan"), -0.7))
+@pytest.mark.parametrize("q", (2.0, 1.5, 3.0, 10.0, 1.1, 50.0, 1e25))
+def test_gaussian_pair_equals_the_term_loop_bit_for_bit(q, c0, monkeypatch):
+    # the report reads whole kernel rows by exponent; at q = 1e25 the
+    # points q^(2(nu+l)) underflow to 0.0, where no lookup by z can go
+    def refuse(self, z, with_bound=False):
+        raise AssertionError(f"kernel looked up by z = {z!r}")
+
+    monkeypatch.setattr(SpecialFunctions, "cos_q", refuse)
+    monkeypatch.setattr(SpecialFunctions, "sin_q", refuse)
+    ctx = QContext(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_fourier_pair(ctx, c0)
+    want = loop_gaussian_pair(ctx, c0)
+    assert json.dumps(got, indent=2, sort_keys=True) \
+        == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_level_table_csv(pair):

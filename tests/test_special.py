@@ -81,15 +81,6 @@ def test_qpoch_inf_guard():
 # -- series values -----------------------------------------------------------
 
 
-def test_cos_q_at_zero_and_leading_orders():
-    assert SF.cos_q(0.0) == 1.0
-    z = 1e-8
-    lead = z / (1 - D2.qpow(-2))
-    assert abs(SF.sin_q(z) - lead) < 1e-20
-    assert SF.sin_q(-z) == -SF.sin_q(z)
-    assert SF.cos_q(-1.0) == SF.cos_q(1.0)
-
-
 def test_series_bound_reported():
     v, bound = SF.cos_q(1.0, with_bound=True)
     assert bound < 1e-16 * max(1.0, abs(v))
@@ -218,22 +209,6 @@ def test_rows_near_q1_are_exact_for_every_row_top():
         _assert_rows_exact(SpecialFunctions(QContext(q)), q, top)
 
 
-def test_rows_never_sum_the_double_series(monkeypatch):
-    # every row entry, m <= 2 too, comes from the recurrence pass
-    def refuse(q, z, kind):
-        raise AssertionError(f"row entry summed in doubles at q = {q}")
-
-    monkeypatch.setattr(special, "_series_float", refuse)
-    for q in (1.001, 1.5, 2.0, 3.0, 50.0):
-        special.clear_kernel_store()
-        sf = SpecialFunctions(QContext(q))
-        for kind in ("cos", "sin"):
-            for par in (0, 1):
-                row = sf.kernel_row(kind, par - 160, 160 - par)
-                assert row.size == 161 - par, (q, kind, par)
-    special.clear_kernel_store()
-
-
 def test_seed_defect_fails_the_recurrence_gram_and_isometry_rows(
         monkeypatch):
     # a cos seed off by 1e-9 must show in the rows that read the kernels
@@ -325,17 +300,6 @@ def test_cold_rows_fill_in_time_at_q15():
         assert not any(math.isnan(v) for row in rows for v in row.tolist())
 
 
-def test_small_series_terminates_when_its_stop_rule_underflows():
-    # at z = 0 and subnormal z, 1e-16 times the largest term is 0.0, so
-    # only the zero term that follows can end the sum
-    sf = SpecialFunctions(QContext(2.0))
-    with _deadline(5):
-        assert sf.sin_q(0.0, with_bound=True) == (0.0, 0.0)
-        assert sf.cos_q(0.0) == 1.0
-        val, bound = sf.sin_q(1e-310, with_bound=True)
-    assert val == 1e-310 / (1.0 - 2.0 ** -2.0) and bound == 0.0
-
-
 def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
     # q^-12 at q = 1e25 underflows to 0.0, and sin_q(0.0) used to hang
     with _deadline(60):
@@ -344,6 +308,48 @@ def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("error: OverflowError")
+
+
+def _divided(x):
+    """x to a double by int division alone, past the double range too."""
+    try:
+        return x[0] / (1 << -x[1]) if x[1] < 0 else float(x[0] << x[1])
+    except OverflowError:
+        return math.copysign(math.inf, x[0])
+
+
+def test_to_double_rounds_as_int_division_at_both_range_edges():
+    # the range check before the division must not move a bit: mantissas
+    # of a pass (_BITS bits), ties at half the smallest subnormal and at
+    # the top, and zero, with |x| just under and past 2^-1075 and 2^1024
+    top = 1 << special._BITS
+    rng = random.Random(11)
+    mantissas = [0, 1, 3, top - 1, top >> 1, (top >> 1) + 1,
+                 ((1 << 53) - 1) << (special._BITS - 53),
+                 (((1 << 53) - 1) << (special._BITS - 53)) + 1]
+    mantissas += [rng.getrandbits(special._BITS) | top >> 1
+                  for _ in range(8)]
+    for m in mantissas + [-m for m in mantissas]:
+        for bits in list(range(-1080, -1070)) + list(range(1020, 1030)):
+            x = (m, bits - m.bit_length())
+            assert _float_bits([special._to_double(x)]) \
+                == _float_bits([_divided(x)]), x
+
+
+def test_rows_past_the_double_range_fill_in_time(tmp_path, capsys):
+    # entries past the double range once cost a 2^|e| int each: this row
+    # took 7.6 s, and fourier --m-cut 20000 over 200 s before its exit 2
+    special.clear_kernel_store()
+    sf = SpecialFunctions(QContext(2.0))
+    with _deadline(5):
+        row = sf.kernel_row("cos", -68, 16000)
+    assert row[-1] == 0.0 and row[0] == 1.0
+    with _deadline(20):
+        assert main(["fourier", "--m-cut", "20000",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1] == \
+        "error: OverflowError: (34, 'Numerical result out of range')"
 
 
 # -- the integer series kept as the exact reference --------------------------
@@ -658,24 +664,26 @@ def test_instances_at_one_q_share_one_table_per_kind():
 
 def test_instances_at_different_q_never_share_values():
     special.clear_kernel_store()
-    # lattice points of q = 2 (0.5, -2) and of q = 3 (3), and of neither
-    # (1.5), all within q^2 at both q, where off-lattice sums are kept
-    zs = [0.5, 1.5, 3.0, -2.0]
+    # the lattice points q^-1, 1, q and -q^2 of each q
+    def points(q):
+        return [q ** -1, 1.0, q, -q * q]
+
     sf2 = SpecialFunctions(QContext(2.0))
     sf3 = SpecialFunctions(QContext(3.0))
     got = {}
     for q, sf in ((2.0, sf2), (3.0, sf3)):
-        got[q] = [fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)]
+        got[q] = [fn(z) for z in points(q) for fn in (sf.cos_q, sf.sin_q)]
     assert sf2._kernel_store() is not sf3._kernel_store()
     assert sf2.n_q() != sf3.n_q()
     assert all(a != b for a, b in zip(got[2.0], got[3.0]))
     info = special.kernel_store_info()
-    assert info[2.0]["lookups"] == 2 * 2 and info[3.0]["lookups"] == 2
+    assert info[2.0]["lookups"] == info[3.0]["lookups"] == 2 * 4
     # each q reads as it does in a store that never held the other
     for q in (2.0, 3.0):
         special.clear_kernel_store()
         sf = SpecialFunctions(QContext(q))
-        assert _float_bits(fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)) \
+        assert _float_bits(fn(z) for z in points(q)
+                           for fn in (sf.cos_q, sf.sin_q)) \
             == _float_bits(got[q])
 
 
@@ -703,10 +711,8 @@ def test_kernel_store_stays_within_its_bounds():
 @pytest.mark.parametrize("q", KERNEL_QS)
 def test_kernel_values_do_not_depend_on_store_history(q):
     ctx = QContext(q)
-    # lattice points past q^2, and points within it off the lattice
-    rng = random.Random(int(q * 1000))
-    zs = [q ** m for m in range(3, 41)]
-    zs += [q ** rng.uniform(-6.0, 2.0) for _ in range(6)]
+    # lattice points within q^2 and past it, of both signs
+    zs = [q ** m for m in range(-6, 41)] + [-q ** m for m in range(-6, 3)]
     special.clear_kernel_store()
     warm = SpecialFunctions(ctx)
     # warm the store as the lattice-window ladder does: stationary states
@@ -921,34 +927,39 @@ def test_lattice_lookups_read_the_row_entry(q, m_max):
 
 
 @pytest.mark.parametrize("q", (2.0, 1.5, 3.0))
-def test_off_lattice_lookups_sum_and_keep_nothing(q):
+def test_off_lattice_lookups_raise_and_keep_nothing(q):
+    # the kernels are read at the lattice points +-q^m only: zero, a
+    # subnormal, the doubles next to q^m, +-inf, NaN and a z whose q^m
+    # overflows raise, and the store reads as before the call
     ctx = QContext(q)
-    zs = [math.nextafter(ctx.qpow(m), math.inf) for m in (-7, 0, 1)]
-    zs += [-z for z in zs]
-    special.clear_kernel_store()
-    fresh = SpecialFunctions(ctx)
-    want = [fn(z, with_bound=True)[0] for z in zs
-            for fn in (fresh.cos_q, fresh.sin_q)]
     special.clear_kernel_store()
     sf = SpecialFunctions(ctx)
     sf.kernel_row("cos", -20, 20)
     sf.kernel_row("sin", -21, 21)
-    before = special.kernel_store_info()[q]
-    got = [fn(z) for z in zs for fn in (sf.cos_q, sf.sin_q)]
-    assert _float_bits(got) == _float_bits(want)
-    # past q^2 only the lattice points are kernels the package reads, and
-    # they carry no bound: the next double up from q^2, q^5 or q^12 raises
-    for z in (ctx.qpow(5), ctx.qpow(12)):
+    before = special.kernel_store_info()
+    zs = [0.0, -0.0, 1e-310, math.inf, -math.inf, math.nan,
+          sys.float_info.max]
+    for m in (-7, 0, 1, 2, 5, 12):
+        for toward in (0.0, math.inf):
+            z = math.nextafter(ctx.qpow(m), toward)
+            zs += [z, -z]
+    for z in zs:
         for fn in (sf.cos_q, sf.sin_q):
-            with pytest.raises(ValueError):
-                fn(z, with_bound=True)
-    for m in (2, 5, 12):
-        for z in (math.nextafter(ctx.qpow(m), math.inf),
-                  -math.nextafter(ctx.qpow(m), math.inf)):
-            for fn in (sf.cos_q, sf.sin_q):
+            for with_bound in (False, True):
                 with pytest.raises(ValueError):
-                    fn(z)
-    assert special.kernel_store_info()[q] == before
+                    fn(z, with_bound)
+    assert special.kernel_store_info() == before
+    # each entry is the kernel rounded once: its bound is half an ulp,
+    # and the smallest subnormal where the entry is zero
+    exps = range(-100, 101)
+    values = set()
+    for fn in (sf.cos_q, sf.sin_q):
+        for z in [ctx.qpow(m) for m in exps] + [-ctx.qpow(m) for m in exps]:
+            val = fn(z)
+            assert fn(z, True) == (val, max(math.ulp(val) / 2,
+                                            math.ulp(0.0))), z
+            values.add(val)
+    assert 0.0 in values and math.inf in values
 
 
 def _per_site(sf, grid, kind, y):
