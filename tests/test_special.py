@@ -338,7 +338,7 @@ def test_to_double_rounds_as_int_division_at_both_range_edges():
 
 def test_rows_past_the_double_range_fill_in_time(tmp_path, capsys):
     # entries past the double range once cost a 2^|e| int each: this row
-    # took 7.6 s, and fourier --m-cut 20000 over 200 s before its exit 2
+    # took about 7 s, and fourier --m-cut 20000 over 200 s to exit 2
     special.clear_kernel_store()
     sf = SpecialFunctions(QContext(2.0))
     with _deadline(5):
