@@ -140,9 +140,6 @@ def lattice_context(q):
     return QContext(x)
 
 
-# -- verdicts -----------------------------------------------------------------
-
-
 # -- random generators (seeded) -----------------------------------------------
 
 
@@ -535,8 +532,13 @@ def special_tables(q, params):
 
 def fourier(q, params):
     ctx = lattice_context(q)
-    qf = QFourier(ctx)
     seed, m_cut = params["seed"], params["m_cut"]
+    try:
+        ctx.qpow(2 * m_cut)  # the largest weight of the step sums
+    except OverflowError:
+        raise ConfigError(f"m_cut: q^(2 m_cut) overflows a double at "
+                          f"q = {ctx.q!r}, m_cut = {m_cut}") from None
+    qf = QFourier(ctx)
     rng = random.Random(seed)
 
     iso_c, iso_s, rt_c, rt_s, dbl = [], [], [], [], []
@@ -545,8 +547,9 @@ def fourier(q, params):
         g = qf.qft_cos(f)
         a = f.weighted_norm_sq()
         iso_c.append(abs(a - g.weighted_norm_sq()) / a)
+        # the inverse is the forward transform: one sum serves both rows
         rt_c.append((qf.qft_cos_inverse(g) - f).max_abs())
-        dbl.append((qf.qft_cos(g) - f).max_abs())
+        dbl.append(rt_c[-1])
         fo = rand_seq(rng, ctx, family="odd")
         go = qf.qft_sin(fo)
         b = fo.weighted_norm_sq()

@@ -17,13 +17,14 @@ tail they drop to fall below STEP_TOL.
 """
 
 import math
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .integration import NotConverged
 from .lattice import running_sum
-from .special import KeptMatrix, SpecialFunctions
+from .special import SpecialFunctions
 
 _FAMILIES = ("even", "odd")
 
@@ -38,6 +39,34 @@ STEP_TOL = 1e-14
 # not down, while their peak stays below 2^951.
 _MATRIX_EXP = 64
 _SUM_EXP = 1022
+
+# Bound of the kept kernel matrices: complex entries across every q
+# (512 kB: both kinds at two q for windows of 81 sites, one matrix of up
+# to 181 sites).
+MAX_MATRIX_ENTRIES = 1 << 15
+
+# A transform's kernel matrix on the window (k_min, k_max), with the
+# window's weights and the matrix's scale exponent s
+KeptMatrix = namedtuple("KeptMatrix", "window weights matrix s")
+
+# (q, kind) -> the KeptMatrix of the last window a transform at q built
+# one on, least recently used first; _kept_entries sums their entries
+_KEPT = OrderedDict()
+_kept_entries = 0
+
+
+def _keep(key, held):
+    """Keep held for key in place of the matrix kept before, and let go of
+    the least recently used matrices till at most MAX_MATRIX_ENTRIES
+    entries are kept; a matrix of more entries is not kept."""
+    global _kept_entries
+    if held.matrix.size > MAX_MATRIX_ENTRIES:
+        return
+    old = _KEPT.pop(key, None)
+    _kept_entries += held.matrix.size - (old.matrix.size if old else 0)
+    _KEPT[key] = held
+    while _kept_entries > MAX_MATRIX_ENTRIES:
+        _kept_entries -= _KEPT.popitem(last=False)[1].matrix.size
 
 
 class SublatticeSeq:
@@ -104,12 +133,12 @@ class QFourier:
     Kernels and lattice points come as rows indexed by the exponent from
     the kernel store of qcalc.special, which every transform and
     representation at this q shares: only the first request of a value
-    sums its series.  Per kernel kind the store of q also keeps, for the
-    last window any transform at this q built one on, the weights and
+    sums its series.  Per q and kernel kind this module keeps, for the
+    last window any transform at that q built one on, the weights and
     the kernel matrix, so a transform on that window again costs one
-    matrix-vector product; a new window replaces them, and they go when
-    the store drops q or needs their room for matrices used since (see
-    qcalc.special.STORE_MAX_MATRIX_ENTRIES).
+    matrix-vector product.  A new window replaces them, and they go when
+    matrices used since need their room (MAX_MATRIX_ENTRIES across every
+    q), whether or not the kernel store still holds q's rows.
 
     The kept matrix is the complex Hankel matrix of the kernel row times
     an exact 2^s.  Each transform multiplies the weighted samples by an
@@ -139,8 +168,10 @@ class QFourier:
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
         window = (f.k_min, f.k_max)
-        held = self.sf.kept_matrix(kind)
+        key = (self.ctx.q, kind)
+        held = _KEPT.get(key)
         if held is not None and held.window == window:
+            _KEPT.move_to_end(key)
             weights = held.weights
         else:
             # the weights q^(-2k), k = k_min ... k_max
@@ -157,10 +188,10 @@ class QFourier:
             raise NotConverged(
                 f"weighted summand at window edge is {edge / scale:.2e} of peak")
         if held is None:
-            # a copy, so the store never keeps a replaced point row alive
+            # a copy, so a kept matrix never keeps a replaced point row alive
             held = KeptMatrix(window, weights.copy(),
                               *self._kernel_matrix(kind, *window))
-            self.sf.keep_matrix(kind, held)
+            _keep(key, held)
         K, s = held.matrix, held.s
         lift = 0  # s + t, undone on N_q
         if s is not None:

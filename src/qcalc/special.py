@@ -33,31 +33,25 @@ double q ** m, m = round(log|z| / log q); any other z (0, an off-lattice
 double, +-inf, NaN, or one whose q ** m overflows) raises ValueError and
 leaves the store as it was.  Their bound is half an ulp of the value, the
 smallest subnormal at least: each entry is the kernel rounded once.  The
-store keeps STORE_MAX_QS values of q, dropping the least recently opened,
-and STORE_MAX_VALUES row entries per q: a row past that drops every row
-of its q first, and a longer one is not kept.  Beside its rows the store
-of q keeps the Fourier transform's kernel matrices, one per kernel kind,
-till it drops q; past STORE_MAX_MATRIX_ENTRIES matrix entries across
-every q it lets go of the least recently used, and a larger matrix is not
-kept.  `kernel_store_info` reports sizes, row reads and entries
-evaluated; `clear_kernel_store` empties the store.
+store keeps kernel values only: STORE_MAX_QS values of q, dropping the
+least recently opened, and STORE_MAX_VALUES row entries per q: a row
+past that drops every row of its q first, and a longer one is not kept.
+`kernel_store_info` reports sizes, row reads and entries evaluated;
+`clear_kernel_store` empties the store.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections import OrderedDict, namedtuple
 
 import numpy as np
 
 _FLOAT_STOP = 1e-16
 
-# Bounds of the kernel store: values of q kept, row entries per q, and
-# complex transform matrix entries across every q (512 kB: both kinds at
-# two q for windows of 81 sites, one matrix of up to 181 sites).
+# Bounds of the kernel store: values of q kept and row entries per q.
 STORE_MAX_QS = 8
 STORE_MAX_VALUES = 1 << 14
-STORE_MAX_MATRIX_ENTRIES = 1 << 15
 
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
@@ -230,78 +224,49 @@ def _recurrence_row(q, lo, hi):
     return [_to_double(c) for c, _ in vals], [_to_double(s) for _, s in vals]
 
 
-# A Fourier transform's kernel matrix on the window (k_min, k_max), with
-# the window's weights and the matrix's scale exponent s (qcalc.fourier)
-KeptMatrix = namedtuple("KeptMatrix", "window weights matrix s")
-
-
 class _KernelStore:
-    """What the kernels at one q share: the rows, the transform matrices,
-    N_q, and the counts of row reads and of row entries evaluated.
+    """What the kernels at one q share: the rows, N_q, and the counts of
+    row reads and of row entries evaluated.
 
     rows maps (kind, parity) to (m_lo, array): kind is "point", "cos" or
     "sin", and entry i of the read-only array belongs to m_lo + 2 i.
-    matrices maps a kernel kind, "cos" or "sin", to the KeptMatrix the
-    Fourier transforms at this q keep for the last window they built a
-    matrix on.
     """
 
-    __slots__ = ("rows", "matrices", "nq", "lookups", "misses", "dropped")
+    __slots__ = ("rows", "nq", "lookups", "misses", "__weakref__")
 
     def __init__(self):
         self.rows = {}
-        self.matrices = {}
         self.nq = None
         self.lookups = 0
         self.misses = 0
-        self.dropped = False  # set once the store lets go of it
-
-    def drop(self):
-        """Let go of every row and matrix; holders reopen their q."""
-        self.rows.clear()
-        for kind in self.matrices:
-            del _MATRIX_USE[self, kind]
-        self.matrices.clear()
-        self.dropped = True
 
     def row_entries(self):
         return sum(vals.size for _, vals in self.rows.values())
 
-    def matrix_entries(self):
-        return sum(held.matrix.size for held in self.matrices.values())
 
-
-_STORES = OrderedDict()  # q -> _KernelStore, least recently opened first
-# (store, kind) of every kept matrix, least recently used first
-_MATRIX_USE = OrderedDict()
+# q -> _KernelStore, least recently opened first; a plain dict, since
+# every kernel lookup reads it and OrderedDict.get is slower
+_STORES = {}
 
 
 def _open_store(q):
     """The store of q, made if absent and marked most recently opened."""
-    store = _STORES.get(q)
-    if store is None:
-        store = _STORES[q] = _KernelStore()
-        if len(_STORES) > STORE_MAX_QS:
-            _STORES.popitem(last=False)[1].drop()
-    else:
-        _STORES.move_to_end(q)
+    store = _STORES[q] = _STORES.pop(q, None) or _KernelStore()
+    if len(_STORES) > STORE_MAX_QS:
+        del _STORES[next(iter(_STORES))]
     return store
 
 
 def clear_kernel_store():
-    """Empty the kernel store: every row, matrix and count at every q."""
-    for store in _STORES.values():
-        store.drop()
+    """Empty the kernel store: every row and count at every q."""
     _STORES.clear()
 
 
 def kernel_store_info():
-    """{q: {row_entries, matrix_entries, lookups, misses}} over the stored
-    q, least recently opened first; row_entries counts the entries of
-    every row, matrix_entries those of every kept transform matrix,
+    """{q: {row_entries, lookups, misses}} over the stored q, least
+    recently opened first; row_entries counts the entries of every row,
     lookups the row reads and misses the row entries evaluated."""
     return {q: {"row_entries": store.row_entries(),
-                "matrix_entries": store.matrix_entries(),
                 "lookups": store.lookups,
                 "misses": store.misses}
             for q, store in _STORES.items()}
@@ -309,41 +274,40 @@ def kernel_store_info():
 
 class SpecialFunctions:
     """Evaluators over one lattice context (a float q); kernel values and
-    N_q live in the kernel store of its q."""
+    N_q live in the kernel store of its q, looked up by q on each use."""
 
     def __init__(self, ctx):
         if not isinstance(ctx.q, float):
             raise ValueError(f"special functions need a float q; use "
                              f"QContext(float({ctx.q!r}))")
         self.ctx = ctx
-        self._store = _open_store(ctx.q)
+        _open_store(ctx.q)
         self._log_q = math.log(ctx.q)
 
     def _kernel_store(self):
-        """The store of this q, reopened if the store has dropped it."""
-        if self._store.dropped:
-            self._store = _open_store(self.ctx.q)
-        return self._store
+        """The store of this q, opened again if the store has dropped it."""
+        return _STORES.get(self.ctx.q) or _open_store(self.ctx.q)
 
     # -- trigonometric family ---------------------------------------------
 
     def _kernel(self, kind, z, with_bound):
         """cos_q or sin_q at the lattice point z, as the module docstring
         says; with_bound, the value and half its ulp."""
-        z = float(z)
+        z, q = float(z), self.ctx.q
         sign = math.copysign(1.0, z) if kind == "sin" else 1.0
         try:
             m = round(math.log(abs(z)) / self._log_q)
-            on = self.ctx.q ** m == abs(z)
+            on = q ** m == abs(z)
         except (ValueError, OverflowError):  # 0, inf, NaN, q^m past range
             on = False
         if not on:
             raise ValueError(f"{kind}_q({z!r}): z is no lattice point "
-                             f"+-q^m of q = {self.ctx.q!r}")
+                             f"+-q^m of q = {q!r}")
         # the row hit inline, as _row would find it: every lookup runs
-        # this; a dropped store holds no rows, so _row reopens it
-        store = self._store
-        lo, vals = store.rows.get((kind, m % 2), (0, _EMPTY))
+        # this; a q the store dropped holds no rows, so _row reopens it
+        store = _STORES.get(q)
+        lo, vals = (0, _EMPTY) if store is None \
+            else store.rows.get((kind, m % 2), (0, _EMPTY))
         i = (m - lo) // 2
         if 0 <= i < vals.size:
             store.lookups += 1
@@ -361,31 +325,6 @@ class SpecialFunctions:
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown kernel {kind!r}")
         return self._row(kind, m_lo, m_hi)
-
-    def kept_matrix(self, kind):
-        """The KeptMatrix the store of this q keeps for kind, or None."""
-        store = self._kernel_store()
-        held = store.matrices.get(kind)
-        if held is not None:
-            _MATRIX_USE.move_to_end((store, kind))
-        return held
-
-    def keep_matrix(self, kind, held):
-        """Keep held for kind in the store of this q, in place of the one
-        kept before, and let go of the least recently used matrices across
-        every q till at most STORE_MAX_MATRIX_ENTRIES entries are kept; a
-        matrix of more entries is not kept."""
-        if held.matrix.size > STORE_MAX_MATRIX_ENTRIES:
-            return
-        store = self._kernel_store()
-        store.matrices[kind] = held
-        _MATRIX_USE[store, kind] = None
-        _MATRIX_USE.move_to_end((store, kind))
-        while sum(old.matrices[old_kind].matrix.size
-                  for old, old_kind in _MATRIX_USE) \
-                > STORE_MAX_MATRIX_ENTRIES:
-            old, old_kind = _MATRIX_USE.popitem(last=False)[0]
-            del old.matrices[old_kind]
 
     def point_row(self, m_lo, m_hi):
         """The lattice points ctx.qpow(m), m = m_lo, m_lo + 2, ..., m_hi, as
@@ -453,7 +392,8 @@ class SpecialFunctions:
     # -- q-exponential --------------------------------------------------------
 
     def q_exp(self, z):
-        """e_{q^-2}(z) = sum z^k / (q^-2; q^-2)_k, |z| < 1."""
+        """e_{q^-2}(z) = sum z^k / (q^-2; q^-2)_k, |z| < 1; the partial
+        sum as it stands once it is no longer finite."""
         z = complex(z)
         if abs(z) >= 1:
             raise OutOfRadius(f"|z| = {abs(z)} is outside the unit radius")
@@ -468,6 +408,8 @@ class SpecialFunctions:
             if abs(term) < _FLOAT_STOP * running_max:
                 return total
             total += term
+            if not cmath.isfinite(total):  # near q = 1 the terms overflow
+                return total
             running_max = max(running_max, abs(total))
 
     # -- lattice Gaussian ------------------------------------------------------

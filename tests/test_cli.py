@@ -408,6 +408,17 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys):
         _one_config_error(capsys, key)
 
 
+def test_an_m_cut_past_the_double_range_exits_two_naming_it(tmp_path,
+                                                             capsys):
+    # at q = 2 the step sums' largest weight q^(2 m_cut) is 2^1022 at 511
+    # and overflows a double from 512 on
+    assert run(tmp_path, "fourier", "--m-cut", "511") == 0
+    capsys.readouterr()
+    for m_cut in ("512", "20000"):
+        assert run(tmp_path, "fourier", "--m-cut", m_cut) == 2
+        _one_config_error(capsys, "m_cut")
+
+
 @pytest.mark.parametrize("value", [7, "7"])
 def test_config_file_integers_read_as_their_flag_does(tmp_path, value):
     cfg = tmp_path / "cfg.json"

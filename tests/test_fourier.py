@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcalc import special
+from qcalc import fourier, special
 from qcalc.batteries import rand_seq
 from qcalc.context import QContext
 from qcalc.fourier import QFourier, SublatticeSeq
@@ -311,15 +311,45 @@ def test_step_sums_equal_the_loops_bit_for_bit(q):
     assert all(map(math.isfinite, values))
 
 
-# -- the kernel matrix the store of q keeps per kind -------------------------
+# -- the kernel matrix kept per q and kind ------------------------------------
+
+
+def forget_kept_matrices():
+    """Empty qcalc.fourier's kept matrices, and their running total."""
+    fourier._KEPT.clear()
+    fourier._kept_entries = 0
+
+
+def _kept(q, kind):
+    return fourier._KEPT.get((q, kind))
+
+
+def _kept_entries():
+    """{q: entries of the matrices kept at q}; checks the running total."""
+    entries = {}
+    for (q, _), held in fourier._KEPT.items():
+        entries[q] = entries.get(q, 0) + held.matrix.size
+    assert fourier._kept_entries == sum(entries.values())
+    return entries
 
 
 def _unkept(ctx):
     """A QFourier that builds its kernel matrix anew on every call, from
-    the store's rows, and keeps none."""
+    the store's rows, and leaves the kept matrices as they were."""
     qf = QFourier(ctx)
-    qf.sf.kept_matrix = lambda kind: None
-    qf.sf.keep_matrix = lambda kind, held: None
+    transform = qf.transform
+
+    def fresh(f, kind="cos"):
+        kept, total = fourier._KEPT.copy(), fourier._kept_entries
+        forget_kept_matrices()
+        try:
+            return transform(f, kind)
+        finally:
+            forget_kept_matrices()
+            fourier._KEPT.update(kept)
+            fourier._kept_entries = total
+
+    qf.transform = fresh
     return qf
 
 
@@ -349,41 +379,36 @@ def test_reused_instance_equals_fresh_ones_bit_for_bit(q):
 
 
 def test_a_new_window_replaces_the_kept_matrix():
-    special.clear_kernel_store()
+    forget_kept_matrices()
     qf = QFourier(D2)
     rng = random.Random(SEED + 9)
     wide = rand_seq(rng, D2)
     narrow = SublatticeSeq(D2, -10, wide.values[30:51])
     qf.qft_cos(wide)
     qf.qft_sin(wide)
-    held = weakref.ref(qf.sf.kept_matrix("cos").matrix)
+    held = weakref.ref(_kept(2.0, "cos").matrix)
     assert held().shape == (81, 81)
-    assert special.kernel_store_info()[2.0]["matrix_entries"] == 2 * 81 ** 2
+    assert _kept_entries() == {2.0: 2 * 81 ** 2}
     qf.qft_cos(narrow)
     gc.collect()
     # one matrix per kind: the wide cos matrix is gone, the sin one stays
     assert held() is None
-    assert {kind: qf.sf.kept_matrix(kind).window for kind in ("cos", "sin")} \
+    assert {kind: _kept(2.0, kind).window for kind in ("cos", "sin")} \
         == {"cos": (-10, 10), "sin": (-40, 40)}
-    assert special.kernel_store_info()[2.0]["matrix_entries"] \
-        == 21 ** 2 + 81 ** 2
+    assert _kept_entries() == {2.0: 21 ** 2 + 81 ** 2}
     # and one per q: a transform at another q keeps its own
     D4 = QContext(4.0)
     QFourier(D4).qft_cos(rand_seq(rng, D4))
-    info = special.kernel_store_info()
-    assert info[4.0]["matrix_entries"] == 81 ** 2
-    assert info[2.0]["matrix_entries"] == 21 ** 2 + 81 ** 2
-    # the matrix outlives the instance, and goes with the store, even
-    # while an instance still holds the store it dropped
-    held = weakref.ref(qf.sf.kept_matrix("sin").matrix)
+    assert _kept_entries() == {2.0: 21 ** 2 + 81 ** 2, 4.0: 81 ** 2}
+    # the matrix outlives the instance and the rows of its q
+    held = weakref.ref(_kept(2.0, "sin").matrix)
     del qf
-    gc.collect()
-    assert held() is not None
-    holder = QFourier(D2)
     special.clear_kernel_store()
     gc.collect()
+    assert held() is not None
+    forget_kept_matrices()
+    gc.collect()
     assert held() is None
-    assert holder.sf.kept_matrix("sin") is None
 
 
 def _decayed_seq(ctx, half):
@@ -395,69 +420,94 @@ def _decayed_seq(ctx, half):
 def test_kept_matrices_stay_within_their_bound():
     # four matrices of 81 sites fit across every q, and a fifth does not:
     # the least recently used goes first
-    assert 4 * 81 ** 2 <= special.STORE_MAX_MATRIX_ENTRIES < 5 * 81 ** 2
-    special.clear_kernel_store()
+    assert 4 * 81 ** 2 <= fourier.MAX_MATRIX_ENTRIES < 5 * 81 ** 2
+    forget_kept_matrices()
     rng = random.Random(SEED + 13)
     held = {}
 
     def transform(q, kind, f=None):
         ctx = QContext(q)
-        qf = QFourier(ctx)
-        qf.transform(rand_seq(rng, ctx) if f is None else f, kind)
-        held[q, kind] = weakref.ref(qf.sf.kept_matrix(kind).matrix)
-
-    def entries():
-        return {q: info["matrix_entries"] for q, info
-                in special.kernel_store_info().items()}
+        QFourier(ctx).transform(rand_seq(rng, ctx) if f is None else f, kind)
+        held[q, kind] = weakref.ref(_kept(q, kind).matrix)
 
     for q in (2.0, 4.0):
         for kind in ("cos", "sin"):
             transform(q, kind)
-    assert entries() == {2.0: 2 * 81 ** 2, 4.0: 2 * 81 ** 2}
+    assert _kept_entries() == {2.0: 2 * 81 ** 2, 4.0: 2 * 81 ** 2}
     transform(2.0, "cos")  # read again: now the most recently used
     transform(8.0, "cos")
     transform(8.0, "sin")
     gc.collect()
     assert sorted(key for key, ref in held.items() if ref() is None) \
         == [(2.0, "sin"), (4.0, "cos")]
-    assert entries() == {2.0: 81 ** 2, 4.0: 81 ** 2, 8.0: 2 * 81 ** 2}
+    assert _kept_entries() == {2.0: 81 ** 2, 4.0: 81 ** 2, 8.0: 2 * 81 ** 2}
     # a larger matrix takes the room of as many as it needs
     transform(4.0, "cos", _decayed_seq(QContext(4.0), 60))
     gc.collect()
     assert sorted(key for key, ref in held.items() if ref() is None) \
         == [(2.0, "cos"), (2.0, "sin"), (4.0, "sin")]
-    assert entries() == {2.0: 0, 4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
+    assert _kept_entries() == {4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
     # one past the bound alone is built for its call and not kept
     big = _decayed_seq(QContext(8.0), 91)
-    assert 183 ** 2 > special.STORE_MAX_MATRIX_ENTRIES
-    qf = QFourier(QContext(8.0))
-    got = qf.qft_sin(big)
-    assert qf.sf.kept_matrix("sin").window == (-40, 40)
-    assert entries() == {2.0: 0, 4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
+    assert 183 ** 2 > fourier.MAX_MATRIX_ENTRIES
+    got = QFourier(QContext(8.0)).qft_sin(big)
+    assert _kept(8.0, "sin").window == (-40, 40)
+    assert _kept_entries() == {4.0: 121 ** 2, 8.0: 2 * 81 ** 2}
     want = _unkept(QContext(8.0)).qft_sin(big)
     assert _bits(got.values.view(float)) == _bits(want.values.view(float))
-    # a q the store drops frees its room: four more fit at two new q
-    for q in range(3, 3 + special.STORE_MAX_QS):
-        SpecialFunctions(QContext(q + 0.5))
-    assert set(special.kernel_store_info()).isdisjoint({2.0, 4.0, 8.0})
+    # four more at two q take the room of every matrix kept before
     for q in (2.0, 4.0):
         for kind in ("cos", "sin"):
             transform(q, kind)
-    assert sum(entries().values()) == 4 * 81 ** 2
+    assert _kept_entries() == {2.0: 2 * 81 ** 2, 4.0: 2 * 81 ** 2}
+    forget_kept_matrices()
+
+
+def test_kept_matrices_outlive_the_rows_of_their_q():
     special.clear_kernel_store()
+    forget_kept_matrices()
+    rng = random.Random(SEED + 14)
+    f = rand_seq(rng, D2)
+    want = QFourier(D2).qft_cos(f)
+    held = weakref.ref(_kept(2.0, "cos").matrix)
+    # eight other q drop the rows of q = 2 from the kernel store
+    qs = [2.5 + k / 8 for k in range(special.STORE_MAX_QS)]
+    for q in qs:
+        SpecialFunctions(QContext(q))
+    assert 2.0 not in special.kernel_store_info()
+    gc.collect()
+    assert held() is _kept(2.0, "cos").matrix
+    # the kept matrix and weights serve a transform at q = 2 on their
+    # window with no row read
+    got = QFourier(D2).qft_cos(f)
+    assert special.kernel_store_info()[2.0] == {
+        "row_entries": 0, "lookups": 0, "misses": 0}
+    assert _bits(got.values.view(float)) == _bits(want.values.view(float))
+    # transforms at those q keep within the bound across every q
+    for q in qs:
+        ctx = QContext(q)
+        for kind in ("cos", "sin"):
+            QFourier(ctx).transform(_decayed_seq(ctx, 40), kind)
+            assert sum(_kept_entries().values()) \
+                <= fourier.MAX_MATRIX_ENTRIES
+    assert list(fourier._KEPT) == [(q, kind) for q in qs[-2:]
+                                   for kind in ("cos", "sin")]
+    gc.collect()
+    assert held() is None
+    forget_kept_matrices()
 
 
 def test_instances_at_one_q_and_window_share_the_kept_matrix():
-    special.clear_kernel_store()
+    forget_kept_matrices()
     f = rand_seq(random.Random(SEED + 10), D2)
     first = QFourier(D2)
     want = first.qft_cos(f)
-    held = first.sf.kept_matrix("cos")
+    held = _kept(2.0, "cos")
     before = special.kernel_store_info()[2.0]
     second = QFourier(D2)
     got = second.qft_cos(f)
     # no row read, no entry evaluated, no matrix built: the same one
-    assert second.sf.kept_matrix("cos") is held
+    assert _kept(2.0, "cos") is held
     assert special.kernel_store_info()[2.0] == before
     assert _bits(got.values.view(float)) == _bits(want.values.view(float))
 
@@ -473,7 +523,7 @@ def test_tail_check_runs_before_the_kept_matrix():
     qf = QFourier(D2)
     for kind in ("cos", "sin"):
         qf.transform(SublatticeSeq(D2, -10, decayed), kind)
-        kept = qf.sf.kept_matrix(kind)
+        kept = _kept(2.0, kind)
         for values in bad:
             # on the kept window, and on a new one it would replace
             for seq in (SublatticeSeq(D2, -10, values),
@@ -481,19 +531,19 @@ def test_tail_check_runs_before_the_kept_matrix():
                 with pytest.raises(NotConverged), \
                         np.errstate(invalid="ignore"):
                     qf.transform(seq, kind)
-                assert qf.sf.kept_matrix(kind) is kept
+                assert _kept(2.0, kind) is kept
 
 
 def test_refused_transform_at_a_fresh_q_builds_no_kernel_row():
     special.clear_kernel_store()
+    forget_kept_matrices()
     ctx = QContext(2.5)
     qf = QFourier(ctx)
     with pytest.raises(NotConverged):
         qf.qft_cos(SublatticeSeq(ctx, -10, np.ones(21)))
     # the weights q^(-2k) of the window, and no kernel row or matrix
-    info = special.kernel_store_info()[2.5]
-    assert (info["row_entries"], info["matrix_entries"]) == (21, 0)
-    assert qf.sf.kept_matrix("cos") is None
+    assert special.kernel_store_info()[2.5]["row_entries"] == 21
+    assert _kept_entries() == {}
 
 
 # -- the scaled product ------------------------------------------------------
@@ -507,6 +557,7 @@ def test_scalings_neither_overflow_nor_underflow_the_result(q):
     # product's, or within its dot-product bound where that one rounded
     # through subnormals
     special.clear_kernel_store()
+    forget_kept_matrices()
     ctx = QContext(q)
     qf = QFourier(ctx)
     weights = np.array([ctx.qpow(-2 * k) for k in range(-40, 41)])
@@ -514,7 +565,7 @@ def test_scalings_neither_overflow_nor_underflow_the_result(q):
         centre = np.zeros(81, dtype=complex)
         centre[40] = 1.0  # a window with decayed edges at every q
         qf.transform(SublatticeSeq(ctx, -40, centre), kind)
-        _, _, K, s = qf.sf.kept_matrix(kind)
+        _, _, K, s = _kept(q, kind)
         top = np.max(np.abs(K))
         # the kernel row's largest entry, 2^s up, just below 2^64
         assert s is not None and 2.0 ** 63 <= top < 2.0 ** 64
@@ -538,6 +589,7 @@ def test_scalings_neither_overflow_nor_underflow_the_result(q):
 def test_a_kernel_row_or_input_holding_inf_or_nan_fails_as_unscaled(
         monkeypatch):
     special.clear_kernel_store()
+    forget_kept_matrices()
     ctx = QContext(2.5)
     f = rand_seq(random.Random(SEED + 12), ctx)
     # a non-finite input: refused before any matrix or kernel row
@@ -546,12 +598,13 @@ def test_a_kernel_row_or_input_holding_inf_or_nan_fails_as_unscaled(
         values[40] = bad
         with pytest.raises(NotConverged), np.errstate(invalid="ignore"):
             QFourier(ctx).qft_cos(SublatticeSeq(ctx, -40, values))
-    assert special.kernel_store_info()[2.5]["matrix_entries"] == 0
+    assert _kept_entries() == {}
     # a non-finite kernel row: kept unscaled, and the product is the
     # unscaled one, non-finite where it was
     row = SpecialFunctions(ctx).kernel_row("cos", -160, 160)
     for at, bad in ((80, math.inf), (100, -math.inf), (120, math.nan)):
         special.clear_kernel_store()
+        forget_kept_matrices()
         qf = QFourier(ctx)
         poisoned = row.copy()
         poisoned[at] = bad
@@ -561,7 +614,8 @@ def test_a_kernel_row_or_input_holding_inf_or_nan_fails_as_unscaled(
             got = qf.qft_cos(f).values
             K = np.lib.stride_tricks.sliding_window_view(poisoned[::-1], 81)
             want = qf._nq * (K @ (qf.sf.point_row(-80, 80)[::-1] * f.values))
-        assert qf.sf.kept_matrix("cos").s is None
+        assert _kept(2.5, "cos").s is None
         assert not np.all(np.isfinite(got.view(float)))
         assert _bits(got.view(float)) == _bits(want.view(float))
     special.clear_kernel_store()
+    forget_kept_matrices()

@@ -1,5 +1,6 @@
 """q-special functions: combinatorics, series, constants, eigenvalue table."""
 
+import cmath
 import functools
 import gc
 import hashlib
@@ -22,12 +23,13 @@ import pytest
 from mpmath import libmp
 
 import integer_series
-from qcalc import batteries, special
+from qcalc import batteries, fourier, special
 from qcalc.batteries import _kernels, _sampled_kernel, rand_seq, special_tables
 from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.fourier import QFourier
 from qcalc.lattice import LatticeFn, LatticeGrid
+from qcalc.oscillator import gaussian_fourier_pair
 from qcalc.schrodinger import build_representation, stationary_state
 from qcalc.special import (
     EIGEN_EXPONENT,
@@ -38,6 +40,7 @@ from qcalc.special import (
     qpoch,
     qpoch_inf,
 )
+from test_fourier import forget_kept_matrices
 
 EXACT = QContext(Fraction(3, 2))
 D2 = QContext(2.0)
@@ -349,7 +352,8 @@ def test_rows_past_the_double_range_fill_in_time(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines()[-1] == \
-        "error: OverflowError: (34, 'Numerical result out of range')"
+        "config error: m_cut: q^(2 m_cut) overflows a double at q = 2.0, " \
+        "m_cut = 20000"
 
 
 # -- the integer series kept as the exact reference --------------------------
@@ -654,8 +658,8 @@ def test_instances_at_one_q_share_one_table_per_kind():
     info = special.kernel_store_info()
     assert list(info) == [2.0]
     # each lookup grew its odd row by one entry, the next exponent down
-    assert info[2.0] == {"row_entries": 2 * len(zs), "matrix_entries": 0,
-                         "lookups": 2 * len(zs), "misses": 2 * len(zs)}
+    assert info[2.0] == {"row_entries": 2 * len(zs), "lookups": 2 * len(zs),
+                         "misses": 2 * len(zs)}
     for z in zs:
         first.cos_q(z)
     info = special.kernel_store_info()[2.0]
@@ -701,8 +705,7 @@ def test_kernel_store_stays_within_its_bounds():
     rebuilt = SpecialFunctions(QContext(qs[0]))
     info = special.kernel_store_info()
     assert list(info) == qs[1 - special.STORE_MAX_QS:] + [qs[0]]
-    assert info[qs[0]] == {"row_entries": 0, "matrix_entries": 0,
-                           "lookups": 0, "misses": 0}
+    assert info[qs[0]] == {"row_entries": 0, "lookups": 0, "misses": 0}
     assert _float_bits([rebuilt.cos_q(z), rebuilt.sin_q(z)]) == want
     # an instance whose q was dropped reads the reopened store
     assert first._kernel_store() is rebuilt._kernel_store()
@@ -809,22 +812,22 @@ def test_kernel_store_info_counts_row_entries():
     assert special.kernel_store_info()[2.0]["row_entries"] == 2 * 168 + 81
     sf.kernel_row("sin", -170, 164)
     assert special.kernel_store_info()[2.0] == {
-        "row_entries": 2 * 168 + 81, "matrix_entries": 0, "lookups": 4,
-        "misses": 2 * 168 + 81}
+        "row_entries": 2 * 168 + 81, "lookups": 4, "misses": 2 * 168 + 81}
     # other parity: rows of their own
     sf.kernel_row("sin", -3, 5)
     assert special.kernel_store_info()[2.0]["row_entries"] \
         == 2 * 168 + 81 + 2 * 5
-    # a transform of k = -40 ... 40 keeps the even kernel rows at q^-2j,
-    # j = -80 ... 80, its weights q^-2k in the even point row, and its
-    # 81 x 81 kernel matrix
+    # a transform of k = -40 ... 40 that builds its matrix keeps the even
+    # kernel rows at q^-2j, j = -80 ... 80, and its weights q^-2k in the
+    # even point row; qcalc.fourier keeps its 81 x 81 kernel matrix
     special.clear_kernel_store()
+    forget_kept_matrices()
     f = rand_seq(random.Random(5), QContext(2.0))
     assert (f.k_min, f.k_max) == (-40, 40)
     QFourier(QContext(2.0)).qft_cos(f)
     assert special.kernel_store_info()[2.0] == {
-        "row_entries": 2 * 161 + 81, "matrix_entries": 81 * 81,
-        "lookups": 2, "misses": 2 * 161 + 81}
+        "row_entries": 2 * 161 + 81, "lookups": 2, "misses": 2 * 161 + 81}
+    assert fourier._KEPT[2.0, "cos"].matrix.shape == (81, 81)
 
 
 def test_one_recurrence_pass_fills_both_kinds(monkeypatch):
@@ -878,6 +881,23 @@ def test_rows_stay_within_the_store_bound():
     grown = sf.point_row(-1, -1)
     assert special.kernel_store_info()[ctx.q]["row_entries"] == 1
     assert grown[0] == ctx.qpow(-1)
+
+
+def test_an_evicted_store_is_let_go():
+    special.clear_kernel_store()
+    qs = [1.5 + k / 8 for k in range(special.STORE_MAX_QS + 1)]
+    first = SpecialFunctions(QContext(qs[0]))
+    want = _float_bits(first.kernel_row("sin", -9, 9))
+    held = weakref.ref(first._kernel_store())
+    for q in qs[1:-1]:
+        SpecialFunctions(QContext(q))
+    assert held() is first._kernel_store()
+    # the eighth other q drops the store, though `first` still lives
+    SpecialFunctions(QContext(qs[-1]))
+    assert held() is None
+    # and `first` opens its q afresh
+    assert _float_bits(first.kernel_row("sin", -9, 9)) == want
+    assert special.kernel_store_info()[qs[0]]["misses"] == 2 * 10
 
 
 def test_rows_go_with_their_q():
@@ -1045,6 +1065,18 @@ def test_q_exp_functional_equation():
         lhs = SF.q_exp(z * D2.qpow(-2))
         rhs = (1 - z) * SF.q_exp(z)
         assert abs(lhs - rhs) < 1e-14 * max(1.0, abs(rhs))
+
+
+def test_q_exp_stops_once_its_sum_is_no_longer_finite():
+    # near q = 1 the terms overflow to inf, then NaN, and never fall
+    # below the stop rule
+    with _deadline(1):
+        value = SpecialFunctions(QContext(1.001)).q_exp(1j * 1.001 ** -17)
+    assert not cmath.isfinite(value)
+    # and the residuals built on it fail closed
+    with _deadline(5):
+        report = gaussian_fourier_pair(QContext(1.001))
+    assert not math.isfinite(report["max_rel"])
 
 
 # -- lattice Gaussian ---------------------------------------------------------
