@@ -3,43 +3,20 @@
 The kept matrices are a decision of the transform: which window it
 keeps, and when it lets go.  So under src/ and bench/ only
 `src/qcalc/fourier.py` names their dict, `_KEPT`, or their format,
-`KeptMatrix`; the kernel store of qcalc.special keeps kernel values
-only.  Tests may read the dict freely.
+`KeptMatrix`, in code (as a name, an attribute, an import or a string);
+the kernel store of qcalc.special keeps kernel values only.  Tests may
+read the dict freely.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from test_reachable import ROOT, _uses
+
 NAMES = {"_KEPT", "KeptMatrix"}
-
-
-def names(tree):
-    """Every name the tree uses or defines: names, attributes, imported
-    names and aliases, and string constants."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
-            if node.asname:
-                yield node.asname
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
 
 
 def test_only_fourier_names_the_kept_matrices():
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
     naming = sorted(str(path.relative_to(ROOT)) for path in files
-                    if NAMES & set(names(ast.parse(path.read_text()))))
+                    if NAMES & set(_uses(ast.parse(path.read_text()))))
     assert naming == ["src/qcalc/fourier.py"]
-
-
-def test_names_counts_code_and_strings():
-    tree = ast.parse("from m import KeptMatrix as K\n"
-                     "x = fourier._KEPT\n"
-                     "y = getattr(fourier, 'other')\n")
-    found = set(names(tree))
-    assert NAMES <= found and "other" in found
