@@ -18,27 +18,19 @@ as 4/3; verify-algebra is symbolic in q^(1/2) and ignores --q.  Defaults
 may be supplied as a JSON object via --config; explicit flags win over
 file values.  Runs are deterministic: the same config and seed produce
 byte-identical artifacts.
+
+The CLI imports the registry alone, and a subcommand loads only its
+battery's engine.  So verify-algebra, leibniz, integrate --poly and
+integrate at a q the lattice refuses never import numpy.
 """
 
 import argparse
 import json
 import os
-import re
 import sys
 import warnings
-from fractions import Fraction
 
-from .batteries import (
-    LIBRARY_ERRORS,
-    REGISTRY,
-    ConfigError,
-    Param,
-    resolve,
-    run,
-)
-from .context import QContext
-from .fields import LaurentPoly
-from .integration import definite_integral
+from .batteries import REGISTRY, ConfigError, Param, row, run
 
 # Options of the runner itself, accepted by every subcommand.
 RUNNER = (
@@ -72,48 +64,6 @@ def _load_file_cfg(path):
     return cfg
 
 
-# -- one-shot integral --------------------------------------------------------
-
-
-_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(-?\d+))?)?")
-
-
-def _parse_poly(ctx, text):
-    """Sums of Laurent monomials: '2*x^3 - x^-1 + 1/2'."""
-    src = text.replace(" ", "")
-    if not src:
-        raise ConfigError("empty polynomial")
-    coeffs = {}
-    pos = 0
-    while pos < len(src):
-        m = _TERM.match(src, pos)
-        if m is None or m.end() == pos or (m.group(2) is None
-                                           and m.group(3) is None):
-            raise ConfigError(f"cannot parse polynomial near {src[pos:]!r}")
-        sign, num, xpart, expo = m.groups()
-        c = Fraction(num) if num else Fraction(1)
-        if sign == "-":
-            c = -c
-        n = (int(expo) if expo else 1) if xpart else 0
-        coeffs[n] = coeffs.get(n, 0) + c
-        pos = m.end()
-    return LaurentPoly(ctx, coeffs)
-
-
-def _print_integral(given):
-    """The integral exactly at q; a fraction q prints the exact value, a
-    decimal q prints it rounded to a double."""
-    q, params = resolve("integrate", given)
-    lo, hi = params["from_exp"], params["to_exp"]
-    if lo is None or hi is None:
-        raise ConfigError("--poly needs --from and --to lattice exponents")
-    val = definite_integral(_parse_poly(QContext(q), params["poly"]),
-                            lo, hi, sector=params["sector"])
-    q_param, = (p for p in REGISTRY["integrate"].params if p.key == "q")
-    print(val if "/" in q_param.pick(given) else f"{float(val.re):g}")
-    return 0
-
-
 # -- artifacts ----------------------------------------------------------------
 
 
@@ -144,9 +94,7 @@ def _write(out_dir, name, text):
 
 def _finish(command, rows, config, extra, out_dir, tol):
     if tol is not None:
-        for r in rows:
-            r["tolerance"] = tol
-            r["ok"] = bool(r["residual"] < tol)
+        rows = [row(r["check"], r["residual"], tol) for r in rows]
     report = {"command": command, "config": config, "checks": rows}
     _write(out_dir, command + ".json",
            json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -216,7 +164,8 @@ def main(argv=None):
         given = {**_load_file_cfg(given.pop("config", None)), **given}
         out, tol = (prm.pick(given) for prm in RUNNER)
         if command == "integrate" and given.get("poly") is not None:
-            return _print_integral(given)
+            from .batteries.rational import print_integral
+            return print_integral(given)
         _make_out(out)
         # warnings wait for the verdict: a run that ends in a library
         # error prints that one line alone
@@ -229,7 +178,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LIBRARY_ERRORS as exc:
+    except Exception as exc:
+        # the library's errors are listed by the lattice batteries, which
+        # load numpy: look them up only once an exception reaches here
+        from .batteries.doubles import LIBRARY_ERRORS
+        if not isinstance(exc, LIBRARY_ERRORS):
+            raise
         print(_one_line("error", type(exc), exc), file=sys.stderr)
         return 2
 

@@ -47,7 +47,8 @@ from __future__ import annotations
 import numpy as np
 
 from .context import QContext
-from .lattice import GridMismatch, LatticeFn, LatticeGrid, row, worst
+from .lattice import GridMismatch, LatticeFn, LatticeGrid
+from .verdicts import DEFAULT_SCENARIO, row, worst
 
 SINGULAR_FLOOR = 1e-12
 ROUTE_TOL = 1e-12
@@ -379,17 +380,6 @@ def field_path(rng, grid):
         return LatticeFn(grid, u.data * np.cos(ph) + v.data * np.sin(ph))
 
     return at
-
-
-DEFAULT_SCENARIO = {
-    "q": 2.0,
-    "window": [-8, 8],
-    "seed": 11,
-    "dt": 1e-3,
-    "einbein_amplitude": 0.3,
-    "alpha_amplitude": 1.0,
-    "transforms": 10,
-}
 
 
 def scenario_report(cfg=None):

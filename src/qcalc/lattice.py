@@ -22,8 +22,8 @@ lam x.
 A shift cannot see past the window edge, so functions carry a count of
 invalid layers at each end (pad_lo, pad_hi); shifted-in sites hold zero
 and are excluded from any residual check.  Checks and integrals read
-valid sites only; `row` makes one check's verdict and `worst` the
-largest of its residuals.
+valid sites only, and take the worst of their residuals with
+`qcalc.verdicts.worst`.
 
 Jackson integrals of lattice data sum complex doubles, each in loop
 order through `running_sum`: the definite integral is the trace formula
@@ -43,29 +43,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .integration import NotConverged, _site_exponents
-
-
-def row(check, residual, tolerance=0.5):
-    """One verdict; it passes only on a finite residual below tolerance.
-
-    All-or-nothing checks pass a bool that is true on failure: residual 1
-    against tolerance 0.5.
-    """
-    residual = float(residual)
-    return {"check": check, "residual": residual,
-            "tolerance": float(tolerance), "ok": bool(residual < tolerance)}
-
-
-def worst(residuals):
-    """Largest residual (0.0 for none); NaN as soon as one is NaN."""
-    out = 0.0
-    for r in residuals:
-        r = float(r)
-        if r != r:
-            return r
-        if r > out:
-            out = r
-    return out
+from .verdicts import worst
 
 
 def running_sum(terms):

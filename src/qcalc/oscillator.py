@@ -45,11 +45,11 @@ import warnings
 
 import numpy as np
 
-from .lattice import (LatticeFn, Stencil, norm as fn_norm, running_sum,
-                      worst)
+from .lattice import LatticeFn, Stencil, norm as fn_norm, running_sum
 from .scalars import QQi, Scalar
 from .schrodinger import GridTooSmall
 from .special import SpecialFunctions
+from .verdicts import worst
 
 
 class NoDecay(Exception):

@@ -16,7 +16,7 @@ from qcalc.algebra import (
     p_closed_form,
     reduce_p,
 )
-from qcalc.batteries import rand_element
+from qcalc.batteries.rational import rand_element
 from qcalc.batteries import run as run_battery
 from qcalc.scalars import QQI_I, QQi, Scalar
 

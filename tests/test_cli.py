@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcalc import batteries
-from qcalc.batteries import REGISTRY, ConfigError, parse_q, resolve
+from qcalc.batteries import REGISTRY, ConfigError, doubles, parse_q, resolve
 from qcalc.cli import build_parser, main, report_to_csv
 from qcalc.oscillator import ContaminationWarning
 
@@ -517,7 +517,7 @@ def test_warnings_before_a_library_error_stay_unprinted(tmp_path, levels):
 
 def test_finished_run_prints_each_distinct_warning_once(tmp_path, capsys,
                                                         monkeypatch):
-    report = batteries.scenario_report
+    report = doubles.scenario_report
 
     def warning_report(cfg):
         # one warning from two call sites, then a two-line one
@@ -528,7 +528,7 @@ def test_finished_run_prints_each_distinct_warning_once(tmp_path, capsys,
         warnings.warn("first line\nsecond line")
         return report(cfg)
 
-    monkeypatch.setattr(batteries, "scenario_report", warning_report)
+    monkeypatch.setattr(doubles, "scenario_report", warning_report)
     assert run(tmp_path, "gauge") == 0
     assert capsys.readouterr().err.splitlines() == [
         "warning: ContaminationWarning: state 7 has 4 boundary-clean sites",

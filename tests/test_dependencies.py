@@ -6,7 +6,8 @@ equal the names in `[project] dependencies`.  A subprocess then imports
 every qcalc module and runs special-tables, whose kernel rows past q^2
 come from the lattice recurrence seeded by the series summed on Python
 ints, and checks that mpmath (a test-only reference) was never imported.
-Another imports the exact engine alone and checks that numpy was not.
+Another runs the field engine's subcommands through the CLI and checks
+that numpy was never imported.
 """
 
 import ast
@@ -15,15 +16,12 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "qcalc"
+from test_reachable import ROOT, package_modules
 
 
 def _third_party_imports():
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for _, path in package_modules():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
@@ -47,8 +45,8 @@ def test_every_third_party_import_is_declared_and_used():
 SCRIPT = """
 import importlib, json, pkgutil, sys, tempfile
 import qcalc
-for mod in pkgutil.iter_modules(qcalc.__path__):
-    importlib.import_module("qcalc." + mod.name)
+for mod in pkgutil.walk_packages(qcalc.__path__, "qcalc."):
+    importlib.import_module(mod.name)
 from qcalc.cli import main
 from qcalc.special import kernel_store_info
 with tempfile.TemporaryDirectory() as out:
@@ -78,8 +76,32 @@ def test_package_runs_the_integer_series_without_mpmath():
     assert got["entries"] > 132
 
 
-def test_exact_engine_imports_no_numpy():
-    # the field engine, its integrals included, is pure Python
-    modules = ("scalars", "context", "algebra", "fields", "integration")
-    script = "import sys\n" + "".join(f"import qcalc.{m}\n" for m in modules)
-    assert _run(script + "print('numpy' in sys.modules)") == "False"
+EXACT_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+from qcalc.cli import main
+runs = (["verify-algebra"], ["leibniz", "--q", "3/2"],
+        ["integrate", "--q", "4/3"],
+        ["integrate", "--q", "3/2", "--poly", "2*x^3 - x^-1", "--from", "-4",
+         "--to", "4"])
+done = []
+with tempfile.TemporaryDirectory() as out, \\
+        contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        code = main(argv if "--poly" in argv else argv + ["--out", out])
+        done.append([code, "numpy" in sys.modules])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["integrate", "--poly", "x^2", "--from", "0", "--to", "3"])
+print(json.dumps({"runs": done, "error": [code, err.getvalue()]}))
+"""
+
+
+def test_exact_subcommands_load_no_numpy():
+    # the field engine, its integrals included, is pure Python, and the
+    # CLI and the battery registry load no engine of their own
+    got = json.loads(_run(EXACT_SCRIPT))
+    assert got["runs"] == [[0, False]] * 4
+    # a library error still exits 2 with one line, through the error
+    # list the CLI looks up only once an exception reaches it
+    code, err = got["error"]
+    assert code == 2 and err.startswith("error: ParityMismatch: ")
+    assert len(err.splitlines()) == 1

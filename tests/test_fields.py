@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcalc.batteries import rand_poly
+from qcalc.batteries.rational import rand_poly
 from qcalc.context import QTABLE_SPAN, QContext
 from qcalc.fields import (
     LaurentPoly,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcalc import fourier, special
-from qcalc.batteries import rand_seq
+from qcalc.batteries.doubles import rand_seq
 from qcalc.context import QContext
 from qcalc.fourier import QFourier, SublatticeSeq
 from qcalc.integration import NotConverged

@@ -408,7 +408,7 @@ def test_scenario_report_config_override():
 
 
 def test_scenario_report_leaves_the_batteries_unimported():
-    # the report makes its verdicts with lattice.row, so a gauge run never
+    # the report makes its verdicts with verdicts.row, so a gauge run never
     # compiles the battery registry
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcalc.batteries import rand_lattice_fn
+from qcalc.batteries.doubles import rand_lattice_fn
 from qcalc.context import QContext
 from qcalc.fields import LaurentPoly, NotInImage, nabla, nabla_preimage
 from qcalc.integration import (

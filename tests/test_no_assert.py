@@ -5,14 +5,13 @@ there; the library raises its errors explicitly instead.
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcalc"
+from test_reachable import package_modules
 
 
 def test_no_assert_statements_in_the_package():
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(PACKAGE.glob("*.py"))
+    found = [f"{name}:{node.lineno}"
+             for name, path in package_modules()
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []

@@ -8,9 +8,8 @@ reference.
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcalc"
+from test_reachable import package_modules
 
 ALLOWED = {"schrodinger.Hamiltonian.matrices"}
 
@@ -32,9 +31,8 @@ def calls(tree, prefix, attrs):
 
 def package_calls(attrs):
     """Where code under src/qcalc calls `.attr(`, attr one of attrs."""
-    return [where for path in sorted(PACKAGE.glob("*.py"))
-            for where in calls(ast.parse(path.read_text()), path.stem,
-                               attrs)]
+    return [where for name, path in package_modules()
+            for where in calls(ast.parse(path.read_text()), name, attrs)]
 
 
 def test_only_hamiltonian_matrices_calls_dense():

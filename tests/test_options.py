@@ -16,21 +16,19 @@ that spreads `**kwargs` passes every keyword.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "qcalc"
+from test_reachable import ROOT, package_modules
 
 # Set only by tests, or by a call the scan cannot see.
 ALLOWED = {
     "algebra.AlgebraElement.x(n)":
         "verify-algebra calls it through the alias X = AlgebraElement.x",
     "algebra.AlgebraElement.p(n)": "tests build p^b as a reference",
-    "batteries.rand_element(max_terms)":
+    "batteries.rational.rand_element(max_terms)":
         "tests draw larger elements than the batteries do",
-    "batteries.rand_element(span)":
+    "batteries.rational.rand_element(span)":
         "tests draw larger elements than the batteries do",
-    "batteries.rand_poly(max_terms)":
+    "batteries.rational.rand_poly(max_terms)":
         "tests draw shorter polynomials than the batteries do",
     "cli.main(argv)": "tests drive the CLI in-process; the script reads "
                       "sys.argv",
@@ -126,8 +124,7 @@ def unset_options(package, callers):
 
 
 def _package_unset():
-    package = {path.stem: path.read_text()
-               for path in sorted(PACKAGE.glob("*.py"))}
+    package = {name: path.read_text() for name, path in package_modules()}
     callers = [path.read_text()
                for path in [*(ROOT / "src").rglob("*.py"),
                             *(ROOT / "bench").rglob("*.py")]

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcalc import batteries, oscillator
+from qcalc import oscillator
+from qcalc.batteries import doubles
 from qcalc.context import QContext
-from qcalc.lattice import LatticeGrid, norm as fn_norm, worst
+from qcalc.lattice import LatticeGrid, norm as fn_norm
 from qcalc.oscillator import (
     ContaminationWarning,
     NoDecay,
@@ -30,6 +31,7 @@ from qcalc.oscillator import (
 from qcalc.scalars import QQi, Scalar
 from qcalc.schrodinger import GridTooSmall, build_representation
 from qcalc.special import SpecialFunctions
+from qcalc.verdicts import worst
 
 D2 = QContext(2.0)
 SEED = 20260816
@@ -392,7 +394,7 @@ def test_oscillator_battery_solves_the_ground_state_once(monkeypatch):
 
     monkeypatch.setattr(oscillator, "_solve_ground_state", counted)
     params = {"window": [-12, 12], "levels": 4, "m_index": 1}
-    rows, _, _ = batteries.oscillator(Fraction(2), params)
+    rows, _, _ = doubles.oscillator(Fraction(2), params)
     assert all(r["ok"] for r in rows)
     assert len(calls) == 1
 

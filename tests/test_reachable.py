@@ -12,8 +12,12 @@ Dunder methods are reached through the language and skipped.
 """
 
 import ast
+import os
+import pkgutil
 from collections import Counter
 from pathlib import Path
+
+import qcalc
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qcalc"
@@ -31,6 +35,17 @@ ALLOWED = {
         "tests reset the kernel store to start from cold rows; the "
         "observability report of ROADMAP item 7 will use it too",
 }
+
+
+def package_modules():
+    """(dotted name, path) of every module under src/qcalc, subpackages
+    included, named from qcalc ("cli", "batteries.doubles").  A package's
+    __init__ takes the package's name, and qcalc's own the name "qcalc"."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts) or "qcalc", path
 
 
 def _definitions(tree, prefix=""):
@@ -81,7 +96,7 @@ def _use_counts():
 
 
 def _package_definitions():
-    return [d for path in sorted(PACKAGE.glob("*.py"))
+    return [d for _, path in package_modules()
             for d in _definitions(ast.parse(path.read_text()))]
 
 
@@ -128,3 +143,14 @@ def test_the_backend_split_is_gone():
     # the context's old backend flag and converter have no use left
     uses = _use_counts()
     assert not uses["exact"] and not uses["as_exact"]
+
+
+def test_package_modules_lists_every_file_under_the_package():
+    # os.walk and pkgutil list the package apart from the walker's rglob
+    on_disk = {Path(top, name) for top, _, files in os.walk(PACKAGE)
+               for name in files if name.endswith(".py")}
+    listed = dict(package_modules())
+    assert set(listed.values()) == on_disk
+    assert {"qcalc." + name for name in listed if name != "qcalc"} \
+        == {m.name for m in pkgutil.walk_packages(qcalc.__path__, "qcalc.")}
+    assert "batteries.doubles" in listed

@@ -10,11 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcalc.batteries import (
-    eigen_packet,
-    rand_lattice_fn as rand_fn,
-    run as run_battery,
-)
+from qcalc.batteries import run as run_battery
+from qcalc.batteries.doubles import eigen_packet, rand_lattice_fn as rand_fn
 from qcalc.context import QContext
 from qcalc.lattice import (
     InsufficientPadding,

@@ -24,7 +24,8 @@ from mpmath import libmp
 
 import integer_series
 from qcalc import batteries, fourier, special
-from qcalc.batteries import _kernels, _sampled_kernel, rand_seq, special_tables
+from qcalc.batteries.doubles import (_kernels, _sampled_kernel, rand_seq,
+                                     special_tables)
 from qcalc.cli import main
 from qcalc.context import QContext
 from qcalc.fourier import QFourier

@@ -17,7 +17,8 @@ the old and new residual, in CHANGES.md.
 
 import pytest
 
-from qcalc.batteries import LIBRARY_ERRORS, run
+from qcalc.batteries import run
+from qcalc.batteries.doubles import LIBRARY_ERRORS
 
 BATTERIES = ("integrate", "special-tables", "fourier", "spectrum", "evolve",
              "gauge", "oscillator")
