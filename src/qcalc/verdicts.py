@@ -21,15 +21,17 @@ def row(check, residual, tolerance=0.5):
 
 
 def worst(residuals):
-    """Largest residual (0.0 for none); NaN as soon as one is NaN."""
-    out = 0.0
+    """Largest residual; NaN as soon as one is NaN, and NaN for none, so
+    a row that compares nothing fails."""
+    out, seen = 0.0, False
     for r in residuals:
+        seen = True
         r = float(r)
         if r != r:
             return r
         if r > out:
             out = r
-    return out
+    return out if seen else float("nan")
 
 
 DEFAULT_SCENARIO = {
