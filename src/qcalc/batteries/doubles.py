@@ -140,6 +140,15 @@ def _lattice_integral_rows(ctx, rng, trials):
 # -- special-tables -----------------------------------------------------------
 
 
+def _refuse_overflow(ctx, k, message):
+    """ConfigError(message) unless q^k is a finite double: a battery
+    refuses a q or a flag whose sums would leave the double range."""
+    try:
+        ctx.qpow(k)
+    except OverflowError:
+        raise ConfigError(message) from None
+
+
 def _kernels(sf, kind, lo, hi):
     """The kind's kernel at q^m, m = lo ... hi, from its two parity rows."""
     out = np.empty(hi - lo + 1)
@@ -158,9 +167,13 @@ def _sampled_kernel(sf, grid, kind, y_exp):
 
 def special_tables(q, params):
     ctx = lattice_context(q)
-    sf = SpecialFunctions(ctx)
     q = ctx.q
     k_max = params["k_max"]
+    _refuse_overflow(ctx, 120, f"q: q^120, the largest weight of the "
+                     f"orthogonality sums, overflows a double at q = {q!r}")
+    _refuse_overflow(ctx, k_max, f"k_max: q^k_max overflows a double at "
+                     f"q = {q!r}, k_max = {k_max}")
+    sf = SpecialFunctions(ctx)
 
     lines = ["k,point,cos,sin"]
     for k, c, s in zip(range(-k_max, k_max + 1),
@@ -247,11 +260,10 @@ def special_tables(q, params):
 def fourier(q, params):
     ctx = lattice_context(q)
     seed, m_cut = params["seed"], params["m_cut"]
-    try:
-        ctx.qpow(2 * m_cut)  # the largest weight of the step sums
-    except OverflowError:
-        raise ConfigError(f"m_cut: q^(2 m_cut) overflows a double at "
-                          f"q = {ctx.q!r}, m_cut = {m_cut}") from None
+    _refuse_overflow(ctx, 80, f"q: q^80, the largest weight of the random "
+                     f"sequences, overflows a double at q = {ctx.q!r}")
+    _refuse_overflow(ctx, 2 * m_cut, f"m_cut: q^(2 m_cut) overflows a double "
+                     f"at q = {ctx.q!r}, m_cut = {m_cut}")
     qf = QFourier(ctx)
     rng = random.Random(seed)
 

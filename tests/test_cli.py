@@ -485,7 +485,8 @@ def test_out_of_radius_exits_two_with_one_error_line(tmp_path, capsys,
 
 
 def test_overflow_prints_the_error_line_alone(tmp_path):
-    # q^k overflows on the way to the error: numpy must not warn about it
+    # q^120 overflows a double: the battery refuses q, naming the flag,
+    # before any sum runs, and numpy must not warn on the way
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -495,7 +496,20 @@ def test_overflow_prints_the_error_line_alone(tmp_path):
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: OverflowError: ")
+    assert len(lines) == 1 and lines[0].startswith("config error: q: ")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["special-tables", "--q", "1e25"], "q"),
+    (["special-tables", "--k-max", "1100"], "k_max"),
+    (["fourier", "--q", "1e25"], "q"),
+])
+def test_a_power_past_the_doubles_names_its_flag(tmp_path, capsys, argv, key):
+    # special-tables needs q^120 and q^k_max, fourier q^80: the battery
+    # refuses before any sum runs, naming the flag to change
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}: q^")
 
 
 @pytest.mark.parametrize("levels", ["12", "40"])

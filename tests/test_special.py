@@ -305,13 +305,14 @@ def test_cold_rows_fill_in_time_at_q15():
 
 
 def test_special_tables_beyond_double_range_exits_two(tmp_path, capsys):
-    # q^-12 at q = 1e25 underflows to 0.0, and sin_q(0.0) used to hang
+    # q^-12 at q = 1e25 underflows to 0.0, and sin_q(0.0) used to hang;
+    # now the battery refuses q before any sum runs, naming the flag
     with _deadline(60):
         assert main(["special-tables", "--q", "1e25",
                      "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("error: OverflowError")
+    assert err.strip().splitlines()[-1].startswith("config error: q: ")
 
 
 def _divided(x):
