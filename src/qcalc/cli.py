@@ -152,6 +152,14 @@ def build_parser():
     return top
 
 
+def _library_errors():
+    """The library exceptions a run reports as exit 2.  The lattice
+    batteries list them and load numpy, so an except clause calls this:
+    Python evaluates the clause only once an exception reaches it."""
+    from .batteries.doubles import LIBRARY_ERRORS
+    return LIBRARY_ERRORS
+
+
 def _one_line(kind, category, message):
     first = (str(message).splitlines() or [""])[0]
     return f"{kind}: {category.__name__}: {first}"
@@ -178,12 +186,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        # the library's errors are listed by the lattice batteries, which
-        # load numpy: look them up only once an exception reaches here
-        from .batteries.doubles import LIBRARY_ERRORS
-        if not isinstance(exc, LIBRARY_ERRORS):
-            raise
+    except _library_errors() as exc:
         print(_one_line("error", type(exc), exc), file=sys.stderr)
         return 2
 
