@@ -260,7 +260,7 @@ def special_tables(q, params):
 def fourier(q, params):
     ctx = lattice_context(q)
     seed, m_cut = params["seed"], params["m_cut"]
-    _refuse_overflow(ctx, 80, f"q: q^80, the largest weight of the random "
+    _refuse_overflow(ctx, 81, f"q: q^81, the largest weight of the random "
                      f"sequences, overflows a double at q = {ctx.q!r}")
     _refuse_overflow(ctx, 2 * m_cut, f"m_cut: q^(2 m_cut) overflows a double "
                      f"at q = {ctx.q!r}, m_cut = {m_cut}")

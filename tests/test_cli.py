@@ -503,9 +503,11 @@ def test_overflow_prints_the_error_line_alone(tmp_path):
     (["special-tables", "--q", "1e25"], "q"),
     (["special-tables", "--k-max", "1100"], "k_max"),
     (["fourier", "--q", "1e25"], "q"),
+    # q^80 is a double here, but the odd family's weights reach q^81
+    (["fourier", "--q", "7000"], "q"),
 ])
 def test_a_power_past_the_doubles_names_its_flag(tmp_path, capsys, argv, key):
-    # special-tables needs q^120 and q^k_max, fourier q^80: the battery
+    # special-tables needs q^120 and q^k_max, fourier q^81: the battery
     # refuses before any sum runs, naming the flag to change
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -133,7 +133,7 @@ VERDICTS = {
     ("q", "1e25"): {
         "integrate": ("green-identity", "nabla2-hermiticity"),  # item 15
         "special-tables": "ConfigError",  # item 17: q^120 past the doubles
-        "fourier": "ConfigError",  # item 17: q^80 past the doubles
+        "fourier": "ConfigError",  # item 17: q^81 past the doubles
         "spectrum": "ChainStructureError",  # items 2 and 17
         "evolve": "ChainStructureError",  # items 2 and 17
         "gauge": "RouteMismatch",  # item 21
